@@ -146,6 +146,7 @@ def risk_report(fit_result: FitResult, spec: ModelSpec | None = None) -> RiskRep
         bmu = beta
         bgamma = beta_gamma_from_beta_mu(beta)
         gamma_zeros = frozenset()  # lm zeros do not pin gamma coefficients
+    ref = reference_coeffs(bmu).values
     entries = []
     for d in beta.rows.masks_by_cardinality():
         for u in beta.cols.labels:
@@ -155,7 +156,7 @@ def risk_report(fit_result: FitResult, spec: ModelSpec | None = None) -> RiskRep
                     continue
                 lrr = log_relative_risk(bmu, d, u, e)
                 if d.bit_count() > 1:
-                    lref = log_reference_rr(bmu, d, u, e)
+                    lref = float(sum(ref[d, ep | u_mask] for ep in iter_submasks(e)))
                     lratio = log_rr_ratio(bgamma, d, u, e)
                     constrained = all(
                         (d, ep | u_mask) in gamma_zeros for ep in iter_submasks(e)

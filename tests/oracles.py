@@ -2,7 +2,9 @@
 
 Everything here is written with explicit subset loops and generic
 optimizers on purpose: no fast transforms, no shared code with the package
-internals beyond data containers.
+internals beyond data containers.  The one exception is the Hessian oracle,
+which differentiates the package's analytic score (itself checked against
+differences of the log-likelihood) to check the analytic Hessian.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import itertools
 import numpy as np
 from scipy import optimize
 
-from lmlreg.inference import CountTable, ModelSpec
+from lmlreg.inference import CountTable, LogLikelihood, ModelSpec
 
 
 def subsets_of(mask: int) -> list[int]:
@@ -135,3 +137,18 @@ def brute_force_max_loglik(spec: ModelSpec, data: CountTable, n_starts: int = 12
                 best = res.fun
                 x0 = res.x  # chain the two methods from the better point
     return -best
+
+
+def central_difference_hessian(ll: LogLikelihood, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
+    """Central finite differences of ``ll.gradient`` at x, symmetrized.
+
+    x must lie far enough inside the valid region that every x ± step·e_j
+    is valid too; the error is O(step²) plus rounding of order 1e-16/step.
+    """
+    n = x.size
+    h = np.zeros((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = step
+        h[:, j] = (ll.gradient(x + e) - ll.gradient(x - e)) / (2 * step)
+    return (h + h.T) / 2.0

@@ -25,7 +25,7 @@ from lmlreg.inference import (
 from lmlreg.lattice import SubsetLattice
 from lmlreg.params import ParamMatrix, beta_from_pi, pi_from_beta
 
-from oracles import brute_force_max_loglik, oracle_loglik
+from oracles import brute_force_max_loglik, central_difference_hessian, oracle_loglik
 
 
 def lattices(p: int, q: int) -> tuple[SubsetLattice, SubsetLattice]:
@@ -204,6 +204,71 @@ class TestGradient:
             fd[i] = (ll.value(up) - ll.value(dn)) / (2 * step)
         denom = max(1.0, float(np.linalg.norm(g)))
         assert np.linalg.norm(g - fd) / denom < 1e-5
+
+
+def interior_point(ll: LogLikelihood, x: np.ndarray, seed: int) -> np.ndarray:
+    """x moved by a random jitter, halved until the result is valid."""
+    jitter = np.random.default_rng(seed).normal(scale=0.05, size=x.size)
+    for _ in range(20):
+        if ll.pi_values(x + jitter) is not None:
+            return x + jitter
+        jitter *= 0.5
+    return x
+
+
+class TestHessian:
+    """The analytic Hessian against central differences of the analytic score."""
+
+    def check(self, ll: LogLikelihood, x: np.ndarray) -> None:
+        h = ll.fd_hessian(x)
+        fd = central_difference_hessian(ll, x)
+        assert h.shape == (x.size, x.size)
+        assert np.array_equal(h, h.T)
+        assert np.max(np.abs(h - fd)) <= 1e-6 * max(1.0, float(np.max(np.abs(fd))))
+
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    @pytest.mark.parametrize("p, q", [(2, 1), (3, 2), (4, 1)])
+    def test_saturated(self, link, p, q):
+        t = random_table(p, q, 60 + p + q)
+        spec = ModelSpec(link)
+        ll = LogLikelihood(spec, t)
+        x = interior_point(ll, fit(spec, t).estimates, p * q)
+        self.check(ll, x)
+
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_constrained(self, link, seed):
+        p, q = [(2, 1), (3, 1), (2, 2), (3, 2)][seed]
+        t = random_table(p, q, 70 + seed)
+        spec = random_constrained_spec(p, q, seed, link)
+        ll = LogLikelihood(spec, t)
+        x = interior_point(ll, fit(spec, t).estimates, seed)
+        self.check(ll, x)
+
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    def test_smoothed(self, link):
+        V, U = lattices(2, 1)
+        t = CountTable(V, U, np.array([[50, 40], [10, 0], [5, 3], [1, 2]], dtype=np.int64))
+        spec = ModelSpec(link)
+        ll = LogLikelihood(spec, t, smooth=0.5)
+        x = interior_point(ll, fit(spec, t, FitOptions(smooth=0.5)).estimates, 5)
+        self.check(ll, x)
+
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    def test_missing_cells(self, link):
+        t = TestMissingCells().make_table_with_empty_column()
+        res = fit(ModelSpec(link), t, FitOptions(allow_missing_cells=True))
+        assert res.missing_cells == (3,)
+        ll = LogLikelihood(ModelSpec(link).with_zeros(res.unidentified), t)
+        self.check(ll, interior_point(ll, res.estimates, 6))
+        # coefficients seen only through the empty cell have no curvature
+        spec = ModelSpec(link)
+        ll_all = LogLikelihood(spec, t)
+        x = interior_point(ll_all, ll_all.free_of(res.beta_hat.values), 7)
+        self.check(ll_all, x)
+        seen_only_there = [i for i, (_, e) in enumerate(ll_all.free) if e == 3]
+        assert seen_only_there
+        assert np.all(ll_all.fd_hessian(x)[seen_only_there] == 0.0)
 
 
 class TestConstrainedFit:

@@ -12,6 +12,7 @@ from lmlreg.lattice import SubsetLattice, iter_submasks
 from lmlreg.params import (
     ParamMatrix,
     beta_from_pi,
+    beta_mu_from_beta_gamma,
     gamma_from_mu,
     mu_from_pi,
     pi_from_beta,
@@ -268,6 +269,16 @@ class TestRiskReport:
                 assert not en.constrained_zero
             else:
                 assert en.log_rr - en.log_ref_rr == pytest.approx(en.log_ratio, abs=1e-9)
+
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    def test_reference_entries_equal_log_reference_rr(self, link):
+        V, U = lattices(3, 2)
+        counts = np.round(random_pi(3, 2, 34).values * 10000).astype(np.int64)
+        res = fit(ModelSpec(link), CountTable(V, U, counts))
+        bmu = res.beta_hat if link == "lm" else beta_mu_from_beta_gamma(res.beta_hat)
+        for en in risk_report(res).entries:
+            if en.d_mask.bit_count() > 1:
+                assert en.log_ref_rr == log_reference_rr(bmu, en.d_mask, en.u, en.e_mask)
 
     def test_constrained_zero_follows_the_zero_set(self):
         V, U = lattices(2, 1)
