@@ -14,7 +14,6 @@ from .inference import (
     FitOptions,
     FitResult,
     ModelSpec,
-    deviance,
     fit,
     induced_mu_stats,
     loglik,
@@ -27,11 +26,9 @@ from .lattice import (
     SubsetLattice,
     mobius_matrix,
     mobius_transform,
-    mobius_transform_cols,
     subset_of_mask,
     zeta_matrix,
     zeta_transform,
-    zeta_transform_cols,
 )
 from .params import (
     BoundaryError,
@@ -96,7 +93,6 @@ __all__ = [
     "beta_gamma_from_beta_mu",
     "beta_mu_from_beta_gamma",
     "coeffs_from_link",
-    "deviance",
     "fit",
     "forward_margin_selection",
     "gamma_from_mu",
@@ -110,7 +106,6 @@ __all__ = [
     "loglik",
     "mobius_matrix",
     "mobius_transform",
-    "mobius_transform_cols",
     "mu_from_gamma",
     "mu_from_pi",
     "pattern_weights",
@@ -124,6 +119,5 @@ __all__ = [
     "wald_tests",
     "zeta_matrix",
     "zeta_transform",
-    "zeta_transform_cols",
     "__version__",
 ]

@@ -31,6 +31,7 @@ from .params import (
     ValidationError,
     beta_from_pi,
     beta_kind_for_link,
+    beta_mu_from_beta_gamma,
     check_link,
     mu_values_from_beta,
     pi_values_from_beta,
@@ -346,23 +347,18 @@ class LogLikelihood:
 
 
 def _independence_mu(counts: np.ndarray, p: int) -> np.ndarray:
-    """Mean matrix of the independence model with shrunk empirical margins."""
-    ncols = counts.shape[1]
-    totals = counts.sum(axis=0)
-    mu = np.ones((1 << p, ncols))
-    marg = np.empty((p, ncols))
-    for v in range(p):
-        rows = [m for m in range(1 << p) if m >> v & 1]
-        hits = counts[rows].sum(axis=0)
-        with np.errstate(invalid="ignore"):
-            marg[v] = np.where(totals > 0, (hits + 0.5) / (totals + 1.0), 0.5)
-    for m in range(1, 1 << p):
-        acc = np.ones(ncols)
-        for v in range(p):
-            if m >> v & 1:
-                acc = acc * marg[v]
-        mu[m] = acc
-    return mu
+    """Mean matrix of the independence model with shrunk empirical margins.
+
+    mu_D = Π_{v ∈ D} m_v, so log mu is the subset sum of the log margins
+    placed on the singleton rows.
+    """
+    present = zeta_transform(counts, axis=0, supersets=True)   # counts with Y^D = 1
+    singletons = 1 << np.arange(p)
+    totals = present[0]
+    log_marg = np.zeros_like(present)
+    log_marg[singletons] = np.log(
+        np.where(totals > 0, (present[singletons] + 0.5) / (totals + 1.0), 0.5))
+    return np.exp(zeta_transform(log_marg, axis=0))
 
 
 def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) -> FitResult:
@@ -549,13 +545,6 @@ def _starting_point(ll: LogLikelihood, data: CountTable,
     return None, "all starting candidates imply non-positive cell probabilities"
 
 
-def deviance(fit_result: FitResult, data: CountTable) -> tuple[float, int, float | None]:
-    """(G², df, p) of a fit against the saturated model on the same data."""
-    if fit_result.pi_hat.values.shape != data.counts.shape:
-        raise ValueError("fit and data shapes do not match")
-    return fit_result.deviance, fit_result.df, fit_result.p_value
-
-
 def wald_tests(fit_result: FitResult) -> list[tuple[int, int, float, float, float]]:
     """Rows (D-mask, E-mask, estimate, se, p) for every free coefficient."""
     out = []
@@ -594,34 +583,26 @@ def induced_mu_stats(fit_result: FitResult) -> tuple[np.ndarray, np.ndarray]:
     the native estimates and SEs are returned.
     """
     beta = fit_result.beta_hat
-    rows, cols = beta.rows, beta.cols
+    free = np.array(fit_result.free_index, dtype=np.intp).reshape(-1, 2)
+    rows, cols = free[:, 0], free[:, 1]
     if fit_result.spec.link == "lm":
-        values = beta.values.copy()
-    else:
-        from .params import beta_mu_from_beta_gamma
+        ses = np.zeros(beta.values.shape)
+        ses[rows, cols] = fit_result.std_errors
+        return beta.values.copy(), ses
 
-        values = beta_mu_from_beta_gamma(beta).values.copy()
+    values = beta_mu_from_beta_gamma(beta).values.copy()
     ses = np.zeros_like(values)
-    if fit_result.spec.link == "lm":
-        index = {pos: i for i, pos in enumerate(fit_result.free_index)}
-        for d in range(rows.size):
-            for e in range(cols.size):
-                i = index.get((d, e))
-                ses[d, e] = fit_result.std_errors[i] if i is not None else 0.0
-        return values, ses
-
-    index = {pos: i for i, pos in enumerate(fit_result.free_index)}
     cov = fit_result.covariance
-    for d in range(1, rows.size):
-        for e in range(cols.size):
-            members = [index[(h, e)] for h in range(1, rows.size)
-                       if h & d == h and (h, e) in index]
-            if not members:
-                ses[d, e] = 0.0
-            elif cov is None:
-                ses[d, e] = np.nan
-            else:
-                block = cov[np.ix_(members, members)]
-                var = float(block.sum())
-                ses[d, e] = float(np.sqrt(var)) if var >= 0 else np.nan
+    patterns = np.arange(beta.rows.size)[:, None]
+    for e in range(beta.cols.size):
+        idx = np.flatnonzero(cols == e)
+        if not idx.size:
+            continue
+        # a[D, i] = 1 iff free row H_i ⊆ D, so Var beta_mu[D, e] = a_Dᵀ Σ a_D
+        a = ((patterns & rows[idx]) == rows[idx]).astype(float)
+        if cov is None:
+            ses[a.any(axis=1), e] = np.nan
+            continue
+        var = np.sum((a @ cov[np.ix_(idx, idx)]) * a, axis=1)
+        ses[:, e] = np.sqrt(np.where(var >= 0, var, np.nan))
     return values, ses

@@ -51,7 +51,8 @@ def read_count_data(source: str | IO[str], responses: SubsetLattice,
         reader = csv.DictReader(stream)
         if reader.fieldnames is None:
             raise DataError("input file is empty (no header row)")
-        header = [name.strip() for name in reader.fieldnames]
+        # rows are keyed by these names, so a spaced header reads like a plain one
+        reader.fieldnames = header = [name.strip() for name in reader.fieldnames]
         needed = list(responses.labels) + list(covariates.labels)
         if fmt == "counts":
             needed.append("count")

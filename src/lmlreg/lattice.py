@@ -9,15 +9,18 @@ probability / mean / log-mean-linear parameter chain and the regression
 coefficient algebra) is a combination of these two maps applied along rows
 or columns of a matrix.
 
-Dense matrices are only materialized for small ground sets; the fast
-in-place transforms run in ``O(n * 2**n)`` and are exact to floating-point
-associativity.
+Dense matrices are only materialized for small ground sets and serve as
+the reference.  Every fast transform, in either direction and orientation
+and along any axis of an array, runs through one in-place butterfly
+(Yates' algorithm): ``n`` passes of one add or subtract over the two
+halves of the axis split at bit ``b``, ``O(n * 2**n)`` per vector and exact
+to floating-point associativity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Iterable, Sequence
+from typing import Iterator, Iterable
 
 import numpy as np
 
@@ -245,53 +248,38 @@ def mobius_matrix(lattice: SubsetLattice) -> LatticeMatrix:
     return LatticeMatrix(lattice, np.where(sub, np.where(odd, -1.0, 1.0), 0.0))
 
 
+def _butterfly(x: np.ndarray, axis: int, supersets: bool, op: np.ufunc) -> np.ndarray:
+    """Yates' in-place butterfly shared by both transforms, on a float copy of x.
+
+    Pass b views ``axis`` as (2**(n-1-b), 2, 2**b): the two middle slots are
+    the masks without and with bit b.  For subset sums the upper half takes
+    ``op(upper, lower)``; for superset sums the lower half takes
+    ``op(lower, upper)``.
+    """
+    y = np.array(x, dtype=float)
+    n = _require_power_of_two(y.shape[axis])
+    axis %= y.ndim
+    head, tail = y.shape[:axis], y.shape[axis + 1:]
+    lead = (slice(None),) * (axis + 1)
+    for b in range(n):
+        # splitting one axis never copies, whatever the memory layout, so the
+        # updates below land in y
+        v = y.reshape(head + (1 << (n - 1 - b), 2, 1 << b) + tail)
+        lo, hi = v[lead + (0,)], v[lead + (1,)]
+        dst, src = (lo, hi) if supersets else (hi, lo)
+        op(dst, src, out=dst)
+    return y
+
+
 def zeta_transform(x: np.ndarray, axis: int = -1, supersets: bool = False) -> np.ndarray:
     """Subset-sum transform along ``axis``: out[S] = Σ_{T ⊆ S} x[T].
 
     With ``supersets=True`` the sum runs over T ⊇ S instead.  Equivalent to
     multiplying by Z along that axis but computed in O(n·2**n).
     """
-    y = np.array(x, dtype=float)
-    n = _require_power_of_two(y.shape[axis])
-    yl = np.moveaxis(y, axis, -1)
-    idx = np.arange(1 << n)
-    for b in range(n):
-        bit = 1 << b
-        hi = idx[(idx & bit) != 0]
-        if supersets:
-            yl[..., hi ^ bit] += yl[..., hi]
-        else:
-            yl[..., hi] += yl[..., hi ^ bit]
-    return y
+    return _butterfly(x, axis, supersets, np.add)
 
 
 def mobius_transform(x: np.ndarray, axis: int = -1, supersets: bool = False) -> np.ndarray:
     """Inverse of :func:`zeta_transform` with the same orientation."""
-    y = np.array(x, dtype=float)
-    n = _require_power_of_two(y.shape[axis])
-    yl = np.moveaxis(y, axis, -1)
-    idx = np.arange(1 << n)
-    for b in range(n):
-        bit = 1 << b
-        hi = idx[(idx & bit) != 0]
-        if supersets:
-            yl[..., hi ^ bit] -= yl[..., hi]
-        else:
-            yl[..., hi] -= yl[..., hi ^ bit]
-    return y
-
-
-def zeta_transform_cols(rowvec: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Fast subset sums of a vector indexed by subsets: out[E] = Σ_{E'⊆E} x[E']."""
-    v = np.asarray(rowvec, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {v.shape}")
-    return zeta_transform(v)
-
-
-def mobius_transform_cols(rowvec: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Inverse of :func:`zeta_transform_cols`."""
-    v = np.asarray(rowvec, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {v.shape}")
-    return mobius_transform(v)
+    return _butterfly(x, axis, supersets, np.subtract)

@@ -58,14 +58,31 @@ def _check_d_u_e(beta: ParamMatrix, d_mask: int, u: str, e_mask: int) -> tuple[i
     return u_mask, e_mask
 
 
+def _background_sums(values: np.ndarray, cols: SubsetLattice, u: str) -> tuple[np.ndarray, np.ndarray]:
+    """Σ_{E' ⊆ E} values[..., E' ∪ {u}] for every background cell E ⊆ U \\ {u}.
+
+    The cells E, in increasing mask order, are returned with the sums; they
+    span a lattice of 2**(q-1) subsets, so the sums are one zeta transform
+    of the u-slice of the last axis.
+    """
+    u_mask = cols.mask_of([u])
+    cells = np.arange(cols.size)
+    cells = cells[(cells & u_mask) == 0]
+    return zeta_transform(values[..., cells | u_mask]), cells
+
+
+def _background_sum(beta: ParamMatrix, d_mask: int, u: str, e_mask: int) -> float:
+    _check_d_u_e(beta, d_mask, u, e_mask)
+    sums, cells = _background_sums(beta.values[d_mask], beta.cols, u)
+    return float(sums[np.searchsorted(cells, e_mask)])
+
+
 def log_relative_risk(beta_mu: ParamMatrix, d_mask: int, u: str, e_mask: int = 0) -> float:
     """log RR_u(Y^D = 1 | E) = Σ_{E' ⊆ E} beta_mu_D(E' ∪ {u}); 0 for D = ∅."""
     if beta_mu.kind != "beta_mu":
         raise ValueError(f"expected a beta_mu matrix, got kind {beta_mu.kind!r}")
-    u_mask, e_mask = _check_d_u_e(beta_mu, d_mask, u, e_mask)
-    if d_mask == 0:
-        return 0.0
-    return float(sum(beta_mu.values[d_mask, ep | u_mask] for ep in iter_submasks(e_mask)))
+    lrr = _background_sum(beta_mu, d_mask, u, e_mask)
+    return 0.0 if d_mask == 0 else lrr
 
 
 def log_relative_risk_from_mu(mu: ParamMatrix, d_mask: int, u: str, e_mask: int = 0) -> float:
@@ -76,29 +93,15 @@ def log_relative_risk_from_mu(mu: ParamMatrix, d_mask: int, u: str, e_mask: int 
     return float(np.log(mu.values[d_mask, e_mask | u_mask]) - np.log(mu.values[d_mask, e_mask]))
 
 
-def log_reference_rr(beta_mu: ParamMatrix, d_mask: int, u: str, e_mask: int = 0,
-                     method: str = "coeffs") -> float:
+def log_reference_rr(beta_mu: ParamMatrix, d_mask: int, u: str, e_mask: int = 0) -> float:
     """log of the reference relative risk of Y^D (|D| > 1) w.r.t. u at cell E.
 
-    ``method="coeffs"`` sums reference coefficients over E' ⊆ E;
-    ``method="product"`` evaluates the defining alternating product of
-    lower-order relative risks.  The two agree to floating-point accuracy.
+    The sum of reference coefficients over E' ⊆ E; it equals the defining
+    alternating sum of lower-order log relative risks.
     """
     if d_mask.bit_count() <= 1:
         raise ValueError("reference relative risk requires |D| > 1")
-    if method == "coeffs":
-        ref = reference_coeffs(beta_mu)
-        u_mask, e_mask = _check_d_u_e(ref, d_mask, u, e_mask)
-        return float(sum(ref.values[d_mask, ep | u_mask] for ep in iter_submasks(e_mask)))
-    if method == "product":
-        out = 0.0
-        for d_sub in iter_submasks(d_mask):
-            if d_sub == d_mask:
-                continue
-            sign = -1.0 if (d_mask ^ d_sub).bit_count() % 2 == 0 else 1.0
-            out += sign * log_relative_risk(beta_mu, d_sub, u, e_mask)
-        return out
-    raise ValueError(f"method must be 'coeffs' or 'product', got {method!r}")
+    return _background_sum(reference_coeffs(beta_mu), d_mask, u, e_mask)
 
 
 def log_rr_ratio(beta_gamma: ParamMatrix, d_mask: int, u: str, e_mask: int = 0) -> float:
@@ -107,8 +110,7 @@ def log_rr_ratio(beta_gamma: ParamMatrix, d_mask: int, u: str, e_mask: int = 0) 
         raise ValueError(f"expected a beta_gamma matrix, got kind {beta_gamma.kind!r}")
     if d_mask.bit_count() <= 1:
         raise ValueError("the risk ratio against reference requires |D| > 1")
-    u_mask, e_mask = _check_d_u_e(beta_gamma, d_mask, u, e_mask)
-    return float(sum(beta_gamma.values[d_mask, ep | u_mask] for ep in iter_submasks(e_mask)))
+    return _background_sum(beta_gamma, d_mask, u, e_mask)
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,7 @@ def risk_report(fit_result: FitResult, spec: ModelSpec | None = None) -> RiskRep
     forces to zero exactly.
     """
     beta = fit_result.beta_hat
-    spec = spec or fit_result.spec
+    spec = (spec or fit_result.spec).validate_for(beta.rows, beta.cols)
     if beta.kind == "beta_gamma":
         bgamma = beta
         bmu = beta.with_values(zeta_transform(beta.values, axis=0), "beta_mu")
@@ -146,53 +148,59 @@ def risk_report(fit_result: FitResult, spec: ModelSpec | None = None) -> RiskRep
         bmu = beta
         bgamma = beta_gamma_from_beta_mu(beta)
         gamma_zeros = frozenset()  # lm zeros do not pin gamma coefficients
-    ref = reference_coeffs(bmu).values
+    # stacked on a leading axis: log RR, log reference RR, log ratio, and the
+    # number of unconstrained gamma terms each ratio sums
+    stacked = np.stack([bmu.values, reference_coeffs(bmu).values, bgamma.values,
+                        1.0 - _indicator(gamma_zeros, beta.values.shape)])
+    per_u = {}
+    for u in beta.cols.labels:
+        sums, cells = _background_sums(stacked, beta.cols, u)
+        per_u[u] = (cells.tolist(), sums.tolist())
     entries = []
     for d in beta.rows.masks_by_cardinality():
+        multi = d.bit_count() > 1
         for u in beta.cols.labels:
-            u_mask = beta.cols.mask_of([u])
-            for e in range(beta.cols.size):
-                if e & u_mask:
-                    continue
-                lrr = log_relative_risk(bmu, d, u, e)
-                if d.bit_count() > 1:
-                    lref = float(sum(ref[d, ep | u_mask] for ep in iter_submasks(e)))
-                    lratio = log_rr_ratio(bgamma, d, u, e)
-                    constrained = all(
-                        (d, ep | u_mask) in gamma_zeros for ep in iter_submasks(e)
-                    )
+            cells, (lrr, lref, lratio, free) = per_u[u]
+            for k, e in enumerate(cells):
+                if multi:
+                    entries.append(RiskEntry(d, u, e, lrr[d][k], lref[d][k], lratio[d][k],
+                                             free[d][k] == 0))
                 else:
-                    lref = lratio = None
-                    constrained = False
-                entries.append(RiskEntry(d, u, e, lrr, lref, lratio, constrained))
+                    entries.append(RiskEntry(d, u, e, lrr[d][k], None, None, False))
     return RiskReport(beta.rows, beta.cols, tuple(entries))
 
 
 # ---------------------------------------------------------------------------
 # implied independence structure
 
-def _gamma_zero_rows(source: ModelSpec | ParamMatrix, responses: SubsetLattice,
-                     covariates: SubsetLattice, tol: float) -> set[int]:
-    """Rows D whose gamma coefficients vanish for every E, however derived."""
-    zero_rows: set[int] = set()
+def _indicator(pairs, shape: tuple[int, int]) -> np.ndarray:
+    """1.0 at every (D, E) in ``pairs``, 0.0 elsewhere."""
+    out = np.zeros(shape)
+    if pairs:
+        out[tuple(np.array(list(pairs)).T)] = 1.0
+    return out
+
+
+def _nonzero_gamma_rows(source: ModelSpec | ParamMatrix, responses: SubsetLattice,
+                        covariates: SubsetLattice, tol: float) -> np.ndarray:
+    """1.0 for rows D ≠ ∅ whose gamma coefficients need not all vanish, however derived."""
     if isinstance(source, ModelSpec):
         if source.link != "lml":
             # lm zero constraints pin beta_mu, not gamma; they never force a
             # gamma row to vanish, so no response independencies follow.
-            return zero_rows
-        for d in range(1, responses.size):
-            if all((d, e) in source.zero_set for e in range(covariates.size)):
-                zero_rows.add(d)
+            rows = np.ones(responses.size)
+        else:
+            zeros = _indicator(source.zero_set, (responses.size, covariates.size))
+            rows = (zeros.sum(axis=1) < covariates.size).astype(float)
     else:
         values = source.values
         if source.kind == "beta_mu":
             values = mobius_transform(values, axis=0)
         elif source.kind != "beta_gamma":
             raise ValueError(f"expected beta_mu or beta_gamma, got kind {source.kind!r}")
-        for d in range(1, responses.size):
-            if np.all(np.abs(values[d]) <= tol):
-                zero_rows.add(d)
-    return zero_rows
+        rows = (~np.all(np.abs(values) <= tol, axis=1)).astype(float)
+    rows[0] = 0.0
+    return rows
 
 
 def _bipartitions(d_mask: int):
@@ -228,20 +236,16 @@ def implied_response_independencies(
     elif responses is None or covariates is None:
         raise ValueError("responses and covariates lattices are required with a ModelSpec")
 
-    zero_rows = _gamma_zero_rows(source, responses, covariates, tol)
-    out = []
-    for d in responses.masks_by_cardinality():
-        if d.bit_count() < 2:
-            continue
-        for a, b in _bipartitions(d):
-            ok = all(
-                dp in zero_rows
-                for dp in iter_submasks(d)
-                if dp & a and dp & b
-            )
-            if ok:
-                out.append((d, a, b))
-    return out
+    # nonzero rows below D; the rows below A or below B are exactly those not
+    # meeting both, and they share only the (never nonzero) row ∅
+    below = zeta_transform(_nonzero_gamma_rows(source, responses, covariates, tol)).tolist()
+    return [
+        (d, a, b)
+        for d in responses.masks_by_cardinality()
+        if d.bit_count() >= 2
+        for a, b in _bipartitions(d)
+        if below[d] - below[a] - below[b] == 0
+    ]
 
 
 def implied_covariate_independencies(
@@ -254,18 +258,17 @@ def implied_covariate_independencies(
     to lm and lml specs alike.
     """
     spec.validate_for(responses, covariates)
-    hit_cols: dict[int, list[int]] = {}
-    out = []
-    for uprime in range(1, covariates.size):
-        hit_cols[uprime] = [e for e in range(covariates.size) if e & uprime]
-    for d in responses.masks_by_cardinality():
-        for uprime in range(1, covariates.size):
-            ok = all(
-                (dp, e) in spec.zero_set
-                for dp in iter_submasks(d)
-                if dp
-                for e in hit_cols[uprime]
-            )
-            if ok:
-                out.append((d, uprime))
-    return out
+    free = 1.0 - _indicator(spec.zero_set, (responses.size, covariates.size))
+    free[0] = 0.0
+    # free coefficients with D' ⊆ D and E ⊆ W; those with E meeting U' are
+    # the row total less the count at W = U \ U'
+    below = zeta_transform(zeta_transform(free, axis=0), axis=1)
+    full = covariates.size - 1
+    uprimes = np.arange(1, covariates.size)
+    hit = (below[:, [full]] == below[:, full ^ uprimes]).tolist()
+    return [
+        (d, int(uprime))
+        for d in responses.masks_by_cardinality()
+        for uprime, ok in zip(uprimes.tolist(), hit[d])
+        if ok
+    ]

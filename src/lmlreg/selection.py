@@ -33,7 +33,7 @@ from .inference import (
     ModelSpec,
     fit,
 )
-from .lattice import SubsetLattice, compress_mask, expand_mask, iter_submasks
+from .lattice import SubsetLattice, compress_mask, expand_mask, zeta_transform
 from .params import BoundaryError
 
 CI_Z = 1.96  # normal quantile used for all reported 95% intervals
@@ -247,11 +247,7 @@ def pattern_weights(data: CountTable) -> np.ndarray:
     Entry D of the returned vector is the raw count; normalization within
     each size happens in :func:`average_effects`.
     """
-    row_totals = data.counts.sum(axis=1).astype(float)
-    weights = np.zeros(data.responses.size)
-    for d in range(data.responses.size):
-        weights[d] = sum(row_totals[m] for m in range(data.responses.size) if m & d == d)
-    return weights
+    return zeta_transform(data.counts.sum(axis=1), supersets=True)
 
 
 def average_effects(fit_result: FitResult, data: CountTable, u: str) -> list[AverageEffect]:

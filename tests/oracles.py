@@ -152,3 +152,124 @@ def central_difference_hessian(ll: LogLikelihood, x: np.ndarray, step: float = 1
         e[j] = step
         h[:, j] = (ll.gradient(x + e) - ll.gradient(x - e)) / (2 * step)
     return (h + h.T) / 2.0
+
+
+def _sign(mask: int) -> float:
+    return -1.0 if mask.bit_count() % 2 else 1.0
+
+
+def oracle_log_reference_rr_product(beta_mu: np.ndarray, d: int, u_mask: int, e: int) -> float:
+    """log reference RR as the defining alternating sum of lower-order log RRs."""
+    out = 0.0
+    for d_sub in subsets_of(d):
+        if d_sub == d:
+            continue
+        lrr = sum(beta_mu[d_sub, ep | u_mask] for ep in subsets_of(e))
+        out -= _sign(d ^ d_sub) * lrr
+    return out
+
+
+def oracle_risk_entries(beta: np.ndarray, link: str, zero_set: frozenset) -> dict:
+    """(D, u-mask, E) -> (log RR, log ref RR, log ratio, constrained), by loops.
+
+    ``beta`` holds beta_gamma (lml) or beta_mu (lm) values; for |D| ≤ 1 the
+    last three fields are None, None, False.
+    """
+    nrow, ncol = beta.shape
+    bmu = np.zeros_like(beta)
+    bgamma = np.zeros_like(beta)
+    for d in range(nrow):
+        for e in range(ncol):
+            if link == "lml":
+                bgamma[d, e] = beta[d, e]
+                bmu[d, e] = sum(beta[h, e] for h in subsets_of(d))
+            else:
+                bmu[d, e] = beta[d, e]
+                bgamma[d, e] = sum(_sign(d ^ h) * beta[h, e] for h in subsets_of(d))
+    gamma_zeros = zero_set if link == "lml" else frozenset()
+    out = {}
+    for d in range(1, nrow):
+        for b in range(ncol.bit_length() - 1):
+            u_mask = 1 << b
+            for e in range(ncol):
+                if e & u_mask:
+                    continue
+                below = [ep | u_mask for ep in subsets_of(e)]
+                lrr = sum(bmu[d, c] for c in below)
+                if d.bit_count() <= 1:
+                    out[d, u_mask, e] = (lrr, None, None, False)
+                    continue
+                lref = sum(-_sign(d ^ dp) * bmu[dp, c]
+                           for dp in subsets_of(d) if dp != d for c in below)
+                lratio = sum(bgamma[d, c] for c in below)
+                constrained = all((d, c) in gamma_zeros for c in below)
+                out[d, u_mask, e] = (lrr, lref, lratio, constrained)
+    return out
+
+
+def oracle_response_independencies(spec: ModelSpec, p: int, q: int) -> list[tuple[int, int, int]]:
+    """Splits (D, A, B) whose straddling gamma rows the zero set zeroes, by loops."""
+    zero_rows = set()
+    if spec.link == "lml":
+        zero_rows = {d for d in range(1, 2**p)
+                     if all((d, e) in spec.zero_set for e in range(2**q))}
+    out = []
+    for d in sorted(range(1, 2**p), key=lambda m: (m.bit_count(), _bits(m))):
+        if d.bit_count() < 2:
+            continue
+        low = d & -d
+        for sub in subsets_of(d ^ low):
+            a, b = low | sub, d ^ (low | sub)
+            if b and all(dp in zero_rows for dp in subsets_of(d) if dp & a and dp & b):
+                out.append((d, a, b))
+    return sorted(out, key=lambda t: (t[0].bit_count(), _bits(t[0]), t[1]))
+
+
+def oracle_covariate_independencies(spec: ModelSpec, p: int, q: int) -> list[tuple[int, int]]:
+    """Pairs (D, U') whose coefficients for D' ⊆ D and E meeting U' are all zero."""
+    out = []
+    for d in sorted(range(1, 2**p), key=lambda m: (m.bit_count(), _bits(m))):
+        for uprime in range(1, 2**q):
+            if all((dp, e) in spec.zero_set
+                   for dp in subsets_of(d) if dp
+                   for e in range(2**q) if e & uprime):
+                out.append((d, uprime))
+    return out
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    return tuple(b for b in range(mask.bit_length()) if mask >> b & 1)
+
+
+def oracle_induced_mu_ses(free_index, covariance: np.ndarray, p: int, q: int) -> np.ndarray:
+    """SEs of beta_mu[D, E] = Σ_{H ⊆ D} beta_gamma[H, E] from an lml covariance, by loops."""
+    index = {pos: i for i, pos in enumerate(free_index)}
+    ses = np.zeros((2**p, 2**q))
+    for d in range(1, 2**p):
+        for e in range(2**q):
+            members = [index[h, e] for h in subsets_of(d) if (h, e) in index]
+            if members:
+                ses[d, e] = np.sqrt(covariance[np.ix_(members, members)].sum())
+    return ses
+
+
+def oracle_pattern_weights(counts: np.ndarray) -> np.ndarray:
+    """Number of observations with every response in D present, per D."""
+    row_totals = counts.sum(axis=1).astype(float)
+    n = row_totals.size
+    return np.array([sum(row_totals[m] for m in range(n) if m & d == d) for d in range(n)])
+
+
+def oracle_independence_mu(counts: np.ndarray, p: int) -> np.ndarray:
+    """Products of shrunk empirical response margins, by loops."""
+    totals = counts.sum(axis=0)
+    marg = []
+    for v in range(p):
+        hits = sum(counts[m] for m in range(2**p) if m >> v & 1)
+        marg.append(np.where(totals > 0, (hits + 0.5) / (totals + 1.0), 0.5))
+    mu = np.ones((2**p, counts.shape[1]))
+    for m in range(2**p):
+        for v in range(p):
+            if m >> v & 1:
+                mu[m] = mu[m] * marg[v]
+    return mu

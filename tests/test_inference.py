@@ -15,7 +15,7 @@ from lmlreg.inference import (
     FitResult,
     LogLikelihood,
     ModelSpec,
-    deviance,
+    _independence_mu,
     fit,
     induced_mu_stats,
     loglik,
@@ -23,9 +23,15 @@ from lmlreg.inference import (
     wald_tests,
 )
 from lmlreg.lattice import SubsetLattice
-from lmlreg.params import ParamMatrix, beta_from_pi, pi_from_beta
+from lmlreg.params import ParamMatrix, beta_from_pi, beta_mu_from_beta_gamma, pi_from_beta
 
-from oracles import brute_force_max_loglik, central_difference_hessian, oracle_loglik
+from oracles import (
+    brute_force_max_loglik,
+    central_difference_hessian,
+    oracle_independence_mu,
+    oracle_induced_mu_ses,
+    oracle_loglik,
+)
 
 
 def lattices(p: int, q: int) -> tuple[SubsetLattice, SubsetLattice]:
@@ -324,14 +330,6 @@ class TestConstrainedFit:
         assert (d, e) == res.free_index[0]
         assert est == pytest.approx(res.estimates[0])
 
-    def test_deviance_helper_matches_fields(self):
-        t = random_table(2, 1, 13)
-        res = fit(ModelSpec("lm", frozenset({(1, 1)})), t)
-        dev, df, p = deviance(res, t)
-        assert dev == pytest.approx(res.deviance)
-        assert df == res.df == 1
-        assert 0.0 <= p <= 1.0
-
     @given(st.integers(min_value=0, max_value=500))
     @settings(max_examples=25, deadline=None)
     def test_random_constrained_fits_converge(self, seed):
@@ -384,12 +382,34 @@ class TestInducedMu:
         rel = np.abs(mu_ses - native) / np.where(native > 0, native, 1.0)
         assert np.max(rel) < 1e-6
 
+    @pytest.mark.parametrize("seed", [17, 18])
+    def test_constrained_lml_matches_loop_oracle(self, seed):
+        t = random_table(3, 2, seed, n=20000)
+        spec = ModelSpec("lml", frozenset({(3, 2), (5, 3), (6, 1), (7, 3), (7, 1)}))
+        res = fit(spec, t)
+        assert res.covariance is not None
+        vals, ses = induced_mu_stats(res)
+        expected = oracle_induced_mu_ses(res.free_index, res.covariance, 3, 2)
+        assert np.all(ses[1:] > 0)
+        assert np.max(np.abs(ses - expected) / np.where(expected > 0, expected, 1.0)) < 1e-12
+        assert np.array_equal(vals, beta_mu_from_beta_gamma(res.beta_hat).values)
+
     def test_lm_fit_returns_native_values(self):
         t = random_table(2, 1, 16)
         res = fit(ModelSpec("lm", frozenset({(3, 1)})), t)
         vals, ses = induced_mu_stats(res)
         assert np.allclose(vals, res.beta_hat.values)
         assert ses[3, 1] == 0.0
+
+
+class TestIndependenceStart:
+    @pytest.mark.parametrize("p,q", [(1, 1), (3, 2), (4, 1)])
+    def test_matches_loop_oracle(self, p, q):
+        counts = random_table(p, q, 19).counts.astype(float) + 0.5
+        counts[:, 0] = 0.0  # an empty column takes the 0.5 margins
+        for c in (counts, np.ones_like(counts)):
+            got = _independence_mu(c, p)
+            assert np.allclose(got, oracle_independence_mu(c, p), rtol=1e-13, atol=0)
 
 
 class TestSimulate:

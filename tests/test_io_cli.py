@@ -45,6 +45,16 @@ class TestCountDataIO:
         back = lio.read_count_data(io.StringIO(text), t.responses, t.covariates, fmt)
         assert np.array_equal(back.counts, t.counts)
 
+    @pytest.mark.parametrize("fmt", ["counts", "cases"])
+    def test_spaced_header_names(self, fmt):
+        t = small_table(3)
+        text = render_to_string(lambda s: lio.write_count_data(t, s, fmt))
+        header, body = text.split("\n", 1)
+        assert header.count(",") >= 2
+        spaced = header.replace(",", ", ") + " \n" + body
+        back = lio.read_count_data(io.StringIO(spaced), t.responses, t.covariates, fmt)
+        assert np.array_equal(back.counts, t.counts)
+
     def test_row_order_is_irrelevant(self):
         t = small_table(1)
         text = render_to_string(lambda s: lio.write_count_data(t, s, "counts"))

@@ -14,11 +14,9 @@ from lmlreg.lattice import (
     iter_submasks,
     mobius_matrix,
     mobius_transform,
-    mobius_transform_cols,
     subset_of_mask,
     zeta_matrix,
     zeta_transform,
-    zeta_transform_cols,
 )
 
 
@@ -133,31 +131,83 @@ class TestFastTransforms:
         assert np.allclose(mobius_transform(A, axis=0, supersets=True), M @ A)
         assert np.allclose(zeta_transform(A.T, axis=1), A.T @ Z)
         assert np.allclose(mobius_transform(A.T, axis=1), A.T @ M)
-        assert np.allclose(zeta_transform_cols(v), v @ Z)
-        assert np.allclose(mobius_transform_cols(v), v @ M)
+        assert np.allclose(zeta_transform(v), v @ Z)
+        assert np.allclose(mobius_transform(v), v @ M)
 
     @given(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=60)
     def test_round_trip_property(self, n, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=2**n)
-        back = mobius_transform_cols(zeta_transform_cols(x))
+        back = mobius_transform(zeta_transform(x))
         assert np.allclose(back, x, atol=1e-12)
 
     def test_subset_sum_semantics(self):
         # zeta over subsets: entry H accumulates all E below it
         x = np.zeros(8)
         x[0b011] = 1.0
-        y = zeta_transform_cols(x)
+        y = zeta_transform(x)
         hits = {h for h in range(8) if y[h] == 1.0}
         assert hits == {h for h in range(8) if 0b011 & h == 0b011}
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
-            zeta_transform_cols(np.zeros(6))
+            zeta_transform(np.zeros(6))
         with pytest.raises(ValueError):
             mobius_transform(np.zeros((5, 2)), axis=0)
 
-    def test_vector_only_wrappers_reject_matrices(self):
-        with pytest.raises(ValueError):
-            zeta_transform_cols(np.zeros((4, 4)))
+
+def dense_apply(x: np.ndarray, axis: int, supersets: bool, inverse: bool) -> np.ndarray:
+    """The transform as the dense matrix product along ``axis``."""
+    n = x.shape[axis].bit_length() - 1
+    lat = SubsetLattice(tuple(f"v{i}" for i in range(n)))
+    mat = (mobius_matrix if inverse else zeta_matrix)(lat).values
+    # out[S] = Σ_T mat[T, S] x[T] for subsets, Σ_T mat[S, T] x[T] for supersets
+    mat = mat if supersets else mat.T
+    return np.moveaxis(np.tensordot(mat, x, axes=([1], [axis])), 0, axis)
+
+
+TRANSFORMS = [(zeta_transform, False), (mobius_transform, True)]
+
+
+class TestKernel:
+    """The one butterfly behind both transforms against the dense matrices."""
+
+    @pytest.mark.parametrize("axis", [0, 1, 2, -1, -2, -3])
+    @pytest.mark.parametrize("supersets", [False, True])
+    @pytest.mark.parametrize("transform,inverse", TRANSFORMS)
+    def test_every_axis_of_a_3d_array(self, axis, supersets, transform, inverse):
+        rng = np.random.default_rng(axis + 7)
+        x = rng.normal(size=(4, 8, 2))
+        got = transform(x, axis=axis, supersets=supersets)
+        assert got.shape == x.shape
+        assert np.allclose(got, dense_apply(x, axis, supersets, inverse), atol=1e-12)
+
+    @pytest.mark.parametrize("supersets", [False, True])
+    @pytest.mark.parametrize("transform,inverse", TRANSFORMS)
+    def test_non_contiguous_input(self, supersets, transform, inverse):
+        x = np.random.default_rng(3).normal(size=(16, 8, 3)).transpose(2, 0, 1)
+        assert not x.flags.c_contiguous
+        for axis in (1, 2):
+            got = transform(x, axis=axis, supersets=supersets)
+            assert np.allclose(got, dense_apply(x, axis, supersets, inverse), atol=1e-12)
+
+    @pytest.mark.parametrize("shape,axis", [((0, 8), 1), ((8, 0), 0)])
+    @pytest.mark.parametrize("transform,inverse", TRANSFORMS)
+    def test_zero_size_batch_axes(self, shape, axis, transform, inverse):
+        for supersets in (False, True):
+            got = transform(np.zeros(shape), axis=axis, supersets=supersets)
+            assert got.shape == shape
+
+    @pytest.mark.parametrize("supersets", [False, True])
+    @pytest.mark.parametrize("transform,inverse", TRANSFORMS)
+    def test_input_left_unmodified(self, supersets, transform, inverse):
+        x = np.random.default_rng(4).normal(size=(8, 4))
+        before = x.copy()
+        out = transform(x, axis=0, supersets=supersets)
+        assert np.array_equal(x, before)
+        assert not np.shares_memory(out, x)
+        ints = np.arange(8)
+        assert np.array_equal(transform(ints, supersets=supersets),
+                              dense_apply(ints.astype(float), 0, supersets, inverse))
+        assert np.array_equal(ints, np.arange(8))

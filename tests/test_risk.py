@@ -29,6 +29,13 @@ from lmlreg.risk import (
     risk_report,
 )
 
+from oracles import (
+    oracle_covariate_independencies,
+    oracle_log_reference_rr_product,
+    oracle_response_independencies,
+    oracle_risk_entries,
+)
+
 
 def lattices(p: int, q: int) -> tuple[SubsetLattice, SubsetLattice]:
     return (SubsetLattice(tuple(f"y{i}" for i in range(p))),
@@ -130,19 +137,14 @@ class TestReferenceRR:
                     for e in range(4):
                         if e & avoid:
                             continue
-                        a = log_reference_rr(bmu, d, u, e, method="coeffs")
-                        b = log_reference_rr(bmu, d, u, e, method="product")
+                        a = log_reference_rr(bmu, d, u, e)
+                        b = oracle_log_reference_rr_product(bmu.values, d, avoid, e)
                         assert a == pytest.approx(b, abs=1e-10)
 
     def test_singleton_rejected(self):
         bmu = beta_from_pi(random_pi(2, 1, 7), "lm")
         with pytest.raises(ValueError, match=r"\|D\| > 1"):
             log_reference_rr(bmu, 1, "x0")
-
-    def test_bad_method_rejected(self):
-        bmu = beta_from_pi(random_pi(2, 1, 8), "lm")
-        with pytest.raises(ValueError, match="method"):
-            log_reference_rr(bmu, 3, "x0", method="magic")
 
     def test_ratio_closes_the_identity(self):
         # log RR - log refRR must equal the gamma-coefficient subset sum
@@ -280,6 +282,28 @@ class TestRiskReport:
             if en.d_mask.bit_count() > 1:
                 assert en.log_ref_rr == log_reference_rr(bmu, en.d_mask, en.u, en.e_mask)
 
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    def test_matches_loop_oracle(self, link):
+        # q = 3 puts a covariate in the middle bit, so the u-slice skips a bit
+        V, U = lattices(3, 3)
+        counts = np.round(random_pi(3, 3, 37).values * 20000).astype(np.int64)
+        zeros = {(3, 2), (3, 6), (5, 2), (5, 3), (7, 2), (7, 3), (7, 6), (6, 5)}
+        spec = ModelSpec(link, frozenset(zeros))
+        res = fit(spec, CountTable(V, U, counts))
+        expected = oracle_risk_entries(res.beta_hat.values, link, spec.zero_set)
+        report = risk_report(res)
+        assert len(report.entries) == len(expected)
+        assert any(en.constrained_zero for en in report.entries) == (link == "lml")
+        for en in report.entries:
+            lrr, lref, lratio, constrained = expected[en.d_mask, U.mask_of([en.u]), en.e_mask]
+            assert en.log_rr == pytest.approx(lrr, abs=1e-12)
+            assert en.constrained_zero == constrained
+            if lref is None:
+                assert en.log_ref_rr is None and en.log_ratio is None
+            else:
+                assert en.log_ref_rr == pytest.approx(lref, abs=1e-12)
+                assert en.log_ratio == pytest.approx(lratio, abs=1e-12)
+
     def test_constrained_zero_follows_the_zero_set(self):
         V, U = lattices(2, 1)
         rng = np.random.default_rng(32)
@@ -372,3 +396,27 @@ class TestImpliedCovariateIndependencies:
         assert np.max(np.abs(pi.values[:, 0] - pi.values[:, 1])) < 1e-12
         spec = ModelSpec(link, frozenset({(1, 1), (2, 1), (3, 1)}))
         assert (3, 1) in implied_covariate_independencies(spec, V, U)
+
+
+def random_zero_set(p: int, q: int, seed: int, rate: float) -> frozenset[tuple[int, int]]:
+    rng = np.random.default_rng(seed)
+    return frozenset((d, e) for d in range(1, 2**p) for e in range(2**q) if rng.random() < rate)
+
+
+class TestIndependenceScansAgainstOracle:
+    @pytest.mark.parametrize("p,q", [(2, 1), (3, 2), (4, 1), (3, 3)])
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    def test_random_zero_sets(self, p, q, link):
+        V, U = lattices(p, q)
+        found_any = [0, 0]
+        for seed in range(12):
+            rate = (0.5, 0.8, 0.95)[seed % 3]
+            spec = ModelSpec(link, random_zero_set(p, q, 100 * p + 10 * q + seed, rate))
+            resp = implied_response_independencies(spec, V, U)
+            cov = implied_covariate_independencies(spec, V, U)
+            assert resp == oracle_response_independencies(spec, p, q)
+            assert cov == oracle_covariate_independencies(spec, p, q)
+            found_any[0] += len(resp)
+            found_any[1] += len(cov)
+        assert found_any[1] > 0
+        assert (found_any[0] > 0) == (link == "lml")

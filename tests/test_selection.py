@@ -20,6 +20,8 @@ from lmlreg.selection import (
     pattern_weights,
 )
 
+from oracles import oracle_pattern_weights
+
 
 def lattices(p: int, q: int) -> tuple[SubsetLattice, SubsetLattice]:
     return (SubsetLattice(tuple(f"y{i}" for i in range(p))),
@@ -221,6 +223,11 @@ class TestPatternWeights:
         assert w[1] == totals[1] + totals[3]
         assert w[2] == totals[2] + totals[3]
         assert w[3] == totals[3]
+
+    @pytest.mark.parametrize("p,q", [(1, 1), (3, 2), (5, 1)])
+    def test_matches_loop_oracle_exactly(self, p, q):
+        t = random_table(p, q, 40 + p)
+        assert np.array_equal(pattern_weights(t), oracle_pattern_weights(t.counts))
 
 
 class TestAverageEffects:
