@@ -135,14 +135,6 @@ def _require_converged(result: FitResult) -> FitResult:
     return result
 
 
-def _display_rows(V: SubsetLattice) -> list[int]:
-    return list(V.masks_by_cardinality())
-
-
-def _display_cols(U: SubsetLattice) -> list[int]:
-    return [0] + list(U.masks_by_cardinality())
-
-
 # ---------------------------------------------------------------------------
 # fit rendering (shared by fit and select)
 
@@ -164,7 +156,8 @@ def _fit_tsv(result: FitResult, stream, decimals: int = 3) -> None:
     V, U = result.beta_hat.rows, result.beta_hat.cols
     is_lml = result.spec.link == "lml"
     free = {pos: i for i, pos in enumerate(result.free_index)}
-    cols = _display_cols(U)
+    cols = U.masks_by_cardinality(include_empty=True)
+    tags = [U.mask_labels[e] for e in cols]
 
     stream.write(f"# link: {result.spec.link}\n")
     dev = fmt_num(result.deviance, decimals)
@@ -174,48 +167,45 @@ def _fit_tsv(result: FitResult, stream, decimals: int = 3) -> None:
         stream.write(f"# note: {note}\n")
 
     header = ["D"]
-    for e in cols:
-        tag = U.format_mask(e)
+    for tag in tags:
         header += [f"est{tag}", f"se{tag}", f"p{tag}"]
     if is_lml:
-        mu_values, mu_ses = induced_mu_stats(result)
-        for e in cols:
-            tag = U.format_mask(e)
+        mu_values, mu_ses = (m.tolist() for m in induced_mu_stats(result))
+        for tag in tags:
             header += [f"mu_est{tag}", f"mu_se{tag}"]
     stream.write("\t".join(header) + "\n")
 
-    for d in _display_rows(V):
-        cells = [V.format_mask(d)]
+    stats = list(zip(result.estimates.tolist(), result.std_errors.tolist(), result.wald_p.tolist()))
+    for d in V.masks_by_cardinality():
+        cells = [V.mask_labels[d]]
         for e in cols:
             i = free.get((d, e))
             if i is None:
                 cells += ["·", "·", "·"]
             else:
-                cells += [fmt_num(result.estimates[i], decimals),
-                          fmt_num(result.std_errors[i], decimals),
-                          fmt_num(result.wald_p[i], decimals)]
+                cells += [fmt_num(x, decimals) for x in stats[i]]
         if is_lml:
             for e in cols:
-                cells += [fmt_num(mu_values[d, e], decimals),
-                          fmt_num(mu_ses[d, e], decimals)]
+                cells += [fmt_num(mu_values[d][e], decimals), fmt_num(mu_ses[d][e], decimals)]
         stream.write("\t".join(cells) + "\n")
 
 
 def _fit_json_obj(result: FitResult) -> dict:
     V, U = result.beta_hat.rows, result.beta_hat.cols
     free = {pos: i for i, pos in enumerate(result.free_index)}
+    rows, cols = V.masks_by_cardinality(), U.masks_by_cardinality(include_empty=True)
+    stats = list(zip(result.estimates.tolist(), result.std_errors.tolist(), result.wald_p.tolist()))
     coeffs = []
-    for d in _display_rows(V):
-        for e in _display_cols(U):
+    for d in rows:
+        for e in cols:
             i = free.get((d, e))
-            entry = {"D": V.format_mask(d), "E": U.format_mask(e)}
+            entry = {"D": V.mask_labels[d], "E": U.mask_labels[e]}
             if i is None:
                 entry.update(constrained=True, estimate=None, se=None, p=None)
             else:
-                entry.update(constrained=False,
-                             estimate=json_num(result.estimates[i]),
-                             se=json_num(result.std_errors[i]),
-                             p=json_num(result.wald_p[i]))
+                est, se, p = stats[i]
+                entry.update(constrained=False, estimate=json_num(est), se=json_num(se),
+                             p=json_num(p))
             coeffs.append(entry)
     obj = {
         "link": result.spec.link,
@@ -229,11 +219,11 @@ def _fit_json_obj(result: FitResult) -> dict:
         "notes": _fit_notes(result),
     }
     if result.spec.link == "lml":
-        mu_values, mu_ses = induced_mu_stats(result)
+        mu_values, mu_ses = (m.tolist() for m in induced_mu_stats(result))
         obj["beta_mu_induced"] = [
-            {"D": V.format_mask(d), "E": U.format_mask(e),
-             "estimate": json_num(mu_values[d, e]), "se": json_num(mu_ses[d, e])}
-            for d in _display_rows(V) for e in _display_cols(U)
+            {"D": V.mask_labels[d], "E": U.mask_labels[e],
+             "estimate": json_num(mu_values[d][e]), "se": json_num(mu_ses[d][e])}
+            for d in rows for e in cols
         ]
     return obj
 
@@ -367,32 +357,33 @@ def cmd_risk(config: RunConfig) -> int:
     zeros = _load_zeros(config, V, U)
     spec = ModelSpec(config.link, zeros).validate_for(V, U)
     result = _require_converged(fit(spec, data, _fit_options(config)))
-    report = risk_report(result)
+    entries = risk_report(result).entries
+    # log RR, log reference RR and log ratio per entry (None, for |D| = 1, is
+    # read as NaN), so that each column takes one exp
+    logs = np.array([(en.log_rr, en.log_ref_rr, en.log_ratio) for en in entries], dtype=float)
+    lrr, lref, lratio, rr, ref, ratio = (*logs.T.tolist(), *np.exp(logs).T.tolist())
+    vl, ul = V.mask_labels, U.mask_labels
     if config.out == "json":
         obj = [{
-            "D": V.format_mask(en.d_mask), "u": en.u, "E": U.format_mask(en.e_mask),
-            "log_rr": json_num(en.log_rr), "rr": json_num(np.exp(en.log_rr)),
-            "log_reference_rr": json_num(en.log_ref_rr),
-            "reference_rr": json_num(np.exp(en.log_ref_rr)) if en.log_ref_rr is not None else None,
-            "log_rr_ratio": json_num(en.log_ratio),
-            "rr_ratio": json_num(np.exp(en.log_ratio)) if en.log_ratio is not None else None,
+            "D": vl[en.d_mask], "u": en.u, "E": ul[en.e_mask],
+            "log_rr": json_num(lrr[k]), "rr": json_num(rr[k]),
+            "log_reference_rr": json_num(lref[k]), "reference_rr": json_num(ref[k]),
+            "log_rr_ratio": json_num(lratio[k]), "rr_ratio": json_num(ratio[k]),
             "ratio_constrained_to_one": en.constrained_zero,
-        } for en in report.entries]
+        } for k, en in enumerate(entries)]
         print(json.dumps(obj, indent=2))
     else:
         out = sys.stdout
         out.write(f"# link: {result.spec.link}\n")
         out.write("D\tu\tE\tlog_rr\trr\tlog_ref_rr\tref_rr\tlog_ratio\tratio\tconstrained\n")
-        for en in report.entries:
-            ref = ("·", "·") if en.log_ref_rr is None else (
-                fmt_num(en.log_ref_rr, 3), fmt_num(np.exp(en.log_ref_rr), 3))
-            ratio = ("·", "·") if en.log_ratio is None else (
-                fmt_num(en.log_ratio, 3), fmt_num(np.exp(en.log_ratio), 3))
+        for k, en in enumerate(entries):
+            ref_cells = ("·", "·") if en.log_ref_rr is None else (
+                fmt_num(lref[k], 3), fmt_num(ref[k], 3))
+            ratio_cells = ("·", "·") if en.log_ratio is None else (
+                fmt_num(lratio[k], 3), fmt_num(ratio[k], 3))
             out.write("\t".join([
-                V.format_mask(en.d_mask), en.u, U.format_mask(en.e_mask),
-                fmt_num(en.log_rr, 3), fmt_num(np.exp(en.log_rr), 3),
-                ref[0], ref[1], ratio[0], ratio[1],
-                "yes" if en.constrained_zero else "no",
+                vl[en.d_mask], en.u, ul[en.e_mask], fmt_num(lrr[k], 3), fmt_num(rr[k], 3),
+                *ref_cells, *ratio_cells, "yes" if en.constrained_zero else "no",
             ]) + "\n")
     return 0
 

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import stats
 
-from .lattice import SubsetLattice, compress_mask, mobius_transform, zeta_transform
+from .lattice import SubsetLattice, mobius_transform, zeta_transform
 from .params import (
     BoundaryError,
     ParamMatrix,
@@ -81,9 +81,12 @@ class CountTable:
         """Collapse onto the responses in ``labels`` (summing out the rest)."""
         keep_mask = self.responses.mask_of(labels)
         sub = SubsetLattice(self.responses.members(keep_mask))
+        kept = [b for b in range(self.responses.ground_size) if keep_mask >> b & 1]
+        # row of each response pattern in the margin: bit j is its j-th kept response
+        patterns = np.arange(self.responses.size)
+        rows = sum((patterns >> b & 1) << j for j, b in enumerate(kept))
         out = np.zeros((sub.size, self.covariates.size), dtype=np.int64)
-        for m in range(self.responses.size):
-            out[compress_mask(m & keep_mask, keep_mask)] += self.counts[m]
+        np.add.at(out, rows, self.counts)
         return CountTable(sub, self.covariates, out)
 
     def empirical_pi(self, smooth: float | None = None) -> ParamMatrix:
@@ -403,9 +406,10 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
             spec_eff = spec.with_zeros(unidentified)
             ll = LogLikelihood(spec_eff, data, smooth=options.smooth)
 
-    x, start_err = _starting_point(ll, data, options)
+    x = _starting_point(ll, data)
     if x is None:
-        raise ConvergenceError(f"no valid interior starting point found ({start_err})")
+        raise ConvergenceError("no valid interior starting point found "
+                               "(all starting candidates imply non-positive cell probabilities)")
 
     value = ll.value(x)
     grad = ll.gradient(x)
@@ -521,28 +525,24 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
     )
 
 
-def _starting_point(ll: LogLikelihood, data: CountTable,
-                    options: FitOptions) -> tuple[np.ndarray | None, str]:
+def _starting_point(ll: LogLikelihood, data: CountTable) -> np.ndarray | None:
     """First valid start among: projected empirical fit, independence, uniform."""
-    candidates: list[np.ndarray] = []
+    return next((x for x in _start_candidates(ll, data) if ll.pi_values(x) is not None), None)
 
+
+def _start_candidates(ll: LogLikelihood, data: CountTable) -> Iterator[np.ndarray]:
+    """The starting candidates in order, each built only when the one before is rejected."""
     smoothed = ll.counts
     totals = smoothed.sum(axis=0)
     if np.all(totals > 0) and np.all(smoothed > 0):
         emp = ParamMatrix("pi", data.responses, data.covariates, smoothed / totals)
-        candidates.append(ll.free_of(beta_from_pi(emp, ll.link).values))
+        yield ll.free_of(beta_from_pi(emp, ll.link).values)
 
-    for mu in (_independence_mu(smoothed, data.responses.ground_size),
-               _independence_mu(np.ones_like(smoothed), data.responses.ground_size)):
-        theta = np.log(mu)
+    for counts in (smoothed, np.ones_like(smoothed)):
+        theta = np.log(_independence_mu(counts, data.responses.ground_size))
         if ll.link == "lml":
             theta = mobius_transform(theta, axis=0)
-        candidates.append(ll.free_of(mobius_transform(theta, axis=-1)))
-
-    for x in candidates:
-        if ll.pi_values(x) is not None:
-            return x, ""
-    return None, "all starting candidates imply non-positive cell probabilities"
+        yield ll.free_of(mobius_transform(theta, axis=-1))
 
 
 def wald_tests(fit_result: FitResult) -> list[tuple[int, int, float, float, float]]:

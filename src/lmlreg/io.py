@@ -2,16 +2,21 @@
 
 Count data comes in two CSV shapes: ``cases`` (one row per observation,
 one 0/1 column per response and covariate) and ``counts`` (one row per
-cell with a trailing ``count`` column).  Zero-set files list one
-constrained coefficient per line as ``D;E`` in brace notation, with ``#``
-comments.  Coefficient matrices are CSV with a ``D`` label column and one
-column per covariate subset.
+cell with a trailing ``count`` column).  The body is parsed once, by numpy's
+C tokenizer, into integer rows that become cell indices for one scatter; only
+when that parse refuses the input is the text read again, to name the bad line.
+Zero-set files list one constrained coefficient per line as ``D;E`` in
+brace notation, with ``#`` comments.  Coefficient matrices are CSV with a
+``D`` label column and one column per covariate subset.
 """
 
 from __future__ import annotations
 
 import csv
 import io as _io
+import math
+import re
+import warnings
 from typing import IO, Iterable
 
 import numpy as np
@@ -46,55 +51,71 @@ def read_count_data(source: str | IO[str], responses: SubsetLattice,
     """Read a cases or counts CSV into a complete cell-count table."""
     if fmt not in ("cases", "counts"):
         raise ConfigError(f"unknown input format {fmt!r} (expected 'cases' or 'counts')")
+    counted = fmt == "counts"
     stream, close = _open_read(source)
     try:
-        reader = csv.DictReader(stream)
-        if reader.fieldnames is None:
+        start = stream.tell() if stream.seekable() else None
+        header = next(csv.reader(iter(stream.readline, "")), None)
+        if header is None:
             raise DataError("input file is empty (no header row)")
-        # rows are keyed by these names, so a spaced header reads like a plain one
-        reader.fieldnames = header = [name.strip() for name in reader.fieldnames]
-        needed = list(responses.labels) + list(covariates.labels)
-        if fmt == "counts":
-            needed.append("count")
-        missing = [name for name in needed if name not in header]
+        column = {name.strip(): i for i, name in enumerate(header)}   # last duplicate wins
+        needed = list(responses.labels) + list(covariates.labels) + ["count"] * counted
+        missing = [name for name in needed if name not in column]
         if missing:
             raise DataError(f"input is missing columns: {', '.join(missing)}")
 
-        counts = np.zeros((responses.size, covariates.size), dtype=np.int64)
-        for row in reader:
-            line = reader.line_num
-            y_mask = _mask_from_row(row, responses, line)
-            x_mask = _mask_from_row(row, covariates, line)
-            if fmt == "counts":
-                counts[y_mask, x_mask] += _count_from_row(row, line)
-            else:
-                counts[y_mask, x_mask] += 1
-        return CountTable(responses, covariates, counts)
+        # covariate columns first: bit j of a row's cell index is column j, so
+        # the index is y * 2**q + x, the row-major position in the table
+        bits = list(covariates.labels) + list(responses.labels)
+        usecols = [column[name] for name in bits + ["count"] * counted]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)   # loadtxt on a header-only file
+                values = np.loadtxt(stream, delimiter=",", dtype=np.int64 if counted else np.int8,
+                                    comments=None, quotechar='"', usecols=usecols, ndmin=2)
+            if np.any(values < 0) or np.any(values[:, :len(bits)] > 1):
+                raise ValueError("a value is out of range")
+        except ValueError as exc:
+            raise _bad_row(source, start, needed, counted, str(exc)) from None
+        cell = sum(np.left_shift(values[:, j], j, dtype=np.intp) for j in range(len(bits)))
+        counts = np.zeros(responses.size * covariates.size, dtype=np.int64)
+        np.add.at(counts, cell, values[:, -1] if counted else 1)
+        return CountTable(responses, covariates, counts.reshape(responses.size, covariates.size))
     finally:
         if close:
             stream.close()
 
 
-def _mask_from_row(row: dict, lattice: SubsetLattice, line: int) -> int:
-    mask = 0
-    for i, lab in enumerate(lattice.labels):
-        raw = (row.get(lab) or "").strip()
-        if raw == "1":
-            mask |= 1 << i
-        elif raw != "0":
-            raise DataError(f"line {line}: column {lab!r} must be 0 or 1, got {raw!r}")
-    return mask
+def _bad_row(source: str | IO[str], start: int | None, needed: list[str], counted: bool,
+             detail: str) -> DataError:
+    """The error for the first row the parse refused, with its physical line number.
 
-
-def _count_from_row(row: dict, line: int) -> int:
-    raw = (row.get("count") or "").strip()
+    Runs only after the parse has failed: it reads the input again from the
+    header, row by row, and applies the parse's rules to the needed columns.
+    """
+    if start is None and not isinstance(source, str):
+        return DataError(f"input could not be parsed: {detail}")
+    stream, close = _open_read(source)
     try:
-        value = int(raw)
-    except ValueError:
-        raise DataError(f"line {line}: count must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise DataError(f"line {line}: count must be non-negative, got {value}")
-    return value
+        stream.seek(0 if close else start)
+        reader = csv.reader(stream)
+        column = {name.strip(): i for i, name in enumerate(next(reader))}
+        for row in filter(None, reader):
+            for k, name in enumerate(needed):
+                raw = row[column[name]].strip() if column[name] < len(row) else ""
+                value = int(raw) if re.fullmatch(r"[+-]?[0-9]+", raw) else None   # as the parse
+                where = f"line {reader.line_num}"
+                if counted and k == len(needed) - 1:
+                    if value is None or value >= 2**63:
+                        return DataError(f"{where}: count must be an integer, got {raw!r}")
+                    if value < 0:
+                        return DataError(f"{where}: count must be non-negative, got {value}")
+                elif value not in (0, 1):
+                    return DataError(f"{where}: column {name!r} must be 0 or 1, got {raw!r}")
+        return DataError(f"input could not be parsed: {detail}")
+    finally:
+        if close:
+            stream.close()
 
 
 def write_count_data(table: CountTable, stream: IO[str], fmt: str = "counts") -> None:
@@ -226,7 +247,7 @@ def write_param_matrix(pm: ParamMatrix, stream: IO[str], decimals: int | None = 
 
 def fmt_num(x: float, decimals: int) -> str:
     """Fixed-point text with -0 normalized away; NaN prints as ``nan``."""
-    if x is None or np.isnan(x):
+    if x is None or math.isnan(x):
         return "nan"
     text = f"{float(x):.{decimals}f}"
     if float(text) == 0.0:
@@ -239,7 +260,7 @@ def json_num(x: float | None, decimals: int = 6):
     if x is None:
         return None
     x = float(x)
-    if np.isnan(x) or np.isinf(x):
+    if not math.isfinite(x):
         return None
     r = round(x, decimals)
     return 0.0 if r == 0 else r

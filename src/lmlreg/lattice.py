@@ -20,6 +20,7 @@ to floating-point associativity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Iterable
 
 import numpy as np
@@ -83,9 +84,14 @@ class SubsetLattice:
         self.check_mask(mask)
         return tuple(lab for i, lab in enumerate(self.labels) if mask >> i & 1)
 
+    @cached_property
+    def mask_labels(self) -> tuple[str, ...]:
+        """Brace label of every subset, indexed by mask; built once per lattice."""
+        return tuple("{" + ",".join(self.members(m)) + "}" for m in range(self.size))
+
     def format_mask(self, mask: int) -> str:
         """Brace notation: ``{b,c}`` for subsets, ``{}`` for the empty set."""
-        return "{" + ",".join(self.members(mask)) + "}"
+        return self.mask_labels[self.check_mask(mask)]
 
     def parse_subset(self, text: str) -> int:
         """Inverse of :meth:`format_mask`; accepts optional surrounding braces."""
@@ -108,13 +114,12 @@ class SubsetLattice:
         This matches the usual table layout: singletons first, then pairs
         in lexicographic label order, and so on.
         """
-        masks = [m for m in range(self.size) if include_empty or m]
-        masks.sort(key=lambda m: (m.bit_count(), _bit_tuple(m)))
-        return masks
+        return list(self._by_cardinality[0 if include_empty else 1:])
 
-
-def _bit_tuple(mask: int) -> tuple[int, ...]:
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    @cached_property
+    def _by_cardinality(self) -> tuple[int, ...]:
+        return tuple(sorted(range(self.size), key=lambda m: (
+            m.bit_count(), [i for i in range(m.bit_length()) if m >> i & 1])))
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,28 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here is written with explicit subset loops and generic
-optimizers on purpose: no fast transforms, no shared code with the package
-internals beyond data containers.  The one exception is the Hessian oracle,
-which differentiates the package's analytic score (itself checked against
-differences of the log-likelihood) to check the analytic Hessian.
+Everything here is written with explicit subset loops, row-by-row and
+entry-by-entry code and generic optimizers on purpose: no fast transforms,
+no shared code with the package internals beyond data containers.  Two
+exceptions reuse package pieces: the Hessian oracle differentiates the
+package's analytic score (itself checked against differences of the
+log-likelihood), and the start-point oracle builds every candidate from the
+package's own maps before checking any, so the lazy search must return the
+same vector bit for bit.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
+import json
 
 import numpy as np
 from scipy import optimize
 
-from lmlreg.inference import CountTable, LogLikelihood, ModelSpec
+from lmlreg.inference import (CountTable, DataError, LogLikelihood, ModelSpec, _independence_mu,
+                              induced_mu_stats)
+from lmlreg.lattice import SubsetLattice, compress_mask, mobius_transform
+from lmlreg.params import ParamMatrix, beta_from_pi
 
 
 def subsets_of(mask: int) -> list[int]:
@@ -273,3 +281,220 @@ def oracle_independence_mu(counts: np.ndarray, p: int) -> np.ndarray:
             if m >> v & 1:
                 mu[m] = mu[m] * marg[v]
     return mu
+
+
+def oracle_read_count_data(source, responses: SubsetLattice, covariates: SubsetLattice,
+                           fmt: str = "cases") -> CountTable:
+    """The row-by-row ``csv.DictReader`` reader: a strip and compare per label per row.
+
+    It accepts a 0/1 cell only when it reads exactly ``0`` or ``1`` once
+    stripped; the package reader also takes other integer spellings of them.
+    """
+    stream = open(source, "r", encoding="utf-8", newline="") if isinstance(source, str) else source
+    try:
+        reader = csv.DictReader(stream)
+        if reader.fieldnames is None:
+            raise DataError("input file is empty (no header row)")
+        reader.fieldnames = header = [name.strip() for name in reader.fieldnames]
+        needed = list(responses.labels) + list(covariates.labels)
+        if fmt == "counts":
+            needed.append("count")
+        missing = [name for name in needed if name not in header]
+        if missing:
+            raise DataError(f"input is missing columns: {', '.join(missing)}")
+        counts = np.zeros((responses.size, covariates.size), dtype=np.int64)
+        for row in reader:
+            line = reader.line_num
+            masks = []
+            for lattice in (responses, covariates):
+                mask = 0
+                for i, lab in enumerate(lattice.labels):
+                    raw = (row.get(lab) or "").strip()
+                    if raw == "1":
+                        mask |= 1 << i
+                    elif raw != "0":
+                        raise DataError(f"line {line}: column {lab!r} must be 0 or 1, got {raw!r}")
+                masks.append(mask)
+            n = 1
+            if fmt == "counts":
+                raw = (row.get("count") or "").strip()
+                try:
+                    n = int(raw)
+                except ValueError:
+                    raise DataError(f"line {line}: count must be an integer, got {raw!r}") from None
+                if n < 0:
+                    raise DataError(f"line {line}: count must be non-negative, got {n}")
+            counts[masks[0], masks[1]] += n
+        return CountTable(responses, covariates, counts)
+    finally:
+        if isinstance(source, str):
+            stream.close()
+
+
+def oracle_marginalize(table: CountTable, labels) -> np.ndarray:
+    """Margin counts by a loop over every response pattern, re-indexed one at a time."""
+    keep_mask = table.responses.mask_of(labels)
+    out = np.zeros((1 << keep_mask.bit_count(), table.covariates.size), dtype=np.int64)
+    for m in range(table.responses.size):
+        out[compress_mask(m & keep_mask, keep_mask)] += table.counts[m]
+    return out
+
+
+def oracle_starting_point(ll: LogLikelihood, data: CountTable) -> np.ndarray | None:
+    """The first valid start, with every candidate built before any is checked."""
+    candidates = []
+    smoothed = ll.counts
+    totals = smoothed.sum(axis=0)
+    if np.all(totals > 0) and np.all(smoothed > 0):
+        emp = ParamMatrix("pi", data.responses, data.covariates, smoothed / totals)
+        candidates.append(ll.free_of(beta_from_pi(emp, ll.link).values))
+    for mu in (_independence_mu(smoothed, data.responses.ground_size),
+               _independence_mu(np.ones_like(smoothed), data.responses.ground_size)):
+        theta = np.log(mu)
+        if ll.link == "lml":
+            theta = mobius_transform(theta, axis=0)
+        candidates.append(ll.free_of(mobius_transform(theta, axis=-1)))
+    for x in candidates:
+        if ll.pi_values(x) is not None:
+            return x
+    return None
+
+
+# ---------------------------------------------------------------------------
+# CLI renderers, one entry and one scalar at a time
+
+def _oracle_fmt_num(x, decimals: int) -> str:
+    if x is None or np.isnan(x):
+        return "nan"
+    text = f"{float(x):.{decimals}f}"
+    if float(text) == 0.0:
+        text = f"{0.0:.{decimals}f}"
+    return text
+
+
+def _oracle_json_num(x, decimals: int = 6):
+    if x is None:
+        return None
+    x = float(x)
+    if np.isnan(x) or np.isinf(x):
+        return None
+    r = round(x, decimals)
+    return 0.0 if r == 0 else r
+
+
+def _oracle_fit_notes(result) -> list[str]:
+    V, U = result.beta_hat.rows, result.beta_hat.cols
+    notes = []
+    if result.missing_cells:
+        cells = ", ".join(U.format_mask(e) for e in result.missing_cells)
+        notes.append(f"likelihood restricted to observed cells (no data in: {cells})")
+    if result.unidentified:
+        pairs = ", ".join(f"{V.format_mask(d)};{U.format_mask(e)}" for d, e in result.unidentified)
+        notes.append(f"unidentified coefficients forced to zero: {pairs}")
+    if result.singular_information:
+        notes.append("observed information is singular; standard errors unavailable")
+    return notes
+
+
+def oracle_fit_stdout(result, out: str) -> str:
+    """What ``lmlreg fit --out {tsv,json}`` prints for a fitted model."""
+    V, U = result.beta_hat.rows, result.beta_hat.cols
+    free = {pos: i for i, pos in enumerate(result.free_index)}
+    rows = list(V.masks_by_cardinality())
+    cols = [0] + list(U.masks_by_cardinality())
+    is_lml = result.spec.link == "lml"
+    if is_lml:
+        mu_values, mu_ses = induced_mu_stats(result)
+    if out == "json":
+        coeffs = []
+        for d in rows:
+            for e in cols:
+                i = free.get((d, e))
+                entry = {"D": V.format_mask(d), "E": U.format_mask(e)}
+                if i is None:
+                    entry.update(constrained=True, estimate=None, se=None, p=None)
+                else:
+                    entry.update(constrained=False,
+                                 estimate=_oracle_json_num(result.estimates[i]),
+                                 se=_oracle_json_num(result.std_errors[i]),
+                                 p=_oracle_json_num(result.wald_p[i]))
+                coeffs.append(entry)
+        obj = {
+            "link": result.spec.link,
+            "deviance": _oracle_json_num(result.deviance),
+            "df": result.df,
+            "p_value": _oracle_json_num(result.p_value),
+            "loglik": _oracle_json_num(result.loglik),
+            "converged": result.converged,
+            "iterations": result.iterations,
+            "coefficients": coeffs,
+            "notes": _oracle_fit_notes(result),
+        }
+        if is_lml:
+            obj["beta_mu_induced"] = [
+                {"D": V.format_mask(d), "E": U.format_mask(e),
+                 "estimate": _oracle_json_num(mu_values[d, e]),
+                 "se": _oracle_json_num(mu_ses[d, e])}
+                for d in rows for e in cols
+            ]
+        return json.dumps(obj, indent=2) + "\n"
+    lines = [f"# link: {result.spec.link}"]
+    pval = "·" if result.p_value is None else _oracle_fmt_num(result.p_value, 3)
+    lines.append(f"# deviance: {_oracle_fmt_num(result.deviance, 3)}\tdf: {result.df}\tp: {pval}")
+    lines += [f"# note: {note}" for note in _oracle_fit_notes(result)]
+    header = ["D"]
+    for e in cols:
+        tag = U.format_mask(e)
+        header += [f"est{tag}", f"se{tag}", f"p{tag}"]
+    if is_lml:
+        for e in cols:
+            tag = U.format_mask(e)
+            header += [f"mu_est{tag}", f"mu_se{tag}"]
+    lines.append("\t".join(header))
+    for d in rows:
+        cells = [V.format_mask(d)]
+        for e in cols:
+            i = free.get((d, e))
+            if i is None:
+                cells += ["·", "·", "·"]
+            else:
+                cells += [_oracle_fmt_num(result.estimates[i], 3),
+                          _oracle_fmt_num(result.std_errors[i], 3),
+                          _oracle_fmt_num(result.wald_p[i], 3)]
+        if is_lml:
+            for e in cols:
+                cells += [_oracle_fmt_num(mu_values[d, e], 3), _oracle_fmt_num(mu_ses[d, e], 3)]
+        lines.append("\t".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def oracle_risk_stdout(result, report, out: str) -> str:
+    """What ``lmlreg risk --out {tsv,json}`` prints: three scalar exps per entry."""
+    V, U = report.responses, report.covariates
+    if out == "json":
+        obj = [{
+            "D": V.format_mask(en.d_mask), "u": en.u, "E": U.format_mask(en.e_mask),
+            "log_rr": _oracle_json_num(en.log_rr), "rr": _oracle_json_num(np.exp(en.log_rr)),
+            "log_reference_rr": _oracle_json_num(en.log_ref_rr),
+            "reference_rr": (_oracle_json_num(np.exp(en.log_ref_rr))
+                             if en.log_ref_rr is not None else None),
+            "log_rr_ratio": _oracle_json_num(en.log_ratio),
+            "rr_ratio": (_oracle_json_num(np.exp(en.log_ratio))
+                         if en.log_ratio is not None else None),
+            "ratio_constrained_to_one": en.constrained_zero,
+        } for en in report.entries]
+        return json.dumps(obj, indent=2) + "\n"
+    lines = [f"# link: {result.spec.link}",
+             "D\tu\tE\tlog_rr\trr\tlog_ref_rr\tref_rr\tlog_ratio\tratio\tconstrained"]
+    for en in report.entries:
+        ref = ("·", "·") if en.log_ref_rr is None else (
+            _oracle_fmt_num(en.log_ref_rr, 3), _oracle_fmt_num(np.exp(en.log_ref_rr), 3))
+        ratio = ("·", "·") if en.log_ratio is None else (
+            _oracle_fmt_num(en.log_ratio, 3), _oracle_fmt_num(np.exp(en.log_ratio), 3))
+        lines.append("\t".join([
+            V.format_mask(en.d_mask), en.u, U.format_mask(en.e_mask),
+            _oracle_fmt_num(en.log_rr, 3), _oracle_fmt_num(np.exp(en.log_rr), 3),
+            ref[0], ref[1], ratio[0], ratio[1],
+            "yes" if en.constrained_zero else "no",
+        ]))
+    return "\n".join(lines) + "\n"

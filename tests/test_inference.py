@@ -16,6 +16,8 @@ from lmlreg.inference import (
     LogLikelihood,
     ModelSpec,
     _independence_mu,
+    _start_candidates,
+    _starting_point,
     fit,
     induced_mu_stats,
     loglik,
@@ -31,6 +33,8 @@ from oracles import (
     oracle_independence_mu,
     oracle_induced_mu_ses,
     oracle_loglik,
+    oracle_marginalize,
+    oracle_starting_point,
 )
 
 
@@ -85,6 +89,15 @@ class TestCountTable:
         expected = t.counts[0b001] + t.counts[0b011]
         assert np.array_equal(m.counts[1], expected)
         assert m.total == t.total
+
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_marginalize_matches_loop_oracle(self, p):
+        t = random_table(p, 1 + p % 2, 90 + p, n=400)
+        for keep in range(1, 2**p):
+            labels = t.responses.members(keep)
+            m = t.marginalize(labels)
+            assert m.responses.labels == labels
+            assert np.array_equal(m.counts, oracle_marginalize(t, labels))
 
     def test_empirical_pi_errors_name_cells(self):
         V, U = lattices(1, 1)
@@ -410,6 +423,32 @@ class TestIndependenceStart:
         for c in (counts, np.ones_like(counts)):
             got = _independence_mu(c, p)
             assert np.allclose(got, oracle_independence_mu(c, p), rtol=1e-13, atol=0)
+
+
+class TestStartingPoint:
+    """The lazy candidate search returns the eager search's start bit for bit."""
+
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    def test_matches_eager_oracle(self, link):
+        later = 0
+        for seed in range(24):
+            p, q = [(2, 1), (3, 1), (2, 2), (3, 2)][seed % 4]
+            t = random_table(p, q, 200 + seed, n=60)   # sparse: some candidates fail
+            ll = LogLikelihood(random_constrained_spec(p, q, seed, link), t)
+            x = _starting_point(ll, t)
+            assert np.array_equal(x, oracle_starting_point(ll, t))
+            later += not np.array_equal(x, next(_start_candidates(ll, t)))
+        assert later > 0   # the search went past the first candidate
+
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    def test_saturated_and_smoothed(self, link):
+        V, U = lattices(2, 1)
+        sparse = CountTable(V, U, np.array([[50, 40], [10, 0], [5, 3], [1, 2]], dtype=np.int64))
+        for t, options in ((random_table(3, 2, 31), FitOptions()),
+                           (sparse, FitOptions(smooth=0.5))):
+            ll = LogLikelihood(ModelSpec(link), t, smooth=options.smooth)
+            x = _starting_point(ll, t)
+            assert np.array_equal(x, oracle_starting_point(ll, t))
 
 
 class TestSimulate:

@@ -4,16 +4,22 @@ from __future__ import annotations
 
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmlreg import io as lio
 from lmlreg.cli import main
-from lmlreg.inference import CountTable, DataError, simulate
+from lmlreg.inference import CountTable, DataError, FitOptions, ModelSpec, fit, simulate
 from lmlreg.io import ConfigError, fmt_num, json_num, parse_labels, render_to_string
 from lmlreg.lattice import SubsetLattice
 from lmlreg.params import ParamMatrix
+from lmlreg.risk import risk_report
+
+from oracles import oracle_fit_stdout, oracle_read_count_data, oracle_risk_stdout
 
 
 def lattices(p: int, q: int) -> tuple[SubsetLattice, SubsetLattice]:
@@ -108,6 +114,126 @@ class TestCountDataIO:
         text = "y0,x0,count\n1,0,3\n1,0,4\n"
         t = lio.read_count_data(io.StringIO(text), V, U, "counts")
         assert t.counts[1, 0] == 7
+
+
+@st.composite
+def messy_csv(draw):
+    """A valid table written with the variations both readers must read alike:
+    spaced and quoted values, spaced header names, CRLF endings, blank lines,
+    junk extra columns (quoted commas included) and any column order."""
+    p, q = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    V, U = lattices(p, q)
+    fmt = draw(st.sampled_from(["cases", "counts"]))
+    names = list(V.labels) + list(U.labels) + ["count"] * (fmt == "counts")
+    columns = draw(st.permutations(names + [f"junk{i}" for i in range(draw(st.integers(0, 2)))]))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    styles = st.sampled_from(["{}", " {}", "{} ", " {} ", "\t{}", '"{}"', '" {} "'])
+    lines = [",".join(draw(st.sampled_from(["{}", " {} "])).format(c) for c in columns)]
+    for _ in range(draw(st.integers(0, 12))):
+        lines += [""] * draw(st.integers(0, 2))
+        cells = []
+        for c in columns:
+            if c.startswith("junk"):
+                cells.append(draw(st.sampled_from(["", "zz", '"a,b"', "7", '"q""q"', "1.5"])))
+            else:
+                value = draw(st.integers(0, 40)) if c == "count" else draw(st.integers(0, 1))
+                cells.append(draw(styles).format(value))
+        lines.append(",".join(cells))
+    return eol.join(lines) + draw(st.sampled_from(["", eol, eol + eol])), V, U, fmt
+
+
+def read_both(text: str, V, U, fmt: str):
+    """(outcome of the package reader, outcome of the row-by-row oracle)."""
+    out = []
+    for reader in (lio.read_count_data, oracle_read_count_data):
+        try:
+            out.append(reader(io.StringIO(text), V, U, fmt).counts.tolist())
+        except DataError as exc:
+            out.append(f"DataError: {exc}")
+    return out
+
+
+class TestReaderAgainstRowByRowOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(messy_csv())
+    def test_same_counts(self, case):
+        text, V, U, fmt = case
+        got, want = read_both(text, V, U, fmt)
+        assert isinstance(want, list)
+        assert got == want
+
+    @pytest.mark.parametrize("text, fmt, line", [
+        ("y0,x0\n1,0\n\n\n0,1\n\n1,2\n", "cases", 7),
+        ("y0,x0\r\n\r\n1,0\r\n\r\n1.0,1\r\n", "cases", 5),
+        ("y0,x0\n\n1,\n", "cases", 3),
+        ("y0,x0\n1,0\n\nthree,0\n", "cases", 4),
+        ("y0,x0\n1,0\n\n   \n", "cases", 4),
+        ("y0,x0,count\n1,0,3\n\n\n1,0,-4\n", "counts", 5),
+        ("y0,x0,count\n\n1,0,three\n", "counts", 3),
+        ("y0,x0,count\n1,0,1.5\n", "counts", 2),
+        ("y0,x0,count\n1,0,3\n\n1,2,3\n", "counts", 4),
+    ])
+    def test_bad_row_reports_physical_line(self, text, fmt, line):
+        V, U = lattices(1, 1)
+        got, want = read_both(text, V, U, fmt)
+        assert got == want
+        assert got.startswith(f"DataError: line {line}: ")
+
+    def test_short_row_rejected(self):
+        V, U = lattices(2, 1)
+        got, want = read_both("y0,y1,x0\n1,0,1\n\n1,0\n", V, U, "cases")
+        assert got == want == "DataError: line 4: column 'x0' must be 0 or 1, got ''"
+
+    @pytest.mark.parametrize("text", ["", "x0\n0\n", "y0,x0\n2,0\n"])
+    def test_other_rejections_unchanged(self, text):
+        V, U = lattices(1, 1)
+        got, want = read_both(text, V, U, "cases")
+        assert got == want and got.startswith("DataError")
+
+    def test_other_integer_spellings_accepted(self):
+        V, U = lattices(1, 1)
+        t = lio.read_count_data(io.StringIO("y0,x0\n01,0\n+1,-0\n0,+01\n"), V, U, "cases")
+        assert t.counts.tolist() == [[0, 1], [2, 0]]
+        # an accepted spelling is not taken for the bad row
+        with pytest.raises(DataError, match="^line 4: column 'y0' must be 0 or 1, got '2'$"):
+            lio.read_count_data(io.StringIO("y0,x0\n+1,0\n\n2,0\n"), V, U, "cases")
+        t = lio.read_count_data(io.StringIO("y0,x0,count\n+1,00,+7\n"), V, U, "counts")
+        assert t.counts.tolist() == [[0, 0], [7, 0]]
+
+    @pytest.mark.parametrize("fmt", ["counts", "cases"])
+    def test_path_and_stream_agree(self, tmp_path, fmt):
+        t = small_table(4)
+        text = render_to_string(lambda s: lio.write_count_data(t, s, fmt))
+        text = text.replace("\n", "\r\n\r\n")
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        from_path = lio.read_count_data(str(path), t.responses, t.covariates, fmt)
+        from_stream = lio.read_count_data(io.StringIO(text), t.responses, t.covariates, fmt)
+        assert np.array_equal(from_path.counts, t.counts)
+        assert np.array_equal(from_stream.counts, t.counts)
+
+    def test_path_error_reports_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("y0,x0\n1,0\n\n0,5\n")
+        V, U = lattices(1, 1)
+        with pytest.raises(DataError, match="^line 4: column 'x0' must be 0 or 1, got '5'$"):
+            lio.read_count_data(str(path), V, U, "cases")
+
+    @pytest.mark.parametrize("text", ["y0,x0\n", "y0,x0", "y0,x0\n\n\n", "y0,x0,count\n"])
+    def test_header_only_gives_empty_table(self, text):
+        V, U = lattices(1, 1)
+        fmt = "counts" if "count" in text else "cases"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = lio.read_count_data(io.StringIO(text), V, U, fmt)
+        assert t.counts.shape == (2, 2) and t.total == 0
+
+    def test_blank_lines_emit_no_warning(self):
+        V, U = lattices(1, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = lio.read_count_data(io.StringIO("y0,x0\n\n1,0\n\n\n0,1\n\n"), V, U, "cases")
+        assert t.counts.tolist() == [[0, 1], [1, 0]]
 
 
 class TestZeroSetIO:
@@ -460,3 +586,59 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["fit", *base_args(data_path), "--link", "probit"])
         assert exc.value.code == 2
+
+
+class TestCliMatchesEntryByEntryRenderers:
+    """``fit`` and ``risk`` print byte for byte what the former renderers print."""
+
+    @pytest.fixture(scope="class")
+    def sparse_case(self, tmp_path_factory):
+        """A p=4, q=2 cases file with empty cells, and a zero set over effect columns."""
+        V, U = SubsetLattice(("a", "b", "c", "d")), SubsetLattice(("s", "t"))
+        rng = np.random.default_rng(0)
+        bg = np.zeros((16, 4))
+        for d in range(1, 16):
+            if d.bit_count() == 1:
+                bg[d] = [-1.2 + 0.2 * rng.normal(), 0.3 * rng.normal(), 0.3 * rng.normal(), 0.0]
+            elif d.bit_count() == 2:
+                bg[d, 0] = 0.3 * rng.normal()
+        data = simulate(ParamMatrix("beta_gamma", V, U, bg), "lml", [150] * 4, seed=0)
+        assert np.any(data.counts == 0)
+        zeros = frozenset((d, e) for d in range(1, 16) for e in range(1, 4)
+                          if d.bit_count() >= 2 or e == 3)
+        tmp = tmp_path_factory.mktemp("sparse")
+        with (tmp / "cases.csv").open("w") as f:
+            lio.write_count_data(data, f, "cases")
+        with (tmp / "zeros.txt").open("w") as f:
+            lio.write_zero_set(zeros, V, U, f)
+        args = ["--input", str(tmp / "cases.csv"), "--responses", "a,b,c,d",
+                "--covariates", "s,t", "--zeros", str(tmp / "zeros.txt")]
+        return data, ModelSpec("lml", zeros), FitOptions(), args
+
+    @pytest.fixture(scope="class")
+    def missing_case(self, tmp_path_factory):
+        """A counts file with an empty covariate cell, fitted with --allow-missing-cells."""
+        V, U = SubsetLattice(("b", "c")), SubsetLattice(("h", "k"))
+        counts = np.array([[40, 30, 25, 0], [12, 20, 9, 0], [8, 11, 14, 0], [5, 9, 12, 0]])
+        data = CountTable(V, U, counts)
+        path = tmp_path_factory.mktemp("missing") / "counts.csv"
+        with path.open("w") as f:
+            lio.write_count_data(data, f, "counts")
+        args = ["--input", str(path), "--format", "counts", "--responses", "b,c",
+                "--covariates", "h,k", "--allow-missing-cells"]
+        return data, ModelSpec("lml"), FitOptions(allow_missing_cells=True), args
+
+    @pytest.mark.parametrize("case", ["sparse_case", "missing_case"])
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    @pytest.mark.parametrize("command", ["fit", "risk"])
+    @pytest.mark.parametrize("out", ["tsv", "json"])
+    def test_stdout_bytes(self, request, capsys, case, link, command, out):
+        data, spec, options, args = request.getfixturevalue(case)
+        result = fit(ModelSpec(link, spec.zero_set), data, options)
+        assert result.converged
+        if case == "missing_case":
+            assert result.missing_cells and result.unidentified
+        want = (oracle_fit_stdout(result, out) if command == "fit"
+                else oracle_risk_stdout(result, risk_report(result), out))
+        assert main([command, *args, "--link", link, "--out", out]) == 0
+        assert capsys.readouterr().out.encode() == want.encode()
