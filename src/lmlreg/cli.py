@@ -3,7 +3,10 @@
 All commands read comma-separated input and write TSV (3 fixed decimals) or
 JSON (6 decimals) to stdout; ``plot-data`` and ``simulate`` emit CSV data
 series at full precision since their output is meant to be consumed by
-other programs rather than read as a table.
+other programs rather than read as a table.  Every JSON document goes
+through ``io.write_json``: each command builds its numeric and label
+columns with one vector call each and hands tables of records over as
+token columns, not as one dict per entry.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure (boundary or non-convergence), 5 internal error.
@@ -12,7 +15,6 @@ failure (boundary or non-convergence), 5 internal error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
 
@@ -30,7 +32,7 @@ from .inference import (
     induced_mu_stats,
     simulate,
 )
-from .io import ConfigError, fmt_num, json_num
+from .io import ConfigError, Raw, Records, Tokens, fmt_num, json_floats, json_strings
 from .lattice import SubsetLattice
 from .params import (
     BoundaryError,
@@ -192,39 +194,45 @@ def _fit_tsv(result: FitResult, stream, decimals: int = 3) -> None:
 
 def _fit_json_obj(result: FitResult) -> dict:
     V, U = result.beta_hat.rows, result.beta_hat.cols
-    free = {pos: i for i, pos in enumerate(result.free_index)}
     rows, cols = V.masks_by_cardinality(), U.masks_by_cardinality(include_empty=True)
-    stats = list(zip(result.estimates.tolist(), result.std_errors.tolist(), result.wald_p.tolist()))
-    coeffs = []
-    for d in rows:
-        for e in cols:
-            i = free.get((d, e))
-            entry = {"D": V.mask_labels[d], "E": U.mask_labels[e]}
-            if i is None:
-                entry.update(constrained=True, estimate=None, se=None, p=None)
-            else:
-                est, se, p = stats[i]
-                entry.update(constrained=False, estimate=json_num(est), se=json_num(se),
-                             p=json_num(p))
-            coeffs.append(entry)
+    vtok, utok = json_strings(V.mask_labels), json_strings(U.mask_labels)
+    d_col = [vtok[d] for d in rows for _ in cols]
+    e_col = [utok[e] for e in cols] * len(rows)
+    # position of each (D, E) in the free estimates, in table order; a
+    # constrained coefficient points one past them, at its fill token
+    n = len(result.free_index)
+    free = np.array(result.free_index, dtype=np.intp).reshape(-1, 2)
+    slot = np.full((V.size, U.size), n)
+    slot[free[:, 0], free[:, 1]] = np.arange(n)
+    order = slot[np.ix_(rows, cols)].ravel().tolist()
+
+    def gather(tokens: list[str], fill: str) -> list[str]:
+        return list(map((tokens + [fill]).__getitem__, order))
+
+    deviance, p_value, loglik = map(Raw, json_floats([result.deviance, result.p_value,
+                                                      result.loglik]))
     obj = {
         "link": result.spec.link,
-        "deviance": json_num(result.deviance),
+        "deviance": deviance,
         "df": result.df,
-        "p_value": json_num(result.p_value),
-        "loglik": json_num(result.loglik),
+        "p_value": p_value,
+        "loglik": loglik,
         "converged": result.converged,
         "iterations": result.iterations,
-        "coefficients": coeffs,
+        "coefficients": Records({
+            "D": d_col, "E": e_col, "constrained": gather(["false"] * n, "true"),
+            "estimate": gather(json_floats(result.estimates), "null"),
+            "se": gather(json_floats(result.std_errors), "null"),
+            "p": gather(json_floats(result.wald_p), "null"),
+        }),
         "notes": _fit_notes(result),
     }
     if result.spec.link == "lml":
-        mu_values, mu_ses = (m.tolist() for m in induced_mu_stats(result))
-        obj["beta_mu_induced"] = [
-            {"D": V.mask_labels[d], "E": U.mask_labels[e],
-             "estimate": json_num(mu_values[d][e]), "se": json_num(mu_ses[d][e])}
-            for d in rows for e in cols
-        ]
+        mu_values, mu_ses = (m[np.ix_(rows, cols)] for m in induced_mu_stats(result))
+        obj["beta_mu_induced"] = Records({
+            "D": d_col, "E": e_col,
+            "estimate": json_floats(mu_values), "se": json_floats(mu_ses),
+        })
     return obj
 
 
@@ -235,7 +243,7 @@ def cmd_fit(config: RunConfig) -> int:
     spec = ModelSpec(config.link, zeros).validate_for(V, U)
     result = _require_converged(fit(spec, data, _fit_options(config)))
     if config.out == "json":
-        print(json.dumps(_fit_json_obj(result), indent=2))
+        lio.write_json(_fit_json_obj(result), sys.stdout)
     else:
         _fit_tsv(result, sys.stdout)
     return 0
@@ -278,13 +286,14 @@ def cmd_transform(config: RunConfig, kind: str) -> int:
         "beta_gamma": beta_from_pi(pi, "lml"),
     }
     if config.out == "json":
-        obj = {name: {
-            "rows": [V.format_mask(d) for d in range(V.size)],
-            "cols": [U.format_mask(e) for e in range(U.size)],
-            "values": [[json_num(m.values[d, e]) for e in range(U.size)]
-                       for d in range(V.size)],
-        } for name, m in derived.items()}
-        print(json.dumps(obj, indent=2))
+        labels = {"rows": Tokens(json_strings(V.mask_labels)),
+                  "cols": Tokens(json_strings(U.mask_labels))}
+        doc = {}
+        for name, m in derived.items():
+            tokens = json_floats(m.values)
+            doc[name] = {**labels, "values": [Tokens(tokens[i:i + U.size])
+                                             for i in range(0, len(tokens), U.size)]}
+        lio.write_json(doc, sys.stdout)
     else:
         for name, m in derived.items():
             sys.stdout.write(f"# kind: {name}\n")
@@ -342,7 +351,7 @@ def cmd_select(config: RunConfig, method: str) -> int:
         raise ConfigError(f"--method must be 'forward' or 'backward', got {method!r}")
     _require_converged(trace.final_fit)
     if config.out == "json":
-        print(json.dumps(_trace_json_obj(trace, V, U), indent=2))
+        lio.write_json(_trace_json_obj(trace, V, U), sys.stdout)
     else:
         _trace_tsv(trace, V, U, sys.stdout)
     return 0
@@ -361,18 +370,22 @@ def cmd_risk(config: RunConfig) -> int:
     # log RR, log reference RR and log ratio per entry (None, for |D| = 1, is
     # read as NaN), so that each column takes one exp
     logs = np.array([(en.log_rr, en.log_ref_rr, en.log_ratio) for en in entries], dtype=float)
-    lrr, lref, lratio, rr, ref, ratio = (*logs.T.tolist(), *np.exp(logs).T.tolist())
-    vl, ul = V.mask_labels, U.mask_labels
+    columns = np.concatenate([logs, np.exp(logs)], axis=1).T
     if config.out == "json":
-        obj = [{
-            "D": vl[en.d_mask], "u": en.u, "E": ul[en.e_mask],
-            "log_rr": json_num(lrr[k]), "rr": json_num(rr[k]),
-            "log_reference_rr": json_num(lref[k]), "reference_rr": json_num(ref[k]),
-            "log_rr_ratio": json_num(lratio[k]), "rr_ratio": json_num(ratio[k]),
-            "ratio_constrained_to_one": en.constrained_zero,
-        } for k, en in enumerate(entries)]
-        print(json.dumps(obj, indent=2))
+        vtok, utok = json_strings(V.mask_labels), json_strings(U.mask_labels)
+        u_tok = dict(zip(U.labels, json_strings(U.labels)))
+        lrr, lref, lratio, rr, ref, ratio = map(json_floats, columns)
+        lio.write_json(Records({
+            "D": [vtok[en.d_mask] for en in entries], "u": [u_tok[en.u] for en in entries],
+            "E": [utok[en.e_mask] for en in entries], "log_rr": lrr, "rr": rr,
+            "log_reference_rr": lref, "reference_rr": ref, "log_rr_ratio": lratio,
+            "rr_ratio": ratio,
+            "ratio_constrained_to_one": ["true" if en.constrained_zero else "false"
+                                         for en in entries],
+        }), sys.stdout)
     else:
+        lrr, lref, lratio, rr, ref, ratio = columns.tolist()
+        vl, ul = V.mask_labels, U.mask_labels
         out = sys.stdout
         out.write(f"# link: {result.spec.link}\n")
         out.write("D\tu\tE\tlog_rr\trr\tlog_ref_rr\tref_rr\tlog_ratio\tratio\tconstrained\n")
@@ -442,11 +455,13 @@ def cmd_plot_data(config: RunConfig, effect: str | None) -> int:
             series.append((link, eff))
 
     if config.out == "json":
-        print(json.dumps([{
-            "link": link, "k": eff.k,
-            "estimate": json_num(eff.estimate, 12), "se": json_num(eff.se, 12),
-            "ci_lo": json_num(eff.ci[0], 12), "ci_hi": json_num(eff.ci[1], 12),
-        } for link, eff in series], indent=2))
+        numbers = np.array([(eff.estimate, eff.se, *eff.ci) for _, eff in series]).reshape(-1, 4)
+        estimate, se, ci_lo, ci_hi = (json_floats(col, 12) for col in numbers.T)
+        lio.write_json(Records({
+            "link": json_strings(link for link, _ in series),
+            "k": [str(eff.k) for _, eff in series],
+            "estimate": estimate, "se": se, "ci_lo": ci_lo, "ci_hi": ci_hi,
+        }), sys.stdout)
     else:
         print("link,k,estimate,se,ci_lo,ci_hi")
         for link, eff in series:

@@ -12,7 +12,10 @@ Fitting is a damped Newton iteration on the free coefficients: analytic
 gradient, analytic Hessian (the exact observed information, built from
 per-column Gram matrices over the free coefficient rows), and step halving
 whenever a step would leave the valid region (some implied cell
-probability ≤ 0) or decrease the log-likelihood.
+probability ≤ 0) or decrease the log-likelihood.  The step is the plain
+Newton step when a Cholesky factorisation shows the Hessian negative
+definite; otherwise its eigenvalues, taken in magnitude, give an ascent
+direction.
 """
 
 from __future__ import annotations
@@ -423,16 +426,26 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
 
         directions: list[np.ndarray] = []
         if np.isfinite(hess).all():
-            # Curvature-magnitude Newton: with eigenpairs (lam_i, q_i) of the
-            # Hessian, step sum_i (q_i'g / max(|lam_i|, floor)) q_i.  This is
-            # the exact Newton step whenever the Hessian is negative definite,
-            # and it remains an ascent direction through saddle regions where
-            # solving H d = -g would point along the positive-curvature axis
-            # and stall the line search.
-            evals, evecs = np.linalg.eigh(hess)
-            floor = 1e-8 * max(1.0, float(np.max(np.abs(evals))))
-            scale = np.maximum(np.abs(evals), floor)
-            cand = evecs @ ((evecs.T @ grad) / scale)
+            try:
+                # -H = L Lᵀ exists iff the Hessian is negative definite, and
+                # then the step is the plain Newton step.  numpy has no
+                # triangular solve, so the factor only decides; scipy's
+                # cho_solve runs in scipy's own LAPACK copy and adds ~1 MB
+                # to peak memory.
+                neg = -hess
+                np.linalg.cholesky(neg)
+                cand = np.linalg.solve(neg, grad)
+            except np.linalg.LinAlgError:
+                # Curvature-magnitude Newton: with eigenpairs (lam_i, q_i) of
+                # the Hessian, step sum_i (q_i'g / max(|lam_i|, floor)) q_i.
+                # This is the Newton step above whenever the Hessian is
+                # negative definite, and it remains an ascent direction
+                # through saddle regions where solving H d = -g would point
+                # along the positive-curvature axis and stall the line search.
+                evals, evecs = np.linalg.eigh(hess)
+                floor = 1e-8 * max(1.0, float(np.max(np.abs(evals))))
+                scale = np.maximum(np.abs(evals), floor)
+                cand = evecs @ ((evecs.T @ grad) / scale)
             size = float(np.max(np.abs(cand)))
             if size > options.max_step:
                 cand = cand * (options.max_step / size)

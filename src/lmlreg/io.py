@@ -8,16 +8,25 @@ when that parse refuses the input is the text read again, to name the bad line.
 Zero-set files list one constrained coefficient per line as ``D;E`` in
 brace notation, with ``#`` comments.  Coefficient matrices are CSV with a
 ``D`` label column and one column per covariate subset.
+
+JSON documents (the CLI's ``--out json``) are written by :func:`write_json`
+in the layout of ``json.dumps(indent=2)``, byte for byte.  Numbers and
+labels are encoded a column at a time (:func:`json_floats`,
+:func:`json_strings`), and a list of records sharing their keys
+(:class:`Records`) is printed through one template per record.
 """
 
 from __future__ import annotations
 
 import csv
-import io as _io
+import json
 import math
 import re
 import warnings
-from typing import IO, Iterable
+from dataclasses import dataclass
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -122,21 +131,20 @@ def write_count_data(table: CountTable, stream: IO[str], fmt: str = "counts") ->
     """Write a count table as CSV; ``counts`` lists every cell, ``cases`` repeats rows."""
     if fmt not in ("cases", "counts"):
         raise ConfigError(f"unknown output format {fmt!r} (expected 'cases' or 'counts')")
-    writer = csv.writer(stream, lineterminator="\n")
     header = list(table.responses.labels) + list(table.covariates.labels)
     if fmt == "counts":
         header.append("count")
-    writer.writerow(header)
-    for y in range(table.responses.size):
-        y_bits = [(y >> i) & 1 for i in range(table.responses.ground_size)]
-        for x in range(table.covariates.size):
-            x_bits = [(x >> i) & 1 for i in range(table.covariates.ground_size)]
-            n = int(table.counts[y, x])
-            if fmt == "counts":
-                writer.writerow(y_bits + x_bits + [n])
-            else:
-                for _ in range(n):
-                    writer.writerow(y_bits + x_bits)
+    csv.writer(stream, lineterminator="\n").writerow(header)
+    # the text of every cell once, in row-major (y, x) order like the counts
+    y_text = [",".join(str(y >> i & 1) for i in range(table.responses.ground_size))
+              for y in range(table.responses.size)]
+    x_text = [",".join(str(x >> i & 1) for i in range(table.covariates.ground_size))
+              for x in range(table.covariates.size)]
+    cells = zip([f"{y},{x}" for y in y_text for x in x_text], table.counts.ravel().tolist())
+    if fmt == "counts":
+        stream.writelines(f"{cell},{n}\n" for cell, n in cells)
+    else:
+        stream.writelines(f"{cell}\n" * n for cell, n in cells)
 
 
 # ---------------------------------------------------------------------------
@@ -148,16 +156,17 @@ def read_zero_set(source: str | IO[str], responses: SubsetLattice,
     stream, close = _open_read(source)
     pairs: set[tuple[int, int]] = set()
     try:
+        parse_d, parse_e = responses.parse_subset, covariates.parse_subset
         for line_no, raw in enumerate(stream, start=1):
-            text = raw.split("#", 1)[0].strip()
+            text = raw.partition("#")[0].strip()
             if not text:
                 continue
-            if ";" not in text:
+            d_text, sep, e_text = text.partition(";")
+            if not sep:
                 raise DataError(f"line {line_no}: expected 'D;E', got {text!r}")
-            d_text, e_text = text.split(";", 1)
             try:
-                d = responses.parse_subset(d_text)
-                e = covariates.parse_subset(e_text)
+                d = parse_d(d_text)
+                e = parse_e(e_text)
             except ValueError as exc:
                 raise DataError(f"line {line_no}: {exc}") from None
             if d == 0:
@@ -243,7 +252,7 @@ def write_param_matrix(pm: ParamMatrix, stream: IO[str], decimals: int | None = 
 
 
 # ---------------------------------------------------------------------------
-# number formatting shared by the CLI renderers
+# fixed-point numbers for TSV output and matrix files
 
 def fmt_num(x: float, decimals: int) -> str:
     """Fixed-point text with -0 normalized away; NaN prints as ``nan``."""
@@ -255,18 +264,91 @@ def fmt_num(x: float, decimals: int) -> str:
     return text
 
 
-def json_num(x: float | None, decimals: int = 6):
-    """Round for JSON output; NaN and infinities become null."""
-    if x is None:
-        return None
-    x = float(x)
-    if not math.isfinite(x):
-        return None
-    r = round(x, decimals)
-    return 0.0 if r == 0 else r
+# ---------------------------------------------------------------------------
+# JSON documents, written from encoded columns
+
+class Raw(str):
+    """A JSON value already encoded; :func:`write_json` copies it as it is."""
 
 
-def render_to_string(write_fn) -> str:
-    buf = _io.StringIO()
-    write_fn(buf)
-    return buf.getvalue()
+class Tokens(list):
+    """A JSON array of values already encoded, copied as they are."""
+
+
+@dataclass(frozen=True)
+class Records:
+    """A JSON array of objects with the same keys, held as one column of
+    encoded tokens per key (all of one length)."""
+
+    columns: dict[str, Sequence[str]]
+
+    def __post_init__(self) -> None:
+        if not self.columns or len({len(col) for col in self.columns.values()}) != 1:
+            raise ValueError("a record table needs at least one column, all of one length")
+
+
+# what ``float.__repr__`` of a rounded value gives where JSON wants another token
+_FLOAT_TOKENS = {"nan": "null", "inf": "null", "-inf": "null", "-0.0": "0.0"}
+
+
+def json_floats(values, decimals: int = 6) -> list[str]:
+    """JSON tokens of a numeric column, each value rounded to ``decimals`` places.
+
+    Rounding is Python's correctly rounded ``round`` (not ``np.round``, which
+    scales by 10**decimals and can move the last digit), printed by
+    ``float.__repr__`` as ``json.dumps`` prints it; zero of either sign is
+    ``0.0``, and NaN, infinities and None are ``null``.
+    """
+    col = np.asarray(values, dtype=float).ravel().tolist()
+    tokens = list(map(float.__repr__, map(round, col, repeat(decimals))))
+    return list(map(_FLOAT_TOKENS.get, tokens, tokens))
+
+
+def json_strings(values: Iterable[str]) -> list[str]:
+    """JSON tokens of strings, non-ASCII characters escaped."""
+    return list(map(encode_basestring_ascii, values))
+
+
+def write_json(doc, stream: IO[str]) -> None:
+    """Write ``doc`` and a newline, byte for byte as ``print(json.dumps(doc, indent=2))``.
+
+    ``doc`` nests dicts, lists and JSON scalars, with leaves encoded
+    beforehand: :class:`Raw` values, :class:`Tokens` arrays and
+    :class:`Records` tables.
+    """
+    stream.write(_render(doc, 0))
+    stream.write("\n")   # a second write, as print makes: no copy of the document
+
+
+def _render(value, level: int) -> str:
+    if isinstance(value, Raw):
+        return value
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, Tokens):
+        return _bracket("[", value, "]", level)
+    if isinstance(value, Records):
+        return _render_records(value, level)
+    if isinstance(value, dict):
+        return _bracket("{", [f"{encode_basestring_ascii(key)}: {_render(item, level + 1)}"
+                              for key, item in value.items()], "}", level)
+    if isinstance(value, (list, tuple)):
+        return _bracket("[", [_render(item, level + 1) for item in value], "]", level)
+    return json.dumps(value)
+
+
+def _render_records(table: Records, level: int) -> str:
+    """Every record through one ``%``-template for its nesting depth."""
+    pad = "  " * (level + 2)
+    fields = ",\n".join(f"{pad}{encode_basestring_ascii(key).replace('%', '%%')}: %s"
+                        for key in table.columns)
+    template = "{\n" + fields + "\n" + "  " * (level + 1) + "}"
+    return _bracket("[", list(map(template.__mod__, zip(*table.columns.values()))), "]", level)
+
+
+def _bracket(open_: str, items: list[str], close: str, level: int) -> str:
+    """``json.dumps`` layout with ``indent=2``: one item per line, ``[]``/``{}`` when empty."""
+    if not items:
+        return open_ + close
+    pad = "\n" + "  " * (level + 1)
+    return open_ + pad + ("," + pad).join(items) + "\n" + "  " * level + close

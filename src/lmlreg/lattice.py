@@ -93,9 +93,20 @@ class SubsetLattice:
         """Brace notation: ``{b,c}`` for subsets, ``{}`` for the empty set."""
         return self.mask_labels[self.check_mask(mask)]
 
+    @cached_property
+    def _mask_by_label(self) -> dict[str, int]:
+        return {label: mask for mask, label in enumerate(self.mask_labels)}
+
     def parse_subset(self, text: str) -> int:
-        """Inverse of :meth:`format_mask`; accepts optional surrounding braces."""
+        """Inverse of :meth:`format_mask`; accepts optional surrounding braces.
+
+        The label ``format_mask`` prints is looked up directly; any other
+        spelling (member order, inner spaces, no braces) is parsed.
+        """
         text = text.strip()
+        mask = self._mask_by_label.get(text)
+        if mask is not None:
+            return mask
         if text.startswith("{") and text.endswith("}"):
             text = text[1:-1]
         if not text:

@@ -13,6 +13,7 @@ same vector bit for bit.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 
@@ -396,6 +397,46 @@ def _oracle_fit_notes(result) -> list[str]:
     return notes
 
 
+def _oracle_fit_json_obj(result) -> dict:
+    V, U = result.beta_hat.rows, result.beta_hat.cols
+    free = {pos: i for i, pos in enumerate(result.free_index)}
+    rows = list(V.masks_by_cardinality())
+    cols = [0] + list(U.masks_by_cardinality())
+    coeffs = []
+    for d in rows:
+        for e in cols:
+            i = free.get((d, e))
+            entry = {"D": V.format_mask(d), "E": U.format_mask(e)}
+            if i is None:
+                entry.update(constrained=True, estimate=None, se=None, p=None)
+            else:
+                entry.update(constrained=False,
+                             estimate=_oracle_json_num(result.estimates[i]),
+                             se=_oracle_json_num(result.std_errors[i]),
+                             p=_oracle_json_num(result.wald_p[i]))
+            coeffs.append(entry)
+    obj = {
+        "link": result.spec.link,
+        "deviance": _oracle_json_num(result.deviance),
+        "df": result.df,
+        "p_value": _oracle_json_num(result.p_value),
+        "loglik": _oracle_json_num(result.loglik),
+        "converged": result.converged,
+        "iterations": result.iterations,
+        "coefficients": coeffs,
+        "notes": _oracle_fit_notes(result),
+    }
+    if result.spec.link == "lml":
+        mu_values, mu_ses = induced_mu_stats(result)
+        obj["beta_mu_induced"] = [
+            {"D": V.format_mask(d), "E": U.format_mask(e),
+             "estimate": _oracle_json_num(mu_values[d, e]),
+             "se": _oracle_json_num(mu_ses[d, e])}
+            for d in rows for e in cols
+        ]
+    return obj
+
+
 def oracle_fit_stdout(result, out: str) -> str:
     """What ``lmlreg fit --out {tsv,json}`` prints for a fitted model."""
     V, U = result.beta_hat.rows, result.beta_hat.cols
@@ -406,38 +447,7 @@ def oracle_fit_stdout(result, out: str) -> str:
     if is_lml:
         mu_values, mu_ses = induced_mu_stats(result)
     if out == "json":
-        coeffs = []
-        for d in rows:
-            for e in cols:
-                i = free.get((d, e))
-                entry = {"D": V.format_mask(d), "E": U.format_mask(e)}
-                if i is None:
-                    entry.update(constrained=True, estimate=None, se=None, p=None)
-                else:
-                    entry.update(constrained=False,
-                                 estimate=_oracle_json_num(result.estimates[i]),
-                                 se=_oracle_json_num(result.std_errors[i]),
-                                 p=_oracle_json_num(result.wald_p[i]))
-                coeffs.append(entry)
-        obj = {
-            "link": result.spec.link,
-            "deviance": _oracle_json_num(result.deviance),
-            "df": result.df,
-            "p_value": _oracle_json_num(result.p_value),
-            "loglik": _oracle_json_num(result.loglik),
-            "converged": result.converged,
-            "iterations": result.iterations,
-            "coefficients": coeffs,
-            "notes": _oracle_fit_notes(result),
-        }
-        if is_lml:
-            obj["beta_mu_induced"] = [
-                {"D": V.format_mask(d), "E": U.format_mask(e),
-                 "estimate": _oracle_json_num(mu_values[d, e]),
-                 "se": _oracle_json_num(mu_ses[d, e])}
-                for d in rows for e in cols
-            ]
-        return json.dumps(obj, indent=2) + "\n"
+        return json.dumps(_oracle_fit_json_obj(result), indent=2) + "\n"
     lines = [f"# link: {result.spec.link}"]
     pval = "·" if result.p_value is None else _oracle_fmt_num(result.p_value, 3)
     lines.append(f"# deviance: {_oracle_fmt_num(result.deviance, 3)}\tdf: {result.df}\tp: {pval}")
@@ -498,3 +508,76 @@ def oracle_risk_stdout(result, report, out: str) -> str:
             "yes" if en.constrained_zero else "no",
         ]))
     return "\n".join(lines) + "\n"
+
+
+def oracle_transform_json_stdout(derived: dict) -> str:
+    """What ``lmlreg transform --out json`` prints for the derived matrices."""
+    obj = {}
+    for name, m in derived.items():
+        V, U = m.rows, m.cols
+        obj[name] = {
+            "rows": [V.format_mask(d) for d in range(V.size)],
+            "cols": [U.format_mask(e) for e in range(U.size)],
+            "values": [[_oracle_json_num(m.values[d, e]) for e in range(U.size)]
+                       for d in range(V.size)],
+        }
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def oracle_select_json_stdout(trace, V: SubsetLattice, U: SubsetLattice) -> str:
+    """What ``lmlreg select --out json`` prints for a selection trace."""
+    steps = []
+    for step in trace.steps:
+        entry = {
+            "label": step.label,
+            "dropped": [[V.format_mask(d), U.format_mask(e)] for d, e in step.dropped],
+            "error": step.error,
+        }
+        if step.fit is not None:
+            entry["fit"] = _oracle_fit_json_obj(step.fit)
+        steps.append(entry)
+    obj = {
+        "steps": steps,
+        "final_zero_set": [[V.format_mask(d), U.format_mask(e)]
+                           for d, e in sorted(trace.zero_set)],
+        "final_fit": _oracle_fit_json_obj(trace.final_fit),
+    }
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def oracle_plot_data_json_stdout(series) -> str:
+    """What ``lmlreg plot-data --out json`` prints for (link, AverageEffect) pairs."""
+    return json.dumps([{
+        "link": link, "k": eff.k,
+        "estimate": _oracle_json_num(eff.estimate, 12), "se": _oracle_json_num(eff.se, 12),
+        "ci_lo": _oracle_json_num(eff.ci[0], 12), "ci_hi": _oracle_json_num(eff.ci[1], 12),
+    } for link, eff in series], indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# writers, one row at a time
+
+def render_to_string(write_fn) -> str:
+    """What a writer taking a text stream writes, as a string."""
+    buf = io.StringIO()
+    write_fn(buf)
+    return buf.getvalue()
+
+
+def oracle_write_count_data(table: CountTable, stream, fmt: str = "counts") -> None:
+    """The count-table CSV written one ``csv.writer`` row per cell or per case."""
+    writer = csv.writer(stream, lineterminator="\n")
+    header = list(table.responses.labels) + list(table.covariates.labels)
+    if fmt == "counts":
+        header.append("count")
+    writer.writerow(header)
+    for y in range(table.responses.size):
+        y_bits = [(y >> i) & 1 for i in range(table.responses.ground_size)]
+        for x in range(table.covariates.size):
+            x_bits = [(x >> i) & 1 for i in range(table.covariates.ground_size)]
+            n = int(table.counts[y, x])
+            if fmt == "counts":
+                writer.writerow(y_bits + x_bits + [n])
+            else:
+                for _ in range(n):
+                    writer.writerow(y_bits + x_bits)

@@ -355,6 +355,38 @@ class TestConstrainedFit:
         assert np.allclose(res.pi_hat.values.sum(axis=0), 1.0, atol=1e-9)
 
 
+class TestNewtonStep:
+    """The Newton step is a Cholesky-checked solve; the eigenvalue step is the fallback."""
+
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    def test_no_eigendecomposition_when_negative_definite(self, monkeypatch, link):
+        eigh_calls = []
+        real_eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh_calls.append(1) or real_eigh(a))
+        result = fit(random_constrained_spec(3, 2, 5, link), random_table(3, 2, 5))
+        assert result.converged and result.iterations > 0
+        assert not eigh_calls
+
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    def test_eigenvalue_step_when_the_factor_fails(self, monkeypatch, link):
+        """Where -H does not factor, the eigenvalue step reaches the same optimum."""
+        spec, data = random_constrained_spec(3, 2, 6, link), random_table(3, 2, 6)
+        want = fit(spec, data)
+        refused, eigh_calls = [], []
+        real_eigh = np.linalg.eigh
+
+        def no_factor(a):
+            refused.append(1)
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_factor)
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh_calls.append(1) or real_eigh(a))
+        got = fit(spec, data)
+        assert got.converged and len(refused) == len(eigh_calls) == got.iterations > 0
+        np.testing.assert_allclose(got.estimates, want.estimates, rtol=0, atol=1e-8)
+        assert got.loglik == pytest.approx(want.loglik, rel=1e-12)
+
+
 class TestMissingCells:
     def make_table_with_empty_column(self):
         V, U = lattices(2, 2)

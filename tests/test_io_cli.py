@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import warnings
@@ -11,15 +12,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lmlreg import cli
 from lmlreg import io as lio
 from lmlreg.cli import main
 from lmlreg.inference import CountTable, DataError, FitOptions, ModelSpec, fit, simulate
-from lmlreg.io import ConfigError, fmt_num, json_num, parse_labels, render_to_string
+from lmlreg.io import (ConfigError, Raw, Records, Tokens, fmt_num, json_floats, json_strings,
+                       parse_labels)
 from lmlreg.lattice import SubsetLattice
-from lmlreg.params import ParamMatrix
+from lmlreg.params import ParamMatrix, beta_from_pi, gamma_from_mu, mu_from_pi, pi_from_beta
 from lmlreg.risk import risk_report
+from lmlreg.selection import (average_effects, backward_staged_selection,
+                              forward_margin_selection)
 
-from oracles import oracle_fit_stdout, oracle_read_count_data, oracle_risk_stdout
+from oracles import (_oracle_json_num, oracle_fit_stdout, oracle_plot_data_json_stdout,
+                     oracle_read_count_data, oracle_risk_stdout, oracle_select_json_stdout,
+                     oracle_transform_json_stdout, oracle_write_count_data, render_to_string)
 
 
 def lattices(p: int, q: int) -> tuple[SubsetLattice, SubsetLattice]:
@@ -114,6 +121,28 @@ class TestCountDataIO:
         text = "y0,x0,count\n1,0,3\n1,0,4\n"
         t = lio.read_count_data(io.StringIO(text), V, U, "counts")
         assert t.counts[1, 0] == 7
+
+
+class TestCountWriterAgainstRowByRowOracle:
+    """The columnar writer prints what one ``csv.writer`` row per cell or case prints."""
+
+    @pytest.mark.parametrize("fmt", ["counts", "cases"])
+    @pytest.mark.parametrize("labels", [(("y0", "y1", "y2"), ("x0", "x1")),
+                                        (('r"1', "r2"), ('c"',))])
+    @pytest.mark.parametrize("fill", ["dense", "sparse", "empty"])
+    def test_same_bytes(self, fmt, labels, fill):
+        V, U = SubsetLattice(labels[0]), SubsetLattice(labels[1])
+        rng = np.random.default_rng(4)
+        counts = rng.integers(1, 9, size=(V.size, U.size))
+        if fill == "sparse":
+            counts[rng.random(counts.shape) < 0.6] = 0
+        elif fill == "empty":
+            counts[:] = 0
+        table = CountTable(V, U, counts)
+        want = render_to_string(lambda s: oracle_write_count_data(table, s, fmt))
+        assert render_to_string(lambda s: lio.write_count_data(table, s, fmt)) == want
+        if labels[1] == ('c"',):
+            assert want.split("\n")[0].endswith(',"c"""' + (",count" if fmt == "counts" else ""))
 
 
 @st.composite
@@ -323,11 +352,95 @@ class TestNumberFormatting:
         assert fmt_num(float("nan"), 3) == "nan"
 
     def test_json_rounding(self):
-        assert json_num(1.23456789) == 1.234568
-        assert json_num(float("nan")) is None
-        assert json_num(float("inf")) is None
-        assert json_num(-1e-12) == 0.0
-        assert json_num(None) is None
+        values = [1.23456789, float("nan"), float("inf"), -1e-12, None,
+                  -4e-7, 5e-7, 1e-05, 1.5e-05, 1e16, -0.0, float("nan")]
+        tokens = json_floats(values)
+        assert tokens == [json.dumps(_oracle_json_num(x)) for x in values]
+        assert tokens[:5] == ["1.234568", "null", "null", "0.0", "null"]
+        assert tokens[5:11] == ["0.0", "0.0", "1e-05", "1.5e-05", "1e+16", "0.0"]
+
+
+# float values where rounding and printing are delicate
+DELICATE_FLOATS = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1e16, -1e16, 5e-7, -5e-7, 1e-5, -1e-5, 1.5e-5,
+                     0.5, 2.5]),
+    st.floats(4.9e-7, 5.1e-7), st.floats(-5.1e-7, -4.9e-7),
+    st.floats(0.99e-5, 1.01e-5), st.floats(-1.01e-5, -0.99e-5),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def record_tables(draw):
+    """(Records, the list of dicts json.dumps is given) with float, string and flag columns."""
+    keys = draw(st.lists(st.text(max_size=5), min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(0, 4))
+    columns, values = {}, {}
+    for key in keys:
+        kind = draw(st.sampled_from(["float6", "float12", "str", "flag"]))
+        if kind.startswith("float"):
+            decimals = int(kind[5:])
+            col = draw(st.lists(st.one_of(st.none(), DELICATE_FLOATS), min_size=n, max_size=n))
+            columns[key] = json_floats(col, decimals)
+            values[key] = [_oracle_json_num(x, decimals) for x in col]
+        elif kind == "str":
+            col = draw(st.lists(st.text(max_size=6), min_size=n, max_size=n))
+            columns[key], values[key] = json_strings(col), col
+        else:
+            col = draw(st.lists(st.sampled_from([True, False, None]), min_size=n, max_size=n))
+            columns[key], values[key] = [json.dumps(v) for v in col], col
+    return Records(columns), [{key: values[key][i] for key in keys} for i in range(n)]
+
+
+SCALARS = st.one_of(
+    st.text(max_size=6).map(lambda v: (v, v)),
+    st.integers(-10**6, 10**6).map(lambda v: (v, v)),
+    st.sampled_from([True, False, None]).map(lambda v: (v, v)),
+    DELICATE_FLOATS.map(lambda x: (Raw(json_floats([x])[0]), _oracle_json_num(x))),
+    st.lists(DELICATE_FLOATS, max_size=3).map(
+        lambda xs: (Tokens(json_floats(xs)), [_oracle_json_num(x) for x in xs])),
+)
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=3).map(
+            lambda items: ([w for w, _ in items], [o for _, o in items])),
+        st.dictionaries(st.text(max_size=4), children, max_size=3).map(
+            lambda d: ({k: w for k, (w, _) in d.items()}, {k: o for k, (_, o) in d.items()})),
+    )
+
+
+class TestJsonWriter:
+    """``write_json`` prints what ``print(json.dumps(obj, indent=2))`` prints."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.recursive(st.one_of(SCALARS, record_tables()), _containers, max_leaves=8))
+    def test_matches_json_dumps(self, doc):
+        written, obj = doc
+        assert render_to_string(lambda s: lio.write_json(written, s)) == \
+            json.dumps(obj, indent=2) + "\n"
+
+    def test_float_tokens_match_rounded_dumps(self):
+        rng = np.random.default_rng(8)
+        values = (rng.normal(size=2000) * 10.0 ** np.repeat(np.arange(-8, 12), 100)).tolist()
+        for decimals in (6, 12):
+            want = [json.dumps(_oracle_json_num(x, decimals)) for x in values]
+            assert json_floats(values, decimals) == want
+            assert json_floats(np.array(values), decimals) == want
+
+    def test_keys_need_no_escaping(self):
+        records = Records({"a%s": ["1"], "%%": ["2"], '"q"': ["3"], "ü": ["4"]})
+        want = [{"a%s": 1, "%%": 2, '"q"': 3, "ü": 4}]
+        assert render_to_string(lambda s: lio.write_json({"t": records}, s)) == \
+            json.dumps({"t": want}, indent=2) + "\n"
+
+    def test_record_table_needs_equal_columns(self):
+        with pytest.raises(ValueError):
+            Records({"a": ["1"], "b": []})
+        with pytest.raises(ValueError):
+            Records({})
 
 
 @pytest.fixture()
@@ -642,3 +755,92 @@ class TestCliMatchesEntryByEntryRenderers:
                 else oracle_risk_stdout(result, risk_report(result), out))
         assert main([command, *args, "--link", link, "--out", out]) == 0
         assert capsys.readouterr().out.encode() == want.encode()
+
+
+class TestJsonCommandsMatchPerValueRenderers:
+    """Every ``--out json`` command prints byte for byte what per-value renderers print."""
+
+    @pytest.fixture(scope="class")
+    def uni_case(self, tmp_path_factory):
+        """A p=2, q=3 counts file and its beta_gamma matrix, with non-ASCII labels;
+        with three covariates the cardinality order of the columns is not mask order."""
+        V, U = SubsetLattice(("tôux", "fièvre")), SubsetLattice(("âge", 'e"x', "z"))
+        rng = np.random.default_rng(3)
+        bg = np.zeros((4, 8))
+        for d in range(1, 4):
+            if d.bit_count() == 1:
+                bg[d, 0] = -1.2 + 0.1 * rng.normal()
+                bg[d, [1, 2, 4]] = 0.15 * rng.normal(size=3)
+            else:
+                bg[d, 0] = 0.1 * rng.normal()
+        beta = ParamMatrix("beta_gamma", V, U, bg)
+        data = simulate(beta, "lml", [2000] * 8, seed=3)
+        assert np.all(data.counts > 0)
+        tmp = tmp_path_factory.mktemp("uni")
+        with (tmp / "counts.csv").open("w", encoding="utf-8") as f:
+            lio.write_count_data(data, f, "counts")
+        with (tmp / "beta.csv").open("w", encoding="utf-8") as f:
+            lio.write_param_matrix(beta, f)
+        args = ["--responses", ",".join(V.labels), "--covariates", ",".join(U.labels)]
+        data_args = ["--input", str(tmp / "counts.csv"), "--format", "counts", *args]
+        return V, U, beta, data, tmp, args, data_args
+
+    def test_transform(self, uni_case, capsys):
+        V, U, beta, _, tmp, args, _ = uni_case
+        pi = pi_from_beta(beta, "lml")
+        mu = mu_from_pi(pi)
+        derived = {"pi": pi, "mu": mu, "gamma": gamma_from_mu(mu),
+                   "beta_mu": beta_from_pi(pi, "lm"), "beta_gamma": beta_from_pi(pi, "lml")}
+        assert main(["transform", "--input", str(tmp / "beta.csv"), *args,
+                     "--kind", "beta_gamma", "--out", "json"]) == 0
+        assert capsys.readouterr().out.encode() == oracle_transform_json_stdout(derived).encode()
+
+    @pytest.mark.parametrize("method,link", [("forward", "lml"), ("backward", "lml"),
+                                             ("backward", "lm")])
+    def test_select(self, uni_case, capsys, method, link):
+        V, U, _, data, _, _, data_args = uni_case
+        if method == "forward":
+            trace = forward_margin_selection(data, link, 0.05, FitOptions())
+        else:
+            trace = backward_staged_selection(data, link, 0.05, options=FitOptions())
+        assert main(["select", *data_args, "--method", method, "--link", link,
+                     "--out", "json"]) == 0
+        got = capsys.readouterr().out
+        assert got.encode() == oracle_select_json_stdout(trace, V, U).encode()
+        assert "\\u00f4" in got
+
+    def test_plot_data(self, uni_case, capsys):
+        _, _, _, data, _, _, data_args = uni_case
+        series = [(link, eff) for link in ("lm", "lml")
+                  for eff in average_effects(fit(ModelSpec(link), data), data, "âge")]
+        assert main(["plot-data", *data_args, "--effect", "âge", "--out", "json"]) == 0
+        assert capsys.readouterr().out.encode() == oracle_plot_data_json_stdout(series).encode()
+
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    @pytest.mark.parametrize("command", ["fit", "risk"])
+    def test_fit_and_risk(self, uni_case, capsys, command, link):
+        _, _, _, data, _, _, data_args = uni_case
+        result = fit(ModelSpec(link), data)
+        want = (oracle_fit_stdout(result, "json") if command == "fit"
+                else oracle_risk_stdout(result, risk_report(result), "json"))
+        assert main([command, *data_args, "--link", link, "--out", "json"]) == 0
+        assert capsys.readouterr().out.encode() == want.encode()
+
+    @pytest.mark.parametrize("out", ["tsv", "json"])
+    def test_singular_information_fit(self, uni_case, capsys, monkeypatch, out):
+        """A fit without standard errors prints null (nan in TSV) for every SE and p."""
+        _, _, _, data, _, _, data_args = uni_case
+
+        def singular_fit(spec, data, options=None):
+            result = fit(spec, data, options)
+            missing = np.full(result.estimates.size, np.nan)
+            return dataclasses.replace(result, covariance=None, std_errors=missing,
+                                       wald_p=missing, singular_information=True)
+
+        monkeypatch.setattr(cli, "fit", singular_fit)
+        assert main(["fit", *data_args, "--out", out]) == 0
+        got = capsys.readouterr().out
+        assert got.encode() == oracle_fit_stdout(singular_fit(ModelSpec("lml"), data), out).encode()
+        assert "observed information is singular" in got
+        if out == "json":
+            assert '"se": null' in got and '"se": 0.' not in got

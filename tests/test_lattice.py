@@ -45,6 +45,29 @@ class TestSubsetLattice:
         with pytest.raises(ValueError, match="unknown"):
             bcdr.parse_subset("{b,x}")
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_every_spelling_parses(self, data):
+        """The printed label, a reordered, a padded, an unbraced and a repeated
+        spelling all parse to the mask; an unknown member still names itself."""
+        label = st.text(st.characters(blacklist_characters=",;{} \t",
+                                      blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")),
+                        min_size=1, max_size=4)
+        labels = data.draw(st.lists(label, min_size=1, max_size=5, unique=True))
+        lat = SubsetLattice(tuple(labels))
+        for mask in range(lat.size):
+            members = list(lat.members(mask))
+            shuffled = data.draw(st.permutations(members))
+            spellings = [lat.format_mask(mask), "{" + ",".join(shuffled) + "}",
+                         ",".join(shuffled), "{" + ",".join(members + members[:1]) + "}"]
+            if members:   # "{ }" is not a spelling of the empty set
+                spellings.append(" { " + " , ".join(members) + " }\t")
+            assert [lat.parse_subset(text) for text in spellings] == [mask] * len(spellings)
+        unknown = data.draw(label.filter(lambda lab: lab not in labels))
+        with pytest.raises(ValueError) as exc:
+            lat.parse_subset("{" + ",".join([labels[0], unknown]) + "}")
+        assert str(exc.value) == f"unknown label {unknown!r}; expected one of {tuple(labels)}"
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
             SubsetLattice(("a", "a"))
