@@ -9,13 +9,22 @@ the closed-form coefficient→probability map makes the log-likelihood and
 its gradient cheap to evaluate exactly.
 
 Fitting is a damped Newton iteration on the free coefficients: analytic
-gradient, analytic Hessian (the exact observed information, built from
-per-column Gram matrices over the free coefficient rows), and step halving
-whenever a step would leave the valid region (some implied cell
+gradient, analytic Hessian (the exact observed information), and step
+halving whenever a step would leave the valid region (some implied cell
 probability ≤ 0) or decrease the log-likelihood.  The step is the plain
 Newton step when a Cholesky factorisation shows the Hessian negative
 definite; otherwise its eigenvalues, taken in magnitude, give an ascent
 direction.
+
+The likelihood keeps one evaluation state, for the point it saw last: the
+chain β → μ → π, validity and the value, with the score terms added on the
+first derivative request.  A line-search trial builds only the chain; the
+accepted trial's state then serves its gradient, the next Newton
+iteration's Hessian and, at the optimum, the covariance.  The Hessian is
+assembled by gathers from that state: the Möbius image of a coefficient's
+direction in μ is a signed copy of π (lml) or of one row of μ (lm), and the
+curvature of the log link is a gather from the gradient matrix, so no
+transform of a Jacobian-sized array is needed.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .lattice import SubsetLattice, mobius_transform, zeta_transform
 from .params import (
@@ -37,7 +46,6 @@ from .params import (
     beta_mu_from_beta_gamma,
     check_link,
     mu_values_from_beta,
-    pi_values_from_beta,
 )
 
 
@@ -230,12 +238,36 @@ def _saturated_loglik(counts: np.ndarray) -> float:
     return out
 
 
+@dataclass(eq=False)
+class _Point:
+    """What one coefficient vector implies, filled as it is asked for.
+
+    The chain β → μ → π, validity and the value are built together, since a
+    line-search trial needs exactly those.  The derivative terms follow on
+    the first ``gradient`` or ``fd_hessian`` request at the same point.
+    """
+
+    key: bytes               # an exact copy of x, bit for bit
+    mu: np.ndarray
+    pi: np.ndarray
+    valid: bool
+    value: float
+    grad: np.ndarray | None = None   # the full gradient matrix over every (D, E)
+    v: np.ndarray | None = None      # the weights counts/pi²
+
+
 class LogLikelihood:
     """The log-likelihood of a model over its free coefficient vector.
 
     Exposes ``value``, the analytic ``gradient`` and Hessian
     (``fd_hessian``), and the free-coefficient indexing shared by the
     optimizer, the Wald tests and the tests.
+
+    The last point evaluated is kept: value, gradient and Hessian at the
+    same x share one pass through β → μ → π, so a Newton iteration builds
+    the chain once per line-search trial and not again for the accepted
+    trial's gradient and the next Hessian.  The point is recognised by its
+    exact bits, so a caller may reuse or mutate its array freely.
     """
 
     def __init__(self, spec: ModelSpec, data: CountTable, smooth: float | None = None):
@@ -256,15 +288,26 @@ class LogLikelihood:
         # so validity (pi > 0) is only required where there is data.
         self._col_observed = self.counts.sum(axis=0) > 0
         self._all_observed = bool(self._col_observed.all())
-        # Indicators a_d over response patterns D of the distinct free rows d:
-        # the rows of log mu a unit coefficient in row d moves.
+        self._point: _Point | None = None
+        # Gather tables of the Hessian (see fd_hessian): signs and pi rows of
+        # j over the distinct free rows d and the response patterns D, and
+        # the gradient-matrix entry of the first term for each pair of free
+        # coefficients.
         free_rows = np.array(sorted({d for d, _ in self.free}), dtype=np.intp)
+        self._free_rows = free_rows
         self._row_of_free = np.searchsorted(free_rows, self._rows)
-        patterns = np.arange(self.shape[0])
+        d, patterns = free_rows[:, None], np.arange(self.shape[0])[None, :]
+        sign = np.where(np.bitwise_count(d & ~patterns) % 2 == 1, -1.0, 1.0)
+        rows_i, rows_j = self._rows[:, None], self._rows[None, :]
         if self.link == "lm":
-            self._row_basis = (patterns[None, :] == free_rows[:, None]).astype(float)
+            self._j_sign = np.where((patterns & d) == patterns, sign, 0.0)
+            self._pair_rows = rows_i
+            self._same_row = rows_i == rows_j
         else:
-            self._row_basis = ((patterns[None, :] & free_rows[:, None]) == free_rows[:, None]).astype(float)
+            self._j_sign = sign
+            self._j_index = d | patterns
+            self._pair_rows = rows_i | rows_j
+        self._pair_cols = self._cols[:, None] | self._cols[None, :]
 
     # -- free-vector plumbing -------------------------------------------------
     def beta_values(self, x: np.ndarray) -> np.ndarray:
@@ -276,56 +319,63 @@ class LogLikelihood:
         return np.asarray(beta_values, dtype=float)[self._rows, self._cols]
 
     # -- evaluation -----------------------------------------------------------
+    def _at(self, x: np.ndarray) -> _Point:
+        """The state at x, built unless x is the point evaluated last."""
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        point = self._point
+        if point is not None and point.key == key:
+            return point
+        mu = mu_values_from_beta(self.beta_values(x), self.link)
+        pi = mobius_transform(mu, axis=0, supersets=True)
+        check = pi if self._all_observed else pi[:, self._col_observed]
+        valid = bool(np.all(np.isfinite(check)) and not np.any(check <= 0.0))
+        value = _loglik_values(self.counts, pi) if valid else -np.inf
+        self._point = point = _Point(key, mu, pi, valid, value)
+        return point
+
     def pi_values(self, x: np.ndarray) -> np.ndarray | None:
         """Implied cell probabilities, or None when x is outside the valid region.
 
         The region is defined by the observed columns; implied values for
         unobserved covariate cells are extrapolation and left unconstrained.
         """
-        pi = pi_values_from_beta(self.beta_values(x), self.link)
-        check = pi if self._all_observed else pi[:, self._col_observed]
-        if not np.all(np.isfinite(check)) or np.any(check <= 0.0):
-            return None
-        return pi
+        point = self._at(x)
+        return point.pi.copy() if point.valid else None
 
     def value(self, x: np.ndarray) -> float:
-        pi = self.pi_values(x)
-        if pi is None:
-            return -np.inf
-        return _loglik_values(self.counts, pi)
+        return self._at(x).value
 
-    def _score_terms(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """mu, the score w = s⊙mu in log mu and the weights v = counts/pi² at x.
+    def _derivatives(self, x: np.ndarray) -> _Point:
+        """The state at x with its derivative terms filled.
 
-        With r = counts/pi, s = M_V^T r; r (so w and v) is 0 on unobserved
-        columns.
+        With r = counts/pi (0 on unobserved columns) and s = M_V^T r, the
+        partials of the log-likelihood by log mu are w = s⊙mu, and by
+        theta w itself (lm) or its superset sums Z_V w (lml); chaining
+        theta = beta·Z_U turns that into superset sums along rows, the
+        gradient matrix over every (D, E).
         """
-        beta = self.beta_values(x)
-        mu = mu_values_from_beta(beta, self.link)
-        pi = mobius_transform(mu, axis=0, supersets=True)
-        check = pi if self._all_observed else pi[:, self._col_observed]
-        if np.any(check <= 0.0) or not np.all(np.isfinite(check)):
+        point = self._at(x)
+        if not point.valid:
             raise BoundaryError("derivatives requested outside the valid region")
-        if self._all_observed:
-            r = self.counts / pi
-        else:
-            r = np.zeros_like(pi)
-            obs = self._col_observed
-            r[:, obs] = self.counts[:, obs] / pi[:, obs]
-        return mu, mobius_transform(r, axis=0) * mu, r / pi
+        if point.grad is None:
+            pi = point.pi
+            if self._all_observed:
+                r = self.counts / pi
+            else:
+                r = np.zeros_like(pi)
+                obs = self._col_observed
+                r[:, obs] = self.counts[:, obs] / pi[:, obs]
+            a = mobius_transform(r, axis=0) * point.mu
+            if self.link == "lml":
+                a = zeta_transform(a, axis=0, supersets=True)
+            point.grad = zeta_transform(a, axis=1, supersets=True)
+            point.v = r / pi
+        return point
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        """Exact score for the free coefficients.
-
-        With r = counts/pi and s = M_V^T r, the matrix of partials of the
-        log-likelihood by theta is s⊙mu (lm) or Z_V(s⊙mu) (lml); chaining
-        theta = beta·Z_U turns that into superset sums along rows.
-        """
-        _, a, _ = self._score_terms(x)
-        if self.link == "lml":
-            a = zeta_transform(a, axis=0, supersets=True)
-        g = zeta_transform(a, axis=1, supersets=True)
-        return g[self._rows, self._cols]
+        """Exact score for the free coefficients."""
+        return self._derivatives(x).grad[self._rows, self._cols]
 
     def fd_hessian(self, x: np.ndarray) -> np.ndarray:
         """Exact Hessian of the log-likelihood in the free coefficients.
@@ -334,22 +384,32 @@ class LogLikelihood:
         benchmark's traced run wraps this method by name.  With
         L = ∂log mu/∂β, J = ∂pi/∂β = M_V(mu⊙L), w = s⊙mu and v = counts/pi²,
         H = Lᵀ diag(w) L − Jᵀ diag(v) J.  A free coefficient (d, e) moves
-        log mu by a_d[D]·[E ⊇ e], with a_d marking D = d (lm) or D ⊇ d (lml),
-        so H[(d, e), (d', e')] = Σ_{E ⊇ e∪e'} K[E, d, d'] for the per-column
-        Gram matrices K[E] = a diag(w) aᵀ − j diag(v) jᵀ over the distinct
-        free rows, j_d = M_V(a_d⊙mu).  The n x 2**p x 2**q Jacobian is never
-        built.
+        log mu by a_d[D]·[E ⊇ e], with a_d marking D = d (lm) or D ⊇ d (lml).
+
+        Both terms are gathers.  The first, Σ_{E ⊇ e∪e'} Σ_D a_d a_d' w, is
+        the gradient matrix at (d∪d', e∪e') (lml), or at (d, e∪e') when
+        d = d' and 0 otherwise (lm).  In the second, the Möbius image of
+        a_d⊙mu is j_d[D] = (−1)^{|d∖D|} pi[D∪d] (lml) or
+        (−1)^{|d∖D|} [D ⊆ d] mu[d] (lm), gathered from the state; its
+        per-column Gram matrices j diag(v) jᵀ over the distinct free rows are
+        summed over E ⊇ e∪e'.  The n x 2**p x 2**q Jacobian is never built.
         """
-        mu, w, v = self._score_terms(x)
-        a = self._row_basis                                            # (rows, D)
-        j = mobius_transform(a[:, :, None] * mu, axis=1, supersets=True)  # (rows, D, E)
-        k = (np.matmul((a[:, :, None] * w).transpose(2, 0, 1), a.T)
-             - np.matmul((j * v).transpose(2, 0, 1), j.transpose(2, 1, 0)))
+        point = self._derivatives(x)
+        first = point.grad[self._pair_rows, self._pair_cols]
+        if self.link == "lml":
+            # gathered from a transposed copy and signed in place: a fresh
+            # (E, rows, D) array per operation costs more than the gather
+            j = np.ascontiguousarray(point.pi.T).take(self._j_index, axis=1)   # (E, rows, D)
+            j *= self._j_sign
+        else:
+            j = self._j_sign * point.mu.T[:, self._free_rows, None]
+            first = np.where(self._same_row, first, 0.0)
+        k = np.matmul(j * point.v.T[:, None, :], j.transpose(0, 2, 1))
         k = zeta_transform(k, axis=0, supersets=True)
         # the products are symmetric only up to rounding; make H exactly so
         k = (k + k.transpose(0, 2, 1)) / 2.0
         rows = self._row_of_free
-        return k[self._cols[:, None] | self._cols[None, :], rows[:, None], rows[None, :]]
+        return first - k[self._pair_cols, rows[:, None], rows[None, :]]
 
 
 def _independence_mu(counts: np.ndarray, p: int) -> np.ndarray:
@@ -502,7 +562,7 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
         std_errors = np.full(nfree, np.nan)
     with np.errstate(invalid="ignore", divide="ignore"):
         z = x / std_errors
-    wald_p = 2.0 * stats.norm.sf(np.abs(z))
+    wald_p = 2.0 * special.ndtr(-np.abs(z))
 
     beta_hat = ParamMatrix(beta_kind_for_link(spec.link), data.responses, data.covariates,
                            ll.beta_values(x))
@@ -514,7 +574,7 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
     dev = 2.0 * (_saturated_loglik(ll.counts) - value)
     dev = 0.0 if -1e-6 < dev < 0.0 else float(dev)
     df = spec.df
-    p_value = float(stats.chi2.sf(dev, df)) if df > 0 else None
+    p_value = float(special.chdtrc(df, dev)) if df > 0 else None
 
     return FitResult(
         spec=spec,

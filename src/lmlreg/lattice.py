@@ -101,14 +101,15 @@ class SubsetLattice:
         """Inverse of :meth:`format_mask`; accepts optional surrounding braces.
 
         The label ``format_mask`` prints is looked up directly; any other
-        spelling (member order, inner spaces, no braces) is parsed.
+        spelling (member order, inner spaces, no braces, ``{ }`` for the
+        empty set) is parsed.
         """
         text = text.strip()
         mask = self._mask_by_label.get(text)
         if mask is not None:
             return mask
         if text.startswith("{") and text.endswith("}"):
-            text = text[1:-1]
+            text = text[1:-1].strip()
         if not text:
             return 0
         return self.mask_of(part.strip() for part in text.split(","))

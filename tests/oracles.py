@@ -2,17 +2,20 @@
 
 Everything here is written with explicit subset loops, row-by-row and
 entry-by-entry code and generic optimizers on purpose: no fast transforms,
-no shared code with the package internals beyond data containers.  Two
-exceptions reuse package pieces: the Hessian oracle differentiates the
-package's analytic score (itself checked against differences of the
-log-likelihood), and the start-point oracle builds every candidate from the
-package's own maps before checking any, so the lazy search must return the
-same vector bit for bit.
+no shared code with the package internals beyond data containers.  Three
+exceptions reuse package pieces: the finite-difference Hessian oracle
+differentiates the package's analytic score (itself checked against
+differences of the log-likelihood), the Gram-matrix Hessian oracle builds
+the same quantity from the package's transforms by another route, and the
+start-point oracle builds every candidate from the package's own maps
+before checking any, so the lazy search must return the same vector bit for
+bit.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -22,11 +25,17 @@ from scipy import optimize
 
 from lmlreg.inference import (CountTable, DataError, LogLikelihood, ModelSpec, _independence_mu,
                               induced_mu_stats)
-from lmlreg.lattice import SubsetLattice, compress_mask, mobius_transform
-from lmlreg.params import ParamMatrix, beta_from_pi
+from lmlreg.lattice import SubsetLattice, compress_mask, mobius_transform, zeta_transform
+from lmlreg.params import ParamMatrix, beta_from_pi, mu_values_from_beta
 
 
-def subsets_of(mask: int) -> list[int]:
+@functools.lru_cache(maxsize=None)
+def subsets_of(mask: int) -> tuple[int, ...]:
+    """Every submask of ``mask``, by cardinality then combination order.
+
+    Memoised: the brute-force oracle asks for the same few masks hundreds of
+    thousands of times.
+    """
     bits = [b for b in range(mask.bit_length()) if mask >> b & 1]
     out = []
     for k in range(len(bits) + 1):
@@ -35,7 +44,7 @@ def subsets_of(mask: int) -> list[int]:
             for b in combo:
                 m |= 1 << b
             out.append(m)
-    return out
+    return tuple(out)
 
 
 def oracle_pi_from_beta(beta: np.ndarray, link: str, p: int, q: int) -> np.ndarray | None:
@@ -160,6 +169,39 @@ def central_difference_hessian(ll: LogLikelihood, x: np.ndarray, step: float = 1
         e = np.zeros(n)
         e[j] = step
         h[:, j] = (ll.gradient(x + e) - ll.gradient(x - e)) / (2 * step)
+    return (h + h.T) / 2.0
+
+
+def oracle_gram_hessian(ll: LogLikelihood, x: np.ndarray) -> np.ndarray:
+    """The analytic Hessian through per-column Gram matrices of a Möbius-transformed cube.
+
+    H = Lᵀ diag(w) L − Jᵀ diag(v) J, with the indicators a_d over response
+    patterns of the distinct free rows d (D = d for lm, D ⊇ d for lml),
+    j_d = M_V(a_d⊙mu) by a transform of the (rows, D, E) cube, and the Gram
+    matrices K[E] = a diag(w) aᵀ − j diag(v) jᵀ summed over E ⊇ e∪e'.
+    Everything at x is rebuilt from the package's maps, not read from the
+    likelihood's cached state.
+    """
+    mu = mu_values_from_beta(ll.beta_values(x), ll.link)
+    pi = mobius_transform(mu, axis=0, supersets=True)
+    observed = ll.counts.sum(axis=0) > 0
+    r = np.zeros_like(pi)
+    r[:, observed] = ll.counts[:, observed] / pi[:, observed]
+    w = mobius_transform(r, axis=0) * mu
+    v = r / pi
+    free_rows = np.array(sorted({d for d, _ in ll.free}), dtype=np.intp)
+    patterns = np.arange(pi.shape[0])
+    if ll.link == "lm":
+        a = (patterns[None, :] == free_rows[:, None]).astype(float)
+    else:
+        a = ((patterns[None, :] & free_rows[:, None]) == free_rows[:, None]).astype(float)
+    j = mobius_transform(a[:, :, None] * mu, axis=1, supersets=True)          # (rows, D, E)
+    k = (np.matmul((a[:, :, None] * w).transpose(2, 0, 1), a.T)
+         - np.matmul((j * v).transpose(2, 0, 1), j.transpose(2, 1, 0)))
+    k = zeta_transform(k, axis=0, supersets=True)
+    rows = np.searchsorted(free_rows, [d for d, _ in ll.free])
+    cols = np.array([e for _, e in ll.free], dtype=np.intp)
+    h = k[cols[:, None] | cols[None, :], rows[:, None], rows[None, :]]
     return (h + h.T) / 2.0
 
 

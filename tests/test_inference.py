@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special, stats
+
+import lmlreg.inference
 
 from lmlreg.inference import (
     ConvergenceError,
@@ -25,11 +28,13 @@ from lmlreg.inference import (
     wald_tests,
 )
 from lmlreg.lattice import SubsetLattice
-from lmlreg.params import ParamMatrix, beta_from_pi, beta_mu_from_beta_gamma, pi_from_beta
+from lmlreg.params import (BoundaryError, ParamMatrix, beta_from_pi, beta_mu_from_beta_gamma,
+                           pi_from_beta)
 
 from oracles import (
     brute_force_max_loglik,
     central_difference_hessian,
+    oracle_gram_hessian,
     oracle_independence_mu,
     oracle_induced_mu_ses,
     oracle_loglik,
@@ -288,6 +293,136 @@ class TestHessian:
         seen_only_there = [i for i, (_, e) in enumerate(ll_all.free) if e == 3]
         assert seen_only_there
         assert np.all(ll_all.fd_hessian(x)[seen_only_there] == 0.0)
+
+
+class TestEvaluationState:
+    """Value, gradient and Hessian share one state per point, never a stale one."""
+
+    def points(self, link: str):
+        t = random_table(3, 2, 80)
+        spec = random_constrained_spec(3, 2, 8, link)
+        x1 = fit(spec, t).estimates
+        x2 = interior_point(LogLikelihood(spec, t), x1, 9)
+        assert not np.array_equal(x1, x2)
+        return spec, t, x1, x2
+
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    def test_interleaved_calls_match_a_fresh_likelihood(self, link):
+        spec, t, x1, x2 = self.points(link)
+        ll = LogLikelihood(spec, t)
+        calls = [("value", x1), ("gradient", x2), ("fd_hessian", x1), ("value", x2),
+                 ("fd_hessian", x2), ("gradient", x1), ("pi_values", x2), ("fd_hessian", x1),
+                 ("gradient", x2), ("value", x1)]
+        for name, x in calls:
+            got = getattr(ll, name)(x)
+            want = getattr(LogLikelihood(spec, t), name)(x)
+            assert np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    def test_mutating_the_callers_array_is_not_stale(self, link):
+        spec, t, x1, x2 = self.points(link)
+        ll = LogLikelihood(spec, t)
+        x = x1.copy()
+        ll.value(x), ll.gradient(x), ll.fd_hessian(x)
+        x[:] = x2
+        fresh = LogLikelihood(spec, t)
+        assert ll.value(x) == fresh.value(x2)
+        assert np.array_equal(ll.gradient(x), fresh.gradient(x2))
+        assert np.array_equal(ll.fd_hessian(x), fresh.fd_hessian(x2))
+
+    def test_pi_values_returns_a_copy(self):
+        spec, t, x1, _ = self.points("lml")
+        ll = LogLikelihood(spec, t)
+        ll.pi_values(x1)[:] = -1.0
+        fresh = LogLikelihood(spec, t)
+        assert np.array_equal(ll.pi_values(x1), fresh.pi_values(x1))
+        assert ll.value(x1) == fresh.value(x1)
+        assert np.array_equal(ll.gradient(x1), fresh.gradient(x1))
+
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    def test_derivatives_at_an_invalid_point_raise(self, link):
+        spec, t, x1, _ = self.points(link)
+        ll = LogLikelihood(spec, t)
+        bad = x1.copy()
+        bad[ll.free.index((1, 0))] = 5.0    # pr(y0 = 1) = e**5 in the first cell
+        ll.gradient(x1)
+        with pytest.raises(BoundaryError):
+            ll.gradient(bad)
+        ll.fd_hessian(x1)
+        with pytest.raises(BoundaryError):
+            ll.fd_hessian(bad)
+        assert ll.value(bad) == -np.inf and ll.pi_values(bad) is None
+
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    def test_one_chain_per_point(self, monkeypatch, link):
+        spec, t, x1, x2 = self.points(link)
+        ll = LogLikelihood(spec, t)
+        built = []
+        real = lmlreg.inference.mu_values_from_beta
+        monkeypatch.setattr(lmlreg.inference, "mu_values_from_beta",
+                            lambda beta, link: built.append(1) or real(beta, link))
+        ll.value(x1), ll.gradient(x1), ll.fd_hessian(x1), ll.pi_values(x1)
+        assert len(built) == 1
+        ll.fd_hessian(x2)
+        assert len(built) == 2
+
+
+class TestGatherHessian:
+    """The gather-form Hessian against the Gram matrices of the Möbius cube."""
+
+    def check(self, ll: LogLikelihood, x: np.ndarray) -> None:
+        want = oracle_gram_hessian(ll, x)
+        got = ll.fd_hessian(x)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    @pytest.mark.parametrize("p, q", [(1, 1), (2, 2), (3, 1), (4, 2), (5, 1)])
+    def test_saturated(self, link, p, q):
+        t = random_table(p, q, 300 + p + q)
+        ll = LogLikelihood(ModelSpec(link), t, smooth=0.5)
+        self.check(ll, interior_point(ll, _starting_point(ll, t), p + q))
+
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_constrained(self, link, seed):
+        p, q = [(2, 1), (3, 2), (4, 1), (5, 1), (4, 2), (5, 2)][seed]
+        t = random_table(p, q, 310 + seed)
+        ll = LogLikelihood(random_constrained_spec(p, q, seed, link), t)
+        self.check(ll, interior_point(ll, _starting_point(ll, t), seed))
+
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    def test_smoothed(self, link):
+        V, U = lattices(2, 1)
+        t = CountTable(V, U, np.array([[50, 40], [10, 0], [5, 3], [1, 2]], dtype=np.int64))
+        ll = LogLikelihood(ModelSpec(link), t, smooth=0.5)
+        self.check(ll, fit(ModelSpec(link), t, FitOptions(smooth=0.5)).estimates)
+
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    def test_missing_cells(self, link):
+        t = TestMissingCells().make_table_with_empty_column()
+        res = fit(ModelSpec(link), t, FitOptions(allow_missing_cells=True))
+        self.check(LogLikelihood(ModelSpec(link).with_zeros(res.unidentified), t), res.estimates)
+        ll_all = LogLikelihood(ModelSpec(link), t)
+        self.check(ll_all, ll_all.free_of(res.beta_hat.values))
+
+
+class TestTailProbabilities:
+    """The special-function tails fit uses equal the scipy.stats ones bit for bit."""
+
+    def test_normal_tail(self):
+        z = np.concatenate([np.linspace(0.0, 40.0, 40001), [np.nan, np.inf]])
+        got, want = special.ndtr(-np.abs(z)), stats.norm.sf(np.abs(z))
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_chi_square_tail(self):
+        rng = np.random.default_rng(3)
+        df = rng.integers(1, 300, size=6000)
+        dev = np.where(np.arange(6000) % 10 == 0, 0.0, rng.gamma(2.0, df / 2.0))
+        got = np.array([special.chdtrc(k, x) for k, x in zip(df, dev)])
+        want = np.array([stats.chi2.sf(x, k) for k, x in zip(df, dev)])
+        assert np.array_equal(got, want)
+        assert np.all(got[::10] == 1.0)
 
 
 class TestConstrainedFit:

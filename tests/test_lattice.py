@@ -48,8 +48,9 @@ class TestSubsetLattice:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_every_spelling_parses(self, data):
-        """The printed label, a reordered, a padded, an unbraced and a repeated
-        spelling all parse to the mask; an unknown member still names itself."""
+        """The printed label, a reordered, an unbraced, a repeated and a padded
+        spelling (``{ }`` for the empty set) all parse to the mask; an unknown
+        member still names itself."""
         label = st.text(st.characters(blacklist_characters=",;{} \t",
                                       blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")),
                         min_size=1, max_size=4)
@@ -59,9 +60,8 @@ class TestSubsetLattice:
             members = list(lat.members(mask))
             shuffled = data.draw(st.permutations(members))
             spellings = [lat.format_mask(mask), "{" + ",".join(shuffled) + "}",
-                         ",".join(shuffled), "{" + ",".join(members + members[:1]) + "}"]
-            if members:   # "{ }" is not a spelling of the empty set
-                spellings.append(" { " + " , ".join(members) + " }\t")
+                         ",".join(shuffled), "{" + ",".join(members + members[:1]) + "}",
+                         " { " + " , ".join(members) + " }\t"]
             assert [lat.parse_subset(text) for text in spellings] == [mask] * len(spellings)
         unknown = data.draw(label.filter(lambda lab: lab not in labels))
         with pytest.raises(ValueError) as exc:
