@@ -21,13 +21,8 @@ from .inference import (
     wald_tests,
 )
 from .lattice import (
-    LatticeMatrix,
-    Subset,
     SubsetLattice,
-    mobius_matrix,
     mobius_transform,
-    subset_of_mask,
-    zeta_matrix,
     zeta_transform,
 )
 from .params import (
@@ -51,9 +46,6 @@ from .risk import (
     RiskReport,
     implied_covariate_independencies,
     implied_response_independencies,
-    log_reference_rr,
-    log_relative_risk,
-    log_rr_ratio,
     reference_coeffs,
     risk_report,
 )
@@ -77,14 +69,12 @@ __all__ = [
     "DataError",
     "FitOptions",
     "FitResult",
-    "LatticeMatrix",
     "ModelSpec",
     "ParamMatrix",
     "RiskEntry",
     "RiskReport",
     "SelectionStep",
     "SelectionTrace",
-    "Subset",
     "SubsetLattice",
     "ValidationError",
     "average_effects",
@@ -100,11 +90,7 @@ __all__ = [
     "implied_response_independencies",
     "induced_mu_stats",
     "link_from_coeffs",
-    "log_reference_rr",
-    "log_relative_risk",
-    "log_rr_ratio",
     "loglik",
-    "mobius_matrix",
     "mobius_transform",
     "mu_from_gamma",
     "mu_from_pi",
@@ -114,10 +100,8 @@ __all__ = [
     "reference_coeffs",
     "risk_report",
     "simulate",
-    "subset_of_mask",
     "validate",
     "wald_tests",
-    "zeta_matrix",
     "zeta_transform",
     "__version__",
 ]

@@ -3,10 +3,12 @@
 All commands read comma-separated input and write TSV (3 fixed decimals) or
 JSON (6 decimals) to stdout; ``plot-data`` and ``simulate`` emit CSV data
 series at full precision since their output is meant to be consumed by
-other programs rather than read as a table.  Every JSON document goes
-through ``io.write_json``: each command builds its numeric and label
-columns with one vector call each and hands tables of records over as
-token columns, not as one dict per entry.
+other programs rather than read as a table.  Both renderings are written
+from encoded columns: each command turns its numeric columns into text
+with one call each (``io.fixed_floats`` for TSV, ``io.json_floats`` for
+JSON) and then only joins tokens.  Every JSON document goes through
+``io.write_json``, which takes tables of records as token columns, not as
+one dict per entry.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure (boundary or non-convergence), 5 internal error.
@@ -32,7 +34,7 @@ from .inference import (
     induced_mu_stats,
     simulate,
 )
-from .io import ConfigError, Raw, Records, Tokens, fmt_num, json_floats, json_strings
+from .io import ConfigError, Raw, Records, Tokens, fixed_floats, json_floats, json_strings
 from .lattice import SubsetLattice
 from .params import (
     BoundaryError,
@@ -154,16 +156,36 @@ def _fit_notes(result: FitResult) -> list[str]:
     return notes
 
 
+def _table_order(result: FitResult) -> tuple[list[int], list[int], list[int]]:
+    """Rows and columns of a coefficient table, and the slot of each (D, E) in it.
+
+    The slots run through the table row by row; a free coefficient's slot is
+    its position in the estimates, and a constrained one points one past
+    them, at the fill value of its column.
+    """
+    V, U = result.beta_hat.rows, result.beta_hat.cols
+    rows, cols = V.masks_by_cardinality(), U.masks_by_cardinality(include_empty=True)
+    n = len(result.free_index)
+    free = np.array(result.free_index, dtype=np.intp).reshape(-1, 2)
+    slot = np.full((V.size, U.size), n)
+    slot[free[:, 0], free[:, 1]] = np.arange(n)
+    return rows, cols, slot[np.ix_(rows, cols)].ravel().tolist()
+
+
+def _gather(tokens: list[str], fill: str, order: list[int]) -> list[str]:
+    """The token at each slot of ``order``, ``fill`` one past the end."""
+    return list(map((tokens + [fill]).__getitem__, order))
+
+
 def _fit_tsv(result: FitResult, stream, decimals: int = 3) -> None:
     V, U = result.beta_hat.rows, result.beta_hat.cols
-    is_lml = result.spec.link == "lml"
-    free = {pos: i for i, pos in enumerate(result.free_index)}
-    cols = U.masks_by_cardinality(include_empty=True)
+    rows, cols, order = _table_order(result)
     tags = [U.mask_labels[e] for e in cols]
 
     stream.write(f"# link: {result.spec.link}\n")
-    dev = fmt_num(result.deviance, decimals)
-    pval = "·" if result.p_value is None else fmt_num(result.p_value, decimals)
+    dev, pval = fixed_floats([result.deviance, result.p_value], decimals)
+    if result.p_value is None:
+        pval = "·"
     stream.write(f"# deviance: {dev}\tdf: {result.df}\tp: {pval}\n")
     for note in _fit_notes(result):
         stream.write(f"# note: {note}\n")
@@ -171,43 +193,33 @@ def _fit_tsv(result: FitResult, stream, decimals: int = 3) -> None:
     header = ["D"]
     for tag in tags:
         header += [f"est{tag}", f"se{tag}", f"p{tag}"]
-    if is_lml:
-        mu_values, mu_ses = (m.tolist() for m in induced_mu_stats(result))
+    # the text of each (D, E) in table order: estimate, se and p, then the
+    # induced log-mean estimate and se
+    est, se, p = (fixed_floats(col, decimals)
+                  for col in (result.estimates, result.std_errors, result.wald_p))
+    coef = _gather(list(map("\t".join, zip(est, se, p))), "·\t·\t·", order)
+    induced = []
+    if result.spec.link == "lml":
         for tag in tags:
             header += [f"mu_est{tag}", f"mu_se{tag}"]
+        mu_est, mu_se = (fixed_floats(m[np.ix_(rows, cols)], decimals)
+                         for m in induced_mu_stats(result))
+        induced = list(map("\t".join, zip(mu_est, mu_se)))
     stream.write("\t".join(header) + "\n")
 
-    stats = list(zip(result.estimates.tolist(), result.std_errors.tolist(), result.wald_p.tolist()))
-    for d in V.masks_by_cardinality():
-        cells = [V.mask_labels[d]]
-        for e in cols:
-            i = free.get((d, e))
-            if i is None:
-                cells += ["·", "·", "·"]
-            else:
-                cells += [fmt_num(x, decimals) for x in stats[i]]
-        if is_lml:
-            for e in cols:
-                cells += [fmt_num(mu_values[d][e], decimals), fmt_num(mu_ses[d][e], decimals)]
-        stream.write("\t".join(cells) + "\n")
+    width = len(cols)
+    for k, d in enumerate(rows):
+        row = slice(k * width, (k + 1) * width)
+        stream.write("\t".join([V.mask_labels[d], *coef[row], *induced[row]]) + "\n")
 
 
 def _fit_json_obj(result: FitResult) -> dict:
     V, U = result.beta_hat.rows, result.beta_hat.cols
-    rows, cols = V.masks_by_cardinality(), U.masks_by_cardinality(include_empty=True)
+    rows, cols, order = _table_order(result)
     vtok, utok = json_strings(V.mask_labels), json_strings(U.mask_labels)
     d_col = [vtok[d] for d in rows for _ in cols]
     e_col = [utok[e] for e in cols] * len(rows)
-    # position of each (D, E) in the free estimates, in table order; a
-    # constrained coefficient points one past them, at its fill token
     n = len(result.free_index)
-    free = np.array(result.free_index, dtype=np.intp).reshape(-1, 2)
-    slot = np.full((V.size, U.size), n)
-    slot[free[:, 0], free[:, 1]] = np.arange(n)
-    order = slot[np.ix_(rows, cols)].ravel().tolist()
-
-    def gather(tokens: list[str], fill: str) -> list[str]:
-        return list(map((tokens + [fill]).__getitem__, order))
 
     deviance, p_value, loglik = map(Raw, json_floats([result.deviance, result.p_value,
                                                       result.loglik]))
@@ -220,10 +232,10 @@ def _fit_json_obj(result: FitResult) -> dict:
         "converged": result.converged,
         "iterations": result.iterations,
         "coefficients": Records({
-            "D": d_col, "E": e_col, "constrained": gather(["false"] * n, "true"),
-            "estimate": gather(json_floats(result.estimates), "null"),
-            "se": gather(json_floats(result.std_errors), "null"),
-            "p": gather(json_floats(result.wald_p), "null"),
+            "D": d_col, "E": e_col, "constrained": _gather(["false"] * n, "true", order),
+            "estimate": _gather(json_floats(result.estimates), "null", order),
+            "se": _gather(json_floats(result.std_errors), "null", order),
+            "p": _gather(json_floats(result.wald_p), "null", order),
         }),
         "notes": _fit_notes(result),
     }
@@ -240,7 +252,7 @@ def cmd_fit(config: RunConfig) -> int:
     V, U = _lattices(config)
     data = _ingest(config, V, U)
     zeros = _load_zeros(config, V, U)
-    spec = ModelSpec(config.link, zeros).validate_for(V, U)
+    spec = ModelSpec(config.link, zeros)
     result = _require_converged(fit(spec, data, _fit_options(config)))
     if config.out == "json":
         lio.write_json(_fit_json_obj(result), sys.stdout)
@@ -268,9 +280,6 @@ def _pi_from_any(pm: ParamMatrix) -> ParamMatrix:
 
 
 def cmd_transform(config: RunConfig, kind: str) -> int:
-    if kind not in _TRANSFORM_INPUT_KINDS:
-        raise ConfigError(
-            f"--kind must be one of {', '.join(_TRANSFORM_INPUT_KINDS)}, got {kind!r}")
     V, U = _lattices(config)
     if config.input is None:
         raise ConfigError("--input is required for this command")
@@ -345,10 +354,8 @@ def cmd_select(config: RunConfig, method: str) -> int:
     options = _fit_options(config)
     if method == "forward":
         trace = forward_margin_selection(data, config.link, config.alpha, options)
-    elif method == "backward":
-        trace = backward_staged_selection(data, config.link, config.alpha, options=options)
     else:
-        raise ConfigError(f"--method must be 'forward' or 'backward', got {method!r}")
+        trace = backward_staged_selection(data, config.link, config.alpha, options=options)
     _require_converged(trace.final_fit)
     if config.out == "json":
         lio.write_json(_trace_json_obj(trace, V, U), sys.stdout)
@@ -364,7 +371,7 @@ def cmd_risk(config: RunConfig) -> int:
     V, U = _lattices(config)
     data = _ingest(config, V, U)
     zeros = _load_zeros(config, V, U)
-    spec = ModelSpec(config.link, zeros).validate_for(V, U)
+    spec = ModelSpec(config.link, zeros)
     result = _require_converged(fit(spec, data, _fit_options(config)))
     entries = risk_report(result).entries
     # log RR, log reference RR and log ratio per entry (None, for |D| = 1, is
@@ -384,20 +391,16 @@ def cmd_risk(config: RunConfig) -> int:
                                          for en in entries],
         }), sys.stdout)
     else:
-        lrr, lref, lratio, rr, ref, ratio = columns.tolist()
+        lrr, lref, lratio, rr, ref, ratio = (fixed_floats(col, 3) for col in columns)
         vl, ul = V.mask_labels, U.mask_labels
         out = sys.stdout
         out.write(f"# link: {result.spec.link}\n")
         out.write("D\tu\tE\tlog_rr\trr\tlog_ref_rr\tref_rr\tlog_ratio\tratio\tconstrained\n")
         for k, en in enumerate(entries):
-            ref_cells = ("·", "·") if en.log_ref_rr is None else (
-                fmt_num(lref[k], 3), fmt_num(ref[k], 3))
-            ratio_cells = ("·", "·") if en.log_ratio is None else (
-                fmt_num(lratio[k], 3), fmt_num(ratio[k], 3))
-            out.write("\t".join([
-                vl[en.d_mask], en.u, ul[en.e_mask], fmt_num(lrr[k], 3), fmt_num(rr[k], 3),
-                *ref_cells, *ratio_cells, "yes" if en.constrained_zero else "no",
-            ]) + "\n")
+            ref_cells = "·\t·" if en.log_ref_rr is None else f"{lref[k]}\t{ref[k]}"
+            ratio_cells = "·\t·" if en.log_ratio is None else f"{lratio[k]}\t{ratio[k]}"
+            out.write(f"{vl[en.d_mask]}\t{en.u}\t{ul[en.e_mask]}\t{lrr[k]}\t{rr[k]}\t"
+                      f"{ref_cells}\t{ratio_cells}\t{'yes' if en.constrained_zero else 'no'}\n")
     return 0
 
 
@@ -410,9 +413,6 @@ def cmd_simulate(config: RunConfig, kind: str | None, totals_text: str) -> int:
         raise ConfigError("--input (a parameter matrix file) is required for simulate")
     if kind is None:
         kind = "beta_mu" if config.link == "lm" else "beta_gamma"
-    if kind not in _TRANSFORM_INPUT_KINDS:
-        raise ConfigError(
-            f"--kind must be one of {', '.join(_TRANSFORM_INPUT_KINDS)}, got {kind!r}")
     pm = lio.read_param_matrix(config.input, V, U, kind)
     pi = _pi_from_any(pm)
 

@@ -29,7 +29,6 @@ transform of a Jacobian-sized array is needed.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -40,7 +39,6 @@ from .lattice import SubsetLattice, mobius_transform, zeta_transform
 from .params import (
     BoundaryError,
     ParamMatrix,
-    ValidationError,
     beta_from_pi,
     beta_kind_for_link,
     beta_mu_from_beta_gamma,
@@ -55,6 +53,19 @@ class DataError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """No valid interior starting point could be found."""
+
+
+# Newton iteration limits: iterations, the score's sup-norm at convergence,
+# step halvings per direction, and the largest coefficient change per step.
+MAX_ITER = 200
+GRAD_TOL = 1e-8
+MAX_HALVINGS = 30
+MAX_STEP = 10.0
+
+
+def sorted_pairs(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """(D, E) coefficient positions in canonical (|D|, D, |E|, E) order."""
+    return sorted(pairs, key=lambda de: (de[0].bit_count(), de[0], de[1].bit_count(), de[1]))
 
 
 @dataclass(frozen=True)
@@ -159,22 +170,12 @@ class ModelSpec:
     def free_positions(self, responses: SubsetLattice, covariates: SubsetLattice) -> list[tuple[int, int]]:
         """Free (D, E) coefficient positions in canonical (|D|, D, |E|, E) order."""
         self.validate_for(responses, covariates)
-        pos = [
-            (d, e)
-            for d in range(1, responses.size)
-            for e in range(covariates.size)
-            if (d, e) not in self.zero_set
-        ]
-        pos.sort(key=lambda de: (de[0].bit_count(), de[0], de[1].bit_count(), de[1]))
-        return pos
+        return sorted_pairs((d, e) for d in range(1, responses.size)
+                            for e in range(covariates.size) if (d, e) not in self.zero_set)
 
 
 @dataclass(frozen=True)
 class FitOptions:
-    max_iter: int = 200
-    grad_tol: float = 1e-8
-    max_halvings: int = 30
-    max_step: float = 10.0
     smooth: float | None = None
     allow_missing_cells: bool = False
 
@@ -199,17 +200,6 @@ class FitResult:
     singular_information: bool = False
     missing_cells: tuple[int, ...] = ()
     unidentified: tuple[tuple[int, int], ...] = ()
-
-    def estimate(self, d_mask: int, e_mask: int) -> float:
-        return self.beta_hat.entry(d_mask, e_mask)
-
-    def coefficient_stats(self, d_mask: int, e_mask: int) -> tuple[float, float, float]:
-        """(estimate, se, p) for one free coefficient; KeyError if constrained."""
-        try:
-            i = self.free_index.index((d_mask, e_mask))
-        except ValueError:
-            raise KeyError(f"coefficient ({d_mask}, {e_mask}) is constrained to zero") from None
-        return float(self.estimates[i]), float(self.std_errors[i]), float(self.wald_p[i])
 
 
 def loglik(pi: ParamMatrix, data: CountTable) -> float:
@@ -271,7 +261,6 @@ class LogLikelihood:
     """
 
     def __init__(self, spec: ModelSpec, data: CountTable, smooth: float | None = None):
-        spec.validate_for(data.responses, data.covariates)
         self.spec = spec
         self.data = data
         self.link = spec.link
@@ -477,9 +466,9 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
     value = ll.value(x)
     grad = ll.gradient(x)
     iterations = 0
-    converged = bool(np.max(np.abs(grad), initial=0.0) <= options.grad_tol)
+    converged = bool(np.max(np.abs(grad), initial=0.0) <= GRAD_TOL)
 
-    while not converged and iterations < options.max_iter:
+    while not converged and iterations < MAX_ITER:
         iterations += 1
         hess = ll.fd_hessian(x)
         gnorm = float(np.max(np.abs(grad)))
@@ -507,8 +496,8 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
                 scale = np.maximum(np.abs(evals), floor)
                 cand = evecs @ ((evecs.T @ grad) / scale)
             size = float(np.max(np.abs(cand)))
-            if size > options.max_step:
-                cand = cand * (options.max_step / size)
+            if size > MAX_STEP:
+                cand = cand * (MAX_STEP / size)
             directions.append(cand)
         directions.append(grad / max(1.0, gnorm))
 
@@ -521,7 +510,7 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
             if not np.isfinite(direction).all() or float(direction @ grad) <= 0.0:
                 continue
             step = 1.0
-            for _ in range(options.max_halvings + 1):
+            for _ in range(MAX_HALVINGS + 1):
                 candidate = x + step * direction
                 cand_value = ll.value(candidate)
                 if np.isfinite(cand_value) and cand_value >= value - accept_tol:
@@ -534,7 +523,7 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
         if not moved:
             break
         grad = ll.gradient(x)
-        converged = bool(np.max(np.abs(grad), initial=0.0) <= options.grad_tol)
+        converged = bool(np.max(np.abs(grad), initial=0.0) <= GRAD_TOL)
 
     grad_norm = float(np.max(np.abs(grad), initial=0.0))
 

@@ -9,18 +9,19 @@ Zero-set files list one constrained coefficient per line as ``D;E`` in
 brace notation, with ``#`` comments.  Coefficient matrices are CSV with a
 ``D`` label column and one column per covariate subset.
 
-JSON documents (the CLI's ``--out json``) are written by :func:`write_json`
-in the layout of ``json.dumps(indent=2)``, byte for byte.  Numbers and
-labels are encoded a column at a time (:func:`json_floats`,
-:func:`json_strings`), and a list of records sharing their keys
-(:class:`Records`) is printed through one template per record.
+Output is written from encoded columns: numbers and labels become text a
+column at a time, one encoder per format.  TSV tables and matrix files
+take fixed-point text from :func:`fixed_floats`.  JSON documents (the
+CLI's ``--out json``) take tokens from :func:`json_floats` and
+:func:`json_strings` and are written by :func:`write_json` in the layout of
+``json.dumps(indent=2)``, byte for byte; a list of records sharing their
+keys (:class:`Records`) is printed through one template per record.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .inference import CountTable, DataError
+from .inference import CountTable, DataError, sorted_pairs
 from .lattice import SubsetLattice
 from .params import KINDS, ParamMatrix
 
@@ -180,8 +181,7 @@ def read_zero_set(source: str | IO[str], responses: SubsetLattice,
 
 def write_zero_set(zero_set: Iterable[tuple[int, int]], responses: SubsetLattice,
                    covariates: SubsetLattice, stream: IO[str]) -> None:
-    ordered = sorted(zero_set, key=lambda de: (de[0].bit_count(), de[0], de[1].bit_count(), de[1]))
-    for d, e in ordered:
+    for d, e in sorted_pairs(zero_set):
         stream.write(f"{responses.format_mask(d)};{covariates.format_mask(e)}\n")
 
 
@@ -241,27 +241,30 @@ def read_param_matrix(source: str | IO[str], responses: SubsetLattice,
 
 def write_param_matrix(pm: ParamMatrix, stream: IO[str], decimals: int | None = None) -> None:
     """Write a matrix CSV; full precision by default so it can be read back."""
+    if decimals is None:
+        cells = list(map("{:.17g}".format, pm.values.ravel().tolist()))
+    else:
+        cells = fixed_floats(pm.values, decimals)
+    width = pm.cols.size
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["D"] + [pm.cols.format_mask(e) for e in range(pm.cols.size)])
-    for d in range(pm.rows.size):
-        row = [pm.rows.format_mask(d)]
-        for e in range(pm.cols.size):
-            x = float(pm.values[d, e])
-            row.append(fmt_num(x, decimals) if decimals is not None else f"{x:.17g}")
-        writer.writerow(row)
+    writer.writerow(["D", *pm.cols.mask_labels])
+    writer.writerows([label, *cells[i * width:(i + 1) * width]]
+                     for i, label in enumerate(pm.rows.mask_labels))
 
 
 # ---------------------------------------------------------------------------
-# fixed-point numbers for TSV output and matrix files
+# fixed-point columns for TSV output and matrix files
 
-def fmt_num(x: float, decimals: int) -> str:
-    """Fixed-point text with -0 normalized away; NaN prints as ``nan``."""
-    if x is None or math.isnan(x):
-        return "nan"
-    text = f"{float(x):.{decimals}f}"
-    if float(text) == 0.0:
-        text = f"{0.0:.{decimals}f}"
-    return text
+def fixed_floats(values, decimals: int) -> list[str]:
+    """Fixed-point text of a numeric column, ``decimals`` places after the point.
+
+    A value that rounds to zero prints without a sign, and NaN and None
+    print as ``nan``.
+    """
+    col = np.asarray(values, dtype=float).ravel().tolist()
+    tokens = list(map(f"{{:.{decimals}f}}".format, col))
+    zero = f"{0.0:.{decimals}f}"
+    return [zero if token == "-" + zero else token for token in tokens]
 
 
 # ---------------------------------------------------------------------------

@@ -9,24 +9,23 @@ probability / mean / log-mean-linear parameter chain and the regression
 coefficient algebra) is a combination of these two maps applied along rows
 or columns of a matrix.
 
-Dense matrices are only materialized for small ground sets and serve as
-the reference.  Every fast transform, in either direction and orientation
-and along any axis of an array, runs through one in-place butterfly
-(Yates' algorithm): ``n`` passes of one add or subtract over the two
-halves of the axis split at bit ``b``, ``O(n * 2**n)`` per vector and exact
-to floating-point associativity.
+The dense matrices are never built here; they are the reference the
+tests check against, in ``tests/oracles.py``.  Every transform, in either
+direction and orientation and along any axis of an array, runs through
+one in-place butterfly (Yates' algorithm): ``n`` passes of one add or
+subtract over the two halves of the axis split at bit ``b``,
+``O(n * 2**n)`` per vector and exact to floating-point associativity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Iterable
 
 import numpy as np
 
 MAX_GROUND_SIZE = 20          # 2**20 subsets: hard cap to bound memory
-MAX_DENSE_GROUND_SIZE = 12    # dense 2**q x 2**q matrices only below this
 
 
 def _require_power_of_two(n: int) -> int:
@@ -114,12 +113,6 @@ class SubsetLattice:
             return 0
         return self.mask_of(part.strip() for part in text.split(","))
 
-    def subset(self, mask: int) -> "Subset":
-        return Subset(self, self.check_mask(mask))
-
-    def iter_masks(self) -> Iterator[int]:
-        return iter(range(self.size))
-
     def masks_by_cardinality(self, include_empty: bool = False) -> list[int]:
         """All masks sorted by (cardinality, member-index sequence).
 
@@ -132,45 +125,6 @@ class SubsetLattice:
     def _by_cardinality(self) -> tuple[int, ...]:
         return tuple(sorted(range(self.size), key=lambda m: (
             m.bit_count(), [i for i in range(m.bit_length()) if m >> i & 1])))
-
-
-@dataclass(frozen=True)
-class Subset:
-    """Handle for one subset of a lattice: membership, iteration, rendering."""
-
-    lattice: SubsetLattice
-    mask: int
-
-    @property
-    def cardinality(self) -> int:
-        return self.mask.bit_count()
-
-    @property
-    def members(self) -> tuple[str, ...]:
-        return self.lattice.members(self.mask)
-
-    def contains(self, label: str) -> bool:
-        return bool(self.mask >> self.lattice.labels.index(label) & 1)
-
-    def subsets(self) -> Iterator["Subset"]:
-        """All S ⊆ self in increasing-mask order."""
-        for m in iter_submasks(self.mask):
-            yield Subset(self.lattice, m)
-
-    def supersets(self) -> Iterator["Subset"]:
-        """All S ⊇ self in increasing-mask order."""
-        full = self.lattice.size - 1
-        for extra in iter_submasks(full & ~self.mask):
-            # extra is disjoint from self.mask, so mask|extra grows with extra
-            yield Subset(self.lattice, self.mask | extra)
-
-    def __str__(self) -> str:
-        return self.lattice.format_mask(self.mask)
-
-
-def subset_of_mask(lattice: SubsetLattice, mask: int) -> Subset:
-    """Subset handle for ``mask``; raises ValueError if out of range."""
-    return lattice.subset(mask)
 
 
 def iter_submasks(mask: int) -> Iterator[int]:
@@ -219,50 +173,6 @@ def expand_mask(mask: int, within: int) -> int:
         w >>= 1
         pos += 1
     return out
-
-
-@dataclass(frozen=True)
-class LatticeMatrix:
-    """A dense subset-by-subset matrix tagged with its lattice."""
-
-    lattice: SubsetLattice
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.lattice.size, self.lattice.size):
-            raise ValueError(f"matrix shape {v.shape} does not match lattice size {self.lattice.size}")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def size(self) -> int:
-        return self.lattice.size
-
-
-def _check_dense(lattice: SubsetLattice) -> None:
-    if lattice.ground_size > MAX_DENSE_GROUND_SIZE:
-        raise ValueError(
-            f"dense lattice matrices limited to ground size {MAX_DENSE_GROUND_SIZE}; "
-            f"use the fast transforms for ground size {lattice.ground_size}"
-        )
-
-
-def zeta_matrix(lattice: SubsetLattice) -> LatticeMatrix:
-    """Z with entry 1 at (E, H) iff E ⊆ H, else 0."""
-    _check_dense(lattice)
-    m = np.arange(lattice.size)
-    sub = (m[:, None] & m[None, :]) == m[:, None]
-    return LatticeMatrix(lattice, sub.astype(float))
-
-
-def mobius_matrix(lattice: SubsetLattice) -> LatticeMatrix:
-    """M = Z**-1, with entry (-1)**|H \\ E| at (E, H) iff E ⊆ H."""
-    _check_dense(lattice)
-    m = np.arange(lattice.size)
-    sub = (m[:, None] & m[None, :]) == m[:, None]
-    odd = np.bitwise_count(m[None, :] & ~m[:, None]) % 2 == 1
-    return LatticeMatrix(lattice, np.where(sub, np.where(odd, -1.0, 1.0), 0.0))
 
 
 def _butterfly(x: np.ndarray, axis: int, supersets: bool, op: np.ufunc) -> np.ndarray:

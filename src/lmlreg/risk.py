@@ -40,22 +40,9 @@ def reference_coeffs(beta_mu: ParamMatrix) -> ParamMatrix:
         raise ValueError(f"expected a beta_mu matrix, got kind {beta_mu.kind!r}")
     # beta_gamma_D = Σ_{D'⊆D} (-1)^{|D\D'|} beta_mu_{D'}, so the strict-subset
     # sum above is beta_mu_D - beta_gamma_D row by row.
-    bg = mobius_transform(beta_mu.values, axis=0)
-    ref = beta_mu.values - bg
-    ref = np.array(ref)
-    for d in range(beta_mu.rows.size):
-        if d.bit_count() <= 1:
-            ref[d] = 0.0
+    ref = beta_mu.values - mobius_transform(beta_mu.values, axis=0)
+    ref[np.bitwise_count(np.arange(beta_mu.rows.size)) <= 1] = 0.0
     return beta_mu.with_values(ref, "ref_b")
-
-
-def _check_d_u_e(beta: ParamMatrix, d_mask: int, u: str, e_mask: int) -> tuple[int, int]:
-    beta.rows.check_mask(d_mask)
-    u_mask = beta.cols.mask_of([u])
-    beta.cols.check_mask(e_mask)
-    if e_mask & u_mask:
-        raise ValueError(f"background cell E={beta.cols.format_mask(e_mask)} must not contain {u!r}")
-    return u_mask, e_mask
 
 
 def _background_sums(values: np.ndarray, cols: SubsetLattice, u: str) -> tuple[np.ndarray, np.ndarray]:
@@ -69,48 +56,6 @@ def _background_sums(values: np.ndarray, cols: SubsetLattice, u: str) -> tuple[n
     cells = np.arange(cols.size)
     cells = cells[(cells & u_mask) == 0]
     return zeta_transform(values[..., cells | u_mask]), cells
-
-
-def _background_sum(beta: ParamMatrix, d_mask: int, u: str, e_mask: int) -> float:
-    _check_d_u_e(beta, d_mask, u, e_mask)
-    sums, cells = _background_sums(beta.values[d_mask], beta.cols, u)
-    return float(sums[np.searchsorted(cells, e_mask)])
-
-
-def log_relative_risk(beta_mu: ParamMatrix, d_mask: int, u: str, e_mask: int = 0) -> float:
-    """log RR_u(Y^D = 1 | E) = Σ_{E' ⊆ E} beta_mu_D(E' ∪ {u}); 0 for D = ∅."""
-    if beta_mu.kind != "beta_mu":
-        raise ValueError(f"expected a beta_mu matrix, got kind {beta_mu.kind!r}")
-    lrr = _background_sum(beta_mu, d_mask, u, e_mask)
-    return 0.0 if d_mask == 0 else lrr
-
-
-def log_relative_risk_from_mu(mu: ParamMatrix, d_mask: int, u: str, e_mask: int = 0) -> float:
-    """The same quantity evaluated directly as a ratio of mean parameters."""
-    if mu.kind != "mu":
-        raise ValueError(f"expected a mu matrix, got kind {mu.kind!r}")
-    u_mask, e_mask = _check_d_u_e(mu, d_mask, u, e_mask)
-    return float(np.log(mu.values[d_mask, e_mask | u_mask]) - np.log(mu.values[d_mask, e_mask]))
-
-
-def log_reference_rr(beta_mu: ParamMatrix, d_mask: int, u: str, e_mask: int = 0) -> float:
-    """log of the reference relative risk of Y^D (|D| > 1) w.r.t. u at cell E.
-
-    The sum of reference coefficients over E' ⊆ E; it equals the defining
-    alternating sum of lower-order log relative risks.
-    """
-    if d_mask.bit_count() <= 1:
-        raise ValueError("reference relative risk requires |D| > 1")
-    return _background_sum(reference_coeffs(beta_mu), d_mask, u, e_mask)
-
-
-def log_rr_ratio(beta_gamma: ParamMatrix, d_mask: int, u: str, e_mask: int = 0) -> float:
-    """log(RR / reference RR) = Σ_{E' ⊆ E} beta_gamma_D(E' ∪ {u}), |D| > 1."""
-    if beta_gamma.kind != "beta_gamma":
-        raise ValueError(f"expected a beta_gamma matrix, got kind {beta_gamma.kind!r}")
-    if d_mask.bit_count() <= 1:
-        raise ValueError("the risk ratio against reference requires |D| > 1")
-    return _background_sum(beta_gamma, d_mask, u, e_mask)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ significant terms), and ``refit_rounds=1`` gives the single-batch variant.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,8 +32,9 @@ from .inference import (
     FitResult,
     ModelSpec,
     fit,
+    sorted_pairs,
 )
-from .lattice import SubsetLattice, compress_mask, expand_mask, zeta_transform
+from .lattice import compress_mask, expand_mask, zeta_transform
 from .params import BoundaryError
 
 CI_Z = 1.96  # normal quantile used for all reported 95% intervals
@@ -72,10 +73,6 @@ class SelectionTrace:
     @property
     def zero_set(self) -> frozenset[tuple[int, int]]:
         return self.final_spec.zero_set
-
-
-def _sorted_pairs(pairs) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted(pairs, key=lambda de: (de[0].bit_count(), de[0], de[1].bit_count(), de[1])))
 
 
 def _drop_rounds(spec: ModelSpec, data: CountTable, alpha: float, candidate_rows: set[int],
@@ -165,7 +162,7 @@ def forward_margin_selection(data: CountTable, link: str = "lml", alpha: float =
         joint_zeros.update(dropped_joint)
         steps.append(SelectionStep(
             label=f"margin {V.format_mask(d_joint)}", spec=spec, fit=result,
-            dropped=_sorted_pairs(dropped_joint), scope=labels, error=err,
+            dropped=tuple(sorted_pairs(dropped_joint)), scope=labels, error=err,
         ))
 
     final_spec = ModelSpec(link, frozenset(joint_zeros))
@@ -223,7 +220,7 @@ def backward_staged_selection(data: CountTable, link: str = "lml", alpha: float 
         else:
             label = "drop non-significant |D| in {" + ",".join(str(k) for k in sorted(sizes, reverse=True)) + "}"
         steps.append(SelectionStep(label=label, spec=spec, fit=result,
-                                   dropped=_sorted_pairs(dropped), error=err))
+                                   dropped=tuple(sorted_pairs(dropped)), error=err))
         if err:
             break
 

@@ -2,14 +2,19 @@
 
 Everything here is written with explicit subset loops, row-by-row and
 entry-by-entry code and generic optimizers on purpose: no fast transforms,
-no shared code with the package internals beyond data containers.  Three
+no shared code with the package internals beyond data containers.  Four
 exceptions reuse package pieces: the finite-difference Hessian oracle
 differentiates the package's analytic score (itself checked against
 differences of the log-likelihood), the Gram-matrix Hessian oracle builds
-the same quantity from the package's transforms by another route, and the
+the same quantity from the package's transforms by another route, the
 start-point oracle builds every candidate from the package's own maps
 before checking any, so the lazy search must return the same vector bit for
-bit.
+bit, and the single-entry risk functions (``log_relative_risk`` and its
+kin) sum with ``lmlreg.risk._background_sums`` over ``reference_coeffs``,
+so a risk report's entries must equal them bit for bit.
+
+The dense zeta and Möbius matrices (the reference for every transform) and
+the single-entry risk functions are test references, not package API.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from lmlreg.inference import (CountTable, DataError, LogLikelihood, ModelSpec, _
                               induced_mu_stats)
 from lmlreg.lattice import SubsetLattice, compress_mask, mobius_transform, zeta_transform
 from lmlreg.params import ParamMatrix, beta_from_pi, mu_values_from_beta
+from lmlreg.risk import _background_sums, reference_coeffs
 
 
 @functools.lru_cache(maxsize=None)
@@ -45,6 +51,21 @@ def subsets_of(mask: int) -> tuple[int, ...]:
                 m |= 1 << b
             out.append(m)
     return tuple(out)
+
+
+def zeta_matrix(lattice: SubsetLattice) -> np.ndarray:
+    """Z with entry 1 at (E, H) iff E ⊆ H, else 0."""
+    m = np.arange(lattice.size)
+    sub = (m[:, None] & m[None, :]) == m[:, None]
+    return sub.astype(float)
+
+
+def mobius_matrix(lattice: SubsetLattice) -> np.ndarray:
+    """M = Z**-1, with entry (-1)**|H \\ E| at (E, H) iff E ⊆ H."""
+    m = np.arange(lattice.size)
+    sub = (m[:, None] & m[None, :]) == m[:, None]
+    odd = np.bitwise_count(m[None, :] & ~m[:, None]) % 2 == 1
+    return np.where(sub, np.where(odd, -1.0, 1.0), 0.0)
 
 
 def oracle_pi_from_beta(beta: np.ndarray, link: str, p: int, q: int) -> np.ndarray | None:
@@ -203,6 +224,57 @@ def oracle_gram_hessian(ll: LogLikelihood, x: np.ndarray) -> np.ndarray:
     cols = np.array([e for _, e in ll.free], dtype=np.intp)
     h = k[cols[:, None] | cols[None, :], rows[:, None], rows[None, :]]
     return (h + h.T) / 2.0
+
+
+def _check_d_u_e(beta: ParamMatrix, d_mask: int, u: str, e_mask: int) -> tuple[int, int]:
+    beta.rows.check_mask(d_mask)
+    u_mask = beta.cols.mask_of([u])
+    beta.cols.check_mask(e_mask)
+    if e_mask & u_mask:
+        raise ValueError(f"background cell E={beta.cols.format_mask(e_mask)} must not contain {u!r}")
+    return u_mask, e_mask
+
+
+def _background_sum(beta: ParamMatrix, d_mask: int, u: str, e_mask: int) -> float:
+    _check_d_u_e(beta, d_mask, u, e_mask)
+    sums, cells = _background_sums(beta.values[d_mask], beta.cols, u)
+    return float(sums[np.searchsorted(cells, e_mask)])
+
+
+def log_relative_risk(beta_mu: ParamMatrix, d_mask: int, u: str, e_mask: int = 0) -> float:
+    """log RR_u(Y^D = 1 | E) = Σ_{E' ⊆ E} beta_mu_D(E' ∪ {u}); 0 for D = ∅."""
+    if beta_mu.kind != "beta_mu":
+        raise ValueError(f"expected a beta_mu matrix, got kind {beta_mu.kind!r}")
+    lrr = _background_sum(beta_mu, d_mask, u, e_mask)
+    return 0.0 if d_mask == 0 else lrr
+
+
+def log_relative_risk_from_mu(mu: ParamMatrix, d_mask: int, u: str, e_mask: int = 0) -> float:
+    """The same quantity evaluated directly as a ratio of mean parameters."""
+    if mu.kind != "mu":
+        raise ValueError(f"expected a mu matrix, got kind {mu.kind!r}")
+    u_mask, e_mask = _check_d_u_e(mu, d_mask, u, e_mask)
+    return float(np.log(mu.values[d_mask, e_mask | u_mask]) - np.log(mu.values[d_mask, e_mask]))
+
+
+def log_reference_rr(beta_mu: ParamMatrix, d_mask: int, u: str, e_mask: int = 0) -> float:
+    """log of the reference relative risk of Y^D (|D| > 1) w.r.t. u at cell E.
+
+    The sum of reference coefficients over E' ⊆ E; it equals the defining
+    alternating sum of lower-order log relative risks.
+    """
+    if d_mask.bit_count() <= 1:
+        raise ValueError("reference relative risk requires |D| > 1")
+    return _background_sum(reference_coeffs(beta_mu), d_mask, u, e_mask)
+
+
+def log_rr_ratio(beta_gamma: ParamMatrix, d_mask: int, u: str, e_mask: int = 0) -> float:
+    """log(RR / reference RR) = Σ_{E' ⊆ E} beta_gamma_D(E' ∪ {u}), |D| > 1."""
+    if beta_gamma.kind != "beta_gamma":
+        raise ValueError(f"expected a beta_gamma matrix, got kind {beta_gamma.kind!r}")
+    if d_mask.bit_count() <= 1:
+        raise ValueError("the risk ratio against reference requires |D| > 1")
+    return _background_sum(beta_gamma, d_mask, u, e_mask)
 
 
 def _sign(mask: int) -> float:
@@ -564,6 +636,35 @@ def oracle_transform_json_stdout(derived: dict) -> str:
                        for d in range(V.size)],
         }
     return json.dumps(obj, indent=2) + "\n"
+
+
+def oracle_transform_tsv_stdout(derived: dict) -> str:
+    """What ``lmlreg transform`` prints: per matrix a kind line and a CSV, value by value."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for name, m in derived.items():
+        V, U = m.rows, m.cols
+        buf.write(f"# kind: {name}\n")
+        writer.writerow(["D"] + [U.format_mask(e) for e in range(U.size)])
+        for d in range(V.size):
+            writer.writerow([V.format_mask(d)]
+                            + [_oracle_fmt_num(float(m.values[d, e]), 6) for e in range(U.size)])
+    return buf.getvalue()
+
+
+def oracle_select_tsv_stdout(trace, V: SubsetLattice, U: SubsetLattice) -> str:
+    """What ``lmlreg select`` prints for a selection trace: each step's fit table."""
+    out = []
+    for i, step in enumerate(trace.steps, start=1):
+        out.append(f"# step {i}: {step.label}\n")
+        if step.error:
+            out.append(f"# error: {step.error}\n")
+        pairs = ", ".join(f"{V.format_mask(d)};{U.format_mask(e)}" for d, e in step.dropped)
+        out.append(f"# dropped: {pairs or '(none)'}\n")
+        if step.fit is not None:
+            out.append(oracle_fit_stdout(step.fit, "tsv"))
+        out.append("\n")
+    return "".join(out)
 
 
 def oracle_select_json_stdout(trace, V: SubsetLattice, U: SubsetLattice) -> str:

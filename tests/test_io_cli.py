@@ -16,17 +16,19 @@ from lmlreg import cli
 from lmlreg import io as lio
 from lmlreg.cli import main
 from lmlreg.inference import CountTable, DataError, FitOptions, ModelSpec, fit, simulate
-from lmlreg.io import (ConfigError, Raw, Records, Tokens, fmt_num, json_floats, json_strings,
-                       parse_labels)
+from lmlreg.io import (ConfigError, Raw, Records, Tokens, fixed_floats, json_floats,
+                       json_strings, parse_labels)
 from lmlreg.lattice import SubsetLattice
 from lmlreg.params import ParamMatrix, beta_from_pi, gamma_from_mu, mu_from_pi, pi_from_beta
 from lmlreg.risk import risk_report
 from lmlreg.selection import (average_effects, backward_staged_selection,
                               forward_margin_selection)
 
-from oracles import (_oracle_json_num, oracle_fit_stdout, oracle_plot_data_json_stdout,
-                     oracle_read_count_data, oracle_risk_stdout, oracle_select_json_stdout,
-                     oracle_transform_json_stdout, oracle_write_count_data, render_to_string)
+from oracles import (_oracle_fmt_num, _oracle_json_num, oracle_fit_stdout,
+                     oracle_plot_data_json_stdout, oracle_read_count_data, oracle_risk_stdout,
+                     oracle_select_json_stdout, oracle_select_tsv_stdout,
+                     oracle_transform_json_stdout, oracle_transform_tsv_stdout,
+                     oracle_write_count_data, render_to_string)
 
 
 def lattices(p: int, q: int) -> tuple[SubsetLattice, SubsetLattice]:
@@ -347,9 +349,13 @@ class TestParamMatrixIO:
 
 class TestNumberFormatting:
     def test_fixed_point_and_negative_zero(self):
-        assert fmt_num(1.23456, 3) == "1.235"
-        assert fmt_num(-0.00004, 3) == "0.000"
-        assert fmt_num(float("nan"), 3) == "nan"
+        values = [1.23456, -0.00004, float("nan"), 0.0, -0.0, -4e-4, 5e-4, -5e-4,
+                  float("nan"), float("inf"), float("-inf"), None, 1e16]
+        for decimals in (3, 6):
+            tokens = fixed_floats(values, decimals)
+            assert tokens == [_oracle_fmt_num(x, decimals) for x in values]
+            assert fixed_floats(np.array(values, dtype=float), decimals) == tokens
+        assert fixed_floats(values[:3], 3) == ["1.235", "0.000", "nan"]
 
     def test_json_rounding(self):
         values = [1.23456789, float("nan"), float("inf"), -1e-12, None,
@@ -695,10 +701,15 @@ class TestExitCodes:
         assert "warning: no observations" in captured.err
 
     def test_argparse_usage_error_exits_2(self, workdir):
-        _, _, data_path = workdir
-        with pytest.raises(SystemExit) as exc:
-            main(["fit", *base_args(data_path), "--link", "probit"])
-        assert exc.value.code == 2
+        _, beta_path, data_path = workdir
+        matrix_args = ["--input", beta_path, "--responses", "b,c", "--covariates", "h"]
+        for argv in (["fit", *base_args(data_path), "--link", "probit"],
+                     ["transform", *matrix_args, "--kind", "theta"],
+                     ["simulate", *matrix_args, "--kind", "theta", "--totals", "10"],
+                     ["select", *base_args(data_path), "--method", "sideways"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
 
 class TestCliMatchesEntryByEntryRenderers:
@@ -758,7 +769,8 @@ class TestCliMatchesEntryByEntryRenderers:
 
 
 class TestJsonCommandsMatchPerValueRenderers:
-    """Every ``--out json`` command prints byte for byte what per-value renderers print."""
+    """Every ``--out json`` command prints byte for byte what per-value renderers
+    print, and so do the TSV renderings of ``transform`` and ``select``."""
 
     @pytest.fixture(scope="class")
     def uni_case(self, tmp_path_factory):
@@ -785,29 +797,53 @@ class TestJsonCommandsMatchPerValueRenderers:
         data_args = ["--input", str(tmp / "counts.csv"), "--format", "counts", *args]
         return V, U, beta, data, tmp, args, data_args
 
-    def test_transform(self, uni_case, capsys):
-        V, U, beta, _, tmp, args, _ = uni_case
+    @staticmethod
+    def derived(beta: ParamMatrix) -> dict:
         pi = pi_from_beta(beta, "lml")
         mu = mu_from_pi(pi)
-        derived = {"pi": pi, "mu": mu, "gamma": gamma_from_mu(mu),
-                   "beta_mu": beta_from_pi(pi, "lm"), "beta_gamma": beta_from_pi(pi, "lml")}
+        return {"pi": pi, "mu": mu, "gamma": gamma_from_mu(mu),
+                "beta_mu": beta_from_pi(pi, "lm"), "beta_gamma": beta_from_pi(pi, "lml")}
+
+    @staticmethod
+    def trace(data: CountTable, method: str, link: str):
+        if method == "forward":
+            return forward_margin_selection(data, link, 0.05, FitOptions())
+        return backward_staged_selection(data, link, 0.05, options=FitOptions())
+
+    def test_transform(self, uni_case, capsys):
+        V, U, beta, _, tmp, args, _ = uni_case
         assert main(["transform", "--input", str(tmp / "beta.csv"), *args,
                      "--kind", "beta_gamma", "--out", "json"]) == 0
-        assert capsys.readouterr().out.encode() == oracle_transform_json_stdout(derived).encode()
+        want = oracle_transform_json_stdout(self.derived(beta))
+        assert capsys.readouterr().out.encode() == want.encode()
+
+    def test_transform_tsv(self, uni_case, capsys):
+        V, U, beta, _, tmp, args, _ = uni_case
+        assert main(["transform", "--input", str(tmp / "beta.csv"), *args,
+                     "--kind", "beta_gamma"]) == 0
+        want = oracle_transform_tsv_stdout(self.derived(beta))
+        assert capsys.readouterr().out.encode() == want.encode()
 
     @pytest.mark.parametrize("method,link", [("forward", "lml"), ("backward", "lml"),
                                              ("backward", "lm")])
     def test_select(self, uni_case, capsys, method, link):
         V, U, _, data, _, _, data_args = uni_case
-        if method == "forward":
-            trace = forward_margin_selection(data, link, 0.05, FitOptions())
-        else:
-            trace = backward_staged_selection(data, link, 0.05, options=FitOptions())
+        trace = self.trace(data, method, link)
         assert main(["select", *data_args, "--method", method, "--link", link,
                      "--out", "json"]) == 0
         got = capsys.readouterr().out
         assert got.encode() == oracle_select_json_stdout(trace, V, U).encode()
         assert "\\u00f4" in got
+
+    @pytest.mark.parametrize("method,link", [("forward", "lml"), ("backward", "lml"),
+                                             ("backward", "lm")])
+    def test_select_tsv(self, uni_case, capsys, method, link):
+        V, U, _, data, _, _, data_args = uni_case
+        trace = self.trace(data, method, link)
+        assert main(["select", *data_args, "--method", method, "--link", link]) == 0
+        got = capsys.readouterr().out
+        assert got.encode() == oracle_select_tsv_stdout(trace, V, U).encode()
+        assert "tôux" in got and "# dropped: {" in got
 
     def test_plot_data(self, uni_case, capsys):
         _, _, _, data, _, _, data_args = uni_case

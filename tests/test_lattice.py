@@ -12,12 +12,11 @@ from lmlreg.lattice import (
     compress_mask,
     expand_mask,
     iter_submasks,
-    mobius_matrix,
     mobius_transform,
-    subset_of_mask,
-    zeta_matrix,
     zeta_transform,
 )
+
+from oracles import mobius_matrix, zeta_matrix
 
 
 @pytest.fixture
@@ -92,15 +91,6 @@ class TestSubsetLattice:
         assert labels[-1] == "{b,c,d,r}"
         assert len(order) == 15
 
-    def test_subset_object(self, bcdr):
-        s = subset_of_mask(bcdr, 0b0011)
-        assert s.cardinality == 2
-        assert s.members == ("b", "c")
-        assert s.contains("b") and not s.contains("d")
-        assert str(s) == "{b,c}"
-        assert {t.mask for t in s.subsets()} == {0, 1, 2, 3}
-        assert all(t.mask & 3 == 3 for t in s.supersets())
-
 
 class TestSubmaskIteration:
     @given(st.integers(min_value=0, max_value=2**10 - 1))
@@ -120,30 +110,25 @@ class TestDenseMatrices:
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_mobius_inverts_zeta(self, n):
         lat = SubsetLattice(tuple(f"v{i}" for i in range(n)))
-        Z = zeta_matrix(lat).values
-        M = mobius_matrix(lat).values
+        Z = zeta_matrix(lat)
+        M = mobius_matrix(lat)
         assert np.array_equal(M @ Z, np.eye(2**n))
         assert np.array_equal(Z @ M, np.eye(2**n))
 
     def test_zeta_entries(self):
         lat = SubsetLattice(("x", "y"))
-        Z = zeta_matrix(lat).values
+        Z = zeta_matrix(lat)
         # Z[E, H] = 1 iff E is a subset of H
         expected = np.array([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]])
         assert np.array_equal(Z, expected)
-
-    def test_dense_blocked_above_limit(self):
-        lat = SubsetLattice(tuple(f"v{i}" for i in range(13)))
-        with pytest.raises(ValueError):
-            zeta_matrix(lat)
 
 
 class TestFastTransforms:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
     def test_matches_dense_products(self, n):
         lat = SubsetLattice(tuple(f"v{i}" for i in range(n)))
-        Z = zeta_matrix(lat).values
-        M = mobius_matrix(lat).values
+        Z = zeta_matrix(lat)
+        M = mobius_matrix(lat)
         rng = np.random.default_rng(n)
         A = rng.normal(size=(2**n, 3))
         v = rng.normal(size=2**n)
@@ -184,7 +169,7 @@ def dense_apply(x: np.ndarray, axis: int, supersets: bool, inverse: bool) -> np.
     """The transform as the dense matrix product along ``axis``."""
     n = x.shape[axis].bit_length() - 1
     lat = SubsetLattice(tuple(f"v{i}" for i in range(n)))
-    mat = (mobius_matrix if inverse else zeta_matrix)(lat).values
+    mat = (mobius_matrix if inverse else zeta_matrix)(lat)
     # out[S] = Σ_T mat[T, S] x[T] for subsets, Σ_T mat[S, T] x[T] for supersets
     mat = mat if supersets else mat.T
     return np.moveaxis(np.tensordot(mat, x, axes=([1], [axis])), 0, axis)

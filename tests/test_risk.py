@@ -21,15 +21,15 @@ from lmlreg.risk import (
     RiskEntry,
     implied_covariate_independencies,
     implied_response_independencies,
-    log_reference_rr,
-    log_relative_risk,
-    log_relative_risk_from_mu,
-    log_rr_ratio,
     reference_coeffs,
     risk_report,
 )
 
 from oracles import (
+    log_reference_rr,
+    log_relative_risk,
+    log_relative_risk_from_mu,
+    log_rr_ratio,
     oracle_covariate_independencies,
     oracle_log_reference_rr_product,
     oracle_response_independencies,

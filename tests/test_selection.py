@@ -247,7 +247,8 @@ class TestAverageEffects:
     def test_top_size_matches_single_coefficient_stats(self):
         res, t = self.make_fit(11)
         ae = {e.k: e for e in average_effects(res, t, "x0")}[2]
-        est, se, _ = res.coefficient_stats(3, 1)
+        i = res.free_index.index((3, 1))
+        est, se = res.estimates[i], res.std_errors[i]
         assert ae.estimate == pytest.approx(est)
         assert ae.se == pytest.approx(se, rel=1e-12)
 
