@@ -10,13 +10,15 @@ JSON) and then only joins tokens.  Every JSON document goes through
 ``io.write_json``, which takes tables of records as token columns, not as
 one dict per entry.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure (boundary or non-convergence), 5 internal error.
+Exit codes: 0 success, 1 the reader closed the output early, 2
+configuration error, 3 data error, 4 numerical failure (boundary or
+non-convergence), 5 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 
@@ -93,8 +95,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"labels used as both response and covariate: {clash}")
     if not 0.0 < args.alpha <= 1.0:
         raise ConfigError(f"--alpha must be in (0, 1], got {args.alpha}")
-    if args.smooth is not None and args.smooth < 0:
-        raise ConfigError(f"--smooth must be nonnegative, got {args.smooth}")
+    if args.smooth is not None and args.smooth <= 0:
+        raise ConfigError(f"--smooth must be positive, got {args.smooth}")
     return RunConfig(
         input=args.input, format=args.format, responses=responses,
         covariates=covariates, link=args.link, alpha=args.alpha,
@@ -551,6 +553,11 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed the output early; what is still buffered goes to
+        # os.devnull, so the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (DataError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -111,27 +111,6 @@ class CountTable:
         np.add.at(out, rows, self.counts)
         return CountTable(sub, self.covariates, out)
 
-    def empirical_pi(self, smooth: float | None = None) -> ParamMatrix:
-        """Per-column observed proportions, optionally with +eps smoothing.
-
-        Raises DataError if any cell (or column) is empty and no smoothing
-        is requested, since the result would not be a valid pi matrix.
-        """
-        counts = self.counts.astype(float)
-        if smooth is not None:
-            counts = counts + float(smooth)
-        totals = counts.sum(axis=0)
-        if np.any(totals <= 0):
-            e = int(np.argwhere(totals <= 0)[0, 0])
-            raise DataError(f"covariate cell {self.covariates.format_mask(e)} has no observations")
-        if np.any(counts <= 0):
-            d, e = (int(x) for x in np.argwhere(counts <= 0)[0])
-            raise DataError(
-                f"observed cell (D={self.responses.format_mask(d)}, "
-                f"E={self.covariates.format_mask(e)}) is empty; use smoothing to proceed"
-            )
-        return ParamMatrix("pi", self.responses, self.covariates, counts / totals)
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -446,17 +425,17 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
                 "zero observed cell in a saturated fit; enable smoothing or constrain the model"
             )
 
-    ll = LogLikelihood(spec, data, smooth=options.smooth)
-
     unidentified: list[tuple[int, int]] = []
     if missing:
-        observed = [e for e in range(data.covariates.size) if e not in missing]
-        for d, e in list(ll.free):
-            if not any((obs & e) == e for obs in observed):
-                unidentified.append((d, e))
-        if unidentified:
-            spec_eff = spec.with_zeros(unidentified)
-            ll = LogLikelihood(spec_eff, data, smooth=options.smooth)
+        # a coefficient (D, E) reaches the likelihood only through observed
+        # cells containing E, so E is covered iff the superset sum of the
+        # observed-cell indicator is positive there
+        covered = zeta_transform((totals > 0).astype(float), supersets=True) > 0
+        unidentified = sorted_pairs((d, e) for d in range(1, data.responses.size)
+                                    for e in np.flatnonzero(~covered).tolist()
+                                    if (d, e) not in spec.zero_set)
+    ll = LogLikelihood(spec.with_zeros(unidentified) if unidentified else spec, data,
+                       smooth=options.smooth)
 
     x = _starting_point(ll, data)
     if x is None:

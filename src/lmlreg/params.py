@@ -80,17 +80,6 @@ class ParamMatrix:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    @property
-    def p(self) -> int:
-        return self.rows.ground_size
-
-    @property
-    def q(self) -> int:
-        return self.cols.ground_size
-
-    def entry(self, d_mask: int, e_mask: int) -> float:
-        return float(self.values[self.rows.check_mask(d_mask), self.cols.check_mask(e_mask)])
-
     def with_values(self, values: np.ndarray, kind: str | None = None) -> "ParamMatrix":
         return ParamMatrix(kind or self.kind, self.rows, self.cols, values)
 
@@ -120,7 +109,7 @@ def validate(pm: ParamMatrix) -> ParamMatrix:
         if np.any(v <= 0.0) or np.any(v > 1.0 + STRUCTURAL_TOL):
             raise ValidationError("mu: entries must lie in (0, 1]")
         # monotone in D: mu_D <= mu_{D\{i}} suffices bit by bit (transitivity)
-        for b in range(pm.p):
+        for b in range(pm.rows.ground_size):
             bit = 1 << b
             hi = [m for m in range(pm.rows.size) if m & bit]
             lo = [m ^ bit for m in hi]
@@ -188,20 +177,14 @@ def mu_from_gamma(gamma: ParamMatrix) -> ParamMatrix:
 # theta = beta Z_U  <=>  beta = theta M_U, row by row.  These operate on raw
 # arrays; the link-aware wrappers below carry the ParamMatrix kinds.
 
-def coeffs_from_link(theta: np.ndarray, cols: SubsetLattice | None = None) -> np.ndarray:
+def coeffs_from_link(theta: np.ndarray) -> np.ndarray:
     """beta = theta · M_U: Möbius-invert each row over covariate subsets."""
-    theta = np.asarray(theta, dtype=float)
-    if cols is not None and theta.shape[-1] != cols.size:
-        raise ValueError(f"row length {theta.shape[-1]} does not match lattice size {cols.size}")
-    return mobius_transform(theta, axis=-1)
+    return mobius_transform(np.asarray(theta, dtype=float), axis=-1)
 
 
-def link_from_coeffs(beta: np.ndarray, cols: SubsetLattice | None = None) -> np.ndarray:
+def link_from_coeffs(beta: np.ndarray) -> np.ndarray:
     """theta = beta · Z_U: cumulative subset sums along each row."""
-    beta = np.asarray(beta, dtype=float)
-    if cols is not None and beta.shape[-1] != cols.size:
-        raise ValueError(f"row length {beta.shape[-1]} does not match lattice size {cols.size}")
-    return zeta_transform(beta, axis=-1)
+    return zeta_transform(np.asarray(beta, dtype=float), axis=-1)
 
 
 def beta_gamma_from_beta_mu(bmu: ParamMatrix) -> ParamMatrix:

@@ -9,10 +9,10 @@ to when Y_D splits into two conditionally independent blocks.  The LML
 coefficients measure exactly the gap between the two, which is what makes
 zero LML rows readable as no-effect-on-association statements.
 
-Independence detection is structural by default: it consumes the zero set
-of a model spec, where the biconditionals are exact, rather than fitted
-values.  A tolerance-based scan over a fitted coefficient matrix is also
-provided for exactly-constrained fits.
+Independence detection is structural: it consumes the zero set of a model
+spec, given with its lattices or through a fitted result, where the
+biconditionals are exact.  Fitted values are never scanned against a
+tolerance.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ import numpy as np
 from .inference import FitResult, ModelSpec
 from .lattice import SubsetLattice, iter_submasks, mobius_transform, zeta_transform
 from .params import ParamMatrix, beta_gamma_from_beta_mu
-
-FITTED_ZERO_TOL = 1e-8
 
 
 def reference_coeffs(beta_mu: ParamMatrix) -> ParamMatrix:
@@ -76,19 +74,19 @@ class RiskReport:
     entries: tuple[RiskEntry, ...]
 
 
-def risk_report(fit_result: FitResult, spec: ModelSpec | None = None) -> RiskReport:
+def risk_report(fit_result: FitResult) -> RiskReport:
     """All (D, u, E) risk summaries implied by a fitted model.
 
     Covers every nonempty D, every covariate u, and every background cell
     E ⊆ U \\ {u}.  ``constrained_zero`` marks ratios the model's zero set
-    forces to zero exactly.
+    forces to zero exactly; ``fit`` has already checked that set against
+    the lattices.
     """
     beta = fit_result.beta_hat
-    spec = (spec or fit_result.spec).validate_for(beta.rows, beta.cols)
     if beta.kind == "beta_gamma":
         bgamma = beta
         bmu = beta.with_values(zeta_transform(beta.values, axis=0), "beta_mu")
-        gamma_zeros = spec.zero_set
+        gamma_zeros = fit_result.spec.zero_set
     else:
         bmu = beta
         bgamma = beta_gamma_from_beta_mu(beta)
@@ -126,24 +124,16 @@ def _indicator(pairs, shape: tuple[int, int]) -> np.ndarray:
     return out
 
 
-def _nonzero_gamma_rows(source: ModelSpec | ParamMatrix, responses: SubsetLattice,
-                        covariates: SubsetLattice, tol: float) -> np.ndarray:
-    """1.0 for rows D ≠ ∅ whose gamma coefficients need not all vanish, however derived."""
-    if isinstance(source, ModelSpec):
-        if source.link != "lml":
-            # lm zero constraints pin beta_mu, not gamma; they never force a
-            # gamma row to vanish, so no response independencies follow.
-            rows = np.ones(responses.size)
-        else:
-            zeros = _indicator(source.zero_set, (responses.size, covariates.size))
-            rows = (zeros.sum(axis=1) < covariates.size).astype(float)
+def _nonzero_gamma_rows(spec: ModelSpec, responses: SubsetLattice,
+                        covariates: SubsetLattice) -> np.ndarray:
+    """1.0 for rows D ≠ ∅ whose gamma coefficients the zero set does not all pin."""
+    if spec.link != "lml":
+        # lm zero constraints pin beta_mu, not gamma; they never force a
+        # gamma row to vanish, so no response independencies follow.
+        rows = np.ones(responses.size)
     else:
-        values = source.values
-        if source.kind == "beta_mu":
-            values = mobius_transform(values, axis=0)
-        elif source.kind != "beta_gamma":
-            raise ValueError(f"expected beta_mu or beta_gamma, got kind {source.kind!r}")
-        rows = (~np.all(np.abs(values) <= tol, axis=1)).astype(float)
+        zeros = _indicator(spec.zero_set, (responses.size, covariates.size))
+        rows = (zeros.sum(axis=1) < covariates.size).astype(float)
     rows[0] = 0.0
     return rows
 
@@ -160,30 +150,29 @@ def _bipartitions(d_mask: int):
 
 
 def implied_response_independencies(
-    source: ModelSpec | ParamMatrix | FitResult,
+    source: ModelSpec | FitResult,
     responses: SubsetLattice | None = None,
     covariates: SubsetLattice | None = None,
-    tol: float = FITTED_ZERO_TOL,
 ) -> list[tuple[int, int, int]]:
     """All (D, A, B) with A ∪ B = D and Y_A ⟂ Y_B | X_U implied by the model.
 
-    The split holds iff every gamma row D' ⊆ D meeting both A and B is zero
-    for all covariate cells — structurally (from a spec's zero set, exact)
-    or numerically within ``tol`` (from a fitted coefficient matrix).
+    ``source`` is a ``ModelSpec`` with its response and covariate lattices,
+    or a ``FitResult``, whose spec and lattices are used.  The split holds
+    iff every gamma row D' ⊆ D meeting both A and B is zero for all
+    covariate cells, which the zero set decides exactly.
     """
     if isinstance(source, FitResult):
         responses = source.beta_hat.rows
         covariates = source.beta_hat.cols
         source = source.spec
-    elif isinstance(source, ParamMatrix):
-        responses = source.rows
-        covariates = source.cols
+    elif not isinstance(source, ModelSpec):
+        raise TypeError(f"expected a ModelSpec or FitResult, got {type(source).__name__}")
     elif responses is None or covariates is None:
         raise ValueError("responses and covariates lattices are required with a ModelSpec")
 
     # nonzero rows below D; the rows below A or below B are exactly those not
     # meeting both, and they share only the (never nonzero) row ∅
-    below = zeta_transform(_nonzero_gamma_rows(source, responses, covariates, tol)).tolist()
+    below = zeta_transform(_nonzero_gamma_rows(source, responses, covariates)).tolist()
     return [
         (d, a, b)
         for d in responses.masks_by_cardinality()

@@ -7,20 +7,19 @@ models can be selected margin by margin, size by size, each margin
 inheriting the zero constraints already selected for its sub-margins and
 testing only its own top-order association row.  The *backward* procedure
 starts from the model with no covariate interactions (for two or more
-covariates) and removes non-significant coefficients in stages, higher
-response orders first.
+covariates) and removes non-significant coefficients in two fixed stages:
+rows in the upper half of the response-subset sizes, then all rows.
 
 Within a margin or stage, all coefficients failing the Wald threshold are
-zeroed in one batch and the model is refitted; by default this repeats
-until no further coefficient fails (so the reported model contains only
-significant terms), and ``refit_rounds=1`` gives the single-batch variant.
+zeroed in one batch and the model is refitted.  This repeats until no
+further coefficient fails, so the reported model contains only significant
+terms; only the first backward stage stops after one batch.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -77,18 +76,17 @@ class SelectionTrace:
 
 def _drop_rounds(spec: ModelSpec, data: CountTable, alpha: float, candidate_rows: set[int],
                  sizes: set[int] | None, options: FitOptions,
-                 refit_rounds: int | None) -> tuple[ModelSpec, FitResult, list[tuple[int, int]], str | None]:
+                 single_batch: bool = False) -> tuple[ModelSpec, FitResult, list[tuple[int, int]], str | None]:
     """Batch-drop non-significant coefficients and refit, up to a fixpoint.
 
     Only coefficients whose row is in ``candidate_rows`` (and, if given,
-    whose row cardinality is in ``sizes``) may be dropped.  On a fit
-    failure the previous model is kept and the error is reported.
+    whose row cardinality is in ``sizes``) may be dropped.  With
+    ``single_batch`` one batch is dropped and refitted, and no more.  On a
+    fit failure the previous model is kept and the error is reported.
     """
     result = fit(spec, data, options)
     dropped: list[tuple[int, int]] = []
-    rounds = 0
-    while refit_rounds is None or rounds < refit_rounds:
-        rounds += 1
+    while True:
         flagged = [
             (d, e)
             for (d, e, _est, _se, p) in _free_stats(result)
@@ -105,6 +103,8 @@ def _drop_rounds(spec: ModelSpec, data: CountTable, alpha: float, candidate_rows
             return spec, result, dropped, f"refit after dropping {len(flagged)} coefficients failed: {exc}"
         spec, result = trial, trial_fit
         dropped.extend(flagged)
+        if single_batch:
+            break
     return spec, result, dropped, None
 
 
@@ -117,8 +117,7 @@ def _free_stats(result: FitResult):
 
 
 def forward_margin_selection(data: CountTable, link: str = "lml", alpha: float = 0.05,
-                             options: FitOptions | None = None,
-                             refit_rounds: int | None = None) -> SelectionTrace:
+                             options: FitOptions | None = None) -> SelectionTrace:
     """Select a model margin by margin, in increasing response-subset size.
 
     Requires the log-mean-linear link: its upward compatibility is what
@@ -149,8 +148,7 @@ def forward_margin_selection(data: CountTable, link: str = "lml", alpha: float =
         spec = ModelSpec(link, frozenset(inherited))
         try:
             spec, result, dropped_margin, err = _drop_rounds(
-                spec, margin, alpha, candidate_rows={top}, sizes=None,
-                options=options, refit_rounds=refit_rounds,
+                spec, margin, alpha, candidate_rows={top}, sizes=None, options=options,
             )
         except (DataError, ConvergenceError, BoundaryError) as exc:
             steps.append(SelectionStep(
@@ -172,17 +170,15 @@ def forward_margin_selection(data: CountTable, link: str = "lml", alpha: float =
 
 
 def backward_staged_selection(data: CountTable, link: str = "lml", alpha: float = 0.05,
-                              stages: Sequence[Sequence[int]] | None = None,
-                              options: FitOptions | None = None,
-                              refit_rounds: int | None = None) -> SelectionTrace:
+                              options: FitOptions | None = None) -> SelectionTrace:
     """Select a model by staged backward elimination from the top.
 
-    Stage 1 fits the model with every top-order covariate-interaction
+    The start fits the model with every top-order covariate-interaction
     column zeroed (all coefficients with |E| = q, when q ≥ 2; the saturated
-    model otherwise).  Each following stage zeroes the non-significant
-    coefficients among response rows of the listed sizes and refits; the
-    default stages are the upper half of the sizes first, then everything,
-    repeated until no coefficient fails the threshold.
+    model otherwise).  The first stage zeroes the non-significant
+    coefficients among response rows in the upper half of the sizes and
+    refits once; the second does so among all rows, repeated until no
+    coefficient fails the threshold.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
@@ -202,18 +198,12 @@ def backward_staged_selection(data: CountTable, link: str = "lml", alpha: float 
         spec=spec, fit=result, dropped=(),
     )]
 
-    if stages is None:
-        high = [k for k in range(1, p + 1) if k > p / 2]
-        stage_sizes: list[set[int] | None] = [set(high), None]  # None = all sizes
-    else:
-        stage_sizes = [set(s) for s in stages] + [None]
-
-    for i, sizes in enumerate(stage_sizes):
+    high = {k for k in range(1, p + 1) if k > p / 2}
+    for sizes in (high, None):   # None = all sizes
         last = sizes is None
         spec, result, dropped, err = _drop_rounds(
             spec, data, alpha, candidate_rows=all_rows, sizes=sizes,
-            options=options,
-            refit_rounds=(refit_rounds if last else (refit_rounds or 1)),
+            options=options, single_batch=not last,
         )
         if last:
             label = "drop remaining non-significant"
@@ -271,7 +261,7 @@ def average_effects(fit_result: FitResult, data: CountTable, u: str) -> list[Ave
             warnings.warn(f"no observations for any pattern of size {k}; skipping its average effect")
             continue
         w = {d: raw[d] / total for d in members}
-        estimate = float(sum(w[d] * beta.entry(d, u_mask) for d in members))
+        estimate = float(sum(w[d] * beta.values[d, u_mask] for d in members))
         if fit_result.covariance is not None:
             wvec = np.zeros(len(fit_result.free_index))
             for d in members:

@@ -2,19 +2,23 @@
 
 Everything here is written with explicit subset loops, row-by-row and
 entry-by-entry code and generic optimizers on purpose: no fast transforms,
-no shared code with the package internals beyond data containers.  Four
+no shared code with the package internals beyond data containers.  Five
 exceptions reuse package pieces: the finite-difference Hessian oracle
 differentiates the package's analytic score (itself checked against
 differences of the log-likelihood), the Gram-matrix Hessian oracle builds
 the same quantity from the package's transforms by another route, the
 start-point oracle builds every candidate from the package's own maps
 before checking any, so the lazy search must return the same vector bit for
-bit, and the single-entry risk functions (``log_relative_risk`` and its
-kin) sum with ``lmlreg.risk._background_sums`` over ``reference_coeffs``,
-so a risk report's entries must equal them bit for bit.
+bit, the single-entry risk functions (``log_relative_risk`` and its kin)
+sum with ``lmlreg.risk._background_sums`` over ``reference_coeffs``, so a
+risk report's entries must equal them bit for bit, and the tolerance scan of a fitted coefficient matrix (``fitted_response_independencies``)
+uses the package's transforms and lists splits with
+``lmlreg.risk._bipartitions``, in the order the package lists them.
 
-The dense zeta and Möbius matrices (the reference for every transform) and
-the single-entry risk functions are test references, not package API.
+The dense zeta and Möbius matrices (the reference for every transform), the
+single-entry risk functions, the closed-form saturated fit
+(``empirical_pi``) and the tolerance scan are test references, not package
+API.
 """
 
 from __future__ import annotations
@@ -32,7 +36,9 @@ from lmlreg.inference import (CountTable, DataError, LogLikelihood, ModelSpec, _
                               induced_mu_stats)
 from lmlreg.lattice import SubsetLattice, compress_mask, mobius_transform, zeta_transform
 from lmlreg.params import ParamMatrix, beta_from_pi, mu_values_from_beta
-from lmlreg.risk import _background_sums, reference_coeffs
+from lmlreg.risk import _background_sums, _bipartitions, reference_coeffs
+
+FITTED_ZERO_TOL = 1e-8
 
 
 @functools.lru_cache(maxsize=None)
@@ -100,6 +106,29 @@ def oracle_pi_from_beta(beta: np.ndarray, link: str, p: int, q: int) -> np.ndarr
 def oracle_loglik(counts: np.ndarray, pi: np.ndarray) -> float:
     mask = counts > 0
     return float(np.sum(counts[mask] * np.log(pi[mask])))
+
+
+def empirical_pi(table: CountTable, smooth: float | None = None) -> ParamMatrix:
+    """Per-column observed proportions, optionally with +eps smoothing.
+
+    This is the closed-form maximum of a saturated fit.  Raises DataError if
+    any cell (or column) is empty and no smoothing is requested, since the
+    result would not be a valid pi matrix.
+    """
+    counts = table.counts.astype(float)
+    if smooth is not None:
+        counts = counts + float(smooth)
+    totals = counts.sum(axis=0)
+    if np.any(totals <= 0):
+        e = int(np.argwhere(totals <= 0)[0, 0])
+        raise DataError(f"covariate cell {table.covariates.format_mask(e)} has no observations")
+    if np.any(counts <= 0):
+        d, e = (int(x) for x in np.argwhere(counts <= 0)[0])
+        raise DataError(
+            f"observed cell (D={table.responses.format_mask(d)}, "
+            f"E={table.covariates.format_mask(e)}) is empty; use smoothing to proceed"
+        )
+    return ParamMatrix("pi", table.responses, table.covariates, counts / totals)
 
 
 def oracle_empirical_start(spec: ModelSpec, data: CountTable) -> np.ndarray:
@@ -346,6 +375,27 @@ def oracle_response_independencies(spec: ModelSpec, p: int, q: int) -> list[tupl
             if b and all(dp in zero_rows for dp in subsets_of(d) if dp & a and dp & b):
                 out.append((d, a, b))
     return sorted(out, key=lambda t: (t[0].bit_count(), _bits(t[0]), t[1]))
+
+
+def fitted_response_independencies(beta: ParamMatrix,
+                                   tol: float = FITTED_ZERO_TOL) -> list[tuple[int, int, int]]:
+    """Splits (D, A, B) whose straddling gamma rows of a fitted coefficient
+    matrix (``beta_mu`` or ``beta_gamma``) are all within ``tol`` of zero."""
+    values = beta.values
+    if beta.kind == "beta_mu":
+        values = mobius_transform(values, axis=0)
+    elif beta.kind != "beta_gamma":
+        raise ValueError(f"expected beta_mu or beta_gamma, got kind {beta.kind!r}")
+    rows = (~np.all(np.abs(values) <= tol, axis=1)).astype(float)
+    rows[0] = 0.0
+    below = zeta_transform(rows).tolist()
+    return [
+        (d, a, b)
+        for d in beta.rows.masks_by_cardinality()
+        if d.bit_count() >= 2
+        for a, b in _bipartitions(d)
+        if below[d] - below[a] - below[b] == 0
+    ]
 
 
 def oracle_covariate_independencies(spec: ModelSpec, p: int, q: int) -> list[tuple[int, int]]:

@@ -29,6 +29,7 @@ from lmlreg.selection import (
 from conftest import record_acceptance_line
 from oracles import (
     brute_force_max_loglik,
+    empirical_pi,
     log_reference_rr,
     log_relative_risk,
     mobius_matrix,
@@ -186,7 +187,7 @@ def test_c04_saturated_closed_form():
     for i in range(50):
         p, q = shapes[i % len(shapes)]
         t = positive_table(p, q, 100 + i)
-        emp = t.empirical_pi()
+        emp = empirical_pi(t)
         for link in ("lm", "lml"):
             res = fit(ModelSpec(link), t)
             closed = beta_from_pi(emp, link)

@@ -33,6 +33,7 @@ from lmlreg.params import (BoundaryError, ParamMatrix, beta_from_pi, beta_mu_fro
 
 from oracles import (
     brute_force_max_loglik,
+    empirical_pi,
     central_difference_hessian,
     oracle_gram_hessian,
     oracle_independence_mu,
@@ -108,12 +109,12 @@ class TestCountTable:
         V, U = lattices(1, 1)
         t = CountTable(V, U, np.array([[3, 0], [1, 0]], dtype=np.int64))
         with pytest.raises(DataError, match="x0"):
-            t.empirical_pi()
+            empirical_pi(t)
 
     def test_empirical_pi_smoothing(self):
         V, U = lattices(1, 1)
         t = CountTable(V, U, np.array([[3, 5], [1, 0]], dtype=np.int64))
-        pi = t.empirical_pi(smooth=0.5)
+        pi = empirical_pi(t, smooth=0.5)
         assert pi.values[1, 1] == pytest.approx(0.5 / 6.0)
         assert np.allclose(pi.values.sum(axis=0), 1.0)
 
@@ -154,13 +155,13 @@ class TestModelSpec:
 class TestLoglik:
     def test_matches_direct_formula(self):
         t = random_table(2, 2, 3)
-        pi = t.empirical_pi(smooth=0.5)
+        pi = empirical_pi(t, smooth=0.5)
         assert loglik(pi, t) == pytest.approx(
             oracle_loglik(t.counts.astype(float), pi.values), rel=1e-12)
 
     def test_empirical_pi_maximizes(self):
         t = random_table(2, 1, 4)
-        base = loglik(t.empirical_pi(), t)
+        base = loglik(empirical_pi(t), t)
         rng = np.random.default_rng(5)
         for _ in range(10):
             raw = rng.gamma(1.0, size=(4, 2))
@@ -175,7 +176,7 @@ class TestSaturatedFit:
         res = fit(ModelSpec(link), t)
         assert res.converged
         assert res.iterations == 0
-        emp = t.empirical_pi()
+        emp = empirical_pi(t)
         assert np.max(np.abs(res.pi_hat.values - emp.values)) < 1e-10
         assert res.deviance == pytest.approx(0.0, abs=1e-8)
         assert res.df == 0
@@ -185,7 +186,7 @@ class TestSaturatedFit:
         t = random_table(2, 2, 7)
         for link in ("lm", "lml"):
             res = fit(ModelSpec(link), t)
-            closed = beta_from_pi(t.empirical_pi(), link)
+            closed = beta_from_pi(empirical_pi(t), link)
             assert np.max(np.abs(res.beta_hat.values - closed.values)) < 1e-8
 
     def test_zero_cell_needs_smoothing(self):
@@ -196,7 +197,7 @@ class TestSaturatedFit:
             fit(ModelSpec("lml"), t)
         res = fit(ModelSpec("lml"), t, FitOptions(smooth=0.5))
         assert res.converged
-        smoothed = t.empirical_pi(smooth=0.5)
+        smoothed = empirical_pi(t, smooth=0.5)
         assert np.max(np.abs(res.pi_hat.values - smoothed.values)) < 1e-10
 
     def test_constrained_fit_tolerates_zero_cells(self):
@@ -544,6 +545,38 @@ class TestMissingCells:
         # the interaction column is unidentifiable once cell {x0,x1} is gone
         assert all(e == 3 for _, e in res.unidentified)
         assert len(res.unidentified) == 3
+
+    def test_unidentified_scan_matches_loop_and_builds_one_likelihood(self, monkeypatch):
+        # cells {x0,x1}, {x0,x2} and {x0,x1,x2} empty: every E holding x0 and
+        # another covariate is reached by no observed cell
+        V, U = lattices(2, 3)
+        counts = np.random.default_rng(15).integers(10, 200, size=(4, 8))
+        counts[:, [3, 5, 7]] = 0
+        t = CountTable(V, U, counts)
+        spec = ModelSpec("lml", frozenset({(3, 3), (3, 6), (1, 7)}))
+        observed = [e for e in range(8) if e not in (3, 5, 7)]
+        expected = tuple((d, e) for d, e in spec.free_positions(V, U)
+                         if not any(obs & e == e for obs in observed))
+        likelihoods, validations = [], []
+        validate_for = ModelSpec.validate_for
+
+        def counted_validate_for(self, responses, covariates):
+            validations.append(self)
+            return validate_for(self, responses, covariates)
+
+        class CountedLikelihood(LogLikelihood):
+            def __init__(self, *args, **kwargs):
+                likelihoods.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(ModelSpec, "validate_for", counted_validate_for)
+        monkeypatch.setattr(lmlreg.inference, "LogLikelihood", CountedLikelihood)
+        res = fit(spec, t, FitOptions(allow_missing_cells=True))
+        assert res.unidentified == expected
+        assert (3, 5) in expected and (3, 3) not in expected
+        assert len(likelihoods) == 1
+        assert len(validations) <= 2
+        assert res.free_index == tuple(likelihoods[0].free)
 
 
 class TestInducedMu:

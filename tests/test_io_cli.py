@@ -5,13 +5,19 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lmlreg
+import lmlreg.inference
 from lmlreg import cli
 from lmlreg import io as lio
 from lmlreg.cli import main
@@ -19,7 +25,8 @@ from lmlreg.inference import CountTable, DataError, FitOptions, ModelSpec, fit, 
 from lmlreg.io import (ConfigError, Raw, Records, Tokens, fixed_floats, json_floats,
                        json_strings, parse_labels)
 from lmlreg.lattice import SubsetLattice
-from lmlreg.params import ParamMatrix, beta_from_pi, gamma_from_mu, mu_from_pi, pi_from_beta
+from lmlreg.params import (ParamMatrix, beta_from_pi, gamma_from_mu, mu_from_gamma, mu_from_pi,
+                           pi_from_beta, pi_from_mu)
 from lmlreg.risk import risk_report
 from lmlreg.selection import (average_effects, backward_staged_selection,
                               forward_margin_selection)
@@ -592,6 +599,22 @@ class TestCliRisk:
         assert pair.split("\t")[-1] == "yes"
 
 
+    def test_spec_validated_twice(self, workdir, capsys, monkeypatch):
+        tmp_path, _, data_path = workdir
+        zeros = tmp_path / "zeros.txt"
+        zeros.write_text("{b,c};{h}\n")
+        calls = []
+        validate_for = ModelSpec.validate_for
+
+        def counted_validate_for(self, responses, covariates):
+            calls.append(self)
+            return validate_for(self, responses, covariates)
+
+        monkeypatch.setattr(ModelSpec, "validate_for", counted_validate_for)
+        assert main(["risk", *base_args(data_path), "--zeros", str(zeros)]) == 0
+        assert len(calls) == 2
+
+
 class TestCliSimulate:
     def test_deterministic_counts_output(self, workdir, capsys):
         _, beta_path, _ = workdir
@@ -700,6 +723,83 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "warning: no observations" in captured.err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["fit", "--input", "{data}", "--format", "counts", "--covariates", "h"],
+         "--responses is required"),
+        (["fit", "--input", "{data}", "--format", "counts", "--responses", "b,c"],
+         "--covariates is required"),
+        (["fit", "--responses", "b,c", "--covariates", "h"],
+         "--input is required for this command"),
+        (["fit", "--input", "{data}", "--format", "counts", "--responses", "b,c",
+          "--covariates", "h,k,l,m,n"], "at most 4 covariates are supported, got 5"),
+        (["fit", "--input", "{data}", "--format", "counts", "--responses", "b,c",
+          "--covariates", "h", "--smooth", "0"], "--smooth must be positive, got 0.0"),
+        (["simulate", "--input", "{beta}", "--responses", "b,c", "--covariates", "h",
+          "--totals", "10,x"], "--totals must be integers, got '10,x'"),
+        (["simulate", "--input", "{beta}", "--responses", "b,c", "--covariates", "h",
+          "--totals", "10,-1"], "--totals must be nonnegative"),
+        (["plot-data", "--input", "{pair}", "--responses", "b",
+          "--covariates", "h,k"], "--effect is required when there is more than one covariate"),
+    ], ids=["responses", "covariates", "input", "five-covariates", "smooth-zero",
+            "totals-not-integers", "totals-negative", "effect"])
+    def test_config_error_messages(self, workdir, capsys, argv, message):
+        tmp_path, beta_path, data_path = workdir
+        pair = tmp_path / "pair.csv"
+        pair.write_text("b,h,k\n" + "".join(f"{b},{e & 1},{e >> 1}\n"
+                                             for b in (0, 1) for e in range(4)))
+        files = {"{data}": data_path, "{beta}": beta_path, "{pair}": str(pair)}
+        assert main([files.get(arg, arg) for arg in argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_non_convergence_is_a_numerical_error(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "chest.csv").write_text(
+            "cough,fever,exposed,count\n0,0,0,610\n1,0,0,180\n0,1,0,140\n1,1,0,70\n"
+            "0,0,1,350\n1,0,1,240\n0,1,1,210\n1,1,1,200\n")
+        (tmp_path / "zeros.txt").write_text("{cough,fever};{exposed}\n")
+        monkeypatch.setattr(lmlreg.inference, "MAX_ITER", 1)
+        argv = ["fit", "--input", str(tmp_path / "chest.csv"), "--format", "counts",
+                "--responses", "cough,fever", "--covariates", "exposed",
+                "--zeros", str(tmp_path / "zeros.txt")]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: fit did not converge in 1 iterations "
+                                       "(gradient norm ")
+
+    def test_closed_output_exits_1_silently(self, workdir, capsys, monkeypatch):
+        tmp_path, beta_path, _ = workdir
+        sink = (tmp_path / "sink").open("wb")
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return sink.fileno()
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["transform", "--input", beta_path, "--kind", "beta_gamma",
+                     "--responses", "b,c", "--covariates", "h"]) == 1
+        assert capsys.readouterr().err == ""
+        # the stream's descriptor now writes to os.devnull
+        os.write(sink.fileno(), b"late flush")
+        sink.close()
+        assert (tmp_path / "sink").read_bytes() == b""
+
+    def test_closed_pipe_ends_the_process_silently(self, workdir):
+        """A reader that stops after one line (``| head -1``) gets exit code 1, no message."""
+        _, beta_path, _ = workdir
+        argv = ["simulate", "--input", beta_path, "--responses", "b,c", "--covariates", "h",
+                "--totals", "200000", "--seed", "1", "--format", "cases"]
+        env = {**os.environ, "PYTHONPATH": str(Path(lmlreg.__file__).parents[1])}
+        proc = subprocess.Popen([sys.executable, "-m", "lmlreg.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"b,c,h\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+        assert err == b""
+
     def test_argparse_usage_error_exits_2(self, workdir):
         _, beta_path, data_path = workdir
         matrix_args = ["--input", beta_path, "--responses", "b,c", "--covariates", "h"]
@@ -798,8 +898,7 @@ class TestJsonCommandsMatchPerValueRenderers:
         return V, U, beta, data, tmp, args, data_args
 
     @staticmethod
-    def derived(beta: ParamMatrix) -> dict:
-        pi = pi_from_beta(beta, "lml")
+    def derived(pi: ParamMatrix) -> dict:
         mu = mu_from_pi(pi)
         return {"pi": pi, "mu": mu, "gamma": gamma_from_mu(mu),
                 "beta_mu": beta_from_pi(pi, "lm"), "beta_gamma": beta_from_pi(pi, "lml")}
@@ -814,15 +913,33 @@ class TestJsonCommandsMatchPerValueRenderers:
         V, U, beta, _, tmp, args, _ = uni_case
         assert main(["transform", "--input", str(tmp / "beta.csv"), *args,
                      "--kind", "beta_gamma", "--out", "json"]) == 0
-        want = oracle_transform_json_stdout(self.derived(beta))
+        want = oracle_transform_json_stdout(self.derived(pi_from_beta(beta, "lml")))
         assert capsys.readouterr().out.encode() == want.encode()
 
     def test_transform_tsv(self, uni_case, capsys):
         V, U, beta, _, tmp, args, _ = uni_case
         assert main(["transform", "--input", str(tmp / "beta.csv"), *args,
                      "--kind", "beta_gamma"]) == 0
-        want = oracle_transform_tsv_stdout(self.derived(beta))
+        want = oracle_transform_tsv_stdout(self.derived(pi_from_beta(beta, "lml")))
         assert capsys.readouterr().out.encode() == want.encode()
+
+    @pytest.mark.parametrize("out", ["tsv", "json"])
+    @pytest.mark.parametrize("kind", ["pi", "mu", "gamma"])
+    def test_transform_from_kind(self, uni_case, capsys, kind, out):
+        """The other input scales reach pi by their own route, then print alike."""
+        V, U, beta, _, tmp, args, _ = uni_case
+        given = self.derived(pi_from_beta(beta, "lml"))[kind]
+        path = tmp / f"{kind}.csv"
+        with path.open("w", encoding="utf-8") as f:
+            lio.write_param_matrix(given, f)
+        if kind == "pi":
+            pi = given
+        else:
+            pi = pi_from_mu(given if kind == "mu" else mu_from_gamma(given))
+        oracle = oracle_transform_json_stdout if out == "json" else oracle_transform_tsv_stdout
+        assert main(["transform", "--input", str(path), *args, "--kind", kind,
+                     "--out", out]) == 0
+        assert capsys.readouterr().out.encode() == oracle(self.derived(pi)).encode()
 
     @pytest.mark.parametrize("method,link", [("forward", "lml"), ("backward", "lml"),
                                              ("backward", "lm")])

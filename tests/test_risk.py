@@ -26,6 +26,7 @@ from lmlreg.risk import (
 )
 
 from oracles import (
+    fitted_response_independencies,
     log_reference_rr,
     log_relative_risk,
     log_relative_risk_from_mu,
@@ -192,7 +193,7 @@ class TestBlockProduct:
     def test_independencies_recovered_from_gamma_matrix(self):
         pi = block_product_pi(1, 2, 1, 23)
         bg = beta_from_pi(pi, "lml")
-        found = implied_response_independencies(bg)
+        found = fitted_response_independencies(bg)
         assert (0b011, 0b001, 0b010) in found
         assert (0b101, 0b001, 0b100) in found
         assert (0b111, 0b001, 0b110) in found
@@ -202,10 +203,10 @@ class TestBlockProduct:
         pi = block_product_pi(1, 1, 1, 24)
         extended = block_product_pi(2, 1, 1, 24)  # not fully independent
         bg = beta_from_pi(pi, "lml")
-        found = implied_response_independencies(bg)
+        found = fitted_response_independencies(bg)
         assert found == [(3, 1, 2)]
         # the (y0,y1)-block split shows up for every straddling pattern
-        assert implied_response_independencies(beta_from_pi(extended, "lml")) == [
+        assert fitted_response_independencies(beta_from_pi(extended, "lml")) == [
             (0b101, 0b001, 0b100), (0b110, 0b010, 0b100), (0b111, 0b011, 0b100)]
 
 
@@ -344,6 +345,12 @@ class TestImpliedResponseIndependencies:
         with pytest.raises(ValueError, match="lattices"):
             implied_response_independencies(spec)
 
+    def test_coefficient_matrix_source_rejected(self):
+        bg = beta_from_pi(block_product_pi(1, 1, 1, 35), "lml")
+        for args in ((bg,), (bg, bg.rows, bg.cols)):
+            with pytest.raises(TypeError, match="ModelSpec or FitResult"):
+                implied_response_independencies(*args)
+
     def test_fit_result_uses_its_structural_spec(self):
         V, U = lattices(2, 1)
         rng = np.random.default_rng(34)
@@ -355,10 +362,10 @@ class TestImpliedResponseIndependencies:
         pi = block_product_pi(1, 1, 1, 35)
         bg = beta_from_pi(pi, "lml")
         noisy = bg.with_values(bg.values + 1e-10 * np.sign(np.random.default_rng(0).normal(size=bg.values.shape)))
-        assert implied_response_independencies(noisy) == [(3, 1, 2)]
+        assert fitted_response_independencies(noisy) == [(3, 1, 2)]
         shifted = np.array(bg.values)
         shifted[3] += 1e-3
-        assert implied_response_independencies(bg.with_values(shifted)) == []
+        assert fitted_response_independencies(bg.with_values(shifted)) == []
 
     def test_triple_split_requires_all_straddling_rows(self):
         V, U = lattices(3, 1)

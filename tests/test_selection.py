@@ -12,7 +12,6 @@ from lmlreg.presets import single_covariate_preset, two_covariate_preset
 from lmlreg.selection import (
     CI_Z,
     AverageEffect,
-    SelectionTrace,
     _free_stats,
     average_effects,
     backward_staged_selection,
@@ -131,14 +130,6 @@ class TestForward:
         assert by_scope[("y0", "y1")].dropped == ((3, 0), (3, 1))
         assert trace.zero_set == frozenset({(3, 0), (3, 1)})
 
-    def test_single_batch_variant_returns_consistent_trace(self):
-        preset = single_covariate_preset()
-        data = simulate(preset.beta_gamma, "lml", preset.column_totals, seed=1000)
-        trace = forward_margin_selection(data, refit_rounds=1)
-        assert isinstance(trace, SelectionTrace)
-        assert trace.final_fit.spec == trace.final_spec
-        assert trace.zero_set == frozenset(trace.final_spec.zero_set)
-
 
 class TestBackward:
     def test_alpha_validated(self):
@@ -176,13 +167,6 @@ class TestBackward:
         trace = backward_staged_selection(data)
         assert trace.zero_set == preset.spec.zero_set
         assert trace.final_fit.converged
-
-    def test_custom_stages_accepted(self):
-        preset = single_covariate_preset()
-        data = simulate(preset.beta_gamma, "lml", preset.column_totals, seed=1000)
-        trace = backward_staged_selection(data, stages=[[4], [3, 2]])
-        assert len(trace.steps) == 4  # start + two listed stages + final sweep
-        assert trace.final_fit.spec == trace.final_spec
 
     def test_lm_link_supported(self):
         t = random_table(2, 1, 9)
