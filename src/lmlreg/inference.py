@@ -14,7 +14,9 @@ halving whenever a step would leave the valid region (some implied cell
 probability ≤ 0) or decrease the log-likelihood.  The step is the plain
 Newton step when a Cholesky factorisation shows the Hessian negative
 definite; otherwise its eigenvalues, taken in magnitude, give an ascent
-direction.
+direction.  There is one direction per iteration: the fit stops
+unconverged when the Hessian or the direction is not finite, the
+direction does not ascend, or ``MAX_HALVINGS`` halvings find no step.
 
 The likelihood keeps one evaluation state, for the point it saw last: the
 chain β → μ → π, validity and the value, with the score terms added on the
@@ -39,7 +41,6 @@ from .lattice import SubsetLattice, mobius_transform, zeta_transform
 from .params import (
     BoundaryError,
     ParamMatrix,
-    beta_from_pi,
     beta_kind_for_link,
     beta_mu_from_beta_gamma,
     check_link,
@@ -255,7 +256,6 @@ class LogLikelihood:
         # Columns with no observations contribute nothing to the likelihood,
         # so validity (pi > 0) is only required where there is data.
         self._col_observed = self.counts.sum(axis=0) > 0
-        self._all_observed = bool(self._col_observed.all())
         self._point: _Point | None = None
         # Gather tables of the Hessian (see fd_hessian): signs and pi rows of
         # j over the distinct free rows d and the response patterns D, and
@@ -296,7 +296,7 @@ class LogLikelihood:
             return point
         mu = mu_values_from_beta(self.beta_values(x), self.link)
         pi = mobius_transform(mu, axis=0, supersets=True)
-        check = pi if self._all_observed else pi[:, self._col_observed]
+        check = pi[:, self._col_observed]
         valid = bool(np.all(np.isfinite(check)) and not np.any(check <= 0.0))
         value = _loglik_values(self.counts, pi) if valid else -np.inf
         self._point = point = _Point(key, mu, pi, valid, value)
@@ -328,12 +328,7 @@ class LogLikelihood:
             raise BoundaryError("derivatives requested outside the valid region")
         if point.grad is None:
             pi = point.pi
-            if self._all_observed:
-                r = self.counts / pi
-            else:
-                r = np.zeros_like(pi)
-                obs = self._col_observed
-                r[:, obs] = self.counts[:, obs] / pi[:, obs]
+            r = np.divide(self.counts, pi, out=np.zeros_like(pi), where=self._col_observed)
             a = mobius_transform(r, axis=0) * point.mu
             if self.link == "lml":
                 a = zeta_transform(a, axis=0, supersets=True)
@@ -450,56 +445,47 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
     while not converged and iterations < MAX_ITER:
         iterations += 1
         hess = ll.fd_hessian(x)
-        gnorm = float(np.max(np.abs(grad)))
-
-        directions: list[np.ndarray] = []
-        if np.isfinite(hess).all():
-            try:
-                # -H = L Lᵀ exists iff the Hessian is negative definite, and
-                # then the step is the plain Newton step.  numpy has no
-                # triangular solve, so the factor only decides; scipy's
-                # cho_solve runs in scipy's own LAPACK copy and adds ~1 MB
-                # to peak memory.
-                neg = -hess
-                np.linalg.cholesky(neg)
-                cand = np.linalg.solve(neg, grad)
-            except np.linalg.LinAlgError:
-                # Curvature-magnitude Newton: with eigenpairs (lam_i, q_i) of
-                # the Hessian, step sum_i (q_i'g / max(|lam_i|, floor)) q_i.
-                # This is the Newton step above whenever the Hessian is
-                # negative definite, and it remains an ascent direction
-                # through saddle regions where solving H d = -g would point
-                # along the positive-curvature axis and stall the line search.
-                evals, evecs = np.linalg.eigh(hess)
-                floor = 1e-8 * max(1.0, float(np.max(np.abs(evals))))
-                scale = np.maximum(np.abs(evals), floor)
-                cand = evecs @ ((evecs.T @ grad) / scale)
-            size = float(np.max(np.abs(cand)))
-            if size > MAX_STEP:
-                cand = cand * (MAX_STEP / size)
-            directions.append(cand)
-        directions.append(grad / max(1.0, gnorm))
+        if not np.isfinite(hess).all():
+            break
+        try:
+            # -H = L Lᵀ exists iff the Hessian is negative definite, and
+            # then the step is the plain Newton step.  numpy has no
+            # triangular solve, so the factor only decides; scipy's
+            # cho_solve runs in scipy's own LAPACK copy and adds ~1 MB
+            # to peak memory.
+            neg = -hess
+            np.linalg.cholesky(neg)
+            direction = np.linalg.solve(neg, grad)
+        except np.linalg.LinAlgError:
+            # Curvature-magnitude Newton: with eigenpairs (lam_i, q_i) of
+            # the Hessian, step sum_i (q_i'g / max(|lam_i|, floor)) q_i.
+            # This is the Newton step above whenever the Hessian is
+            # negative definite, and it remains an ascent direction
+            # through saddle regions where solving H d = -g would point
+            # along the positive-curvature axis and stall the line search.
+            evals, evecs = np.linalg.eigh(hess)
+            floor = 1e-8 * max(1.0, float(np.max(np.abs(evals))))
+            scale = np.maximum(np.abs(evals), floor)
+            direction = evecs @ ((evecs.T @ grad) / scale)
+        size = float(np.max(np.abs(direction)))
+        if size > MAX_STEP:
+            direction = direction * (MAX_STEP / size)
+        if not np.isfinite(direction).all() or float(direction @ grad) <= 0.0:
+            break
 
         # the accept threshold must scale with |loglik|: near the optimum the
         # true improvement is below one ulp and an absolute cutoff would
         # reject the final Newton steps as float noise
         accept_tol = 1e-12 * max(1.0, abs(value))
-        moved = False
-        for direction in directions:
-            if not np.isfinite(direction).all() or float(direction @ grad) <= 0.0:
-                continue
-            step = 1.0
-            for _ in range(MAX_HALVINGS + 1):
-                candidate = x + step * direction
-                cand_value = ll.value(candidate)
-                if np.isfinite(cand_value) and cand_value >= value - accept_tol:
-                    x, value = candidate, cand_value
-                    moved = True
-                    break
-                step /= 2.0
-            if moved:
+        step = 1.0
+        for _ in range(MAX_HALVINGS + 1):
+            candidate = x + step * direction
+            cand_value = ll.value(candidate)
+            if np.isfinite(cand_value) and cand_value >= value - accept_tol:
+                x, value = candidate, cand_value
                 break
-        if not moved:
+            step /= 2.0
+        else:
             break
         grad = ll.gradient(x)
         converged = bool(np.max(np.abs(grad), initial=0.0) <= GRAD_TOL)
@@ -568,7 +554,7 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
 
 def _starting_point(ll: LogLikelihood, data: CountTable) -> np.ndarray | None:
     """First valid start among: projected empirical fit, independence, uniform."""
-    return next((x for x in _start_candidates(ll, data) if ll.pi_values(x) is not None), None)
+    return next((x for x in _start_candidates(ll, data) if ll._at(x).valid), None)
 
 
 def _start_candidates(ll: LogLikelihood, data: CountTable) -> Iterator[np.ndarray]:
@@ -576,14 +562,20 @@ def _start_candidates(ll: LogLikelihood, data: CountTable) -> Iterator[np.ndarra
     smoothed = ll.counts
     totals = smoothed.sum(axis=0)
     if np.all(totals > 0) and np.all(smoothed > 0):
-        emp = ParamMatrix("pi", data.responses, data.covariates, smoothed / totals)
-        yield ll.free_of(beta_from_pi(emp, ll.link).values)
-
+        yield _free_from_mu(ll, zeta_transform(smoothed / totals, axis=0, supersets=True))
     for counts in (smoothed, np.ones_like(smoothed)):
-        theta = np.log(_independence_mu(counts, data.responses.ground_size))
-        if ll.link == "lml":
-            theta = mobius_transform(theta, axis=0)
-        yield ll.free_of(mobius_transform(theta, axis=-1))
+        yield _free_from_mu(ll, _independence_mu(counts, data.responses.ground_size))
+
+
+def _free_from_mu(ll: LogLikelihood, mu: np.ndarray) -> np.ndarray:
+    """The free coefficients of a mean matrix, by the transforms of ``beta_from_pi``.
+
+    log mu, then Möbius down columns (lml only) and Möbius along rows.
+    """
+    theta = np.log(mu)
+    if ll.link == "lml":
+        theta = mobius_transform(theta, axis=0)
+    return ll.free_of(mobius_transform(theta, axis=-1))
 
 
 def wald_tests(fit_result: FitResult) -> list[tuple[int, int, float, float, float]]:

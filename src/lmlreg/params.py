@@ -219,8 +219,8 @@ def mu_values_from_beta(beta_values: np.ndarray, link: str) -> np.ndarray:
 def pi_values_from_beta(beta_values: np.ndarray, link: str) -> np.ndarray:
     """Coefficients -> cell probabilities, without positivity checks.
 
-    Used by the optimizer's line search, which only needs to know whether
-    any cell went non-positive.
+    Nothing in ``src/`` calls it; it stays because ``bench/spans.py`` wraps
+    it by name for the traced run.
     """
     return mobius_transform(mu_values_from_beta(beta_values, link), axis=0, supersets=True)
 

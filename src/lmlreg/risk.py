@@ -23,7 +23,7 @@ import numpy as np
 
 from .inference import FitResult, ModelSpec
 from .lattice import SubsetLattice, iter_submasks, mobius_transform, zeta_transform
-from .params import ParamMatrix, beta_gamma_from_beta_mu
+from .params import ParamMatrix, beta_gamma_from_beta_mu, beta_mu_from_beta_gamma
 
 
 def reference_coeffs(beta_mu: ParamMatrix) -> ParamMatrix:
@@ -85,7 +85,7 @@ def risk_report(fit_result: FitResult) -> RiskReport:
     beta = fit_result.beta_hat
     if beta.kind == "beta_gamma":
         bgamma = beta
-        bmu = beta.with_values(zeta_transform(beta.values, axis=0), "beta_mu")
+        bmu = beta_mu_from_beta_gamma(beta)
         gamma_zeros = fit_result.spec.zero_set
     else:
         bmu = beta

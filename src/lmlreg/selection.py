@@ -116,19 +116,17 @@ def _free_stats(result: FitResult):
         yield d, e, float(result.estimates[i]), float(result.std_errors[i]), p
 
 
-def forward_margin_selection(data: CountTable, link: str = "lml", alpha: float = 0.05,
+def forward_margin_selection(data: CountTable, alpha: float = 0.05,
                              options: FitOptions | None = None) -> SelectionTrace:
     """Select a model margin by margin, in increasing response-subset size.
 
-    Requires the log-mean-linear link: its upward compatibility is what
+    Always fits the log-mean-linear link: its upward compatibility is what
     makes the per-margin estimates consistent with the joint model.  For
     each D (size 1, then 2, ...) the marginal table of Y_D is fitted with
     all constraints selected for sub-margins of D, and the coefficients of
     the top row (the D-association itself) with Wald p > alpha are zeroed.
     The union of all selected zeros defines the final joint model.
     """
-    if link != "lml":
-        raise ValueError("forward margin selection requires the lml link (margin-consistent terms)")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     options = options or FitOptions()
@@ -145,7 +143,7 @@ def forward_margin_selection(data: CountTable, link: str = "lml", alpha: float =
             for (dz, e) in joint_zeros
             if dz & d_joint == dz
         }
-        spec = ModelSpec(link, frozenset(inherited))
+        spec = ModelSpec("lml", frozenset(inherited))
         try:
             spec, result, dropped_margin, err = _drop_rounds(
                 spec, margin, alpha, candidate_rows={top}, sizes=None, options=options,
@@ -163,7 +161,7 @@ def forward_margin_selection(data: CountTable, link: str = "lml", alpha: float =
             dropped=tuple(sorted_pairs(dropped_joint)), scope=labels, error=err,
         ))
 
-    final_spec = ModelSpec(link, frozenset(joint_zeros))
+    final_spec = ModelSpec("lml", frozenset(joint_zeros))
     final_fit = fit(final_spec, data, options)
     steps.append(SelectionStep(label="joint", spec=final_spec, fit=final_fit, dropped=()))
     return SelectionTrace(tuple(steps), final_spec, final_fit)

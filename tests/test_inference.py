@@ -522,6 +522,55 @@ class TestNewtonStep:
         np.testing.assert_allclose(got.estimates, want.estimates, rtol=0, atol=1e-8)
         assert got.loglik == pytest.approx(want.loglik, rel=1e-12)
 
+    def test_non_finite_hessian_stops_unconverged(self, monkeypatch):
+        spec, data = random_constrained_spec(3, 2, 5), random_table(3, 2, 5)
+        monkeypatch.setattr(LogLikelihood, "fd_hessian",
+                            lambda self, x: np.full((x.size, x.size), np.nan))
+        result = fit(spec, data)
+        assert not result.converged and result.iterations == 1
+        assert result.singular_information and result.covariance is None
+
+    def test_a_direction_that_does_not_ascend_stops_unconverged(self, monkeypatch):
+        spec, data = random_constrained_spec(3, 2, 5), random_table(3, 2, 5)
+        start = _starting_point(LogLikelihood(spec, data), data)
+        real_solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: -real_solve(a, b))
+        result = fit(spec, data)
+        assert not result.converged and result.iterations == 1
+        assert np.array_equal(result.estimates, start)
+
+
+class TestSingularInformation:
+    """When the information matrix has no usable inverse, the fit has no SEs."""
+
+    @pytest.mark.parametrize("inverse", ["raises", "non-finite", "negative-variance"])
+    def test_branches(self, monkeypatch, inverse):
+        spec, data = random_constrained_spec(3, 2, 5), random_table(3, 2, 5)
+        want = fit(spec, data)
+        real_inv = np.linalg.inv
+
+        def broken_inv(a):
+            if inverse == "raises":
+                raise np.linalg.LinAlgError("Singular matrix")
+            out = real_inv(a)
+            if inverse == "non-finite":
+                out[0, 1] = np.nan
+            else:
+                out[0, 0] = -out[0, 0]
+            return out
+
+        monkeypatch.setattr(np.linalg, "inv", broken_inv)
+        got = fit(spec, data)
+        assert got.singular_information and not want.singular_information
+        assert got.converged and np.array_equal(got.estimates, want.estimates)
+        if inverse == "negative-variance":
+            assert got.covariance is not None
+            assert np.isnan(got.std_errors[0]) and np.isnan(got.wald_p[0])
+            assert np.array_equal(got.std_errors[1:], want.std_errors[1:])
+        else:
+            assert got.covariance is None
+            assert np.isnan(got.std_errors).all() and np.isnan(got.wald_p).all()
+
 
 class TestMissingCells:
     def make_table_with_empty_column(self):
@@ -627,6 +676,16 @@ class TestIndependenceStart:
 
 class TestStartingPoint:
     """The lazy candidate search returns the eager search's start bit for bit."""
+
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    def test_empirical_start_is_beta_from_pi_bit_for_bit(self, link):
+        for p, q, seed in [(1, 1, 40), (2, 2, 41), (3, 1, 42), (4, 2, 43)]:
+            t = random_table(p, q, seed)
+            ll = LogLikelihood(random_constrained_spec(p, q, seed, link), t)
+            emp = ParamMatrix("pi", t.responses, t.covariates, ll.counts / ll.counts.sum(axis=0))
+            assert np.all(t.counts > 0)
+            assert np.array_equal(next(_start_candidates(ll, t)),
+                                  ll.free_of(beta_from_pi(emp, link).values))
 
     @pytest.mark.parametrize("link", ["lm", "lml"])
     def test_matches_eager_oracle(self, link):

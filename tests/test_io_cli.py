@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import lmlreg
 import lmlreg.inference
+import lmlreg.selection
 from lmlreg import cli
 from lmlreg import io as lio
 from lmlreg.cli import main
@@ -578,6 +579,22 @@ class TestCliSelect:
         assert obj["steps"][0]["label"] == "margin {b}"
 
 
+    def test_a_failed_margin_prints_its_error(self, workdir, capsys, monkeypatch):
+        _, _, data_path = workdir
+        real_fit = lmlreg.selection.fit
+
+        def failing_fit(spec, data, options=None):
+            if data.responses.labels == ("c",):
+                raise DataError("zero observed cell in a saturated fit")
+            return real_fit(spec, data, options)
+
+        monkeypatch.setattr(lmlreg.selection, "fit", failing_fit)
+        assert main(["select", *base_args(data_path), "--method", "forward"]) == 0
+        out = capsys.readouterr().out
+        assert ("\n# step 2: margin {c}\n# error: zero observed cell in a saturated fit\n"
+                "# dropped: (none)\n\n# step 3: margin {b,c}\n") in out
+
+
 class TestCliRisk:
     def test_table_shape(self, workdir, capsys):
         _, _, data_path = workdir
@@ -682,6 +699,34 @@ class TestCliPlotData:
         assert main(["plot-data", *base_args(data_path), "--effect", "zz"]) == 2
 
 
+# Config errors by case: argv ({data}, {beta} and {pair} name input files)
+# and the message main prints before exiting 2
+CONFIG_ERRORS = {
+    "responses": (["fit", "--input", "{data}", "--format", "counts", "--covariates", "h"],
+                  "--responses is required"),
+    "covariates": (["fit", "--input", "{data}", "--format", "counts", "--responses", "b,c"],
+                   "--covariates is required"),
+    "input": (["fit", "--responses", "b,c", "--covariates", "h"],
+              "--input is required for this command"),
+    "five-covariates": (["fit", "--input", "{data}", "--format", "counts", "--responses", "b,c",
+                         "--covariates", "h,k,l,m,n"],
+                        "at most 4 covariates are supported, got 5"),
+    "smooth-zero": (["fit", "--input", "{data}", "--format", "counts", "--responses", "b,c",
+                     "--covariates", "h", "--smooth", "0"], "--smooth must be positive, got 0.0"),
+    "totals-not-integers": (["simulate", "--input", "{beta}", "--responses", "b,c",
+                             "--covariates", "h", "--totals", "10,x"],
+                            "--totals must be integers, got '10,x'"),
+    "totals-negative": (["simulate", "--input", "{beta}", "--responses", "b,c",
+                         "--covariates", "h", "--totals", "10,-1"],
+                        "--totals must be nonnegative"),
+    "effect": (["plot-data", "--input", "{pair}", "--responses", "b", "--covariates", "h,k"],
+               "--effect is required when there is more than one covariate"),
+    "forward-lm": (["select", "--input", "{data}", "--format", "counts", "--responses", "b,c",
+                    "--covariates", "h", "--method", "forward", "--link", "lm"],
+                   "forward margin selection requires the lml link (margin-consistent terms)"),
+}
+
+
 class TestExitCodes:
     def test_config_errors(self, workdir):
         _, _, data_path = workdir
@@ -723,25 +768,7 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "warning: no observations" in captured.err
 
-    @pytest.mark.parametrize("argv, message", [
-        (["fit", "--input", "{data}", "--format", "counts", "--covariates", "h"],
-         "--responses is required"),
-        (["fit", "--input", "{data}", "--format", "counts", "--responses", "b,c"],
-         "--covariates is required"),
-        (["fit", "--responses", "b,c", "--covariates", "h"],
-         "--input is required for this command"),
-        (["fit", "--input", "{data}", "--format", "counts", "--responses", "b,c",
-          "--covariates", "h,k,l,m,n"], "at most 4 covariates are supported, got 5"),
-        (["fit", "--input", "{data}", "--format", "counts", "--responses", "b,c",
-          "--covariates", "h", "--smooth", "0"], "--smooth must be positive, got 0.0"),
-        (["simulate", "--input", "{beta}", "--responses", "b,c", "--covariates", "h",
-          "--totals", "10,x"], "--totals must be integers, got '10,x'"),
-        (["simulate", "--input", "{beta}", "--responses", "b,c", "--covariates", "h",
-          "--totals", "10,-1"], "--totals must be nonnegative"),
-        (["plot-data", "--input", "{pair}", "--responses", "b",
-          "--covariates", "h,k"], "--effect is required when there is more than one covariate"),
-    ], ids=["responses", "covariates", "input", "five-covariates", "smooth-zero",
-            "totals-not-integers", "totals-negative", "effect"])
+    @pytest.mark.parametrize("argv, message", CONFIG_ERRORS.values(), ids=CONFIG_ERRORS.keys())
     def test_config_error_messages(self, workdir, capsys, argv, message):
         tmp_path, beta_path, data_path = workdir
         pair = tmp_path / "pair.csv"
@@ -751,20 +778,56 @@ class TestExitCodes:
         assert main([files.get(arg, arg) for arg in argv]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    def test_non_convergence_is_a_numerical_error(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv, message", CONFIG_ERRORS.values(), ids=CONFIG_ERRORS.keys())
+    @pytest.mark.parametrize("source", ["missing", "malformed", "empty-cell"])
+    def test_config_errors_come_before_any_read(self, tmp_path, capsys, argv, message, source):
+        """An input that would fail to read (exit 3) or warn does not precede a config error."""
+        path = tmp_path / "input.csv"
+        if source == "malformed":
+            path.write_text("b,c,h\n1,0,2\n")
+        elif source == "empty-cell":
+            path.write_text("b,h,k\n0,0,0\n1,1,0\n0,0,1\n")   # no case in cell {h,k}
+        assert main([str(path) if arg.startswith("{") else arg for arg in argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @staticmethod
+    def chest_fit_argv(tmp_path) -> list[str]:
+        """README's chest table with one zero constraint, so the start is not the optimum."""
         (tmp_path / "chest.csv").write_text(
             "cough,fever,exposed,count\n0,0,0,610\n1,0,0,180\n0,1,0,140\n1,1,0,70\n"
             "0,0,1,350\n1,0,1,240\n0,1,1,210\n1,1,1,200\n")
         (tmp_path / "zeros.txt").write_text("{cough,fever};{exposed}\n")
-        monkeypatch.setattr(lmlreg.inference, "MAX_ITER", 1)
-        argv = ["fit", "--input", str(tmp_path / "chest.csv"), "--format", "counts",
+        return ["fit", "--input", str(tmp_path / "chest.csv"), "--format", "counts",
                 "--responses", "cough,fever", "--covariates", "exposed",
                 "--zeros", str(tmp_path / "zeros.txt")]
-        assert main(argv) == 4
+
+    def test_non_convergence_is_a_numerical_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(lmlreg.inference, "MAX_ITER", 1)
+        assert main(self.chest_fit_argv(tmp_path)) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: fit did not converge in 1 iterations "
                                        "(gradient norm ")
+
+    def test_non_finite_hessian_is_a_numerical_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(lmlreg.inference.LogLikelihood, "fd_hessian",
+                            lambda self, x: np.full((x.size, x.size), np.nan))
+        assert main(self.chest_fit_argv(tmp_path)) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: fit did not converge in 1 iterations "
+                                       "(gradient norm ")
+
+    def test_singular_information_is_a_note(self, tmp_path, capsys, monkeypatch):
+        def no_inverse(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(lmlreg.inference.np.linalg, "inv", no_inverse)
+        assert main(self.chest_fit_argv(tmp_path)) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        notes = [ln for ln in captured.out.splitlines() if ln.startswith("# note:")]
+        assert notes == ["# note: observed information is singular; standard errors unavailable"]
 
     def test_closed_output_exits_1_silently(self, workdir, capsys, monkeypatch):
         tmp_path, beta_path, _ = workdir
@@ -906,7 +969,7 @@ class TestJsonCommandsMatchPerValueRenderers:
     @staticmethod
     def trace(data: CountTable, method: str, link: str):
         if method == "forward":
-            return forward_margin_selection(data, link, 0.05, FitOptions())
+            return forward_margin_selection(data, 0.05, FitOptions())
         return backward_staged_selection(data, link, 0.05, options=FitOptions())
 
     def test_transform(self, uni_case, capsys):

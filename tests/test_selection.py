@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from lmlreg.inference import CountTable, FitOptions, FitResult, ModelSpec, fit, simulate
+import lmlreg.selection
+from lmlreg.inference import (ConvergenceError, CountTable, FitOptions, FitResult, ModelSpec,
+                              fit, simulate)
 from lmlreg.lattice import SubsetLattice, compress_mask
 from lmlreg.params import ParamMatrix
 from lmlreg.presets import single_covariate_preset, two_covariate_preset
@@ -60,11 +62,6 @@ class TestMarginConsistency:
 
 
 class TestForward:
-    def test_requires_lml_link(self):
-        t = random_table(2, 1, 1)
-        with pytest.raises(ValueError, match="lml"):
-            forward_margin_selection(t, link="lm")
-
     def test_alpha_validated(self):
         t = random_table(2, 1, 2)
         with pytest.raises(ValueError, match="alpha"):
@@ -129,6 +126,25 @@ class TestForward:
         assert by_scope[("y0",)].dropped == ()
         assert by_scope[("y0", "y1")].dropped == ((3, 0), (3, 1))
         assert trace.zero_set == frozenset({(3, 0), (3, 1)})
+
+    def test_a_margin_whose_fit_fails_is_recorded_and_skipped(self, monkeypatch):
+        t = random_table(2, 1, 5)
+        real_fit = lmlreg.selection.fit
+
+        def failing_fit(spec, data, options=None):
+            if data.responses.labels == ("y1",):
+                raise ConvergenceError("no valid interior starting point found")
+            return real_fit(spec, data, options)
+
+        monkeypatch.setattr(lmlreg.selection, "fit", failing_fit)
+        trace = forward_margin_selection(t, alpha=1.0)
+        step = trace.steps[1]
+        assert (step.label, step.scope) == ("margin {y1}", ("y1",))
+        assert step.fit is None and step.dropped == ()
+        assert step.error == "no valid interior starting point found"
+        assert step.deviance is None and step.df is None and step.p_value is None
+        assert [s.fit is not None for s in trace.steps] == [True, False, True, True]
+        assert trace.final_fit.converged
 
 
 class TestBackward:
