@@ -81,9 +81,9 @@ def _check_config(args: argparse.Namespace) -> tuple[SubsetLattice, SubsetLattic
     if set(responses) & set(covariates):
         clash = ", ".join(sorted(set(responses) & set(covariates)))
         raise ConfigError(f"labels used as both response and covariate: {clash}")
-    if not 0.0 < args.alpha <= 1.0:
+    if "alpha" in args and not 0.0 < args.alpha <= 1.0:
         raise ConfigError(f"--alpha must be in (0, 1], got {args.alpha}")
-    if args.smooth is not None and args.smooth <= 0:
+    if "smooth" in args and args.smooth is not None and args.smooth <= 0:
         raise ConfigError(f"--smooth must be positive, got {args.smooth}")
     try:
         V, U = SubsetLattice(responses), SubsetLattice(covariates)
@@ -92,10 +92,10 @@ def _check_config(args: argparse.Namespace) -> tuple[SubsetLattice, SubsetLattic
     if args.input is None:
         raise ConfigError("--input is required for this command")
 
-    if args.command == "select" and args.method == "forward" and args.link != "lml":
+    if "method" in args and args.method == "forward" and args.link != "lml":
         raise ConfigError("forward margin selection requires the lml link "
                           "(margin-consistent terms)")
-    if args.command == "simulate":
+    if "totals" in args:
         try:
             totals = [int(part) for part in args.totals.split(",")]
         except ValueError:
@@ -107,7 +107,7 @@ def _check_config(args: argparse.Namespace) -> tuple[SubsetLattice, SubsetLattic
         if any(n < 0 for n in totals):
             raise ConfigError("--totals must be nonnegative")
         args.totals = totals
-    if args.command == "plot-data":
+    if "effect" in args:
         if args.effect is None:
             if U.ground_size != 1:
                 raise ConfigError("--effect is required when there is more than one covariate")
@@ -445,26 +445,27 @@ def cmd_plot_data(args: argparse.Namespace, V: SubsetLattice, U: SubsetLattice) 
 # parser and dispatch
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--input", help="input data or matrix file")
-    shared.add_argument("--format", choices=("cases", "counts"), default="cases",
-                        help="shape of the input (or simulate output) data file")
-    shared.add_argument("--responses", help="comma-separated response column names")
-    shared.add_argument("--covariates", help="comma-separated covariate column names")
-    shared.add_argument("--link", choices=("lm", "lml"), default="lml",
-                        help="log-mean (lm) or log-mean-linear (lml) link")
-    shared.add_argument("--alpha", type=float, default=0.05,
-                        help="significance level for selection")
-    shared.add_argument("--smooth", type=float, nargs="?", const=0.5, default=None,
-                        help="add this constant to every cell before fitting "
-                             "(0.5 when given without a value)")
-    shared.add_argument("--zeros", help="file of D;E pairs constrained to zero")
-    shared.add_argument("--seed", type=int, help="random seed (simulate)")
-    shared.add_argument("--out", choices=("tsv", "json"), default="tsv",
-                        help="output rendering")
-    shared.add_argument("--allow-missing-cells", action="store_true",
-                        help="restrict the likelihood to observed covariate cells "
-                             "instead of failing on empty ones")
+    # each flag the commands draw on, declared once; a command takes --input,
+    # --responses, --covariates and the ones it names, and no other
+    flags = {
+        "input": dict(help="input data or matrix file"),
+        "format": dict(choices=("cases", "counts"), default="cases",
+                       help="shape of the input (or simulate output) data file"),
+        "responses": dict(help="comma-separated response column names"),
+        "covariates": dict(help="comma-separated covariate column names"),
+        "link": dict(choices=("lm", "lml"), default="lml",
+                     help="log-mean (lm) or log-mean-linear (lml) link"),
+        "alpha": dict(type=float, default=0.05, help="significance level for selection"),
+        "smooth": dict(type=float, nargs="?", const=0.5, default=None,
+                       help="add this constant to every cell before fitting "
+                            "(0.5 when given without a value)"),
+        "zeros": dict(help="file of D;E pairs constrained to zero"),
+        "seed": dict(type=int, help="random seed"),
+        "out": dict(choices=("tsv", "json"), default="tsv", help="output rendering"),
+        "allow-missing-cells": dict(action="store_true",
+                                    help="restrict the likelihood to observed covariate "
+                                         "cells instead of failing on empty ones"),
+    }
 
     parser = argparse.ArgumentParser(
         prog="lmlreg",
@@ -473,37 +474,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name: str, names: str, run, help: str) -> argparse.ArgumentParser:
+        taken = {"input", "responses", "covariates", *names.split()}
+        cmd = sub.add_parser(name, help=help)
+        for flag, spec in flags.items():
+            if flag in taken:
+                cmd.add_argument(f"--{flag}", **spec)
+        cmd.set_defaults(run=run)
+        return cmd
+
     # the cmd_* functions are read from the module each time the parser is
     # built, so one rebound on the module (the traced benchmark wraps them
     # this way) is the one that runs
-    sub.add_parser("fit", parents=[shared],
-                   help="fit one model and print coefficients").set_defaults(run=cmd_fit)
-    tr = sub.add_parser("transform", parents=[shared],
-                        help="convert a parameter matrix between scales")
+    fit_flags = "format link zeros smooth allow-missing-cells out"
+    command("fit", fit_flags, cmd_fit, "fit one model and print coefficients")
+    tr = command("transform", "out", cmd_transform, "convert a parameter matrix between scales")
     tr.add_argument("--kind", required=True, choices=_TRANSFORM_INPUT_KINDS,
                     help="scale of the input matrix")
-    tr.set_defaults(run=cmd_transform)
-    se = sub.add_parser("select", parents=[shared], help="stepwise model selection")
+    se = command("select", "format link alpha smooth allow-missing-cells out", cmd_select,
+                 "stepwise model selection")
     se.add_argument("--method", choices=("forward", "backward"), default="forward",
                     help="per-margin forward inclusion or staged backward elimination")
-    se.set_defaults(run=cmd_select)
-    ri = sub.add_parser("risk", parents=[shared],
-                        help="relative risks and reference relative risks of a fitted model")
-    ri.set_defaults(run=cmd_risk)
-    si = sub.add_parser("simulate", parents=[shared],
-                        help="draw data from a model given as a parameter matrix")
+    command("risk", fit_flags, cmd_risk,
+            "relative risks and reference relative risks of a fitted model")
+    si = command("simulate", "format link seed", cmd_simulate,
+                 "draw data from a model given as a parameter matrix")
     si.add_argument("--kind", default=None, choices=_TRANSFORM_INPUT_KINDS,
                     help="scale of the input matrix (default: the link's coefficients)")
     si.add_argument("--totals", required=True,
                     help="observations per covariate cell: one value for all "
                          "cells or a comma list in cell order")
-    si.set_defaults(run=cmd_simulate)
-    pl = sub.add_parser("plot-data", parents=[shared],
-                        help="average-effect confidence-interval series for both links")
+    pl = command("plot-data", "format smooth allow-missing-cells out", cmd_plot_data,
+                 "average-effect confidence-interval series for both links")
     pl.add_argument("--effect", default=None,
                     help="covariate whose average effect is plotted "
                          "(default: the only covariate)")
-    pl.set_defaults(run=cmd_plot_data)
     return parser
 
 

@@ -45,6 +45,7 @@ from .params import (
     beta_mu_from_beta_gamma,
     check_link,
     mu_values_from_beta,
+    pi_from_beta,
 )
 
 
@@ -53,7 +54,7 @@ class DataError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """No valid interior starting point could be found."""
+    """No valid interior starting point was found, or a fit did not converge."""
 
 
 # Newton iteration limits: iterations, the score's sup-norm at convergence,
@@ -590,8 +591,6 @@ def wald_tests(fit_result: FitResult) -> list[tuple[int, int, float, float, floa
 def simulate(beta: ParamMatrix, link: str, column_totals: Sequence[int],
              seed: int | None = None) -> CountTable:
     """Draw one multinomial sample per covariate cell from the implied pi."""
-    from .params import pi_from_beta
-
     pi = pi_from_beta(beta, link)
     totals = np.asarray(column_totals, dtype=np.int64)
     if totals.shape != (beta.cols.size,):

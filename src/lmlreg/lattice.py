@@ -139,42 +139,6 @@ def iter_submasks(mask: int) -> Iterator[int]:
     return iter(reversed(subs))
 
 
-def compress_mask(mask: int, within: int) -> int:
-    """Re-index ``mask ⊆ within`` onto the sub-lattice spanned by ``within``.
-
-    Bits of ``within`` are renumbered 0,1,... in increasing position; the
-    result is the mask of the same members in that smaller ground set.
-    """
-    out = 0
-    j = 0
-    pos = 0
-    w = within
-    while w:
-        if w & 1:
-            if mask >> pos & 1:
-                out |= 1 << j
-            j += 1
-        w >>= 1
-        pos += 1
-    return out
-
-
-def expand_mask(mask: int, within: int) -> int:
-    """Inverse of :func:`compress_mask`: embed a sub-lattice mask back."""
-    out = 0
-    j = 0
-    pos = 0
-    w = within
-    while w:
-        if w & 1:
-            if mask >> j & 1:
-                out |= 1 << pos
-            j += 1
-        w >>= 1
-        pos += 1
-    return out
-
-
 def _butterfly(x: np.ndarray, axis: int, supersets: bool, op: np.ufunc) -> np.ndarray:
     """Yates' in-place butterfly shared by both transforms, on a float copy of x.
 

@@ -33,7 +33,7 @@ from .inference import (
     fit,
     sorted_pairs,
 )
-from .lattice import compress_mask, expand_mask, zeta_transform
+from .lattice import zeta_transform
 from .params import BoundaryError
 
 CI_Z = 1.96  # normal quantile used for all reported 95% intervals
@@ -139,7 +139,7 @@ def forward_margin_selection(data: CountTable, alpha: float = 0.05,
         margin = data.marginalize(labels)
         top = margin.responses.size - 1
         inherited = {
-            (compress_mask(dz, d_joint), e)
+            (margin.responses.mask_of(V.members(dz)), e)
             for (dz, e) in joint_zeros
             if dz & d_joint == dz
         }
@@ -154,7 +154,7 @@ def forward_margin_selection(data: CountTable, alpha: float = 0.05,
                 dropped=(), scope=labels, error=str(exc),
             ))
             continue
-        dropped_joint = [(expand_mask(d, d_joint), e) for d, e in dropped_margin]
+        dropped_joint = [(V.mask_of(margin.responses.members(d)), e) for d, e in dropped_margin]
         joint_zeros.update(dropped_joint)
         steps.append(SelectionStep(
             label=f"margin {V.format_mask(d_joint)}", spec=spec, fit=result,

@@ -34,7 +34,7 @@ from scipy import optimize
 
 from lmlreg.inference import (CountTable, DataError, LogLikelihood, ModelSpec, _independence_mu,
                               induced_mu_stats)
-from lmlreg.lattice import SubsetLattice, compress_mask, mobius_transform, zeta_transform
+from lmlreg.lattice import SubsetLattice, mobius_transform, zeta_transform
 from lmlreg.params import ParamMatrix, beta_from_pi, mu_values_from_beta
 from lmlreg.risk import _background_sums, _bipartitions, reference_coeffs
 
@@ -59,6 +59,14 @@ def subsets_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
+def signed_supersets_of(mask: int, size: int) -> tuple[tuple[int, float], ...]:
+    """Every superset of ``mask`` below ``size``, in increasing order, with its
+    Möbius sign; memoised like :func:`subsets_of`."""
+    return tuple((h, -1.0 if (h ^ mask).bit_count() % 2 else 1.0)
+                 for h in range(size) if h & mask == mask)
+
+
 def zeta_matrix(lattice: SubsetLattice) -> np.ndarray:
     """Z with entry 1 at (E, H) iff E ⊆ H, else 0."""
     m = np.arange(lattice.size)
@@ -75,28 +83,27 @@ def mobius_matrix(lattice: SubsetLattice) -> np.ndarray:
 
 
 def oracle_pi_from_beta(beta: np.ndarray, link: str, p: int, q: int) -> np.ndarray | None:
-    """Cell probabilities from regression coefficients, by explicit loops."""
+    """Cell probabilities from regression coefficients, by explicit loops.
+
+    The loops run over nested lists of floats, which add exactly as numpy's
+    float64 scalars do, at a fraction of the cost of indexing an array.
+    """
     nrow, ncol = 2**p, 2**q
-    theta = np.zeros((nrow, ncol))
-    for d in range(nrow):
-        for cell in range(ncol):
-            theta[d, cell] = sum(beta[d, e] for e in subsets_of(cell))
+    b = beta.tolist()
+    theta = [[sum(b[d][e] for e in subsets_of(cell)) for cell in range(ncol)]
+             for d in range(nrow)]
     if link == "lm":
         logmu = theta
     else:
-        logmu = np.zeros_like(theta)
-        for d in range(nrow):
-            for cell in range(ncol):
-                logmu[d, cell] = sum(theta[h, cell] for h in subsets_of(d))
-    mu = np.exp(logmu)
-    pi = np.zeros_like(mu)
+        logmu = [[sum(theta[h][cell] for h in subsets_of(d)) for cell in range(ncol)]
+                 for d in range(nrow)]
+    mu = np.exp(np.array(logmu)).tolist()
+    pi = np.zeros((nrow, ncol))
     for d in range(nrow):
         for cell in range(ncol):
             total = 0.0
-            for h in range(nrow):
-                if h & d == d:
-                    sign = -1.0 if (h ^ d).bit_count() % 2 else 1.0
-                    total += sign * mu[h, cell]
+            for h, sign in signed_supersets_of(d, nrow):
+                total += sign * mu[h][cell]
             pi[d, cell] = total
     if np.any(pi <= 0):
         return None
@@ -498,10 +505,12 @@ def oracle_read_count_data(source, responses: SubsetLattice, covariates: SubsetL
 
 def oracle_marginalize(table: CountTable, labels) -> np.ndarray:
     """Margin counts by a loop over every response pattern, re-indexed one at a time."""
-    keep_mask = table.responses.mask_of(labels)
-    out = np.zeros((1 << keep_mask.bit_count(), table.covariates.size), dtype=np.int64)
-    for m in range(table.responses.size):
-        out[compress_mask(m & keep_mask, keep_mask)] += table.counts[m]
+    V = table.responses
+    keep_mask = V.mask_of(labels)
+    margin = SubsetLattice(V.members(keep_mask))
+    out = np.zeros((margin.size, table.covariates.size), dtype=np.int64)
+    for m in range(V.size):
+        out[margin.mask_of(V.members(m & keep_mask))] += table.counts[m]
     return out
 
 

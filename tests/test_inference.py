@@ -491,6 +491,45 @@ class TestConstrainedFit:
         assert np.allclose(res.pi_hat.values.sum(axis=0), 1.0, atol=1e-9)
 
 
+class TestInvariance:
+    """A fit on a small table with positive counts, under relabelling and rescaling."""
+
+    @staticmethod
+    def case(p: int, q: int, seed: int, link: str) -> tuple[CountTable, ModelSpec]:
+        V, U = lattices(p, q)
+        counts = np.random.default_rng(seed).integers(1, 200, size=(V.size, U.size))
+        return CountTable(V, U, counts), random_constrained_spec(p, q, seed, link)
+
+    @given(st.integers(1, 3), st.integers(1, 2), st.integers(0, 10**6),
+           st.sampled_from(["lm", "lml"]), st.integers(2, 50))
+    @settings(max_examples=25, deadline=None)
+    def test_scaling_the_counts(self, p, q, seed, link, k):
+        """k times every count: the same estimates, standard errors over sqrt(k)."""
+        data, spec = self.case(p, q, seed, link)
+        base = fit(spec, data)
+        scaled = fit(spec, CountTable(data.responses, data.covariates, k * data.counts))
+        assert base.converged and scaled.converged
+        np.testing.assert_allclose(scaled.estimates, base.estimates, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(scaled.std_errors, base.std_errors / np.sqrt(k), rtol=1e-6)
+
+    @given(st.integers(1, 3), st.integers(1, 2), st.integers(0, 10**6),
+           st.sampled_from(["lm", "lml"]), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_permuting_the_responses(self, p, q, seed, link, draw):
+        """Responses listed in another order: every coefficient moves with its subset."""
+        data, spec = self.case(p, q, seed, link)
+        V, U = data.responses, data.covariates
+        W = SubsetLattice(draw.draw(st.permutations(V.labels)))
+        move = [W.mask_of(V.members(d)) for d in range(V.size)]   # row of each V mask in W
+        counts = np.empty_like(data.counts)
+        counts[move] = data.counts
+        moved_spec = ModelSpec(link, frozenset((move[d], e) for d, e in spec.zero_set))
+        base, moved = fit(spec, data), fit(moved_spec, CountTable(W, U, counts))
+        assert base.converged and moved.converged
+        np.testing.assert_allclose(moved.beta_hat.values[move], base.beta_hat.values,
+                                   rtol=0, atol=1e-8)
+
+
 class TestNewtonStep:
     """The Newton step is a Cholesky-checked solve; the eigenvalue step is the fallback."""
 

@@ -724,13 +724,33 @@ CONFIG_ERRORS = {
     "forward-lm": (["select", "--input", "{data}", "--format", "counts", "--responses", "b,c",
                     "--covariates", "h", "--method", "forward", "--link", "lm"],
                    "forward margin selection requires the lml link (margin-consistent terms)"),
+    "alpha": (["select", "--input", "{data}", "--format", "counts", "--responses", "b,c",
+               "--covariates", "h", "--alpha", "7"], "--alpha must be in (0, 1], got 7.0"),
 }
 
 
+# The flags a command does not read, and a value to pass each one
+UNREAD_FLAGS = {
+    "fit": ["--alpha", "--seed"],
+    "risk": ["--alpha", "--seed"],
+    "select": ["--zeros", "--seed"],
+    "transform": ["--format", "--link", "--alpha", "--smooth", "--zeros", "--seed",
+                  "--allow-missing-cells"],
+    "simulate": ["--alpha", "--smooth", "--zeros", "--out", "--allow-missing-cells"],
+    "plot-data": ["--link", "--alpha", "--zeros", "--seed"],
+}
+FLAG_VALUES = {"--format": ["counts"], "--link": ["lm"], "--alpha": ["0.5"], "--smooth": [],
+               "--zeros": ["missing.txt"], "--seed": ["9"], "--out": ["json"],
+               "--allow-missing-cells": []}
+# the flags each command requires besides --input, --responses and --covariates
+REQUIRED_FLAGS = {"transform": ["--kind", "beta_gamma"], "simulate": ["--totals", "10"]}
+
+
 class TestExitCodes:
-    def test_config_errors(self, workdir):
+    def test_config_errors(self, workdir, capsys):
         _, _, data_path = workdir
-        assert main(["fit", *base_args(data_path), "--alpha", "7"]) == 2
+        assert main(["select", *base_args(data_path), "--alpha", "7"]) == 2
+        assert capsys.readouterr().err == "error: --alpha must be in (0, 1], got 7.0\n"
         assert main(["fit", "--input", data_path, "--format", "counts",
                      "--responses", "b,c", "--covariates", "b"]) == 2
         many = ",".join(f"r{i}" for i in range(9))
@@ -873,6 +893,20 @@ class TestExitCodes:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command, flag", [(command, flag)
+                                               for command, flags in UNREAD_FLAGS.items()
+                                               for flag in flags])
+    def test_unread_flag_is_a_usage_error(self, tmp_path, capsys, command, flag):
+        """A flag the command does not read exits 2 through argparse, before any read."""
+        argv = [command, "--input", str(tmp_path / "missing.csv"), "--responses", "b,c",
+                "--covariates", "h", *REQUIRED_FLAGS.get(command, [])]
+        assert main(argv) == 3   # without the flag, the missing input is the error
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, *FLAG_VALUES[flag]])
+        assert exc.value.code == 2
+        assert f"error: unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestCliMatchesEntryByEntryRenderers:

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from lmlreg.lattice import (
     SubsetLattice,
-    compress_mask,
-    expand_mask,
     iter_submasks,
     mobius_transform,
     zeta_transform,
@@ -99,11 +97,6 @@ class TestSubmaskIteration:
         assert len(subs) == 2 ** mask.bit_count()
         assert subs == sorted(subs)
         assert all(s & mask == s for s in subs)
-
-    def test_compress_expand_round_trip(self):
-        within = 0b1101
-        for sub in iter_submasks(within):
-            assert expand_mask(compress_mask(sub, within), within) == sub
 
 
 class TestDenseMatrices:

@@ -8,7 +8,7 @@ import pytest
 import lmlreg.selection
 from lmlreg.inference import (ConvergenceError, CountTable, FitOptions, FitResult, ModelSpec,
                               fit, simulate)
-from lmlreg.lattice import SubsetLattice, compress_mask
+from lmlreg.lattice import SubsetLattice
 from lmlreg.params import ParamMatrix
 from lmlreg.presets import single_covariate_preset, two_covariate_preset
 from lmlreg.selection import (
@@ -99,13 +99,14 @@ class TestForward:
         for step in trace.steps:
             if step.scope is None:
                 continue
-            d_joint = data.responses.mask_of(step.scope)
+            V, margin = data.responses, SubsetLattice(step.scope)
+            d_joint = V.mask_of(step.scope)
             expected = {
-                (compress_mask(dz, d_joint), e)
+                (margin.mask_of(V.members(dz)), e)
                 for (dz, e) in selected
                 if dz & d_joint == dz
             }
-            own = {(compress_mask(dz, d_joint), e) for (dz, e) in step.dropped}
+            own = {(margin.mask_of(V.members(dz)), e) for (dz, e) in step.dropped}
             assert set(step.spec.zero_set) == expected | own
             assert step.fit is not None and step.fit.df == len(step.spec.zero_set)
             selected.update(step.dropped)
