@@ -32,6 +32,7 @@ transform of a Jacobian-sized array is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -140,9 +141,11 @@ class ModelSpec:
         return not self.zero_set
 
     def validate_for(self, responses: SubsetLattice, covariates: SubsetLattice) -> "ModelSpec":
-        for d, e in self.zero_set:
-            responses.check_mask(d)
-            covariates.check_mask(e)
+        """Check that every constrained (D, E) lies in the lattices; ValueError if not."""
+        if self.zero_set:
+            # masks are nonnegative, so the largest of each side is the one to test
+            responses.check_mask(max(map(itemgetter(0), self.zero_set)))
+            covariates.check_mask(max(map(itemgetter(1), self.zero_set)))
         return self
 
     def with_zeros(self, extra: Iterable[tuple[int, int]]) -> "ModelSpec":
@@ -150,9 +153,14 @@ class ModelSpec:
 
     def free_positions(self, responses: SubsetLattice, covariates: SubsetLattice) -> list[tuple[int, int]]:
         """Free (D, E) coefficient positions in canonical (|D|, D, |E|, E) order."""
-        self.validate_for(responses, covariates)
-        return sorted_pairs((d, e) for d in range(1, responses.size)
-                            for e in range(covariates.size) if (d, e) not in self.zero_set)
+        return _free_pairs(self.validate_for(responses, covariates), responses, covariates)
+
+
+def _free_pairs(spec: ModelSpec, responses: SubsetLattice,
+                covariates: SubsetLattice) -> list[tuple[int, int]]:
+    """``spec.free_positions`` of a spec already validated for the lattices."""
+    return sorted_pairs((d, e) for d in range(1, responses.size)
+                        for e in range(covariates.size) if (d, e) not in spec.zero_set)
 
 
 @dataclass(frozen=True)
@@ -250,7 +258,8 @@ class LogLikelihood:
             if smooth <= 0:
                 raise ValueError(f"smoothing epsilon must be positive, got {smooth}")
             self.counts = self.counts + float(smooth)
-        self.free: list[tuple[int, int]] = spec.free_positions(data.responses, data.covariates)
+        # the spec is validated once, by fit, which builds every likelihood
+        self.free: list[tuple[int, int]] = _free_pairs(spec, data.responses, data.covariates)
         self._rows = np.array([d for d, _ in self.free], dtype=np.intp)
         self._cols = np.array([e for _, e in self.free], dtype=np.intp)
         self.shape = (data.responses.size, data.covariates.size)
@@ -259,24 +268,28 @@ class LogLikelihood:
         self._col_observed = self.counts.sum(axis=0) > 0
         self._point: _Point | None = None
         # Gather tables of the Hessian (see fd_hessian): signs and pi rows of
-        # j over the distinct free rows d and the response patterns D, and
-        # the gradient-matrix entry of the first term for each pair of free
-        # coefficients.
+        # j over the distinct free rows d and the response patterns D; and,
+        # for each pair of free coefficients, the flat positions for one
+        # ``take`` each of the first term's gradient-matrix entry (pair row,
+        # pair column) and the second term's Gram-block entry (pair column,
+        # free row, free row).
         free_rows = np.array(sorted({d for d, _ in self.free}), dtype=np.intp)
         self._free_rows = free_rows
-        self._row_of_free = np.searchsorted(free_rows, self._rows)
         d, patterns = free_rows[:, None], np.arange(self.shape[0])[None, :]
         sign = np.where(np.bitwise_count(d & ~patterns) % 2 == 1, -1.0, 1.0)
         rows_i, rows_j = self._rows[:, None], self._rows[None, :]
         if self.link == "lm":
             self._j_sign = np.where((patterns & d) == patterns, sign, 0.0)
-            self._pair_rows = rows_i
+            pair_rows = rows_i
             self._same_row = rows_i == rows_j
         else:
             self._j_sign = sign
             self._j_index = d | patterns
-            self._pair_rows = rows_i | rows_j
-        self._pair_cols = self._cols[:, None] | self._cols[None, :]
+            pair_rows = rows_i | rows_j
+        pair_cols = self._cols[:, None] | self._cols[None, :]
+        self._first_at = pair_rows * self.shape[1] + pair_cols
+        row, nrows = np.searchsorted(free_rows, self._rows), free_rows.size
+        self._second_at = (pair_cols * nrows + row[:, None]) * nrows + row[None, :]
 
     # -- free-vector plumbing -------------------------------------------------
     def beta_values(self, x: np.ndarray) -> np.ndarray:
@@ -359,7 +372,7 @@ class LogLikelihood:
         summed over E ⊇ e∪e'.  The n x 2**p x 2**q Jacobian is never built.
         """
         point = self._derivatives(x)
-        first = point.grad[self._pair_rows, self._pair_cols]
+        first = point.grad.take(self._first_at)
         if self.link == "lml":
             # gathered from a transposed copy and signed in place: a fresh
             # (E, rows, D) array per operation costs more than the gather
@@ -372,8 +385,7 @@ class LogLikelihood:
         k = zeta_transform(k, axis=0, supersets=True)
         # the products are symmetric only up to rounding; make H exactly so
         k = (k + k.transpose(0, 2, 1)) / 2.0
-        rows = self._row_of_free
-        return first - k[self._pair_cols, rows[:, None], rows[None, :]]
+        return first - k.take(self._second_at)
 
 
 def _independence_mu(counts: np.ndarray, p: int) -> np.ndarray:

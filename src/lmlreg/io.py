@@ -2,9 +2,12 @@
 
 Count data comes in two CSV shapes: ``cases`` (one row per observation,
 one 0/1 column per response and covariate) and ``counts`` (one row per
-cell with a trailing ``count`` column).  The body is parsed once, by numpy's
-C tokenizer, into integer rows that become cell indices for one scatter; only
-when that parse refuses the input is the text read again, to name the bad line.
+cell with a trailing ``count`` column).  A cases body in the layout the
+writers emit (one-character fields, ``\\n`` after every row) is read as a
+byte matrix, checked by one vector test; any other body is parsed by
+numpy's C tokenizer.  Either way the rows become cell indices for one
+scatter; only when the parse refuses the input is the text read again, to
+name the bad line.
 Zero-set files list one constrained coefficient per line as ``D;E`` in
 brace notation, with ``#`` comments.  Coefficient matrices are CSV with a
 ``D`` label column and one column per covariate subset.
@@ -25,6 +28,7 @@ import json
 import re
 import warnings
 from dataclasses import dataclass
+from io import StringIO
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import IO, Iterable, Sequence
@@ -78,15 +82,19 @@ def read_count_data(source: str | IO[str], responses: SubsetLattice,
         # the index is y * 2**q + x, the row-major position in the table
         bits = list(covariates.labels) + list(responses.labels)
         usecols = [column[name] for name in bits + ["count"] * counted]
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)   # loadtxt on a header-only file
-                values = np.loadtxt(stream, delimiter=",", dtype=np.int64 if counted else np.int8,
-                                    comments=None, quotechar='"', usecols=usecols, ndmin=2)
-            if np.any(values < 0) or np.any(values[:, :len(bits)] > 1):
-                raise ValueError("a value is out of range")
-        except ValueError as exc:
-            raise _bad_row(source, start, needed, counted, str(exc)) from None
+        body = stream.read()
+        values = None if counted else _fixed_layout_values(body, len(header), usecols)
+        if values is None:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)   # loadtxt on a header-only file
+                    values = np.loadtxt(StringIO(body), delimiter=",",
+                                        dtype=np.int64 if counted else np.int8, comments=None,
+                                        quotechar='"', usecols=usecols, ndmin=2)
+                if np.any(values < 0) or np.any(values[:, :len(bits)] > 1):
+                    raise ValueError("a value is out of range")
+            except ValueError as exc:
+                raise _bad_row(source, start, needed, counted, str(exc)) from None
         cell = sum(np.left_shift(values[:, j], j, dtype=np.intp) for j in range(len(bits)))
         counts = np.zeros(responses.size * covariates.size, dtype=np.int64)
         np.add.at(counts, cell, values[:, -1] if counted else 1)
@@ -94,6 +102,33 @@ def read_count_data(source: str | IO[str], responses: SubsetLattice,
     finally:
         if close:
             stream.close()
+
+
+def _fixed_layout_values(body: str, width: int, usecols: list[int]) -> np.ndarray | None:
+    """The ``usecols`` values of a cases body in the layout the writers emit, else None.
+
+    In that layout every row is ``width`` one-character fields, commas
+    between them and ``\\n`` after the last, so the body is a byte matrix
+    with a digit in every even column, a comma in every odd one and the
+    newline last; the used fields must also be 0 or 1.  Any other body,
+    which the general parse reads (or rejects with its line number), gives
+    None.
+    """
+    row_bytes = 2 * width
+    if not body.isascii() or len(body) % row_bytes:
+        return None
+    rows = np.frombuffer(body.encode("ascii"), dtype=np.uint8).reshape(-1, row_bytes)
+    # byte k of a row lies in low[k] .. low[k] + span[k]; a byte below low[k]
+    # wraps round to a large uint8, so one comparison tests every byte
+    low = np.full(row_bytes, ord(","), dtype=np.uint8)
+    low[0::2] = ord("0")
+    low[-1] = ord("\n")
+    span = np.zeros(row_bytes, dtype=np.uint8)
+    span[0::2] = 9
+    if np.any(rows - low > span):
+        return None
+    values = rows[:, 2 * np.array(usecols, dtype=np.intp)] - ord("0")
+    return None if np.any(values > 1) else values
 
 
 def _bad_row(source: str | IO[str], start: int | None, needed: list[str], counted: bool,
@@ -290,20 +325,39 @@ class Records:
             raise ValueError("a record table needs at least one column, all of one length")
 
 
-# what ``float.__repr__`` of a rounded value gives where JSON wants another token
+# texts of a rounded value that JSON spells otherwise
 _FLOAT_TOKENS = {"nan": "null", "inf": "null", "-inf": "null", "-0.0": "0.0"}
 
 
 def json_floats(values, decimals: int = 6) -> list[str]:
     """JSON tokens of a numeric column, each value rounded to ``decimals`` places.
 
-    Rounding is Python's correctly rounded ``round`` (not ``np.round``, which
-    scales by 10**decimals and can move the last digit), printed by
-    ``float.__repr__`` as ``json.dumps`` prints it; zero of either sign is
-    ``0.0``, and NaN, infinities and None are ``null``.
+    Each token is what ``json.dumps`` prints for Python's correctly rounded
+    ``round(x, decimals)`` (not ``np.round``, which scales by 10**decimals
+    and can move the last digit), that is ``float.__repr__`` of it; zero of
+    either sign is ``0.0``, and NaN, infinities and None are ``null``.
+
+    It is computed as fixed-point text, ``'{:.Nf}'`` with N = ``decimals``
+    (at least 1), with trailing zeros stripped down to one digit after the
+    point: both round by the same correctly rounded conversion, and where
+    that text has at most 15 significant digits it is the shortest text of
+    the rounded value, which ``repr`` writes in fixed notation for
+    magnitudes from 1e-4 up to 1e16.  Values outside those limits,
+    0 < |x| < 1e-4 and |x| >= 10**(15 - N), take ``repr(round(x, N))``.
     """
-    col = np.asarray(values, dtype=float).ravel().tolist()
-    tokens = list(map(float.__repr__, map(round, col, repeat(decimals))))
+    if decimals < 1:
+        raise ValueError(f"decimals must be at least 1, got {decimals}")
+    arr = np.asarray(values, dtype=float).ravel()
+    mag = np.abs(arr)
+    exact = (mag < 1e-4) & (mag > 0) | (mag >= 10.0 ** (15 - decimals))
+    # each value takes one encoding, not both: probability tables and their
+    # transforms hold many values below 1e-4
+    tokens = np.empty(arr.size, dtype=object)
+    tokens[~exact] = [token + "0" if token[-1] == "." else token
+                      for token in map(str.rstrip, map(f"{{:.{decimals}f}}".format,
+                                                        arr[~exact].tolist()), repeat("0"))]
+    tokens[exact] = list(map(float.__repr__, map(round, arr[exact].tolist(), repeat(decimals))))
+    tokens = tokens.tolist()
     return list(map(_FLOAT_TOKENS.get, tokens, tokens))
 
 

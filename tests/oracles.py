@@ -15,7 +15,8 @@ risk report's entries must equal them bit for bit, and the tolerance scan of a f
 uses the package's transforms and lists splits with
 ``lmlreg.risk._bipartitions``, in the order the package lists them.
 
-The dense zeta and Möbius matrices (the reference for every transform), the
+The dense zeta and Möbius matrices (the reference for every transform, and
+the maps of the brute-force maximiser's objective), the
 single-entry risk functions, the closed-form saturated fit
 (``empirical_pi``) and the tolerance scan are test references, not package
 API.
@@ -45,8 +46,7 @@ FITTED_ZERO_TOL = 1e-8
 def subsets_of(mask: int) -> tuple[int, ...]:
     """Every submask of ``mask``, by cardinality then combination order.
 
-    Memoised: the brute-force oracle asks for the same few masks hundreds of
-    thousands of times.
+    Memoised: the loop oracles ask for the same few masks many times over.
     """
     bits = [b for b in range(mask.bit_length()) if mask >> b & 1]
     out = []
@@ -57,14 +57,6 @@ def subsets_of(mask: int) -> tuple[int, ...]:
                 m |= 1 << b
             out.append(m)
     return tuple(out)
-
-
-@functools.lru_cache(maxsize=None)
-def signed_supersets_of(mask: int, size: int) -> tuple[tuple[int, float], ...]:
-    """Every superset of ``mask`` below ``size``, in increasing order, with its
-    Möbius sign; memoised like :func:`subsets_of`."""
-    return tuple((h, -1.0 if (h ^ mask).bit_count() % 2 else 1.0)
-                 for h in range(size) if h & mask == mask)
 
 
 def zeta_matrix(lattice: SubsetLattice) -> np.ndarray:
@@ -80,34 +72,6 @@ def mobius_matrix(lattice: SubsetLattice) -> np.ndarray:
     sub = (m[:, None] & m[None, :]) == m[:, None]
     odd = np.bitwise_count(m[None, :] & ~m[:, None]) % 2 == 1
     return np.where(sub, np.where(odd, -1.0, 1.0), 0.0)
-
-
-def oracle_pi_from_beta(beta: np.ndarray, link: str, p: int, q: int) -> np.ndarray | None:
-    """Cell probabilities from regression coefficients, by explicit loops.
-
-    The loops run over nested lists of floats, which add exactly as numpy's
-    float64 scalars do, at a fraction of the cost of indexing an array.
-    """
-    nrow, ncol = 2**p, 2**q
-    b = beta.tolist()
-    theta = [[sum(b[d][e] for e in subsets_of(cell)) for cell in range(ncol)]
-             for d in range(nrow)]
-    if link == "lm":
-        logmu = theta
-    else:
-        logmu = [[sum(theta[h][cell] for h in subsets_of(d)) for cell in range(ncol)]
-                 for d in range(nrow)]
-    mu = np.exp(np.array(logmu)).tolist()
-    pi = np.zeros((nrow, ncol))
-    for d in range(nrow):
-        for cell in range(ncol):
-            total = 0.0
-            for h, sign in signed_supersets_of(d, nrow):
-                total += sign * mu[h][cell]
-            pi[d, cell] = total
-    if np.any(pi <= 0):
-        return None
-    return pi
 
 
 def oracle_loglik(counts: np.ndarray, pi: np.ndarray) -> float:
@@ -176,17 +140,21 @@ def brute_force_max_loglik(spec: ModelSpec, data: CountTable, n_starts: int = 12
     distribution (jittered for the remaining restarts); purely random
     starts sit on the invalid-region penalty plateau too often.
     """
-    p = data.responses.ground_size
-    q = data.covariates.ground_size
     free = spec.free_positions(data.responses, data.covariates)
+    rows, cols = np.array(free, dtype=np.intp).reshape(-1, 2).T
     counts = np.asarray(data.counts, dtype=float)
+    # the maps as dense matrices: theta = beta Z_U, log mu = Z_V^T theta
+    # (lml) and pi = M_V mu, independent of the library's butterfly
+    zeta_u = zeta_matrix(data.covariates)
+    zeta_v_t = zeta_matrix(data.responses).T
+    mobius_v = mobius_matrix(data.responses)
 
     def negloglik(x: np.ndarray) -> float:
-        beta = np.zeros((2**p, 2**q))
-        for value, (d, e) in zip(x, free):
-            beta[d, e] = value
-        pi = oracle_pi_from_beta(beta, spec.link, p, q)
-        if pi is None:
+        beta = np.zeros(counts.shape)
+        beta[rows, cols] = x
+        theta = beta @ zeta_u
+        pi = mobius_v @ np.exp(theta if spec.link == "lm" else zeta_v_t @ theta)
+        if np.any(pi <= 0):
             return 1e10
         return -oracle_loglik(counts, pi)
 

@@ -138,6 +138,8 @@ class TestModelSpec:
         V, U = lattices(2, 1)
         with pytest.raises(ValueError):
             ModelSpec("lml", frozenset({(9, 0)})).validate_for(V, U)
+        with pytest.raises(ValueError, match="^mask 5 out of range for ground set of size 1$"):
+            ModelSpec("lml", frozenset({(1, 0), (3, 5), (2, 1)})).validate_for(V, U)
 
     def test_free_positions_order_and_content(self):
         V, U = lattices(2, 1)

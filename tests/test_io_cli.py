@@ -159,26 +159,36 @@ class TestCountWriterAgainstRowByRowOracle:
 def messy_csv(draw):
     """A valid table written with the variations both readers must read alike:
     spaced and quoted values, spaced header names, CRLF endings, blank lines,
-    junk extra columns (quoted commas included) and any column order."""
+    junk extra columns (quoted commas included) and any column order; or, as
+    often, in the layout ``write_count_data`` emits (bare values, ``\\n`` after
+    every row, none blank), in any column order and with one-digit junk."""
     p, q = draw(st.integers(1, 3)), draw(st.integers(1, 2))
     V, U = lattices(p, q)
     fmt = draw(st.sampled_from(["cases", "counts"]))
+    canonical = draw(st.booleans())
     names = list(V.labels) + list(U.labels) + ["count"] * (fmt == "counts")
     columns = draw(st.permutations(names + [f"junk{i}" for i in range(draw(st.integers(0, 2)))]))
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
-    styles = st.sampled_from(["{}", " {}", "{} ", " {} ", "\t{}", '"{}"', '" {} "'])
-    lines = [",".join(draw(st.sampled_from(["{}", " {} "])).format(c) for c in columns)]
+    if canonical:
+        eol, styles, header_styles = "\n", st.just("{}"), st.just("{}")
+        junk, blanks, ends = ["0", "1", "7"], st.just(0), st.just("\n")
+    else:
+        eol = draw(st.sampled_from(["\n", "\r\n"]))
+        styles = st.sampled_from(["{}", " {}", "{} ", " {} ", "\t{}", '"{}"', '" {} "'])
+        header_styles = st.sampled_from(["{}", " {} "])
+        junk, blanks = ["", "zz", '"a,b"', "7", '"q""q"', "1.5"], st.integers(0, 2)
+        ends = st.sampled_from(["", eol, eol + eol])
+    lines = [",".join(draw(header_styles).format(c) for c in columns)]
     for _ in range(draw(st.integers(0, 12))):
-        lines += [""] * draw(st.integers(0, 2))
+        lines += [""] * draw(blanks)
         cells = []
         for c in columns:
             if c.startswith("junk"):
-                cells.append(draw(st.sampled_from(["", "zz", '"a,b"', "7", '"q""q"', "1.5"])))
+                cells.append(draw(st.sampled_from(junk)))
             else:
                 value = draw(st.integers(0, 40)) if c == "count" else draw(st.integers(0, 1))
                 cells.append(draw(styles).format(value))
         lines.append(",".join(cells))
-    return eol.join(lines) + draw(st.sampled_from(["", eol, eol + eol])), V, U, fmt
+    return eol.join(lines) + draw(ends), V, U, fmt
 
 
 def read_both(text: str, V, U, fmt: str):
@@ -228,6 +238,44 @@ class TestReaderAgainstRowByRowOracle:
         V, U = lattices(1, 1)
         got, want = read_both(text, V, U, "cases")
         assert got == want and got.startswith("DataError")
+
+    # three rows in the layout write_count_data emits
+    CANONICAL = "y0,y1,x0\n1,0,1\n0,1,0\n1,1,1\n"
+
+    def test_canonical_layout_skips_the_general_parse(self, monkeypatch):
+        t = small_table(5)
+        text = render_to_string(lambda s: lio.write_count_data(t, s, "cases"))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.loadtxt called on the canonical layout")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        back = lio.read_count_data(io.StringIO(text), t.responses, t.covariates, "cases")
+        assert np.array_equal(back.counts, t.counts)
+        junk = self.CANONICAL.replace("\n", ",7\n").replace("x0,7", "x0,junk")
+        back = lio.read_count_data(io.StringIO(junk), *lattices(2, 1), "cases")
+        assert back.counts.tolist() == [[0, 0], [0, 1], [1, 0], [0, 1]]
+
+    @pytest.mark.parametrize("text", [
+        CANONICAL.replace("1,0,1\n", "1,0,1\r\n"),                           # one CRLF row
+        CANONICAL.replace("0,1,0", "0.1,0"),                                 # a decimal point
+        CANONICAL[:-1],                                                      # no final newline
+        CANONICAL.replace("0,1,0", "0,2,0"),                                 # a 2
+        CANONICAL.replace("0,1,0", "0,1,7"),                                 # a 7
+        CANONICAL.replace("0,1,0\n", "0,1,0\n\n"),                           # a blank line
+        CANONICAL.replace("\n", ",0\n").replace("x0,0", "x0,junk"),          # a 0/1 junk column
+        CANONICAL.replace("\n", ",x\n").replace("x0,x", "x0,junk"),          # a letter junk column
+        CANONICAL.replace("0,1,0", '0,"1",0'),                               # a quoted value
+        CANONICAL.replace("0,1,0", "0,+,0"),                                 # a sign
+        CANONICAL.replace("0,1,0", "0,1,\u00e9"),                            # a non-ASCII value
+        CANONICAL.replace("\n", ",\u00e9\n").replace("x0,\u00e9", "x0,j"),   # ... in junk
+        CANONICAL.replace("0,1,0\n", "0,1\n"),                               # one field short
+        CANONICAL.replace("0,1,0\n", "0,1,0,1\n"),                           # one field long
+        CANONICAL.replace("0,1,0\n1,1,1\n", "0,1\n1,1,1,1\n"),               # both: the size fits
+    ])
+    def test_near_misses_of_the_canonical_layout(self, text):
+        got, want = read_both(text, *lattices(2, 1), "cases")
+        assert got == want
 
     def test_other_integer_spellings_accepted(self):
         V, U = lattices(1, 1)
@@ -444,6 +492,31 @@ class TestJsonWriter:
             assert json_floats(values, decimals) == want
             assert json_floats(np.array(values), decimals) == want
 
+    @pytest.mark.parametrize("decimals", [6, 12])
+    def test_float_tokens_at_the_fixed_point_limits(self, decimals):
+        # where repr turns to exponent form, where a value rounds to zero, where
+        # the fixed-point text passes 15 significant digits, and exact binary ties
+        edges = [1e-4, 5e-7, 5.0 * 10.0 ** -(decimals + 1), 10.0 ** (15 - decimals),
+                 1e8, 1e15, 1e16]
+        near = [float(v) for x in edges
+                for v in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf))]
+        ties = [2.0 ** -7, 3 / 128, 2.0 ** -13]
+        # past 10**(15 - N), '{:.Nf}' of these is not repr(round(x, N))
+        past_bound = [8673695546.32591, 9293.07170958056]
+        values = [sign * x for x in near + ties + past_bound for sign in (1.0, -1.0)]
+        values += [0.0, -0.0, float("nan"), float("inf"), float("-inf"), None]
+        want = [json.dumps(_oracle_json_num(x, decimals)) for x in values]
+        assert json_floats(values, decimals) == want
+        assert json_floats(np.array(values, dtype=float), decimals) == want
+
+    def test_ties_round_half_even_on_the_binary_value(self):
+        assert json_floats([2.0 ** -7, 3 / 128, -3 / 128]) == ["0.007812", "0.023438", "-0.023438"]
+        assert json_floats([2.0 ** -13], 12) == ["0.000122070312"]
+
+    def test_decimals_must_be_positive(self):
+        with pytest.raises(ValueError, match="decimals"):
+            json_floats([1.5], 0)
+
     def test_keys_need_no_escaping(self):
         records = Records({"a%s": ["1"], "%%": ["2"], '"q"': ["3"], "ü": ["4"]})
         want = [{"a%s": 1, "%%": 2, '"q"': 3, "ü": 4}]
@@ -616,7 +689,7 @@ class TestCliRisk:
         assert pair.split("\t")[-1] == "yes"
 
 
-    def test_spec_validated_twice(self, workdir, capsys, monkeypatch):
+    def test_spec_validated_once(self, workdir, capsys, monkeypatch):
         tmp_path, _, data_path = workdir
         zeros = tmp_path / "zeros.txt"
         zeros.write_text("{b,c};{h}\n")
@@ -629,7 +702,7 @@ class TestCliRisk:
 
         monkeypatch.setattr(ModelSpec, "validate_for", counted_validate_for)
         assert main(["risk", *base_args(data_path), "--zeros", str(zeros)]) == 0
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 class TestCliSimulate:
