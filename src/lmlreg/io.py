@@ -6,8 +6,8 @@ cell with a trailing ``count`` column).  A cases body in the layout the
 writers emit (one-character fields, ``\\n`` after every row) is read as a
 byte matrix, checked by one vector test; any other body is parsed by
 numpy's C tokenizer.  Either way the rows become cell indices for one
-scatter; only when the parse refuses the input is the text read again, to
-name the bad line.
+scatter; only when the parse refuses the input is the text, held in
+memory, rescanned to name the bad line.
 Zero-set files list one constrained coefficient per line as ``D;E`` in
 brace notation, with ``#`` comments.  Coefficient matrices are CSV with a
 ``D`` label column and one column per covariate subset.
@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 import warnings
 from dataclasses import dataclass
 from io import StringIO
-from itertools import repeat
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -51,10 +52,27 @@ def parse_labels(text: str, what: str) -> tuple[str, ...]:
     return labels
 
 
-def _open_read(source: str | IO[str]) -> tuple[IO[str], bool]:
-    if isinstance(source, str):
-        return open(source, "r", encoding="utf-8", newline=""), True
-    return source, False
+def _read_text(source: str | IO[str]) -> str:
+    """The text of a path, or of a text stream from where it stands, less one leading BOM.
+
+    Every reader parses this one string.  A path is read whole and decoded
+    as UTF-8 in one call, so an undecodable byte is reported with its line;
+    line ends are kept as they are.
+    """
+    if not isinstance(source, str):
+        return source.read().removeprefix("\ufeff")
+    with open(source, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        line = len(re.findall(rb"\r\n?|\n", data[:exc.start])) + 1
+        raise DataError(f"line {line}: byte {data[exc.start]:#04x} is not UTF-8 text") from None
+
+
+def _lines(text: str) -> Iterator[str]:
+    """``StringIO(text, newline="")``'s lines, without its 4-byte-per-character copy."""
+    return (m[0] for m in re.finditer(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+", text))
 
 
 # ---------------------------------------------------------------------------
@@ -66,58 +84,55 @@ def read_count_data(source: str | IO[str], responses: SubsetLattice,
     if fmt not in ("cases", "counts"):
         raise ConfigError(f"unknown input format {fmt!r} (expected 'cases' or 'counts')")
     counted = fmt == "counts"
-    stream, close = _open_read(source)
-    try:
-        start = stream.tell() if stream.seekable() else None
-        header = next(csv.reader(iter(stream.readline, "")), None)
-        if header is None:
-            raise DataError("input file is empty (no header row)")
-        column = {name.strip(): i for i, name in enumerate(header)}   # last duplicate wins
-        needed = list(responses.labels) + list(covariates.labels) + ["count"] * counted
-        missing = [name for name in needed if name not in column]
-        if missing:
-            raise DataError(f"input is missing columns: {', '.join(missing)}")
+    text = _read_text(source)
+    reader = csv.reader(_lines(text))
+    header = next(reader, None)
+    if header is None:
+        raise DataError("input file is empty (no header row)")
+    column = {name.strip(): i for i, name in enumerate(header)}   # last duplicate wins
+    needed = list(responses.labels) + list(covariates.labels) + ["count"] * counted
+    missing = [name for name in needed if name not in column]
+    if missing:
+        raise DataError(f"input is missing columns: {', '.join(missing)}")
 
-        # covariate columns first: bit j of a row's cell index is column j, so
-        # the index is y * 2**q + x, the row-major position in the table
-        bits = list(covariates.labels) + list(responses.labels)
-        usecols = [column[name] for name in bits + ["count"] * counted]
-        body = stream.read()
-        values = None if counted else _fixed_layout_values(body, len(header), usecols)
-        if values is None:
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)   # loadtxt on a header-only file
-                    values = np.loadtxt(StringIO(body), delimiter=",",
-                                        dtype=np.int64 if counted else np.int8, comments=None,
-                                        quotechar='"', usecols=usecols, ndmin=2)
-                if np.any(values < 0) or np.any(values[:, :len(bits)] > 1):
-                    raise ValueError("a value is out of range")
-            except ValueError as exc:
-                raise _bad_row(source, start, needed, counted, str(exc)) from None
-        cell = sum(np.left_shift(values[:, j], j, dtype=np.intp) for j in range(len(bits)))
-        counts = np.zeros(responses.size * covariates.size, dtype=np.int64)
-        np.add.at(counts, cell, values[:, -1] if counted else 1)
-        return CountTable(responses, covariates, counts.reshape(responses.size, covariates.size))
-    finally:
-        if close:
-            stream.close()
+    # covariate columns first: bit j of a row's cell index is column j, so
+    # the index is y * 2**q + x, the row-major position in the table
+    bits = list(covariates.labels) + list(responses.labels)
+    usecols = [column[name] for name in bits + ["count"] * counted]
+    head = "".join(islice(_lines(text), reader.line_num))   # the header's lines
+    values = None if counted else _fixed_layout_values(text, head, len(header), usecols)
+    if values is None:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)   # loadtxt on a header-only file
+                values = np.loadtxt(StringIO(text[len(head):]), delimiter=",",
+                                    dtype=np.int64 if counted else np.int8, comments=None,
+                                    quotechar='"', usecols=usecols, ndmin=2)
+            if np.any(values < 0) or np.any(values[:, :len(bits)] > 1):
+                raise ValueError("a value is out of range")
+        except ValueError as exc:
+            raise _bad_row(text, needed, counted, str(exc)) from None
+    cell = sum(np.left_shift(values[:, j], j, dtype=np.intp) for j in range(len(bits)))
+    counts = np.zeros(responses.size * covariates.size, dtype=np.int64)
+    np.add.at(counts, cell, values[:, -1] if counted else 1)
+    return CountTable(responses, covariates, counts.reshape(responses.size, covariates.size))
 
 
-def _fixed_layout_values(body: str, width: int, usecols: list[int]) -> np.ndarray | None:
-    """The ``usecols`` values of a cases body in the layout the writers emit, else None.
+def _fixed_layout_values(text: str, head: str, width: int, usecols: list[int]) -> np.ndarray | None:
+    """The ``usecols`` values of a cases text in the layout the writers emit, else None.
 
-    In that layout every row is ``width`` one-character fields, commas
-    between them and ``\\n`` after the last, so the body is a byte matrix
-    with a digit in every even column, a comma in every odd one and the
-    newline last; the used fields must also be 0 or 1.  Any other body,
-    which the general parse reads (or rejects with its line number), gives
-    None.
+    In that layout every row after the ``head`` lines is ``width``
+    one-character fields, commas between them and ``\\n`` after the last,
+    so the body is a byte matrix with a digit in every even column, a comma
+    in every odd one and the newline last; the used fields must also be 0
+    or 1.  Any other body, which the general parse reads (or rejects with
+    its line number), gives None.
     """
     row_bytes = 2 * width
-    if not body.isascii() or len(body) % row_bytes:
+    data, start = text.encode(), len(head.encode())
+    if (len(data) - start) % row_bytes:
         return None
-    rows = np.frombuffer(body.encode("ascii"), dtype=np.uint8).reshape(-1, row_bytes)
+    rows = np.frombuffer(data, dtype=np.uint8, offset=start).reshape(-1, row_bytes)
     # byte k of a row lies in low[k] .. low[k] + span[k]; a byte below low[k]
     # wraps round to a large uint8, so one comparison tests every byte
     low = np.full(row_bytes, ord(","), dtype=np.uint8)
@@ -131,36 +146,27 @@ def _fixed_layout_values(body: str, width: int, usecols: list[int]) -> np.ndarra
     return None if np.any(values > 1) else values
 
 
-def _bad_row(source: str | IO[str], start: int | None, needed: list[str], counted: bool,
-             detail: str) -> DataError:
+def _bad_row(text: str, needed: list[str], counted: bool, detail: str) -> DataError:
     """The error for the first row the parse refused, with its physical line number.
 
-    Runs only after the parse has failed: it reads the input again from the
+    Runs only after the parse has failed: it rescans ``text`` from the
     header, row by row, and applies the parse's rules to the needed columns.
     """
-    if start is None and not isinstance(source, str):
-        return DataError(f"input could not be parsed: {detail}")
-    stream, close = _open_read(source)
-    try:
-        stream.seek(0 if close else start)
-        reader = csv.reader(stream)
-        column = {name.strip(): i for i, name in enumerate(next(reader))}
-        for row in filter(None, reader):
-            for k, name in enumerate(needed):
-                raw = row[column[name]].strip() if column[name] < len(row) else ""
-                value = int(raw) if re.fullmatch(r"[+-]?[0-9]+", raw) else None   # as the parse
-                where = f"line {reader.line_num}"
-                if counted and k == len(needed) - 1:
-                    if value is None or value >= 2**63:
-                        return DataError(f"{where}: count must be an integer, got {raw!r}")
-                    if value < 0:
-                        return DataError(f"{where}: count must be non-negative, got {value}")
-                elif value not in (0, 1):
-                    return DataError(f"{where}: column {name!r} must be 0 or 1, got {raw!r}")
-        return DataError(f"input could not be parsed: {detail}")
-    finally:
-        if close:
-            stream.close()
+    reader = csv.reader(_lines(text))
+    column = {name.strip(): i for i, name in enumerate(next(reader))}
+    for row in filter(None, reader):
+        for k, name in enumerate(needed):
+            raw = row[column[name]].strip() if column[name] < len(row) else ""
+            value = int(raw) if re.fullmatch(r"[+-]?[0-9]+", raw) else None   # as the parse
+            where = f"line {reader.line_num}"
+            if counted and k == len(needed) - 1:
+                if value is None or value >= 2**63:
+                    return DataError(f"{where}: count must be an integer, got {raw!r}")
+                if value < 0:
+                    return DataError(f"{where}: count must be non-negative, got {value}")
+            elif value not in (0, 1):
+                return DataError(f"{where}: column {name!r} must be 0 or 1, got {raw!r}")
+    return DataError(f"input could not be parsed: {detail}")
 
 
 def write_count_data(table: CountTable, stream: IO[str], fmt: str = "counts") -> None:
@@ -189,28 +195,23 @@ def write_count_data(table: CountTable, stream: IO[str], fmt: str = "counts") ->
 def read_zero_set(source: str | IO[str], responses: SubsetLattice,
                   covariates: SubsetLattice) -> frozenset[tuple[int, int]]:
     """Parse ``D;E`` constraint lines (brace notation, # comments) into masks."""
-    stream, close = _open_read(source)
     pairs: set[tuple[int, int]] = set()
-    try:
-        parse_d, parse_e = responses.parse_subset, covariates.parse_subset
-        for line_no, raw in enumerate(stream, start=1):
-            text = raw.partition("#")[0].strip()
-            if not text:
-                continue
-            d_text, sep, e_text = text.partition(";")
-            if not sep:
-                raise DataError(f"line {line_no}: expected 'D;E', got {text!r}")
-            try:
-                d = parse_d(d_text)
-                e = parse_e(e_text)
-            except ValueError as exc:
-                raise DataError(f"line {line_no}: {exc}") from None
-            if d == 0:
-                raise DataError(f"line {line_no}: the empty response row cannot be constrained")
-            pairs.add((d, e))
-    finally:
-        if close:
-            stream.close()
+    parse_d, parse_e = responses.parse_subset, covariates.parse_subset
+    for line_no, raw in enumerate(StringIO(_read_text(source), newline=""), start=1):
+        text = raw.partition("#")[0].strip()
+        if not text:
+            continue
+        d_text, sep, e_text = text.partition(";")
+        if not sep:
+            raise DataError(f"line {line_no}: expected 'D;E', got {text!r}")
+        try:
+            d = parse_d(d_text)
+            e = parse_e(e_text)
+        except ValueError as exc:
+            raise DataError(f"line {line_no}: {exc}") from None
+        if d == 0:
+            raise DataError(f"line {line_no}: the empty response row cannot be constrained")
+        pairs.add((d, e))
     return frozenset(pairs)
 
 
@@ -228,50 +229,48 @@ def read_param_matrix(source: str | IO[str], responses: SubsetLattice,
     """Read a matrix CSV: a ``D`` column plus one value column per covariate subset."""
     if kind not in KINDS:
         raise ConfigError(f"unknown parameter kind {kind!r} (expected one of {', '.join(KINDS)})")
-    stream, close = _open_read(source)
-    try:
-        reader = csv.reader(stream)
+    reader = csv.reader(StringIO(_read_text(source), newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise DataError("matrix file is empty")
+    if not header or header[0].strip() != "D":
+        raise DataError("matrix header must start with a 'D' column")
+    col_masks = []
+    for name in header[1:]:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("matrix file is empty") from None
-        if not header or header[0].strip() != "D":
-            raise DataError("matrix header must start with a 'D' column")
-        col_masks = []
-        for name in header[1:]:
-            try:
-                col_masks.append(covariates.parse_subset(name))
-            except ValueError as exc:
-                raise DataError(f"matrix header: {exc}") from None
-        if sorted(col_masks) != list(range(covariates.size)):
-            raise DataError("matrix header must list every covariate subset exactly once")
+            col_masks.append(covariates.parse_subset(name))
+        except ValueError as exc:
+            raise DataError(f"matrix header: {exc}") from None
+    if sorted(col_masks) != list(range(covariates.size)):
+        raise DataError("matrix header must list every covariate subset exactly once")
 
-        values = np.full((responses.size, covariates.size), np.nan)
-        for row in reader:
-            line = reader.line_num
-            if not row or not any(cell.strip() for cell in row):
-                continue
+    values = np.empty((responses.size, covariates.size))
+    seen: set[int] = set()
+    for row in reader:
+        line = reader.line_num
+        if not row or not any(cell.strip() for cell in row):
+            continue
+        try:
+            d = responses.parse_subset(row[0])
+        except ValueError as exc:
+            raise DataError(f"line {line}: {exc}") from None
+        if len(row) != len(header):
+            raise DataError(f"line {line}: expected {len(header)} fields, got {len(row)}")
+        if d in seen:
+            raise DataError(f"line {line}: duplicate row for {responses.format_mask(d)}")
+        seen.add(d)
+        for e, cell in zip(col_masks, row[1:]):
             try:
-                d = responses.parse_subset(row[0])
-            except ValueError as exc:
-                raise DataError(f"line {line}: {exc}") from None
-            if len(row) != len(header):
-                raise DataError(f"line {line}: expected {len(header)} fields, got {len(row)}")
-            if not np.all(np.isnan(values[d])):
-                raise DataError(f"line {line}: duplicate row for {responses.format_mask(d)}")
-            for e, cell in zip(col_masks, row[1:]):
-                try:
-                    values[d, e] = float(cell)
-                except ValueError:
-                    raise DataError(f"line {line}: not a number: {cell!r}") from None
-        bad = np.isnan(values)
-        if bad.any():
-            d = int(np.argmax(bad.any(axis=1)))
-            raise DataError(f"matrix is missing a row for {responses.format_mask(d)}")
-        return ParamMatrix(kind, responses, covariates, values)
-    finally:
-        if close:
-            stream.close()
+                value = float(cell)
+            except ValueError:
+                raise DataError(f"line {line}: not a number: {cell!r}") from None
+            if not math.isfinite(value):
+                raise DataError(f"line {line}: not a finite number: {cell!r}")
+            values[d, e] = value
+    if len(seen) < responses.size:
+        d = min(set(range(responses.size)) - seen)
+        raise DataError(f"matrix is missing a row for {responses.format_mask(d)}")
+    return ParamMatrix(kind, responses, covariates, values)
 
 
 def write_param_matrix(pm: ParamMatrix, stream: IO[str], decimals: int | None = None) -> None:

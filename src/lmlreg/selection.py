@@ -74,26 +74,21 @@ class SelectionTrace:
         return self.final_spec.zero_set
 
 
-def _drop_rounds(spec: ModelSpec, data: CountTable, alpha: float, candidate_rows: set[int],
-                 sizes: set[int] | None, options: FitOptions,
+def _drop_rounds(spec: ModelSpec, data: CountTable, alpha: float, rows: set[int], options: FitOptions,
                  single_batch: bool = False) -> tuple[ModelSpec, FitResult, list[tuple[int, int]], str | None]:
     """Batch-drop non-significant coefficients and refit, up to a fixpoint.
 
-    Only coefficients whose row is in ``candidate_rows`` (and, if given,
-    whose row cardinality is in ``sizes``) may be dropped.  With
-    ``single_batch`` one batch is dropped and refitted, and no more.  On a
-    fit failure the previous model is kept and the error is reported.
+    Only coefficients whose row is in ``rows`` may be dropped; one whose
+    Wald p-value is NaN (unassessable) never is, as ``nan > alpha`` is
+    false.  With ``single_batch`` one batch is dropped and refitted, and no
+    more.  On a fit failure the previous model is kept and the error is
+    reported.
     """
     result = fit(spec, data, options)
     dropped: list[tuple[int, int]] = []
     while True:
-        flagged = [
-            (d, e)
-            for (d, e, _est, _se, p) in _free_stats(result)
-            if d in candidate_rows
-            and (sizes is None or d.bit_count() in sizes)
-            and p > alpha
-        ]
+        flagged = [(d, e) for (d, e), p in zip(result.free_index, result.wald_p.tolist())
+                   if d in rows and p > alpha]
         if not flagged:
             break
         trial = spec.with_zeros(flagged)
@@ -106,14 +101,6 @@ def _drop_rounds(spec: ModelSpec, data: CountTable, alpha: float, candidate_rows
         if single_batch:
             break
     return spec, result, dropped, None
-
-
-def _free_stats(result: FitResult):
-    for i, (d, e) in enumerate(result.free_index):
-        p = float(result.wald_p[i])
-        if np.isnan(p):
-            p = 0.0  # unassessable coefficient: never drop on a missing test
-        yield d, e, float(result.estimates[i]), float(result.std_errors[i]), p
 
 
 def forward_margin_selection(data: CountTable, alpha: float = 0.05,
@@ -146,7 +133,7 @@ def forward_margin_selection(data: CountTable, alpha: float = 0.05,
         spec = ModelSpec("lml", frozenset(inherited))
         try:
             spec, result, dropped_margin, err = _drop_rounds(
-                spec, margin, alpha, candidate_rows={top}, sizes=None, options=options,
+                spec, margin, alpha, rows={top}, options=options,
             )
         except (DataError, ConvergenceError, BoundaryError) as exc:
             steps.append(SelectionStep(
@@ -183,7 +170,6 @@ def backward_staged_selection(data: CountTable, link: str = "lml", alpha: float 
     options = options or FitOptions()
     V, U = data.responses, data.covariates
     p, q = V.ground_size, U.ground_size
-    all_rows = set(range(1, V.size))
 
     start_zeros: set[tuple[int, int]] = set()
     if q >= 2:
@@ -196,17 +182,12 @@ def backward_staged_selection(data: CountTable, link: str = "lml", alpha: float 
         spec=spec, fit=result, dropped=(),
     )]
 
-    high = {k for k in range(1, p + 1) if k > p / 2}
-    for sizes in (high, None):   # None = all sizes
-        last = sizes is None
-        spec, result, dropped, err = _drop_rounds(
-            spec, data, alpha, candidate_rows=all_rows, sizes=sizes,
-            options=options, single_batch=not last,
-        )
-        if last:
-            label = "drop remaining non-significant"
-        else:
-            label = "drop non-significant |D| in {" + ",".join(str(k) for k in sorted(sizes, reverse=True)) + "}"
+    sizes = ",".join(str(k) for k in range(p, 0, -1) if k > p / 2)
+    stages = [(f"drop non-significant |D| in {{{sizes}}}",
+               {d for d in range(1, V.size) if d.bit_count() > p / 2}, True),
+              ("drop remaining non-significant", set(range(1, V.size)), False)]
+    for label, rows, single_batch in stages:
+        spec, result, dropped, err = _drop_rounds(spec, data, alpha, rows, options, single_batch)
         steps.append(SelectionStep(label=label, spec=spec, fit=result,
                                    dropped=tuple(sorted_pairs(dropped)), error=err))
         if err:

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import warnings
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +192,40 @@ def messy_csv(draw):
     return eol.join(lines) + draw(ends), V, U, fmt
 
 
+# the kinds of input every reader takes: a path, a StringIO, a text stream
+# that cannot seek (a pipe) and the /dev/fd path of a pipe
+SOURCES = ["path", "stringio", "pipe", "dev-fd"]
+
+
+@pytest.fixture()
+def source_of(tmp_path):
+    """``source_of(kind, text, data=None)``: an input of one of the SOURCES kinds holding
+    ``text``; a path or pipe holds the bytes ``data`` instead, when given."""
+    closers, names = [], count()
+
+    def make(kind: str, text: str, data: bytes | None = None):
+        data = text.encode() if data is None else data
+        if kind == "path":
+            path = tmp_path / f"input{next(names)}"
+            path.write_bytes(data)
+            return str(path)
+        if kind == "stringio":
+            return io.StringIO(text)
+        read_end, write_end = os.pipe()
+        os.write(write_end, data)
+        os.close(write_end)
+        if kind == "pipe":
+            stream = open(read_end, encoding="utf-8", newline="")
+            closers.append(stream.close)
+            return stream
+        closers.append(lambda: os.close(read_end))
+        return f"/dev/fd/{read_end}"
+
+    yield make
+    for close in closers:
+        close()
+
+
 def read_both(text: str, V, U, fmt: str):
     """(outcome of the package reader, outcome of the row-by-row oracle)."""
     out = []
@@ -272,6 +307,7 @@ class TestReaderAgainstRowByRowOracle:
         CANONICAL.replace("0,1,0\n", "0,1\n"),                               # one field short
         CANONICAL.replace("0,1,0\n", "0,1,0,1\n"),                           # one field long
         CANONICAL.replace("0,1,0\n1,1,1\n", "0,1\n1,1,1,1\n"),               # both: the size fits
+        CANONICAL.replace("\n", ",0\n").replace("x0,0", 'x0,"j\nk"'),      # a header of two lines
     ])
     def test_near_misses_of_the_canonical_layout(self, text):
         got, want = read_both(text, *lattices(2, 1), "cases")
@@ -287,24 +323,41 @@ class TestReaderAgainstRowByRowOracle:
         t = lio.read_count_data(io.StringIO("y0,x0,count\n+1,00,+7\n"), V, U, "counts")
         assert t.counts.tolist() == [[0, 0], [7, 0]]
 
+    @pytest.mark.parametrize("kind", SOURCES)
     @pytest.mark.parametrize("fmt", ["counts", "cases"])
-    def test_path_and_stream_agree(self, tmp_path, fmt):
+    def test_path_and_stream_agree(self, source_of, fmt, kind):
         t = small_table(4)
         text = render_to_string(lambda s: lio.write_count_data(t, s, fmt))
         text = text.replace("\n", "\r\n\r\n")
-        path = tmp_path / "data.csv"
-        path.write_bytes(text.encode())
-        from_path = lio.read_count_data(str(path), t.responses, t.covariates, fmt)
-        from_stream = lio.read_count_data(io.StringIO(text), t.responses, t.covariates, fmt)
-        assert np.array_equal(from_path.counts, t.counts)
-        assert np.array_equal(from_stream.counts, t.counts)
+        got = lio.read_count_data(source_of(kind, text), t.responses, t.covariates, fmt)
+        assert np.array_equal(got.counts, t.counts)
 
-    def test_path_error_reports_line(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("y0,x0\n1,0\n\n0,5\n")
+    @pytest.mark.parametrize("kind", SOURCES)
+    @pytest.mark.parametrize("text, message", [
+        ("y0,x0\n1,0\n\n0,5\n", "line 4: column 'x0' must be 0 or 1, got '5'"),
+        ("y0,x0,count\n1,0,3\n\n\n1,0,-4\n", "line 5: count must be non-negative, got -4"),
+    ], ids=["cases", "counts"])
+    def test_path_error_reports_line(self, source_of, kind, text, message):
         V, U = lattices(1, 1)
-        with pytest.raises(DataError, match="^line 4: column 'x0' must be 0 or 1, got '5'$"):
-            lio.read_count_data(str(path), V, U, "cases")
+        fmt = "counts" if "count" in text else "cases"
+        with pytest.raises(DataError, match=f"^{message}$"):
+            lio.read_count_data(source_of(kind, text), V, U, fmt)
+
+    @pytest.mark.parametrize("kind", SOURCES)
+    def test_lone_cr_ends_the_header(self, source_of, kind):
+        got = lio.read_count_data(source_of(kind, "y0,y1,x0\r1,0,1\n0,1,0\n"), *lattices(2, 1),
+                                  "cases")
+        assert got.counts.tolist() == [[0, 0], [0, 1], [1, 0], [0, 0]]
+
+    def test_lone_cr_stream_fails_as_its_path(self, source_of):
+        text = "y0,y1,x0\n1,0,1\r0,1,0\n"
+        errors = []
+        for kind in ("stringio", "path"):
+            with pytest.raises(DataError) as exc:
+                lio.read_count_data(source_of(kind, text), *lattices(2, 1), "cases")
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("input could not be parsed: ")
 
     @pytest.mark.parametrize("text", ["y0,x0\n", "y0,x0", "y0,x0\n\n\n", "y0,x0,count\n"])
     def test_header_only_gives_empty_table(self, text):
@@ -390,6 +443,10 @@ class TestParamMatrixIO:
         V, U = lattices(1, 1)
         with pytest.raises(DataError, match=r"\{y0\}"):
             lio.read_param_matrix(io.StringIO("D,{},{x0}\n{},1,1\n"), V, U, "mu")
+        # the first of several missing rows
+        with pytest.raises(DataError, match=r"^matrix is missing a row for \{y0\}$"):
+            lio.read_param_matrix(io.StringIO("D,{},{x0}\n{},1,1\n{y1},1,1\n"),
+                                  *lattices(2, 1), "mu")
 
     def test_non_number_reports_line(self):
         V, U = lattices(1, 1)
@@ -401,6 +458,41 @@ class TestParamMatrixIO:
         V, U = lattices(1, 1)
         with pytest.raises(ConfigError, match="kind"):
             lio.read_param_matrix(io.StringIO("D,{}\n"), V, U, "theta")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", " NaN", "1e999"])
+    def test_non_finite_number_reports_line(self, cell):
+        V, U = lattices(1, 1)
+        text = f"D,{{}},{{x0}}\n{{}},0,0\n{{y0}},-1.0,{cell}\n"
+        with pytest.raises(DataError, match=f"^line 3: not a finite number: '{cell}'$"):
+            lio.read_param_matrix(io.StringIO(text), V, U, "beta_gamma")
+
+
+# one file of each kind the readers take, for lattices(1, 1)
+READER_INPUTS = {
+    "cases": ("y0,x0\n1,0\n0,1\n1,1\n",
+              lambda src: lio.read_count_data(src, *lattices(1, 1), "cases").counts.tolist()),
+    "zeros": ("{y0};{}\n# a comment\n{y0};{x0}\n",
+              lambda src: sorted(lio.read_zero_set(src, *lattices(1, 1)))),
+    "matrix": ("D,{},{x0}\n{},0,0\n{y0},-1.5,0.25\n",
+               lambda src: lio.read_param_matrix(src, *lattices(1, 1), "beta_gamma").values.tolist()),
+}
+
+
+class TestEncoding:
+    @pytest.mark.parametrize("kind", SOURCES)
+    @pytest.mark.parametrize("what", READER_INPUTS)
+    def test_leading_bom_is_dropped(self, source_of, what, kind):
+        text, read = READER_INPUTS[what]
+        assert read(source_of(kind, "\ufeff" + text)) == read(io.StringIO(text))
+
+    @pytest.mark.parametrize("kind", ["path", "dev-fd"])
+    @pytest.mark.parametrize("what", READER_INPUTS)
+    def test_undecodable_byte_reports_line(self, source_of, what, kind):
+        text, read = READER_INPUTS[what]
+        lines = text.encode().splitlines(keepends=True)
+        data = b"".join(lines[:2]) + b"\r\n\r" + b"\xff" + b"".join(lines[2:])
+        with pytest.raises(DataError, match="^line 5: byte 0xff is not UTF-8 text$"):
+            read(source_of(kind, text, data))
 
 
 class TestNumberFormatting:
@@ -841,6 +933,37 @@ class TestExitCodes:
         assert main(["fit", "--input", str(bad), "--responses", "b,c",
                      "--covariates", "h"]) == 3
 
+    def test_pipe_input_reports_bad_line(self, source_of, capsys):
+        path = source_of("dev-fd", "b,c,h\n1,0,1\n2,0,0\n")
+        assert main(["fit", "--input", path, "--responses", "b,c", "--covariates", "h"]) == 3
+        assert capsys.readouterr().err == "error: line 3: column 'b' must be 0 or 1, got '2'\n"
+
+    @pytest.mark.parametrize("flag, data, line", [
+        ("--input", b"b,c,h\n1,0,1\n\xff,0,0\n", 3),
+        ("--zeros", b"{b};{}\n\xff\n", 2),
+        ("--kind", b"D,{},{h}\n\xff\n", 2),
+    ], ids=["cases", "zeros", "matrix"])
+    def test_undecodable_input_is_a_data_error(self, workdir, capsys, flag, data, line):
+        tmp_path, _, data_path = workdir
+        bad = tmp_path / "bad"
+        bad.write_bytes(data)
+        argv = {"--input": ["fit", "--input", str(bad), "--responses", "b,c", "--covariates", "h"],
+                "--zeros": ["fit", *base_args(data_path), "--zeros", str(bad)],
+                "--kind": ["transform", "--input", str(bad), "--responses", "b,c",
+                           "--covariates", "h", "--kind", "beta_gamma"]}[flag]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: line {line}: byte 0xff is not UTF-8 text\n"
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_matrix_cell_is_a_data_error(self, tmp_path, capsys, cell):
+        path = tmp_path / "beta.csv"
+        path.write_text(f'D,{{}},{{h}}\n{{}},0,0\n{{b}},-1.0,{cell}\n{{c}},-1.3,0.4\n'
+                        f'"{{b,c}}",0.8,-0.3\n')
+        argv = ["simulate", "--input", str(path), "--responses", "b,c", "--covariates", "h",
+                "--totals", "100", "--seed", "1"]
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", f"error: line 3: not a finite number: '{cell}'\n")
+
     def test_infeasible_constraint_is_a_numerical_error(self, workdir):
         tmp_path, _, data_path = workdir
         zeros = tmp_path / "bad_zeros.txt"
@@ -953,6 +1076,7 @@ class TestExitCodes:
         assert proc.stdout.readline() == b"b,c,h\n"
         proc.stdout.close()
         err = proc.stderr.read()
+        proc.stderr.close()
         assert proc.wait(timeout=120) == 1
         assert err == b""
 

@@ -14,7 +14,7 @@ from lmlreg.presets import single_covariate_preset, two_covariate_preset
 from lmlreg.selection import (
     CI_Z,
     AverageEffect,
-    _free_stats,
+    _drop_rounds,
     average_effects,
     backward_staged_selection,
     forward_margin_selection,
@@ -178,6 +178,19 @@ class TestBackward:
         assert "{3,2}" in labels[1]
         assert labels[2] == "drop remaining non-significant"
 
+    def test_first_stage_drops_only_the_upper_half_of_sizes(self):
+        # independent responses: association terms of every size are null
+        V, U = lattices(4, 1)
+        marg = np.array([0.3, 0.4, 0.5, 0.6])
+        pi = np.array([np.prod(np.where([y >> i & 1 for i in range(4)], marg, 1 - marg))
+                       for y in range(16)])
+        rng = np.random.default_rng(11)
+        counts = np.stack([rng.multinomial(4000, pi) for _ in range(2)], axis=1)
+        trace = backward_staged_selection(CountTable(V, U, counts), alpha=0.05)
+        first, rest = trace.steps[1].dropped, trace.steps[2].dropped
+        assert first and all(d.bit_count() > 2 for d, _ in first)
+        assert any(d.bit_count() == 2 for d, _ in rest)
+
     def test_recovers_the_generating_zero_set(self):
         preset = two_covariate_preset()
         data = simulate(preset.beta_gamma, "lml", preset.column_totals, seed=7000)
@@ -192,8 +205,8 @@ class TestBackward:
         assert trace.final_fit.converged
 
 
-class TestFreeStats:
-    def test_nan_p_treated_as_always_significant(self):
+class TestDropRounds:
+    def test_nan_p_is_never_dropped(self, monkeypatch):
         V, U = lattices(1, 1)
         spec = ModelSpec("lml")
         beta = ParamMatrix("beta_gamma", V, U, np.array([[0.0, 0.0], [-1.0, 0.2]]))
@@ -208,9 +221,13 @@ class TestFreeStats:
             loglik=-10.0, deviance=0.0, df=0, p_value=None,
             converged=True, iterations=1, grad_norm=0.0,
         )
-        stats = list(_free_stats(res))
-        assert stats[0][:2] == (1, 0) and stats[0][4] == 0.0
-        assert stats[1][4] == 0.5
+        specs = []
+        monkeypatch.setattr(lmlreg.selection, "fit",
+                            lambda spec, data, options: specs.append(spec) or res)
+        table = CountTable(V, U, np.ones((2, 2), dtype=np.int64))
+        _, _, dropped, err = _drop_rounds(spec, table, 0.05, {1}, FitOptions(), single_batch=True)
+        assert dropped == [(1, 1)] and err is None
+        assert specs[-1].zero_set == {(1, 1)}
 
 
 class TestPatternWeights:
