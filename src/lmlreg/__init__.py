@@ -48,6 +48,7 @@ from .risk import (
     implied_response_independencies,
     reference_coeffs,
     risk_report,
+    risk_table,
 )
 from .selection import (
     AverageEffect,
@@ -99,6 +100,7 @@ __all__ = [
     "pi_from_mu",
     "reference_coeffs",
     "risk_report",
+    "risk_table",
     "simulate",
     "validate",
     "wald_tests",

@@ -6,9 +6,10 @@ series at full precision since their output is meant to be consumed by
 other programs rather than read as a table.  Both renderings are written
 from encoded columns: each command turns its numeric columns into text
 with one call each (``io.fixed_floats`` for TSV, ``io.json_floats`` for
-JSON) and then only joins tokens.  Every JSON document goes through
-``io.write_json``, which takes tables of records as token columns, not as
-one dict per entry.
+JSON) and then only joins tokens; ``risk`` takes its columns straight from
+``risk.risk_table``, with no object per entry.  Every JSON document goes
+through ``io.write_json``, which takes tables of records as token columns,
+not as one dict per entry.
 
 Exit codes: 0 success, 1 the reader closed the output early, 2
 configuration error, 3 data error, 4 numerical failure (boundary or
@@ -50,7 +51,7 @@ from .params import (
     pi_from_mu,
     validate,
 )
-from .risk import risk_report
+from .risk import risk_table
 from .selection import (
     SelectionTrace,
     average_effects,
@@ -370,34 +371,28 @@ def cmd_risk(args: argparse.Namespace, V: SubsetLattice, U: SubsetLattice) -> in
     data = _ingest(args, V, U)
     spec = ModelSpec(args.link, _load_zeros(args, V, U))
     result = _require_converged(fit(spec, data, _fit_options(args)))
-    entries = risk_report(result).entries
-    # log RR, log reference RR and log ratio per entry (None, for |D| = 1, is
-    # read as NaN), so that each column takes one exp
-    logs = np.array([(en.log_rr, en.log_ref_rr, en.log_ratio) for en in entries], dtype=float)
-    columns = np.concatenate([logs, np.exp(logs)], axis=1).T
+    d, u, e, lrr, lref, lratio, constrained = risk_table(result)
+    # the reference and ratio are NaN for |D| = 1; each column takes one exp
+    rr, ref, ratio = np.exp([lrr, lref, lratio])
+    encode = json_strings if args.out == "json" else list
+    d_tok, u_tok, e_tok = (np.array(encode(names), dtype=object)[index].tolist() for names, index
+                           in ((V.mask_labels, d), (U.labels, u), (U.mask_labels, e)))
     if args.out == "json":
-        vtok, utok = json_strings(V.mask_labels), json_strings(U.mask_labels)
-        u_tok = dict(zip(U.labels, json_strings(U.labels)))
-        lrr, lref, lratio, rr, ref, ratio = map(json_floats, columns)
         lio.write_json(Records({
-            "D": [vtok[en.d_mask] for en in entries], "u": [u_tok[en.u] for en in entries],
-            "E": [utok[en.e_mask] for en in entries], "log_rr": lrr, "rr": rr,
-            "log_reference_rr": lref, "reference_rr": ref, "log_rr_ratio": lratio,
-            "rr_ratio": ratio,
-            "ratio_constrained_to_one": ["true" if en.constrained_zero else "false"
-                                         for en in entries],
+            "D": d_tok, "u": u_tok, "E": e_tok,
+            "log_rr": json_floats(lrr), "rr": json_floats(rr),
+            "log_reference_rr": json_floats(lref), "reference_rr": json_floats(ref),
+            "log_rr_ratio": json_floats(lratio), "rr_ratio": json_floats(ratio),
+            "ratio_constrained_to_one": np.where(constrained, "true", "false").tolist(),
         }), sys.stdout)
     else:
-        lrr, lref, lratio, rr, ref, ratio = (fixed_floats(col, 3) for col in columns)
-        vl, ul = V.mask_labels, U.mask_labels
-        out = sys.stdout
-        out.write(f"# link: {result.spec.link}\n")
-        out.write("D\tu\tE\tlog_rr\trr\tlog_ref_rr\tref_rr\tlog_ratio\tratio\tconstrained\n")
-        for k, en in enumerate(entries):
-            ref_cells = "·\t·" if en.log_ref_rr is None else f"{lref[k]}\t{ref[k]}"
-            ratio_cells = "·\t·" if en.log_ratio is None else f"{lratio[k]}\t{ratio[k]}"
-            out.write(f"{vl[en.d_mask]}\t{en.u}\t{ul[en.e_mask]}\t{lrr[k]}\t{rr[k]}\t"
-                      f"{ref_cells}\t{ratio_cells}\t{'yes' if en.constrained_zero else 'no'}\n")
+        floats = (fixed_floats(col, 3) for col in (lrr, rr, lref, ref, lratio, ratio))
+        cells = np.array([d_tok, u_tok, e_tok, *floats, np.where(constrained, "yes", "no")],
+                         dtype=object)
+        cells[5:9, np.bitwise_count(d) == 1] = "·"
+        sys.stdout.write(f"# link: {result.spec.link}\n"
+                         "D\tu\tE\tlog_rr\trr\tlog_ref_rr\tref_rr\tlog_ratio\tratio\tconstrained\n")
+        sys.stdout.writelines(map(("\t".join(["%s"] * 10) + "\n").__mod__, zip(*cells.tolist())))
     return 0
 
 

@@ -57,10 +57,14 @@ def _read_text(source: str | IO[str]) -> str:
 
     Every reader parses this one string.  A path is read whole and decoded
     as UTF-8 in one call, so an undecodable byte is reported with its line;
-    line ends are kept as they are.
+    line ends are kept as they are.  A stream decodes as it reads, so its
+    undecodable byte is reported without one.
     """
     if not isinstance(source, str):
-        return source.read().removeprefix("\ufeff")
+        try:
+            return source.read().removeprefix("\ufeff")
+        except UnicodeDecodeError:
+            raise DataError("input is not UTF-8 text") from None
     with open(source, "rb") as f:
         data = f.read()
     try:
@@ -196,19 +200,22 @@ def read_zero_set(source: str | IO[str], responses: SubsetLattice,
                   covariates: SubsetLattice) -> frozenset[tuple[int, int]]:
     """Parse ``D;E`` constraint lines (brace notation, # comments) into masks."""
     pairs: set[tuple[int, int]] = set()
-    parse_d, parse_e = responses.parse_subset, covariates.parse_subset
+    by_d, by_e = responses._mask_by_label.get, covariates._mask_by_label.get
     for line_no, raw in enumerate(StringIO(_read_text(source), newline=""), start=1):
-        text = raw.partition("#")[0].strip()
-        if not text:
-            continue
-        d_text, sep, e_text = text.partition(";")
-        if not sep:
-            raise DataError(f"line {line_no}: expected 'D;E', got {text!r}")
-        try:
-            d = parse_d(d_text)
-            e = parse_e(e_text)
-        except ValueError as exc:
-            raise DataError(f"line {line_no}: {exc}") from None
+        # write_zero_set's layout is two labels; a '#' (a label may hold one) cuts a comment
+        d_text, _, e_text = raw.rstrip("\r\n").partition(";")
+        d, e = by_d(d_text), by_e(e_text)
+        if d is None or e is None or "#" in raw:
+            text = raw.partition("#")[0].strip()
+            if not text:
+                continue
+            d_text, sep, e_text = text.partition(";")
+            if not sep:
+                raise DataError(f"line {line_no}: expected 'D;E', got {text!r}")
+            try:
+                d, e = responses.parse_subset(d_text), covariates.parse_subset(e_text)
+            except ValueError as exc:
+                raise DataError(f"line {line_no}: {exc}") from None
         if d == 0:
             raise DataError(f"line {line_no}: the empty response row cannot be constrained")
         pairs.add((d, e))

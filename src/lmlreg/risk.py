@@ -9,6 +9,10 @@ to when Y_D splits into two conditionally independent blocks.  The LML
 coefficients measure exactly the gap between the two, which is what makes
 zero LML rows readable as no-effect-on-association statements.
 
+Every (D, u, E) summary comes from one columnar computation,
+:func:`risk_table`, which the CLI prints; :func:`risk_report`'s entries are
+a view of that table, one object per row, for the library API.
+
 Independence detection is structural: it consumes the zero set of a model
 spec, given with its lattices or through a fitted result, where the
 biconditionals are exact.  Fitted values are never scanned against a
@@ -56,6 +60,39 @@ def _background_sums(values: np.ndarray, cols: SubsetLattice, u: str) -> tuple[n
     return zeta_transform(values[..., cells | u_mask]), cells
 
 
+def risk_table(fit_result: FitResult) -> tuple[np.ndarray, ...]:
+    """All (D, u, E) risk summaries implied by a fitted model, as parallel columns.
+
+    The columns are D, the index of u among the covariate labels, E, log RR,
+    log reference RR, log ratio and ``constrained``.  Rows run over every
+    nonempty D by cardinality, then every covariate u in label order, then
+    every background cell E ⊆ U \\ {u} ascending.  Where |D| = 1 the
+    reference and ratio are NaN.  ``constrained`` marks ratios the model's
+    zero set forces to zero exactly; ``fit`` has already checked that set
+    against the lattices.
+    """
+    beta = fit_result.beta_hat
+    lml = beta.kind == "beta_gamma"
+    bmu = beta_mu_from_beta_gamma(beta) if lml else beta
+    bgamma = beta if lml else beta_gamma_from_beta_mu(beta)
+    gamma_zeros = fit_result.spec.zero_set if lml else frozenset()   # lm zeros pin no gamma
+    # stacked on a leading axis: log RR, log reference RR, log ratio, and the
+    # number of unconstrained gamma terms each ratio sums
+    stacked = np.stack([bmu.values, reference_coeffs(bmu).values, bgamma.values,
+                        1.0 - _indicator(gamma_zeros, beta.values.shape)])
+    # the per-u blocks side by side: column k of ``sums`` is (u[k], cells[k])
+    sums, cells = (np.concatenate(part, axis=-1) for part in zip(
+        *(_background_sums(stacked, beta.cols, u) for u in beta.cols.labels)))
+    rows = np.array(beta.rows.masks_by_cardinality())
+    row, k = np.divmod(np.arange(rows.size * cells.size), cells.size)
+    d = rows[row]
+    multi = np.bitwise_count(d) > 1
+    columns = sums[:, rows].reshape(4, -1)
+    columns[1:3, ~multi] = np.nan
+    u = k // (cells.size // beta.cols.ground_size)
+    return d, u, cells[k], *columns[:3], multi & (columns[3] == 0)
+
+
 @dataclass(frozen=True)
 class RiskEntry:
     d_mask: int
@@ -75,42 +112,15 @@ class RiskReport:
 
 
 def risk_report(fit_result: FitResult) -> RiskReport:
-    """All (D, u, E) risk summaries implied by a fitted model.
-
-    Covers every nonempty D, every covariate u, and every background cell
-    E ⊆ U \\ {u}.  ``constrained_zero`` marks ratios the model's zero set
-    forces to zero exactly; ``fit`` has already checked that set against
-    the lattices.
-    """
+    """:func:`risk_table` as one :class:`RiskEntry` per row, None for the
+    reference and ratio where |D| = 1."""
+    d, u, e, lrr, lref, lratio, constrained = risk_table(fit_result)
     beta = fit_result.beta_hat
-    if beta.kind == "beta_gamma":
-        bgamma = beta
-        bmu = beta_mu_from_beta_gamma(beta)
-        gamma_zeros = fit_result.spec.zero_set
-    else:
-        bmu = beta
-        bgamma = beta_gamma_from_beta_mu(beta)
-        gamma_zeros = frozenset()  # lm zeros do not pin gamma coefficients
-    # stacked on a leading axis: log RR, log reference RR, log ratio, and the
-    # number of unconstrained gamma terms each ratio sums
-    stacked = np.stack([bmu.values, reference_coeffs(bmu).values, bgamma.values,
-                        1.0 - _indicator(gamma_zeros, beta.values.shape)])
-    per_u = {}
-    for u in beta.cols.labels:
-        sums, cells = _background_sums(stacked, beta.cols, u)
-        per_u[u] = (cells.tolist(), sums.tolist())
-    entries = []
-    for d in beta.rows.masks_by_cardinality():
-        multi = d.bit_count() > 1
-        for u in beta.cols.labels:
-            cells, (lrr, lref, lratio, free) = per_u[u]
-            for k, e in enumerate(cells):
-                if multi:
-                    entries.append(RiskEntry(d, u, e, lrr[d][k], lref[d][k], lratio[d][k],
-                                             free[d][k] == 0))
-                else:
-                    entries.append(RiskEntry(d, u, e, lrr[d][k], None, None, False))
-    return RiskReport(beta.rows, beta.cols, tuple(entries))
+    refs = np.array([lref, lratio], dtype=object)
+    refs[:, np.bitwise_count(d) == 1] = None
+    return RiskReport(beta.rows, beta.cols, tuple(map(
+        RiskEntry, d.tolist(), np.array(beta.cols.labels, dtype=object)[u].tolist(), e.tolist(),
+        lrr.tolist(), *refs.tolist(), constrained.tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ start-point oracle builds every candidate from the package's own maps
 before checking any, so the lazy search must return the same vector bit for
 bit, the single-entry risk functions (``log_relative_risk`` and its kin)
 sum with ``lmlreg.risk._background_sums`` over ``reference_coeffs``, so a
-risk report's entries must equal them bit for bit, and the tolerance scan of a fitted coefficient matrix (``fitted_response_independencies``)
+risk report's entries must equal them, and the report built from them entry
+by entry (``entry_by_entry_risk_entries``), bit for bit, and the tolerance
+scan of a fitted coefficient matrix (``fitted_response_independencies``)
 uses the package's transforms and lists splits with
 ``lmlreg.risk._bipartitions``, in the order the package lists them.
 
@@ -36,8 +38,9 @@ from scipy import optimize
 from lmlreg.inference import (CountTable, DataError, LogLikelihood, ModelSpec, _independence_mu,
                               induced_mu_stats)
 from lmlreg.lattice import SubsetLattice, mobius_transform, zeta_transform
-from lmlreg.params import ParamMatrix, beta_from_pi, mu_values_from_beta
-from lmlreg.risk import _background_sums, _bipartitions, reference_coeffs
+from lmlreg.params import (ParamMatrix, beta_from_pi, beta_gamma_from_beta_mu,
+                            beta_mu_from_beta_gamma, mu_values_from_beta)
+from lmlreg.risk import RiskEntry, _background_sums, _bipartitions, reference_coeffs
 
 FITTED_ZERO_TOL = 1e-8
 
@@ -279,6 +282,35 @@ def log_rr_ratio(beta_gamma: ParamMatrix, d_mask: int, u: str, e_mask: int = 0) 
     if d_mask.bit_count() <= 1:
         raise ValueError("the risk ratio against reference requires |D| > 1")
     return _background_sum(beta_gamma, d_mask, u, e_mask)
+
+
+def entry_by_entry_risk_entries(fit_result) -> list[RiskEntry]:
+    """``risk_report(fit_result).entries``, one single-entry call per field.
+
+    D by cardinality, then u in label order, then E ascending; for |D| = 1
+    the reference and ratio are None and nothing is constrained, otherwise
+    the ratio is constrained when the zero set holds every gamma term it sums.
+    """
+    beta = fit_result.beta_hat
+    if fit_result.spec.link == "lml":
+        bmu, bgamma, gamma_zeros = beta_mu_from_beta_gamma(beta), beta, fit_result.spec.zero_set
+    else:
+        bmu, bgamma, gamma_zeros = beta, beta_gamma_from_beta_mu(beta), frozenset()
+    out = []
+    for d in beta.rows.masks_by_cardinality():
+        for u in beta.cols.labels:
+            u_mask = beta.cols.mask_of([u])
+            for e in range(beta.cols.size):
+                if e & u_mask:
+                    continue
+                lrr = log_relative_risk(bmu, d, u, e)
+                if d.bit_count() == 1:
+                    out.append(RiskEntry(d, u, e, lrr, None, None, False))
+                    continue
+                constrained = all((d, ep | u_mask) in gamma_zeros for ep in subsets_of(e))
+                out.append(RiskEntry(d, u, e, lrr, log_reference_rr(bmu, d, u, e),
+                                     log_rr_ratio(bgamma, d, u, e), constrained))
+    return out
 
 
 def _sign(mask: int) -> float:

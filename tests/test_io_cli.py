@@ -404,6 +404,24 @@ class TestZeroSetIO:
         V, U = lattices(2, 1)
         with pytest.raises(DataError, match="empty response"):
             lio.read_zero_set(io.StringIO("{};{x0}\n"), V, U)
+        with pytest.raises(DataError, match="^line 3: the empty response row cannot be constrained$"):
+            lio.read_zero_set(io.StringIO("{y0};{}\r\n\r\n{};{}\r\n"), V, U)
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    def test_printed_and_respelled_lines_agree(self, eol):
+        V, U = lattices(3, 2)
+        zeros = {(3, 0), (1, 2), (7, 3), (6, 1)}
+        printed = render_to_string(lambda s: lio.write_zero_set(zeros, V, U, s)).splitlines()
+        respelled = [" {y1,y0} ; { } ", "# {y0};{x1}", "y0;x1  # a comment", "",
+                     "{y2,y0,y1};{x1,x0}", "{y1,y2};x0"]
+        for lines in (printed, respelled):
+            assert lio.read_zero_set(io.StringIO(eol.join(lines)), V, U) == zeros
+
+    def test_label_with_hash_is_cut_as_a_comment(self):
+        V, U = SubsetLattice(("a#b", "c")), SubsetLattice(("x",))
+        with pytest.raises(DataError, match=r"^line 1: expected 'D;E', got '\{a'$"):
+            lio.read_zero_set(io.StringIO("{a#b};{}\n"), V, U)
+        assert lio.read_zero_set(io.StringIO("{c};{x}#{a#b};{}\n"), V, U) == {(2, 1)}
 
 
 class TestParamMatrixIO:
@@ -493,6 +511,13 @@ class TestEncoding:
         data = b"".join(lines[:2]) + b"\r\n\r" + b"\xff" + b"".join(lines[2:])
         with pytest.raises(DataError, match="^line 5: byte 0xff is not UTF-8 text$"):
             read(source_of(kind, text, data))
+
+    @pytest.mark.parametrize("what", READER_INPUTS)
+    def test_undecodable_stream_byte_is_a_data_error(self, source_of, what):
+        text, read = READER_INPUTS[what]
+        data = text.encode().replace(b"\n", b"\n\xff", 1)
+        with pytest.raises(DataError, match="^input is not UTF-8 text$"):
+            read(source_of("pipe", text, data))
 
 
 class TestNumberFormatting:
@@ -780,6 +805,17 @@ class TestCliRisk:
         pair = [ln for ln in out.splitlines() if ln.startswith("{b,c}")][0]
         assert pair.split("\t")[-1] == "yes"
 
+    @pytest.mark.parametrize("out", ["tsv", "json"])
+    def test_writes_without_risk_entries(self, workdir, capsys, monkeypatch, out):
+        def no_entry(*fields):
+            raise AssertionError("cmd_risk built a RiskEntry")
+
+        monkeypatch.setattr("lmlreg.risk.RiskEntry", no_entry)
+        tmp_path, _, data_path = workdir
+        zeros = tmp_path / "zeros.txt"
+        zeros.write_text("{b,c};{h}\n")
+        assert main(["risk", *base_args(data_path), "--zeros", str(zeros), "--out", out]) == 0
+        assert capsys.readouterr().out.count("{b,c}") == 1
 
     def test_spec_validated_once(self, workdir, capsys, monkeypatch):
         tmp_path, _, data_path = workdir

@@ -26,6 +26,7 @@ from lmlreg.risk import (
 )
 
 from oracles import (
+    entry_by_entry_risk_entries,
     fitted_response_independencies,
     log_reference_rr,
     log_relative_risk,
@@ -304,6 +305,18 @@ class TestRiskReport:
             else:
                 assert en.log_ref_rr == pytest.approx(lref, abs=1e-12)
                 assert en.log_ratio == pytest.approx(lratio, abs=1e-12)
+
+    @pytest.mark.parametrize("p,q", [(p, q) for p in (1, 2, 3) for q in (1, 2, 3)])
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    def test_entries_equal_entry_by_entry_build(self, p, q, link):
+        V, U = lattices(p, q)
+        rng = np.random.default_rng(10 * p + q)
+        counts = np.round(random_pi(p, q, 50 + 10 * p + q).values * 20000).astype(np.int64)
+        zeros = frozenset((d, e) for d in range(1, 2**p) for e in range(1, 2**q)
+                          if rng.random() < 0.3)
+        res = fit(ModelSpec(link, zeros), CountTable(V, U, counts))
+        assert res.converged
+        assert list(risk_report(res).entries) == entry_by_entry_risk_entries(res)
 
     def test_constrained_zero_follows_the_zero_set(self):
         V, U = lattices(2, 1)
