@@ -392,7 +392,7 @@ def cmd_risk(args: argparse.Namespace, V: SubsetLattice, U: SubsetLattice) -> in
         cells[5:9, np.bitwise_count(d) == 1] = "·"
         sys.stdout.write(f"# link: {result.spec.link}\n"
                          "D\tu\tE\tlog_rr\trr\tlog_ref_rr\tref_rr\tlog_ratio\tratio\tconstrained\n")
-        sys.stdout.writelines(map(("\t".join(["%s"] * 10) + "\n").__mod__, zip(*cells.tolist())))
+        sys.stdout.write(lio.join_rows(cells.tolist(), ["\t"] * 9, "", "\n", "\n"))
     return 0
 
 

@@ -13,12 +13,17 @@ brace notation, with ``#`` comments.  Coefficient matrices are CSV with a
 ``D`` label column and one column per covariate subset.
 
 Output is written from encoded columns: numbers and labels become text a
-column at a time, one encoder per format.  TSV tables and matrix files
-take fixed-point text from :func:`fixed_floats`.  JSON documents (the
-CLI's ``--out json``) take tokens from :func:`json_floats` and
-:func:`json_strings` and are written by :func:`write_json` in the layout of
-``json.dumps(indent=2)``, byte for byte; a list of records sharing their
-keys (:class:`Records`) is printed through one template per record.
+column at a time, one encoder per format.  Both float encoders,
+:func:`fixed_floats` for TSV tables and matrix files and
+:func:`json_floats` for JSON, round each value exactly in integer
+arithmetic on numpy arrays and write its digits from a table, four at a
+time, into one row of bytes; only values of 10**(15 - decimals) or more in
+magnitude are formatted one at a time.  JSON documents (the CLI's ``--out
+json``) take tokens from :func:`json_floats` and :func:`json_strings` and
+are written by :func:`write_json` in the layout of
+``json.dumps(indent=2)``, byte for byte.  Rows of cells, the records of a
+:class:`Records` table as the lines of a TSV table, are interleaved from
+their columns and joined once (:func:`join_rows`).
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from io import StringIO
-from itertools import islice, repeat
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -294,18 +299,168 @@ def write_param_matrix(pm: ParamMatrix, stream: IO[str], decimals: int | None = 
 
 
 # ---------------------------------------------------------------------------
-# fixed-point columns for TSV output and matrix files
+# float columns as text: one correctly rounded conversion, a column at a time
+
+_FILL = 0   # the byte of an unused place in a row; dropped before the rows are decoded
+_ALL, _LEADING, _TRAILING = range(3)
+
+
+def _digit_table() -> np.ndarray:
+    """The four ASCII digits of 0 .. 9999 as little-endian uint32, three ways.
+
+    Row ``_ALL`` holds every digit; row ``_LEADING`` writes the filler byte
+    for the zeros before the first nonzero digit and row ``_TRAILING`` for
+    those after the last, so all four are filler for 0 in either.
+    """
+    n = np.arange(10_000, dtype=np.int32)[:, None]
+    place = np.array([1000, 100, 10, 1], dtype=np.int32)
+    text = (n // place % 10 + ord("0")).astype(np.uint8)
+    # a nonzero digit at or before the place, and at or after it; text * False is _FILL
+    kept = (True, n >= place, n % (10 * place) != 0)
+    return np.stack([(text * keep).view("<u4").ravel() for keep in kept])
+
+
+_DIGITS4 = _digit_table().ravel()   # row r of the table starts at 10_000 * r
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _digit_block(v: np.ndarray, chunks: int, drop: int = _ALL) -> np.ndarray:
+    """The 4 * ``chunks`` decimal digits of each v < 10**(4 * chunks), one uint8 row each.
+
+    With ``drop`` ``_LEADING`` the zeros before a value's first nonzero
+    digit are the filler byte, with ``_TRAILING`` those after its last;
+    either way v = 0 is filler only.
+    """
+    words = np.empty((v.size, chunks), dtype="<u4")
+    bare = np.ones(v.size, dtype=bool)     # the chunk takes row ``drop`` of the table
+    for j in reversed(range(chunks)):      # least significant first
+        rest = v // 10_000
+        chunk = v - rest * 10_000
+        if drop == _LEADING:
+            bare = rest == 0               # no nonzero digit before the chunk
+        words[:, j] = _DIGITS4[chunk + 10_000 * drop * bare if drop else chunk]
+        if drop == _TRAILING:
+            bare = bare & (chunk == 0)     # none after the next chunk
+        v = rest
+    return words.view(np.uint8)
+
+
+def _round_scaled(x: np.ndarray, decimals: int) -> np.ndarray:
+    """x * 10**decimals rounded half to even, exactly, as int64 (all |x| < 10**(15 - decimals)).
+
+    ``p = x * 10**decimals`` is rounded, and Dekker's product gives the
+    exact remainder ``err = x * 10**decimals - p``.  ``p`` lies within
+    10**15 of zero, so ``f = p - rint(p)`` is exact; the rounded ``p``
+    is then off by one only at a tie ``|f| = 1/2`` that the remainder
+    moves off the tie, towards the other neighbour.
+    """
+    scale = 10.0 ** decimals               # exact up to 10**22
+    p = x * scale
+    split = 134217729.0                    # 2**27 + 1: Veltkamp's split into 26-bit halves
+    s = split * scale
+    s_hi = s - (s - scale)
+    s_lo = scale - s_hi
+    hi = split * x
+    hi = hi - (hi - x)
+    lo = x - hi
+    err = hi * s_hi - p + hi * s_lo + lo * s_hi + lo * s_lo
+    r = np.rint(p)
+    f = p - r
+    k = r.astype(np.int64)
+    k += (f == 0.5) & (err > 0)
+    k -= (f == -0.5) & (err < 0)
+    return k
+
+
+def _float_texts(values, decimals: int, as_json: bool) -> list[str]:
+    """The text of each value of a numeric column at ``decimals`` places.
+
+    The digits are those of ``'{:.Nf}'`` with N = ``decimals``: k, the
+    exact value times 10**N rounded half to even (:func:`_round_scaled`),
+    written with N digits after the point and a sign only when k < 0.
+    With ``as_json`` the trailing zeros of the fraction go down to one digit,
+    a nonzero k below 10**(N - 4) is written in ``repr``'s exponent form
+    and NaN and infinities are ``null``; without it they are ``nan``,
+    ``inf`` and ``-inf``.
+
+    Every value is one fixed-width row of bytes, its digits taken four at
+    a time from :data:`_DIGITS4` and the places it does not use holding
+    the filler byte; one ``translate`` drops the filler and one ``split``
+    cuts the rows.  Only finite |x| >= 10**(15 - N), whose k may pass
+    10**15, are formatted one at a time.
+    """
+    if not 0 <= decimals <= 22:            # 10**decimals must be a double
+        raise ValueError(f"decimals must be from 0 to 22, got {decimals}")
+    x = np.asarray(values, dtype=float).ravel()
+    finite = np.isfinite(x)
+    fast = np.abs(x) < 10.0 ** (15 - decimals)          # False for NaN and infinities
+    k = _round_scaled(np.where(fast, x, 0.0), decimals)
+    mag = np.abs(k)
+    unit = _POW10[min(decimals, 16)]                    # |k| < 10**16
+    whole = mag // unit
+    frac = mag - whole * unit
+    # row: sign, integer digits, point, fraction digits, newline
+    point = 1 + len(str(whole.max(initial=0)))
+    row = np.empty((x.size, point + decimals + 2), dtype=np.uint8)
+    np.multiply(k < 0, np.uint8(ord("-")), out=row[:, 0])
+    row[:, 1:point] = _digit_block(whole, (point + 2) // 4, _LEADING)[:, 1 - point:]
+    # filler, below every digit, stands as the units digit and first fraction digit only of 0
+    np.maximum(row[:, point - 1], ord("0"), out=row[:, point - 1])
+    row[:, point] = ord(".") if decimals else _FILL
+    if decimals:
+        row[:, point + 1:-1] = _digit_block(frac, (decimals + 3) // 4,
+                                            _TRAILING if as_json else _ALL)[:, -decimals:]
+    if as_json:
+        np.maximum(row[:, point + 1], ord("0"), out=row[:, point + 1])
+    row[:, -1] = ord("\n")
+    if as_json and decimals >= 5:
+        sci = np.flatnonzero((mag > 0) & (mag < 10 ** (decimals - 4)))
+        if sci.size:
+            row[sci, 1:-1] = _exponent_rows(mag[sci], decimals, row.shape[1] - 2)
+    special = np.flatnonzero(~finite)
+    if special.size:
+        texts = (b"null",) * 3 if as_json else (b"nan", b"inf", b"-inf")
+        rows = np.frombuffer(b"".join(text.ljust(row.shape[1] - 1, bytes([_FILL])) + b"\n"
+                                      for text in texts), dtype=np.uint8).reshape(3, -1)
+        signed = x[special]
+        row[special] = rows[(signed > 0) + 2 * (signed < 0)]
+    tokens = row.tobytes().translate(None, bytes([_FILL])).decode("ascii").split("\n")
+    tokens.pop()                           # after the last newline
+    slow = np.flatnonzero(finite & ~fast)
+    exact = (lambda v: repr(round(v, decimals))) if as_json else f"{{:.{decimals}f}}".format
+    for i, v in zip(slow.tolist(), x[slow].tolist()):
+        tokens[i] = exact(v)
+    return tokens
+
+
+def _exponent_rows(mag: np.ndarray, decimals: int, width: int) -> np.ndarray:
+    """``repr``'s exponent form, ``d.ddde-XX``, of mag / 10**decimals, 0 < mag < 10**(decimals - 4).
+
+    ``width`` bytes a row: the leading digit, the point if a nonzero digit
+    follows it, the digits up to the last nonzero one, filler, and the
+    exponent last.  The sign is not written.
+    """
+    places = decimals - 4
+    ndig = np.searchsorted(_POW10, mag, side="right")
+    top = mag * _POW10[places - ndig]      # the leading digit in the top place
+    digits = _digit_block(top, (places + 3) // 4, _TRAILING)[:, -places:]
+    rows = np.zeros((mag.size, width), dtype=np.uint8)
+    rows[:, 0] = digits[:, 0]
+    rows[:, 1] = np.where(top % _POW10[places - 1] != 0, ord("."), _FILL)
+    rows[:, 2:places + 1] = digits[:, 1:]
+    exponent = decimals + 1 - ndig
+    rows[:, -4:-2] = np.frombuffer(b"e-", dtype=np.uint8)
+    rows[:, -2:] = exponent[:, None] // [10, 1] % 10 + ord("0")
+    return rows
+
 
 def fixed_floats(values, decimals: int) -> list[str]:
-    """Fixed-point text of a numeric column, ``decimals`` places after the point.
+    """Fixed-point text of a numeric column, ``'{:.Nf}'`` with N = ``decimals``.
 
-    A value that rounds to zero prints without a sign, and NaN and None
-    print as ``nan``.
+    A value that rounds to zero prints without a sign; NaN and None print
+    as ``nan``, and infinities as ``inf`` and ``-inf``.
     """
-    col = np.asarray(values, dtype=float).ravel().tolist()
-    tokens = list(map(f"{{:.{decimals}f}}".format, col))
-    zero = f"{0.0:.{decimals}f}"
-    return [zero if token == "-" + zero else token for token in tokens]
+    return _float_texts(values, decimals, as_json=False)
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +486,6 @@ class Records:
             raise ValueError("a record table needs at least one column, all of one length")
 
 
-# texts of a rounded value that JSON spells otherwise
-_FLOAT_TOKENS = {"nan": "null", "inf": "null", "-inf": "null", "-0.0": "0.0"}
-
-
 def json_floats(values, decimals: int = 6) -> list[str]:
     """JSON tokens of a numeric column, each value rounded to ``decimals`` places.
 
@@ -343,28 +494,19 @@ def json_floats(values, decimals: int = 6) -> list[str]:
     and can move the last digit), that is ``float.__repr__`` of it; zero of
     either sign is ``0.0``, and NaN, infinities and None are ``null``.
 
-    It is computed as fixed-point text, ``'{:.Nf}'`` with N = ``decimals``
-    (at least 1), with trailing zeros stripped down to one digit after the
-    point: both round by the same correctly rounded conversion, and where
-    that text has at most 15 significant digits it is the shortest text of
-    the rounded value, which ``repr`` writes in fixed notation for
-    magnitudes from 1e-4 up to 1e16.  Values outside those limits,
-    0 < |x| < 1e-4 and |x| >= 10**(15 - N), take ``repr(round(x, N))``.
+    The rounded value is k / 10**N with N = ``decimals`` (from 1 to 22)
+    and k the exact x * 10**N rounded half to even, the rounding ``round``
+    makes.  For |x| < 10**(15 - N), |k| <= 10**15 has at most 15
+    significant digits (or is 10**15), so the shortest text of the rounded
+    value, which ``repr`` prints, is the digits of k: in fixed notation
+    with trailing zeros cut down to one fraction digit from 1e-4 up, and in
+    exponent form below.  :func:`_float_texts` writes every such token
+    from k a column at a time; only finite |x| >= 10**(15 - N) take
+    ``repr(round(x, N))`` one value at a time.
     """
     if decimals < 1:
         raise ValueError(f"decimals must be at least 1, got {decimals}")
-    arr = np.asarray(values, dtype=float).ravel()
-    mag = np.abs(arr)
-    exact = (mag < 1e-4) & (mag > 0) | (mag >= 10.0 ** (15 - decimals))
-    # each value takes one encoding, not both: probability tables and their
-    # transforms hold many values below 1e-4
-    tokens = np.empty(arr.size, dtype=object)
-    tokens[~exact] = [token + "0" if token[-1] == "." else token
-                      for token in map(str.rstrip, map(f"{{:.{decimals}f}}".format,
-                                                        arr[~exact].tolist()), repeat("0"))]
-    tokens[exact] = list(map(float.__repr__, map(round, arr[exact].tolist(), repeat(decimals))))
-    tokens = tokens.tolist()
-    return list(map(_FLOAT_TOKENS.get, tokens, tokens))
+    return _float_texts(values, decimals, as_json=True)
 
 
 def json_strings(values: Iterable[str]) -> list[str]:
@@ -401,12 +543,35 @@ def _render(value, level: int) -> str:
 
 
 def _render_records(table: Records, level: int) -> str:
-    """Every record through one ``%``-template for its nesting depth."""
-    pad = "  " * (level + 2)
-    fields = ",\n".join(f"{pad}{encode_basestring_ascii(key).replace('%', '%%')}: %s"
-                        for key in table.columns)
-    template = "{\n" + fields + "\n" + "  " * (level + 1) + "}"
-    return _bracket("[", list(map(template.__mod__, zip(*table.columns.values()))), "]", level)
+    """The records in ``json.dumps(indent=2)`` layout: the text before each key, interleaved
+    with the columns."""
+    pad, inner = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
+    first, *keys = [encode_basestring_ascii(key) + ": " for key in table.columns]
+    return join_rows(list(table.columns.values()), [f",{inner}{key}" for key in keys],
+                     f"[{pad}{{{inner}{first}", f"{pad}}},{pad}{{{inner}{first}",
+                     f"{pad}}}\n{'  ' * level}]") or "[]"
+
+
+def join_rows(columns: Sequence[Sequence[str]], seps: Sequence[str], start: str, between: str,
+              end: str) -> str:
+    """The text of rows of cells, one cell from each column a row.
+
+    It is ``start``, the rows parted by ``between``, and ``end``; a row is
+    its cells with ``seps[j - 1]`` before cell j.  No rows give "".  The
+    parts are laid out in one list, a column at a time by slice
+    assignment, and joined once.
+    """
+    n = len(columns[0])
+    if not n:
+        return ""
+    stride = 2 * len(columns)
+    parts = [between] * (n * stride + 1)
+    parts[0], parts[-1] = start, end
+    for j, column in enumerate(columns):
+        if j:
+            parts[2 * j::stride] = [seps[j - 1]] * n
+        parts[2 * j + 1::stride] = column
+    return "".join(parts)
 
 
 def _bracket(open_: str, items: list[str], close: str, level: int) -> str:

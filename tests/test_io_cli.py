@@ -539,6 +539,53 @@ class TestNumberFormatting:
         assert tokens[5:11] == ["0.0", "0.0", "1e-05", "1.5e-05", "1e+16", "0.0"]
 
 
+def scale_values(decimals: int) -> list:
+    """Over 10**5 values where rounding to ``decimals`` places or printing is delicate."""
+    rng = np.random.default_rng(decimals)
+    k = np.concatenate([rng.integers(-10**6, 10**6, 10_000),
+                        rng.integers(-10**14, 10**14, 5_000)])
+    ties = (k + 0.5) * 10.0 ** -decimals          # nearest doubles to decimal ties
+    # exact binary ties: (2j + 1) / 2**(N + 1) times 10**N is (2j + 1) * 5**N / 2
+    binary = (2 * rng.integers(-10**6, 10**6, 5_000) + 1) / 2.0 ** (decimals + 1)
+    edges = np.array([10.0 ** (15 - decimals), 1e-4, 5.0 * 10.0 ** -(decimals + 1)])
+    center = np.concatenate([ties, binary, edges])
+    near = np.concatenate([center, np.nextafter(center, np.inf), np.nextafter(center, -np.inf)])
+    spread = rng.normal(size=40_000) * 10.0 ** rng.uniform(-20, 18, 40_000)
+    tiny = np.array([5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -1e-310])
+    values = np.concatenate([near, -edges, spread, tiny]).tolist()
+    return values + [0.0, -0.0, float("nan"), float("inf"), float("-inf"), None]
+
+
+@pytest.mark.parametrize("decimals", [1, 3, 6, 12])
+def test_encoders_at_scale(decimals):
+    values = scale_values(decimals)
+    assert len(values) > 10**5
+    want_json = [json.dumps(_oracle_json_num(x, decimals)) for x in values]
+    want_fixed = [_oracle_fmt_num(x, decimals) for x in values]
+    assert json_floats(values, decimals) == want_json
+    assert fixed_floats(values, decimals) == want_fixed
+    as_array = np.array(values, dtype=float)
+    assert json_floats(as_array, decimals) == want_json
+    assert fixed_floats(as_array, decimals) == want_fixed
+
+
+def test_encoders_take_decimals_while_ten_to_the_power_is_exact():
+    assert fixed_floats([2.5, -0.4, 1e300], 0) == ["2", "0", f"{1e300:.0f}"]
+    values = [1.5e-20, 2.5e-22, -3e-9, 0.1 + 0.2]
+    assert json_floats(values, 22) == [json.dumps(_oracle_json_num(x, 22)) for x in values]
+    assert json_floats(values, 22)[:3] == ["1.5e-20", "2e-22", "-3e-09"]
+    with pytest.raises(ValueError, match="decimals"):
+        fixed_floats([1.0], 23)
+    assert json_floats([], 6) == [] and fixed_floats(np.empty((0, 3)), 3) == []
+
+
+def test_join_rows_interleaves_columns():
+    columns = [["a", "b"], ["1", "2"], ["x", "y"]]
+    assert lio.join_rows(columns, ["=", ";"], "<", "|", ">") == "<a=1;x|b=2;y>"
+    assert lio.join_rows([["a"]], [], "", "\n", "\n") == "a\n"
+    assert lio.join_rows([[], []], ["\t"], "head", "\n", "\n") == ""
+
+
 # float values where rounding and printing are delicate
 DELICATE_FLOATS = st.one_of(
     st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 5e-324, -5e-324,
@@ -554,7 +601,7 @@ DELICATE_FLOATS = st.one_of(
 def record_tables(draw):
     """(Records, the list of dicts json.dumps is given) with float, string and flag columns."""
     keys = draw(st.lists(st.text(max_size=5), min_size=1, max_size=4, unique=True))
-    n = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 50))
     columns, values = {}, {}
     for key in keys:
         kind = draw(st.sampled_from(["float6", "float12", "str", "flag"]))
