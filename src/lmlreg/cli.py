@@ -9,7 +9,7 @@ with one call each (``io.fixed_floats`` for TSV, ``io.json_floats`` for
 JSON) and then only joins tokens; ``risk`` takes its columns straight from
 ``risk.risk_table``, with no object per entry.  Every JSON document goes
 through ``io.write_json``, which takes tables of records as token columns,
-not as one dict per entry.
+not as one dict per entry, and writes the document from one walk.
 
 Exit codes: 0 success, 1 the reader closed the output early, 2
 configuration error, 3 data error, 4 numerical failure (boundary or

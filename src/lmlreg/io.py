@@ -19,9 +19,10 @@ column at a time, one encoder per format.  Both float encoders,
 arithmetic on numpy arrays and write its digits from a table, four at a
 time, into one row of bytes; only values of 10**(15 - decimals) or more in
 magnitude are formatted one at a time.  JSON documents (the CLI's ``--out
-json``) take tokens from :func:`json_floats` and :func:`json_strings` and
-are written by :func:`write_json` in the layout of
-``json.dumps(indent=2)``, byte for byte.  Rows of cells, the records of a
+json``) take tokens from :func:`json_floats` and :func:`json_strings`;
+:func:`write_json` walks a document once, in the layout of
+``json.dumps(indent=2)`` byte for byte, appending its text piece by piece
+to one list that is written once.  Rows of cells, the records of a
 :class:`Records` table as the lines of a TSV table, are interleaved from
 their columns and joined once (:func:`join_rows`).
 """
@@ -399,8 +400,8 @@ def _float_texts(values, decimals: int, as_json: bool) -> list[str]:
     unit = _POW10[min(decimals, 16)]                    # |k| < 10**16
     whole = mag // unit
     frac = mag - whole * unit
-    # row: sign, integer digits, point, fraction digits, newline
-    point = 1 + len(str(whole.max(initial=0)))
+    # row: sign, integer digits, point, fraction digits, newline; 4 bytes before it fit -inf
+    point = max(1 + len(str(whole.max(initial=0))), 3 - decimals)
     row = np.empty((x.size, point + decimals + 2), dtype=np.uint8)
     np.multiply(k < 0, np.uint8(ord("-")), out=row[:, 0])
     row[:, 1:point] = _digit_block(whole, (point + 2) // 4, _LEADING)[:, 1 - point:]
@@ -519,37 +520,41 @@ def write_json(doc, stream: IO[str]) -> None:
 
     ``doc`` nests dicts, lists and JSON scalars, with leaves encoded
     beforehand: :class:`Raw` values, :class:`Tokens` arrays and
-    :class:`Records` tables.
+    :class:`Records` tables.  One walk appends the text to one list, written
+    once, so no nested value is copied into its parent's text.
     """
-    stream.write(_render(doc, 0))
-    stream.write("\n")   # a second write, as print makes: no copy of the document
+    parts: list[str] = []
+    _emit(doc, "\n", parts)
+    parts.append("\n")
+    stream.writelines(parts)
 
 
-def _render(value, level: int) -> str:
+def _emit(value, pad: str, parts: list[str]) -> None:
+    """Append the text of ``value`` to ``parts``; ``pad``, a newline and two spaces a level,
+    opens the line of its closing bracket."""
     if isinstance(value, Raw):
-        return value
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, Tokens):
-        return _bracket("[", value, "]", level)
-    if isinstance(value, Records):
-        return _render_records(value, level)
-    if isinstance(value, dict):
-        return _bracket("{", [f"{encode_basestring_ascii(key)}: {_render(item, level + 1)}"
-                              for key, item in value.items()], "}", level)
-    if isinstance(value, (list, tuple)):
-        return _bracket("[", [_render(item, level + 1) for item in value], "]", level)
-    return json.dumps(value)
-
-
-def _render_records(table: Records, level: int) -> str:
-    """The records in ``json.dumps(indent=2)`` layout: the text before each key, interleaved
-    with the columns."""
-    pad, inner = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
-    first, *keys = [encode_basestring_ascii(key) + ": " for key in table.columns]
-    return join_rows(list(table.columns.values()), [f",{inner}{key}" for key in keys],
-                     f"[{pad}{{{inner}{first}", f"{pad}}},{pad}{{{inner}{first}",
-                     f"{pad}}}\n{'  ' * level}]") or "[]"
+        parts.append(value)
+    elif isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif isinstance(value, Records):
+        row, field = pad + "  ", pad + "    "
+        first, *keys = [f"{field}{encode_basestring_ascii(key)}: " for key in value.columns]
+        parts.append(join_rows(list(value.columns.values()), ["," + key for key in keys],
+                               f"[{row}{{{first}", f"{row}}},{row}{{{first}",
+                               f"{row}}}{pad}]") or "[]")
+    elif not value or not isinstance(value, (dict, list, tuple)):
+        parts.append(json.dumps(value))    # scalars and empty containers
+    elif isinstance(value, Tokens):
+        inner = pad + "  "
+        parts.append(f"[{inner}{(',' + inner).join(value)}{pad}]")
+    else:
+        keyed, inner = isinstance(value, dict), pad + "  "
+        sep = "{" if keyed else "["
+        for item in value:
+            parts.append(f"{sep}{inner}{encode_basestring_ascii(item)}: " if keyed else sep + inner)
+            _emit(value[item] if keyed else item, inner, parts)
+            sep = ","
+        parts.append(pad + ("}" if keyed else "]"))
 
 
 def join_rows(columns: Sequence[Sequence[str]], seps: Sequence[str], start: str, between: str,
@@ -573,10 +578,3 @@ def join_rows(columns: Sequence[Sequence[str]], seps: Sequence[str], start: str,
         parts[2 * j + 1::stride] = column
     return "".join(parts)
 
-
-def _bracket(open_: str, items: list[str], close: str, level: int) -> str:
-    """``json.dumps`` layout with ``indent=2``: one item per line, ``[]``/``{}`` when empty."""
-    if not items:
-        return open_ + close
-    pad = "\n" + "  " * (level + 1)
-    return open_ + pad + ("," + pad).join(items) + "\n" + "  " * level + close

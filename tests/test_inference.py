@@ -531,6 +531,21 @@ class TestInvariance:
         np.testing.assert_allclose(moved.beta_hat.values[move], base.beta_hat.values,
                                    rtol=0, atol=1e-8)
 
+    @given(st.integers(1, 3), st.integers(0, 10**6))
+    @settings(max_examples=25, deadline=None)
+    def test_one_response_links_agree(self, q, seed):
+        """With one response the lm and lml parameters coincide: the fits are bitwise equal.
+
+        The zero sets leave out (y, {}), which forces pr(Y = 1 | {}) = 1, a
+        boundary point that neither link can fit.
+        """
+        data, spec = self.case(1, q, seed, "lm")
+        lm, lml = fit(spec, data), fit(ModelSpec("lml", spec.zero_set), data)
+        assert lm.converged and lml.converged
+        assert np.array_equal(lm.estimates, lml.estimates)
+        assert np.array_equal(lm.std_errors, lml.std_errors)
+        assert (lm.deviance, lm.iterations) == (lml.deviance, lml.iterations)
+
 
 class TestNewtonStep:
     """The Newton step is a Cholesky-checked solve; the eigenvalue step is the fallback."""

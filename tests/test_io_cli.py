@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lmlreg
@@ -571,6 +571,8 @@ def test_encoders_at_scale(decimals):
 
 def test_encoders_take_decimals_while_ten_to_the_power_is_exact():
     assert fixed_floats([2.5, -0.4, 1e300], 0) == ["2", "0", f"{1e300:.0f}"]
+    assert fixed_floats([float("nan"), 1.0, float("-inf"), float("inf")], 0) == \
+        ["nan", "1", "-inf", "inf"]
     values = [1.5e-20, 2.5e-22, -3e-9, 0.1 + 0.2]
     assert json_floats(values, 22) == [json.dumps(_oracle_json_num(x, 22)) for x in values]
     assert json_floats(values, 22)[:3] == ["1.5e-20", "2e-22", "-3e-09"]
@@ -643,6 +645,12 @@ class TestJsonWriter:
 
     @settings(max_examples=200, deadline=None)
     @given(st.recursive(st.one_of(SCALARS, record_tables()), _containers, max_leaves=8))
+    @example(({"steps": [{"label": "drop", "fit": {   # select --out json, empty values at depth 4
+        "coefficients": Records({"D": ['"a"', '"b"'], "se": ["0.5", "null"]}),
+        "notes": [], "none": Tokens(), "rows": Records({"D": []}), "extra": {}}}]},
+        {"steps": [{"label": "drop", "fit": {
+            "coefficients": [{"D": "a", "se": 0.5}, {"D": "b", "se": None}],
+            "notes": [], "none": [], "rows": [], "extra": {}}}]}))
     def test_matches_json_dumps(self, doc):
         written, obj = doc
         assert render_to_string(lambda s: lio.write_json(written, s)) == \
