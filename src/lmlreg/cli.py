@@ -44,6 +44,7 @@ from .params import (
     ValidationError,
     beta_from_pi,
     beta_kind_for_link,
+    coeffs_from_link,
     gamma_from_mu,
     mu_from_gamma,
     mu_from_pi,
@@ -120,7 +121,7 @@ def _check_config(args: argparse.Namespace) -> tuple[SubsetLattice, SubsetLattic
 
 def _ingest(args: argparse.Namespace, V: SubsetLattice, U: SubsetLattice) -> CountTable:
     data = lio.read_count_data(args.input, V, U, args.format)
-    empty = [U.format_mask(e) for e in range(U.size) if data.column_totals[e] == 0]
+    empty = [U.format_mask(e) for e in np.flatnonzero(data.column_totals == 0).tolist()]
     if empty:
         print(f"warning: no observations in covariate cells: {', '.join(empty)}",
               file=sys.stderr)
@@ -292,8 +293,8 @@ def cmd_transform(args: argparse.Namespace, V: SubsetLattice, U: SubsetLattice) 
         "pi": pi,
         "mu": mu,
         "gamma": gamma,
-        "beta_mu": beta_from_pi(pi, "lm"),
-        "beta_gamma": beta_from_pi(pi, "lml"),
+        "beta_mu": pi.with_values(coeffs_from_link(np.log(mu.values)), "beta_mu"),
+        "beta_gamma": pi.with_values(coeffs_from_link(gamma.values), "beta_gamma"),
     }
     if args.out == "json":
         labels = {"rows": Tokens(json_strings(V.mask_labels)),

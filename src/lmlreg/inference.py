@@ -4,9 +4,10 @@ The sampling scheme is one independent multinomial per covariate cell: the
 count matrix has a column per cell E ⊆ U and a row per response pattern
 D ⊆ V (the observations with exactly the responses in D equal to 1).  A
 model is a link choice (``lm`` or ``lml``) plus a set of regression
-coefficients constrained to zero; the remaining coefficients are free and
-the closed-form coefficient→probability map makes the log-likelihood and
-its gradient cheap to evaluate exactly.
+coefficients constrained to zero, read everywhere as one boolean mask; the
+free coefficients, in canonical (|D|, D, |E|, E) order, make the
+log-likelihood and its gradient cheap to evaluate exactly through the
+closed-form coefficient→probability map.
 
 Fitting is a damped Newton iteration on the free coefficients: analytic
 gradient, analytic Hessian (the exact observed information), and step
@@ -32,6 +33,7 @@ transform of a Jacobian-sized array is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -66,9 +68,29 @@ MAX_HALVINGS = 30
 MAX_STEP = 10.0
 
 
+def _pair_array(pairs: Iterable[tuple[int, int]]) -> np.ndarray:
+    """(D, E) pairs as a (2, n) array of D and E masks, converted in one C-level pass."""
+    return np.fromiter(chain.from_iterable(pairs), np.intp).reshape(-1, 2).T
+
+
+def _canonical(pairs: np.ndarray) -> np.ndarray:
+    """The columns of a (2, n) pair array in canonical (|D|, D, |E|, E) order,
+    C-contiguous: ``pairs[:, order]`` would make each row a strided index array."""
+    d, e = pairs
+    return pairs.take(np.lexsort((e, np.bitwise_count(e), d, np.bitwise_count(d))), axis=1)
+
+
 def sorted_pairs(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     """(D, E) coefficient positions in canonical (|D|, D, |E|, E) order."""
-    return sorted(pairs, key=lambda de: (de[0].bit_count(), de[0], de[1].bit_count(), de[1]))
+    return list(zip(*_canonical(_pair_array(pairs)).tolist()))
+
+
+def _free_mask(zero_set: Iterable[tuple[int, int]], shape: tuple[int, int]) -> np.ndarray:
+    """A boolean (2**p, 2**q) mask, True at every (D, E) with D ≠ ∅ not in ``zero_set``."""
+    free = np.ones(shape, dtype=bool)
+    free[0] = False
+    free[tuple(_pair_array(zero_set))] = False
+    return free
 
 
 @dataclass(frozen=True)
@@ -106,13 +128,12 @@ class CountTable:
         """Collapse onto the responses in ``labels`` (summing out the rest)."""
         keep_mask = self.responses.mask_of(labels)
         sub = SubsetLattice(self.responses.members(keep_mask))
-        kept = [b for b in range(self.responses.ground_size) if keep_mask >> b & 1]
-        # row of each response pattern in the margin: bit j is its j-th kept response
-        patterns = np.arange(self.responses.size)
-        rows = sum((patterns >> b & 1) << j for j, b in enumerate(kept))
-        out = np.zeros((sub.size, self.covariates.size), dtype=np.int64)
-        np.add.at(out, rows, self.counts)
-        return CountTable(sub, self.covariates, out)
+        # one axis per response, response b on axis p-1-b (row-major bit
+        # order); summing the dropped axes leaves the kept bits in order
+        p = self.responses.ground_size
+        dropped = tuple(p - 1 - b for b in range(p) if not keep_mask >> b & 1)
+        out = self.counts.reshape((2,) * p + (-1,)).sum(axis=dropped)
+        return CountTable(sub, self.covariates, out.reshape(sub.size, -1))
 
 
 @dataclass(frozen=True)
@@ -125,11 +146,11 @@ class ModelSpec:
     def __post_init__(self) -> None:
         check_link(self.link)
         zs = frozenset((int(d), int(e)) for d, e in self.zero_set)
-        for d, e in zs:
-            if d == 0:
-                raise ValueError("zero_set must not contain row-∅ pairs (structurally zero already)")
-            if d < 0 or e < 0:
-                raise ValueError("zero_set masks must be nonnegative")
+        d_low, e_low = _pair_array(zs).min(axis=1, initial=1)
+        if d_low == 0:
+            raise ValueError("zero_set must not contain row-∅ pairs (structurally zero already)")
+        if min(d_low, e_low) < 0:
+            raise ValueError("zero_set masks must be nonnegative")
         object.__setattr__(self, "zero_set", zs)
 
     @property
@@ -153,14 +174,13 @@ class ModelSpec:
 
     def free_positions(self, responses: SubsetLattice, covariates: SubsetLattice) -> list[tuple[int, int]]:
         """Free (D, E) coefficient positions in canonical (|D|, D, |E|, E) order."""
-        return _free_pairs(self.validate_for(responses, covariates), responses, covariates)
+        zero_set = self.validate_for(responses, covariates).zero_set
+        return list(zip(*_free_pairs(zero_set, (responses.size, covariates.size)).tolist()))
 
 
-def _free_pairs(spec: ModelSpec, responses: SubsetLattice,
-                covariates: SubsetLattice) -> list[tuple[int, int]]:
-    """``spec.free_positions`` of a spec already validated for the lattices."""
-    return sorted_pairs((d, e) for d in range(1, responses.size)
-                        for e in range(covariates.size) if (d, e) not in spec.zero_set)
+def _free_pairs(zero_set: Iterable[tuple[int, int]], shape: tuple[int, int]) -> np.ndarray:
+    """:func:`_free_mask`'s positions as a (2, n) array in canonical order."""
+    return _canonical(np.array(np.nonzero(_free_mask(zero_set, shape))))
 
 
 @dataclass(frozen=True)
@@ -258,11 +278,11 @@ class LogLikelihood:
             if smooth <= 0:
                 raise ValueError(f"smoothing epsilon must be positive, got {smooth}")
             self.counts = self.counts + float(smooth)
-        # the spec is validated once, by fit, which builds every likelihood
-        self.free: list[tuple[int, int]] = _free_pairs(spec, data.responses, data.covariates)
-        self._rows = np.array([d for d, _ in self.free], dtype=np.intp)
-        self._cols = np.array([e for _, e in self.free], dtype=np.intp)
         self.shape = (data.responses.size, data.covariates.size)
+        # the spec is validated once, by fit, which builds every likelihood
+        free = _free_pairs(spec.zero_set, self.shape)
+        self.free: list[tuple[int, int]] = list(zip(*free.tolist()))
+        self._rows, self._cols = free
         # Columns with no observations contribute nothing to the likelihood,
         # so validity (pi > 0) is only required where there is data.
         self._col_observed = self.counts.sum(axis=0) > 0
@@ -273,8 +293,7 @@ class LogLikelihood:
         # ``take`` each of the first term's gradient-matrix entry (pair row,
         # pair column) and the second term's Gram-block entry (pair column,
         # free row, free row).
-        free_rows = np.array(sorted({d for d, _ in self.free}), dtype=np.intp)
-        self._free_rows = free_rows
+        self._free_rows = free_rows = np.unique(self._rows)
         d, patterns = free_rows[:, None], np.arange(self.shape[0])[None, :]
         sign = np.where(np.bitwise_count(d & ~patterns) % 2 == 1, -1.0, 1.0)
         rows_i, rows_j = self._rows[:, None], self._rows[None, :]
@@ -426,12 +445,10 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
             f"covariate cells with no observations: {names} "
             f"(pass allow_missing_cells to restrict the likelihood to observed cells)"
         )
-    if spec.is_saturated and options.smooth is None:
-        work = data.counts if not missing else data.counts[:, [j for j in range(data.covariates.size) if j not in missing]]
-        if np.any(work == 0):
-            raise DataError(
-                "zero observed cell in a saturated fit; enable smoothing or constrain the model"
-            )
+    if spec.is_saturated and options.smooth is None and np.any(data.counts[:, totals > 0] == 0):
+        raise DataError(
+            "zero observed cell in a saturated fit; enable smoothing or constrain the model"
+        )
 
     unidentified: list[tuple[int, int]] = []
     if missing:
@@ -439,9 +456,8 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
         # cells containing E, so E is covered iff the superset sum of the
         # observed-cell indicator is positive there
         covered = zeta_transform((totals > 0).astype(float), supersets=True) > 0
-        unidentified = sorted_pairs((d, e) for d in range(1, data.responses.size)
-                                    for e in np.flatnonzero(~covered).tolist()
-                                    if (d, e) not in spec.zero_set)
+        free = _free_pairs(spec.zero_set, data.counts.shape)
+        unidentified = list(zip(*free[:, ~covered[free[1]]].tolist()))
     ll = LogLikelihood(spec.with_zeros(unidentified) if unidentified else spec, data,
                        smooth=options.smooth)
 

@@ -109,11 +109,10 @@ def validate(pm: ParamMatrix) -> ParamMatrix:
         if np.any(v <= 0.0) or np.any(v > 1.0 + STRUCTURAL_TOL):
             raise ValidationError("mu: entries must lie in (0, 1]")
         # monotone in D: mu_D <= mu_{D\{i}} suffices bit by bit (transitivity)
+        patterns = np.arange(pm.rows.size)
         for b in range(pm.rows.ground_size):
-            bit = 1 << b
-            hi = [m for m in range(pm.rows.size) if m & bit]
-            lo = [m ^ bit for m in hi]
-            if np.any(v[hi] > v[lo] + COLUMN_SUM_TOL):
+            hi = patterns[patterns >> b & 1 == 1]
+            if np.any(v[hi] > v[hi ^ 1 << b] + COLUMN_SUM_TOL):
                 raise ValidationError(
                     f"mu: not monotone, mu_D > mu_D\\{{{pm.rows.labels[b]}}} somewhere"
                 )

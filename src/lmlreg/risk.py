@@ -13,10 +13,10 @@ Every (D, u, E) summary comes from one columnar computation,
 :func:`risk_table`, which the CLI prints; :func:`risk_report`'s entries are
 a view of that table, one object per row, for the library API.
 
-Independence detection is structural: it consumes the zero set of a model
-spec, given with its lattices or through a fitted result, where the
-biconditionals are exact.  Fitted values are never scanned against a
-tolerance.
+Independence detection and ``constrained`` are structural: they read the
+zero set of a model spec, given with its lattices or through a fitted
+result, as the boolean free mask the fit uses, where the biconditionals
+are exact.  Fitted values are never scanned against a tolerance.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import FitResult, ModelSpec
+from .inference import FitResult, ModelSpec, _free_mask
 from .lattice import SubsetLattice, iter_submasks, mobius_transform, zeta_transform
 from .params import ParamMatrix, beta_gamma_from_beta_mu, beta_mu_from_beta_gamma
 
@@ -75,11 +75,11 @@ def risk_table(fit_result: FitResult) -> tuple[np.ndarray, ...]:
     lml = beta.kind == "beta_gamma"
     bmu = beta_mu_from_beta_gamma(beta) if lml else beta
     bgamma = beta if lml else beta_gamma_from_beta_mu(beta)
-    gamma_zeros = fit_result.spec.zero_set if lml else frozenset()   # lm zeros pin no gamma
+    gamma_zeros = fit_result.spec.zero_set if lml else ()   # lm zeros pin no gamma
     # stacked on a leading axis: log RR, log reference RR, log ratio, and the
     # number of unconstrained gamma terms each ratio sums
     stacked = np.stack([bmu.values, reference_coeffs(bmu).values, bgamma.values,
-                        1.0 - _indicator(gamma_zeros, beta.values.shape)])
+                        _free_mask(gamma_zeros, beta.values.shape)])
     # the per-u blocks side by side: column k of ``sums`` is (u[k], cells[k])
     sums, cells = (np.concatenate(part, axis=-1) for part in zip(
         *(_background_sums(stacked, beta.cols, u) for u in beta.cols.labels)))
@@ -126,28 +126,6 @@ def risk_report(fit_result: FitResult) -> RiskReport:
 # ---------------------------------------------------------------------------
 # implied independence structure
 
-def _indicator(pairs, shape: tuple[int, int]) -> np.ndarray:
-    """1.0 at every (D, E) in ``pairs``, 0.0 elsewhere."""
-    out = np.zeros(shape)
-    if pairs:
-        out[tuple(np.array(list(pairs)).T)] = 1.0
-    return out
-
-
-def _nonzero_gamma_rows(spec: ModelSpec, responses: SubsetLattice,
-                        covariates: SubsetLattice) -> np.ndarray:
-    """1.0 for rows D ≠ ∅ whose gamma coefficients the zero set does not all pin."""
-    if spec.link != "lml":
-        # lm zero constraints pin beta_mu, not gamma; they never force a
-        # gamma row to vanish, so no response independencies follow.
-        rows = np.ones(responses.size)
-    else:
-        zeros = _indicator(spec.zero_set, (responses.size, covariates.size))
-        rows = (zeros.sum(axis=1) < covariates.size).astype(float)
-    rows[0] = 0.0
-    return rows
-
-
 def _bipartitions(d_mask: int):
     """Unordered proper bipartitions (A, B) of d_mask, A holding its lowest bit."""
     low = d_mask & -d_mask
@@ -180,9 +158,12 @@ def implied_response_independencies(
     elif responses is None or covariates is None:
         raise ValueError("responses and covariates lattices are required with a ModelSpec")
 
+    # gamma rows D ≠ ∅ the zero set does not pin whole (lm zeros pin no gamma)
+    zeros = source.zero_set if source.link == "lml" else ()
+    nonzero = _free_mask(zeros, (responses.size, covariates.size)).any(axis=1)
     # nonzero rows below D; the rows below A or below B are exactly those not
     # meeting both, and they share only the (never nonzero) row ∅
-    below = zeta_transform(_nonzero_gamma_rows(source, responses, covariates)).tolist()
+    below = zeta_transform(nonzero.astype(float)).tolist()
     return [
         (d, a, b)
         for d in responses.masks_by_cardinality()
@@ -202,8 +183,7 @@ def implied_covariate_independencies(
     to lm and lml specs alike.
     """
     spec.validate_for(responses, covariates)
-    free = 1.0 - _indicator(spec.zero_set, (responses.size, covariates.size))
-    free[0] = 0.0
+    free = _free_mask(spec.zero_set, (responses.size, covariates.size)).astype(float)
     # free coefficients with D' ⊆ D and E ⊆ W; those with E meeting U' are
     # the row total less the count at W = U \ U'
     below = zeta_transform(zeta_transform(free, axis=0), axis=1)

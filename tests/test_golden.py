@@ -180,8 +180,9 @@ def workdir(tmp_path_factory) -> Path:
 
 
 def builds(manifest: dict) -> str:
+    now = environment()
     return (f"goldens written under numpy {manifest['numpy']}, BLAS {manifest['blas']}; "
-            f"this run: numpy {environment()['numpy']}, BLAS {environment()['blas']}")
+            f"this run: numpy {now['numpy']}, BLAS {now['blas']}")
 
 
 def test_manifest_lists_every_case(manifest):
