@@ -15,6 +15,9 @@ numbers quoted in the acceptance suite; the coverage band there uses
 --reps 1000 --seed0 50000.  Draws whose maximum sits on the boundary of the
 probability simplex (an empty observed cell) are reported separately.
 
+The chi-square quantiles come from scipy.stats, so the script needs the
+``test`` extra (``pip install -e '.[test]'``).
+
 Usage:
   python scripts/run_calibration_study.py
   python scripts/run_calibration_study.py --reps 1000 --seed0 50000

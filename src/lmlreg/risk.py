@@ -157,6 +157,8 @@ def implied_response_independencies(
         raise TypeError(f"expected a ModelSpec or FitResult, got {type(source).__name__}")
     elif responses is None or covariates is None:
         raise ValueError("responses and covariates lattices are required with a ModelSpec")
+    else:
+        source.validate_for(responses, covariates)
 
     # gamma rows D ≠ ∅ the zero set does not pin whole (lm zeros pin no gamma)
     zeros = source.zero_set if source.link == "lml" else ()

@@ -26,12 +26,15 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lmlreg
 from lmlreg import io as lio
 from lmlreg.cli import main
 from lmlreg.inference import simulate
@@ -196,6 +199,19 @@ def test_cli_output_is_unchanged(name, manifest, workdir, monkeypatch):
     want = manifest["cases"][name]
     assert (code, err) == (want["exit"], want["stderr"]), builds(manifest)
     assert out == (GOLDEN / f"{name}.out").read_bytes().decode("utf-8"), builds(manifest)
+
+
+def test_bad_row_through_a_pipe(manifest, workdir):
+    """The bad-row case read as ``--input /dev/stdin`` from a pipe, in a fresh
+    process, names the same line and exits the same way as from its path."""
+    env = {**os.environ, "PYTHONPATH": str(Path(lmlreg.__file__).parents[1])}
+    argv = [arg.replace("badrow.csv", "/dev/stdin") for arg in CASES["error-bad-row"]]
+    proc = subprocess.run([sys.executable, "-m", "lmlreg.cli", *argv], env=env, cwd=workdir,
+                          input=(workdir / "badrow.csv").read_bytes(), capture_output=True,
+                          timeout=120)
+    want = manifest["cases"]["error-bad-row"]
+    assert want["stderr"].startswith("error: line 5: ")
+    assert (proc.returncode, proc.stderr.decode(), proc.stdout) == (want["exit"], want["stderr"], b"")
 
 
 def test_cap_json_outputs_are_unchanged(manifest, tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special, stats
+from scipy import special
 
 import lmlreg.inference
 
@@ -18,9 +18,11 @@ from lmlreg.inference import (
     FitResult,
     LogLikelihood,
     ModelSpec,
+    _chi2_tail,
     _independence_mu,
     _start_candidates,
     _starting_point,
+    _two_sided_normal_tail,
     fit,
     induced_mu_stats,
     loglik,
@@ -410,22 +412,34 @@ class TestGatherHessian:
 
 
 class TestTailProbabilities:
-    """The special-function tails fit uses equal the scipy.stats ones bit for bit."""
+    """fit's Wald and deviance tails against scipy's, kept as a test-only oracle."""
 
     def test_normal_tail(self):
-        z = np.concatenate([np.linspace(0.0, 40.0, 40001), [np.nan, np.inf]])
-        got, want = special.ndtr(-np.abs(z)), stats.norm.sf(np.abs(z))
-        assert np.array_equal(got, want, equal_nan=True)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+        grid = np.linspace(0.0, 40.0, 40001)
+        z = np.concatenate([grid, -grid, [np.nan, np.inf, -np.inf]])
+        got = _two_sided_normal_tail(z)
+        np.testing.assert_allclose(got, 2.0 * special.ndtr(-np.abs(z)), rtol=0, atol=1e-15)
 
     def test_chi_square_tail(self):
         rng = np.random.default_rng(3)
         df = rng.integers(1, 300, size=6000)
         dev = np.where(np.arange(6000) % 10 == 0, 0.0, rng.gamma(2.0, df / 2.0))
-        got = np.array([special.chdtrc(k, x) for k, x in zip(df, dev)])
-        want = np.array([stats.chi2.sf(x, k) for k, x in zip(df, dev)])
-        assert np.array_equal(got, want)
+        got = np.array([_chi2_tail(k, x) for k, x in zip(df.tolist(), dev.tolist())])
+        np.testing.assert_allclose(got, special.chdtrc(df, dev), rtol=0, atol=1e-14)
         assert np.all(got[::10] == 1.0)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 5, 39, 40, 41, 64, 399, 400, 401, 1000, 2048, 3844, 4096])
+    def test_chi_square_tail_near_its_mean(self, df):
+        # x ≈ df is where 1 − P cancels and a·log x loses digits at large df
+        band = 3.0 * np.sqrt(2.0 * df)
+        dev = np.linspace(max(df - band, 0.0), df + band, 401)
+        got = np.array([_chi2_tail(df, x) for x in dev.tolist()])
+        np.testing.assert_allclose(got, special.chdtrc(df, dev), rtol=0, atol=1e-14)
+
+    def test_chi_square_tail_edges(self):
+        dev = [np.inf, np.nan, -1.0, 0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300]
+        got = [_chi2_tail(3, x) for x in dev]
+        np.testing.assert_array_equal(got, special.chdtrc(3, dev))
 
 
 class TestConstrainedFit:

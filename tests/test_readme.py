@@ -1,20 +1,37 @@
-"""The examples in README.md run and print what README.md shows."""
+"""The examples in README.md run and print what README.md shows, and its
+Dependencies line holds."""
 
 from __future__ import annotations
 
 import contextlib
 import io
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import lmlreg
 from lmlreg.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 # (info string, body) of every fenced block, in order
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", README, re.S | re.M)
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    """Importing the library, the CLI and the presets loads no scipy module."""
+    code = ("import sys, lmlreg, lmlreg.cli, lmlreg.presets; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(lmlreg.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\n"
+    assert "Dependencies: `numpy` (2.0 or later, for `np.bitwise_count`) only." in README
 
 
 def test_python_examples_print_what_is_shown():

@@ -358,6 +358,16 @@ class TestImpliedResponseIndependencies:
         with pytest.raises(ValueError, match="lattices"):
             implied_response_independencies(spec)
 
+    @pytest.mark.parametrize("link", ["lml", "lm"])
+    @pytest.mark.parametrize("pair, message", [((4, 0), "mask 4 out of range for ground set of size 2"),
+                                               ((3, 2), "mask 2 out of range for ground set of size 1")])
+    def test_spec_outside_lattices_rejected_like_its_twin(self, link, pair, message):
+        V, U = lattices(2, 1)
+        spec = ModelSpec(link, frozenset({pair}))
+        for scan in (implied_response_independencies, implied_covariate_independencies):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                scan(spec, V, U)
+
     def test_coefficient_matrix_source_rejected(self):
         bg = beta_from_pi(block_product_pi(1, 1, 1, 35), "lml")
         for args in ((bg,), (bg, bg.rows, bg.cols)):
