@@ -110,11 +110,12 @@ class CountTable:
                 f"counts shape {c.shape} does not match lattices "
                 f"({self.responses.size}, {self.covariates.size})"
             )
-        if np.any(c < 0) or not np.all(np.isfinite(c.astype(float))):
+        integral = c.dtype.kind in "iu"   # integers need no float copy, finiteness or rounding check
+        if np.any(c < 0) or not (integral or np.all(np.isfinite(c.astype(float)))):
             raise ValueError("counts must be finite and nonnegative")
-        if not np.allclose(c, np.round(c)):
+        if not (integral or np.allclose(c, np.round(c))):
             raise ValueError("counts must be integers")
-        c = np.round(c).astype(np.int64)
+        c = (c if integral else np.round(c)).astype(np.int64)
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
 

@@ -15,12 +15,14 @@ direction and orientation and along any axis of an array, runs through
 one in-place butterfly (Yates' algorithm): ``n`` passes of one add or
 subtract over the two halves of the axis split at bit ``b``,
 ``O(n * 2**n)`` per vector and exact to floating-point associativity.
+Their layout is planned once per shape, axis and orientation; each call
+still copies its input and runs the passes in bit order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Iterable
 
 import numpy as np
@@ -139,26 +141,33 @@ def iter_submasks(mask: int) -> Iterator[int]:
     return iter(reversed(subs))
 
 
-def _butterfly(x: np.ndarray, axis: int, supersets: bool, op: np.ufunc) -> np.ndarray:
-    """Yates' in-place butterfly shared by both transforms, on a float copy of x.
+@lru_cache(maxsize=256)
+def _passes(shape: tuple[int, ...], axis: int, supersets: bool) -> tuple[tuple, ...]:
+    """The butterfly's passes for one shape, axis and orientation: (view, dst, src).
 
     Pass b views ``axis`` as (2**(n-1-b), 2, 2**b): the two middle slots are
     the masks without and with bit b.  For subset sums the upper half takes
     ``op(upper, lower)``; for superset sums the lower half takes
     ``op(lower, upper)``.
     """
-    y = np.array(x, dtype=float)
-    n = _require_power_of_two(y.shape[axis])
-    axis %= y.ndim
-    head, tail = y.shape[:axis], y.shape[axis + 1:]
+    n = _require_power_of_two(shape[axis])
+    axis %= len(shape)
     lead = (slice(None),) * (axis + 1)
-    for b in range(n):
-        # splitting one axis never copies, whatever the memory layout, so the
-        # updates below land in y
-        v = y.reshape(head + (1 << (n - 1 - b), 2, 1 << b) + tail)
-        lo, hi = v[lead + (0,)], v[lead + (1,)]
-        dst, src = (lo, hi) if supersets else (hi, lo)
-        op(dst, src, out=dst)
+    dst, src = lead + (int(not supersets),), lead + (int(supersets),)
+    return tuple((shape[:axis] + (1 << (n - 1 - b), 2, 1 << b) + shape[axis + 1:], dst, src)
+                 for b in range(n))
+
+
+def _butterfly(x: np.ndarray, axis: int, supersets: bool, op: np.ufunc) -> np.ndarray:
+    """Yates' in-place butterfly shared by both transforms, on a float copy of x.
+
+    Splitting one axis never copies, whatever the memory layout, so each
+    pass's update lands in y."""
+    y = np.array(x, dtype=float)
+    for view, dst, src in _passes(y.shape, axis, supersets):
+        v = y.reshape(view)
+        upd = v[dst]
+        op(upd, v[src], out=upd)
     return y
 
 

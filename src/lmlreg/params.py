@@ -208,11 +208,14 @@ def mu_values_from_gamma(gamma_values: np.ndarray) -> np.ndarray:
 
 
 def mu_values_from_beta(beta_values: np.ndarray, link: str) -> np.ndarray:
-    """Coefficients -> means: theta = beta Z_U, then exp (lm) or the gamma chain (lml)."""
-    theta = zeta_transform(beta_values, axis=-1)
+    """Coefficients -> means: theta = beta Z_U, then exp (lm) or the gamma chain (lml).
+
+    For lml both subset sums run as one transform of the C-order flattened
+    index d·2**q + e, whose passes are theirs in their order: bitwise equal.
+    """
     if check_link(link) == "lm":
-        return np.exp(theta)
-    return mu_values_from_gamma(theta)
+        return np.exp(zeta_transform(beta_values, axis=-1))
+    return np.exp(zeta_transform(np.ravel(beta_values)).reshape(np.shape(beta_values)))
 
 
 def pi_values_from_beta(beta_values: np.ndarray, link: str) -> np.ndarray:

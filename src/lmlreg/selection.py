@@ -13,7 +13,9 @@ rows in the upper half of the response-subset sizes, then all rows.
 Within a margin or stage, all coefficients failing the Wald threshold are
 zeroed in one batch and the model is refitted.  This repeats until no
 further coefficient fails, so the reported model contains only significant
-terms; only the first backward stage stops after one batch.
+terms; only the first backward stage stops after one batch.  No model is
+fitted twice: a stage starts from the fit the step before ended with, and
+the forward joint fit is that of the last margin, which is the whole table.
 """
 
 from __future__ import annotations
@@ -74,33 +76,30 @@ class SelectionTrace:
         return self.final_spec.zero_set
 
 
-def _drop_rounds(spec: ModelSpec, data: CountTable, alpha: float, rows: set[int], options: FitOptions,
-                 single_batch: bool = False) -> tuple[ModelSpec, FitResult, list[tuple[int, int]], str | None]:
-    """Batch-drop non-significant coefficients and refit, up to a fixpoint.
+def _drop_rounds(result: FitResult, data: CountTable, alpha: float, rows: set[int], options: FitOptions,
+                 single_batch: bool = False) -> tuple[FitResult, list[tuple[int, int]], str | None]:
+    """Batch-drop non-significant coefficients from the caller's fit and refit, up to a fixpoint.
 
-    Only coefficients whose row is in ``rows`` may be dropped; one whose
-    Wald p-value is NaN (unassessable) never is, as ``nan > alpha`` is
-    false.  With ``single_batch`` one batch is dropped and refitted, and no
-    more.  On a fit failure the previous model is kept and the error is
-    reported.
+    ``result``, the fit of ``result.spec`` on ``data``, is not refitted.  Only
+    coefficients whose row is in ``rows`` may be dropped; one whose Wald
+    p-value is NaN (unassessable) never is, as ``nan > alpha`` is false.  With
+    ``single_batch`` one batch is dropped and refitted, and no more.  On a
+    fit failure the previous fit is kept and the error is reported.
     """
-    result = fit(spec, data, options)
     dropped: list[tuple[int, int]] = []
     while True:
         flagged = [(d, e) for (d, e), p in zip(result.free_index, result.wald_p.tolist())
                    if d in rows and p > alpha]
         if not flagged:
             break
-        trial = spec.with_zeros(flagged)
         try:
-            trial_fit = fit(trial, data, options)
+            result = fit(result.spec.with_zeros(flagged), data, options)
         except (DataError, ConvergenceError, BoundaryError) as exc:
-            return spec, result, dropped, f"refit after dropping {len(flagged)} coefficients failed: {exc}"
-        spec, result = trial, trial_fit
+            return result, dropped, f"refit after dropping {len(flagged)} coefficients failed: {exc}"
         dropped.extend(flagged)
         if single_batch:
             break
-    return spec, result, dropped, None
+    return result, dropped, None
 
 
 def forward_margin_selection(data: CountTable, alpha: float = 0.05,
@@ -111,7 +110,8 @@ def forward_margin_selection(data: CountTable, alpha: float = 0.05,
     the marginal table of Y_D is fitted with all constraints selected for
     sub-margins of D, and the coefficients of the top row (the D-association
     itself) with Wald p > alpha are zeroed.  The union of all selected zeros
-    defines the final joint model, which is refitted.
+    defines the final joint model: the last margin's, whose fit it reuses
+    (it is refitted only when that margin's fit failed).
 
     Upward compatibility makes a margin fit equal the joint fit's rows only
     while every zero lies within the margin.  Zeros selected in margins that
@@ -137,8 +137,8 @@ def forward_margin_selection(data: CountTable, alpha: float = 0.05,
         }
         spec = ModelSpec("lml", frozenset(inherited))
         try:
-            spec, result, dropped_margin, err = _drop_rounds(
-                spec, margin, alpha, rows={top}, options=options,
+            result, dropped_margin, err = _drop_rounds(
+                fit(spec, margin, options), margin, alpha, rows={top}, options=options,
             )
         except (DataError, ConvergenceError, BoundaryError) as exc:
             steps.append(SelectionStep(
@@ -149,12 +149,14 @@ def forward_margin_selection(data: CountTable, alpha: float = 0.05,
         dropped_joint = [(V.mask_of(margin.responses.members(d)), e) for d, e in dropped_margin]
         joint_zeros.update(dropped_joint)
         steps.append(SelectionStep(
-            label=f"margin {V.format_mask(d_joint)}", spec=spec, fit=result,
+            label=f"margin {V.format_mask(d_joint)}", spec=result.spec, fit=result,
             dropped=tuple(sorted_pairs(dropped_joint)), scope=labels, error=err,
         ))
 
     final_spec = ModelSpec("lml", frozenset(joint_zeros))
-    final_fit = fit(final_spec, data, options)
+    last = steps[-1]   # the margin on every response is the table itself
+    final_fit = (last.fit if last.fit is not None and last.spec == final_spec
+                 else fit(final_spec, data, options))
     steps.append(SelectionStep(label="joint", spec=final_spec, fit=final_fit, dropped=()))
     return SelectionTrace(tuple(steps), final_spec, final_fit)
 
@@ -192,13 +194,13 @@ def backward_staged_selection(data: CountTable, link: str = "lml", alpha: float 
                {d for d in range(1, V.size) if d.bit_count() > p / 2}, True),
               ("drop remaining non-significant", set(range(1, V.size)), False)]
     for label, rows, single_batch in stages:
-        spec, result, dropped, err = _drop_rounds(spec, data, alpha, rows, options, single_batch)
-        steps.append(SelectionStep(label=label, spec=spec, fit=result,
+        result, dropped, err = _drop_rounds(result, data, alpha, rows, options, single_batch)
+        steps.append(SelectionStep(label=label, spec=result.spec, fit=result,
                                    dropped=tuple(sorted_pairs(dropped)), error=err))
         if err:
             break
 
-    return SelectionTrace(tuple(steps), spec, result)
+    return SelectionTrace(tuple(steps), result.spec, result)
 
 
 # ---------------------------------------------------------------------------

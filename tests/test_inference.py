@@ -84,6 +84,36 @@ class TestCountTable:
         with pytest.raises(ValueError):
             CountTable(V, U, -np.ones((4, 2), dtype=np.int64))
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint8, np.uint16, np.uint64])
+    def test_integer_counts_are_stored_as_int64(self, dtype):
+        V, U = lattices(2, 1)
+        raw = np.arange(8, dtype=dtype).reshape(4, 2)
+        t = CountTable(V, U, raw)
+        assert t.counts.dtype == np.int64 and not t.counts.flags.writeable
+        assert np.array_equal(t.counts, np.arange(8).reshape(4, 2))
+        # the caller's array is copied, not frozen
+        assert raw.flags.writeable and not np.shares_memory(t.counts, raw)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    def test_negative_integer_counts_rejected(self, dtype):
+        V, U = lattices(2, 1)
+        raw = np.ones((4, 2), dtype=dtype)
+        raw[2, 1] = -1
+        with pytest.raises(ValueError, match="^counts must be finite and nonnegative$"):
+            CountTable(V, U, raw)
+
+    def test_float_counts_keep_their_checks(self):
+        V, U = lattices(2, 1)
+        near = np.arange(8.0).reshape(4, 2) + np.array([1e-12, -1e-12])
+        t = CountTable(V, U, near)
+        assert t.counts.dtype == np.int64
+        assert np.array_equal(t.counts, np.arange(8).reshape(4, 2))
+        assert np.array_equal(CountTable(V, U, near > 3).counts, np.arange(8).reshape(4, 2) > 3)
+        for bad, message in ((np.nan, "finite and nonnegative"), (np.inf, "finite and nonnegative"),
+                             (-1.0, "finite and nonnegative"), (2.5, "must be integers")):
+            with pytest.raises(ValueError, match=message):
+                CountTable(V, U, np.where(np.eye(4, 2, dtype=bool), bad, near))
+
     def test_column_totals_and_total(self):
         t = random_table(2, 1, 0)
         assert t.total == int(t.counts.sum())

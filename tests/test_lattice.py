@@ -13,6 +13,7 @@ from lmlreg.lattice import (
     mobius_transform,
     zeta_transform,
 )
+from lmlreg.params import mu_values_from_beta
 
 from oracles import mobius_matrix, zeta_matrix
 
@@ -212,3 +213,39 @@ class TestKernel:
         assert np.array_equal(transform(ints, supersets=supersets),
                               dense_apply(ints.astype(float), 0, supersets, inverse))
         assert np.array_equal(ints, np.arange(8))
+
+    def test_plans_do_not_leak_between_layouts(self):
+        # The pass layout is memoised per (shape, axis, orientation).  One
+        # sequence of calls reuses and mixes the plans: square arrays, whose
+        # axes differ only by the axis, a transposed view and an F-order copy
+        # of the same values, every axis of a 3-D array, and negative axes.
+        rng = np.random.default_rng(5)
+        square = rng.normal(size=(8, 8))
+        block = rng.normal(size=(4, 8, 2))
+        cases = [(square, 0), (square, 1), (square, -1), (square.T, 0), (square.T, -2),
+                 (np.asfortranarray(square), 0), (np.asfortranarray(square), 1),
+                 (rng.normal(size=(4, 8)).T, 1), (np.asfortranarray(block), 1)]
+        cases += [(block, axis) for axis in (0, 1, 2, -1, -2, -3)]
+        for _ in range(2):
+            for x, axis in cases:
+                for supersets in (False, True):
+                    for transform, inverse in TRANSFORMS:
+                        got = transform(x, axis=axis, supersets=supersets)
+                        assert got.shape == x.shape
+                        np.testing.assert_allclose(got, dense_apply(x, axis, supersets, inverse),
+                                                   rtol=0, atol=1e-12)
+
+
+class TestFusedTransform:
+    """Two subset sums, along rows and then down columns, are one subset sum
+    over the C-order flattened index d·2**q + e: the passes over the bits of
+    e and then of d are the same additions in the same order."""
+
+    @given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_flattened_transform_is_the_two_axis_transform_bitwise(self, p, q, seed):
+        b = np.random.default_rng(seed).normal(size=(2**p, 2**q))
+        b[0] = 0.0
+        both = zeta_transform(zeta_transform(b, axis=-1), axis=0)
+        assert np.array_equal(zeta_transform(b.reshape(-1)).reshape(b.shape), both)
+        assert np.array_equal(mu_values_from_beta(b, "lml"), np.exp(both))

@@ -291,9 +291,49 @@ class TestDropRounds:
         monkeypatch.setattr(lmlreg.selection, "fit",
                             lambda spec, data, options: specs.append(spec) or res)
         table = CountTable(V, U, np.ones((2, 2), dtype=np.int64))
-        _, _, dropped, err = _drop_rounds(spec, table, 0.05, {1}, FitOptions(), single_batch=True)
+        _, dropped, err = _drop_rounds(res, table, 0.05, {1}, FitOptions(), single_batch=True)
         assert dropped == [(1, 1)] and err is None
         assert specs[-1].zero_set == {(1, 1)}
+
+
+class TestFitsOnce:
+    """Selection fits no (model, table) pair twice: a stage starts from the
+    fit the step before ended with, and the forward joint step reuses the
+    last margin's fit, the margin on every response being the table itself."""
+
+    @staticmethod
+    def counting_fit(monkeypatch) -> list[tuple]:
+        real_fit = lmlreg.selection.fit
+        seen: list[tuple] = []
+
+        def counted(spec, data, options=None):
+            seen.append((spec, data.responses, data.counts.tobytes()))
+            return real_fit(spec, data, options)
+
+        monkeypatch.setattr(lmlreg.selection, "fit", counted)
+        return seen
+
+    def test_forward_fits_each_model_once(self, monkeypatch):
+        seen = self.counting_fit(monkeypatch)
+        preset = single_covariate_preset()
+        data = simulate(preset.beta_gamma, "lml", preset.column_totals, seed=1000)
+        trace = forward_margin_selection(data)
+        assert len(seen) == len(set(seen))
+        assert trace.final_fit is trace.steps[-2].fit
+        assert trace.steps[-1].fit is trace.final_fit
+
+    def test_backward_fits_each_model_once(self, monkeypatch):
+        seen = self.counting_fit(monkeypatch)
+        preset = two_covariate_preset()
+        data = simulate(preset.beta_gamma, "lml", preset.column_totals, seed=7000)
+        steps = [trace.steps for trace in (backward_staged_selection(data, link="lml"),
+                                           backward_staged_selection(data, link="lm"))]
+        assert len(seen) == len(set(seen))
+        # on this sample lml drops in both stages and lm in neither
+        idle = [(run[i - 1], run[i]) for run in steps for i in range(1, len(run)) if not run[i].dropped]
+        assert len(idle) == 2
+        for before, stage in idle:
+            assert stage.fit is before.fit
 
 
 class TestPatternWeights:
