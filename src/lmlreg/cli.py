@@ -44,7 +44,7 @@ from .params import (
     ValidationError,
     beta_from_pi,
     beta_kind_for_link,
-    coeffs_from_link,
+    beta_values_from_mu,
     gamma_from_mu,
     mu_from_gamma,
     mu_from_pi,
@@ -62,6 +62,7 @@ from .selection import (
 
 MAX_RESPONSES = 8
 MAX_COVARIATES = 4
+TSV_DECIMALS = 3
 
 
 def _check_config(args: argparse.Namespace) -> tuple[SubsetLattice, SubsetLattice]:
@@ -132,10 +133,11 @@ def _fit_options(args: argparse.Namespace) -> FitOptions:
     return FitOptions(smooth=args.smooth, allow_missing_cells=args.allow_missing_cells)
 
 
-def _load_zeros(args: argparse.Namespace, V: SubsetLattice, U: SubsetLattice) -> frozenset:
-    if args.zeros is None:
-        return frozenset()
-    return lio.read_zero_set(args.zeros, V, U)
+def _fit_input(args: argparse.Namespace, V: SubsetLattice, U: SubsetLattice) -> FitResult:
+    """Read the data, then the zero set if one is given, and fit; it must converge."""
+    data = _ingest(args, V, U)
+    zeros = frozenset() if args.zeros is None else lio.read_zero_set(args.zeros, V, U)
+    return _require_converged(fit(ModelSpec(args.link, zeros), data, _fit_options(args)))
 
 
 def _require_converged(result: FitResult) -> FitResult:
@@ -184,13 +186,13 @@ def _gather(tokens: list[str], fill: str, order: list[int]) -> list[str]:
     return list(map((tokens + [fill]).__getitem__, order))
 
 
-def _fit_tsv(result: FitResult, stream, decimals: int = 3) -> None:
+def _fit_tsv(result: FitResult, stream) -> None:
     V, U = result.beta_hat.rows, result.beta_hat.cols
     rows, cols, order = _table_order(result)
     tags = [U.mask_labels[e] for e in cols]
 
     stream.write(f"# link: {result.spec.link}\n")
-    dev, pval = fixed_floats([result.deviance, result.p_value], decimals)
+    dev, pval = fixed_floats([result.deviance, result.p_value], TSV_DECIMALS)
     if result.p_value is None:
         pval = "·"
     stream.write(f"# deviance: {dev}\tdf: {result.df}\tp: {pval}\n")
@@ -202,14 +204,14 @@ def _fit_tsv(result: FitResult, stream, decimals: int = 3) -> None:
         header += [f"est{tag}", f"se{tag}", f"p{tag}"]
     # the text of each (D, E) in table order: estimate, se and p, then the
     # induced log-mean estimate and se
-    est, se, p = (fixed_floats(col, decimals)
+    est, se, p = (fixed_floats(col, TSV_DECIMALS)
                   for col in (result.estimates, result.std_errors, result.wald_p))
     coef = _gather(list(map("\t".join, zip(est, se, p))), "·\t·\t·", order)
     induced = []
     if result.spec.link == "lml":
         for tag in tags:
             header += [f"mu_est{tag}", f"mu_se{tag}"]
-        mu_est, mu_se = (fixed_floats(m[np.ix_(rows, cols)], decimals)
+        mu_est, mu_se = (fixed_floats(m[np.ix_(rows, cols)], TSV_DECIMALS)
                          for m in induced_mu_stats(result))
         induced = list(map("\t".join, zip(mu_est, mu_se)))
     stream.write("\t".join(header) + "\n")
@@ -256,9 +258,7 @@ def _fit_json_obj(result: FitResult) -> dict:
 
 
 def cmd_fit(args: argparse.Namespace, V: SubsetLattice, U: SubsetLattice) -> int:
-    data = _ingest(args, V, U)
-    spec = ModelSpec(args.link, _load_zeros(args, V, U))
-    result = _require_converged(fit(spec, data, _fit_options(args)))
+    result = _fit_input(args, V, U)
     if args.out == "json":
         lio.write_json(_fit_json_obj(result), sys.stdout)
     else:
@@ -288,13 +288,12 @@ def cmd_transform(args: argparse.Namespace, V: SubsetLattice, U: SubsetLattice) 
     pm = lio.read_param_matrix(args.input, V, U, args.kind)
     pi = _pi_from_any(pm)
     mu = mu_from_pi(pi)
-    gamma = gamma_from_mu(mu)
     derived = {
         "pi": pi,
         "mu": mu,
-        "gamma": gamma,
-        "beta_mu": pi.with_values(coeffs_from_link(np.log(mu.values)), "beta_mu"),
-        "beta_gamma": pi.with_values(coeffs_from_link(gamma.values), "beta_gamma"),
+        "gamma": gamma_from_mu(mu),
+        "beta_mu": pi.with_values(beta_values_from_mu(mu.values, "lm"), "beta_mu"),
+        "beta_gamma": pi.with_values(beta_values_from_mu(mu.values, "lml"), "beta_gamma"),
     }
     if args.out == "json":
         labels = {"rows": Tokens(json_strings(V.mask_labels)),
@@ -369,9 +368,7 @@ def cmd_select(args: argparse.Namespace, V: SubsetLattice, U: SubsetLattice) -> 
 # risk
 
 def cmd_risk(args: argparse.Namespace, V: SubsetLattice, U: SubsetLattice) -> int:
-    data = _ingest(args, V, U)
-    spec = ModelSpec(args.link, _load_zeros(args, V, U))
-    result = _require_converged(fit(spec, data, _fit_options(args)))
+    result = _fit_input(args, V, U)
     d, u, e, lrr, lref, lratio, constrained = risk_table(result)
     # the reference and ratio are NaN for |D| = 1; each column takes one exp
     rr, ref, ratio = np.exp([lrr, lref, lratio])
@@ -387,7 +384,7 @@ def cmd_risk(args: argparse.Namespace, V: SubsetLattice, U: SubsetLattice) -> in
             "ratio_constrained_to_one": np.where(constrained, "true", "false").tolist(),
         }), sys.stdout)
     else:
-        floats = (fixed_floats(col, 3) for col in (lrr, rr, lref, ref, lratio, ratio))
+        floats = (fixed_floats(col, TSV_DECIMALS) for col in (lrr, rr, lref, ref, lratio, ratio))
         cells = np.array([d_tok, u_tok, e_tok, *floats, np.where(constrained, "yes", "no")],
                          dtype=object)
         cells[5:9, np.bitwise_count(d) == 1] = "·"

@@ -20,6 +20,9 @@ definite; otherwise its eigenvalues, taken in magnitude, give an ascent
 direction.  There is one direction per iteration: the fit stops
 unconverged when the Hessian or the direction is not finite, the
 direction does not ascend, or ``MAX_HALVINGS`` halvings find no step.
+Every start is a mean matrix taken to coefficients by the map of
+``beta_from_pi``; every covariance is the inverse of the negated Hessian,
+with a standard error only where its variance is positive.
 
 The likelihood keeps one evaluation state, for the point it saw last: the
 chain β → μ → π, validity and the value, with the score terms added on the
@@ -48,6 +51,7 @@ from .params import (
     ParamMatrix,
     beta_kind_for_link,
     beta_mu_from_beta_gamma,
+    beta_values_from_mu,
     check_link,
     mu_values_from_beta,
     pi_from_beta,
@@ -105,13 +109,19 @@ class CountTable:
 
     def __post_init__(self) -> None:
         c = np.asarray(self.counts)
+        if c.dtype == object:
+            try:   # numbers take their own dtype; any other cell leaves it object
+                c = np.array(c.tolist())
+            except ValueError:   # some cells hold sequences
+                pass
         if c.shape != (self.responses.size, self.covariates.size):
             raise ValueError(
                 f"counts shape {c.shape} does not match lattices "
                 f"({self.responses.size}, {self.covariates.size})"
             )
         integral = c.dtype.kind in "iu"   # integers need no float copy, finiteness or rounding check
-        if np.any(c < 0) or not (integral or np.all(np.isfinite(c.astype(float)))):
+        if (c.dtype.kind not in "biuf" or np.any(c < 0)
+                or not (integral or np.all(np.isfinite(c.astype(float))))):
             raise ValueError("counts must be finite and nonnegative")
         if not (integral or np.allclose(c, np.round(c))):
             raise ValueError("counts must be integers")
@@ -360,8 +370,6 @@ class LogLikelihood:
     """
 
     def __init__(self, spec: ModelSpec, data: CountTable, smooth: float | None = None):
-        self.spec = spec
-        self.data = data
         self.link = spec.link
         self.counts = data.counts.astype(float)
         if smooth is not None:
@@ -456,7 +464,7 @@ class LogLikelihood:
             if self.link == "lml":
                 a = zeta_transform(a, axis=0, supersets=True)
             point.grad = zeta_transform(a, axis=1, supersets=True)
-            point.v = r / pi
+            point.v = np.divide(r, pi, out=np.zeros_like(pi), where=self._col_observed)
         return point
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
@@ -610,38 +618,24 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
 
     grad_norm = float(np.max(np.abs(grad), initial=0.0))
 
-    covariance: np.ndarray | None = None
-    singular = False
-    nfree = x.size
-    if nfree:
-        try:
-            info = -ll.fd_hessian(x)
-            covariance = np.linalg.inv(info)
-            if not np.isfinite(covariance).all():
-                covariance, singular = None, True
-        except np.linalg.LinAlgError:
-            covariance, singular = None, True
-    else:
-        covariance = np.zeros((0, 0))
-
-    if covariance is not None:
-        variances = np.diag(covariance).copy()
-        bad = variances <= 0
-        std_errors = np.sqrt(np.where(bad, np.nan, variances))
-        if bad.any():
-            singular = True
-    else:
-        std_errors = np.full(nfree, np.nan)
+    # with no free coefficient the Hessian is 0 x 0 and so is its inverse
+    try:
+        covariance = np.linalg.inv(-ll.fd_hessian(x))
+    except np.linalg.LinAlgError:
+        covariance = None
+    if covariance is not None and not np.isfinite(covariance).all():
+        covariance = None
+    variances = np.full(x.size, np.nan) if covariance is None else np.diag(covariance)
+    std_errors = np.sqrt(np.where(variances > 0, variances, np.nan))
+    singular = covariance is None or bool(np.any(variances <= 0))
     with np.errstate(invalid="ignore", divide="ignore"):
         z = x / std_errors
     wald_p = _two_sided_normal_tail(z)
 
     beta_hat = ParamMatrix(beta_kind_for_link(spec.link), data.responses, data.covariates,
                            ll.beta_values(x))
-    pi_vals = ll.pi_values(x)
-    if pi_vals is None:  # pragma: no cover - optimizer never accepts invalid points
-        raise ConvergenceError("optimizer terminated outside the valid region")
-    pi_hat = ParamMatrix("pi", data.responses, data.covariates, pi_vals)
+    # the optimizer accepts only valid points, so pi is positive on observed columns
+    pi_hat = ParamMatrix("pi", data.responses, data.covariates, ll._at(x).pi)
 
     dev = 2.0 * (_saturated_loglik(ll.counts) - value)
     dev = 0.0 if -1e-6 < dev < 0.0 else float(dev)
@@ -680,20 +674,11 @@ def _start_candidates(ll: LogLikelihood, data: CountTable) -> Iterator[np.ndarra
     smoothed = ll.counts
     totals = smoothed.sum(axis=0)
     if np.all(totals > 0) and np.all(smoothed > 0):
-        yield _free_from_mu(ll, zeta_transform(smoothed / totals, axis=0, supersets=True))
+        empirical = zeta_transform(smoothed / totals, axis=0, supersets=True)
+        yield ll.free_of(beta_values_from_mu(empirical, ll.link))
     for counts in (smoothed, np.ones_like(smoothed)):
-        yield _free_from_mu(ll, _independence_mu(counts, data.responses.ground_size))
-
-
-def _free_from_mu(ll: LogLikelihood, mu: np.ndarray) -> np.ndarray:
-    """The free coefficients of a mean matrix, by the transforms of ``beta_from_pi``.
-
-    log mu, then Möbius down columns (lml only) and Möbius along rows.
-    """
-    theta = np.log(mu)
-    if ll.link == "lml":
-        theta = mobius_transform(theta, axis=0)
-    return ll.free_of(mobius_transform(theta, axis=-1))
+        mu = _independence_mu(counts, data.responses.ground_size)
+        yield ll.free_of(beta_values_from_mu(mu, ll.link))
 
 
 def wald_tests(fit_result: FitResult) -> list[tuple[int, int, float, float, float]]:

@@ -207,7 +207,7 @@ def read_zero_set(source: str | IO[str], responses: SubsetLattice,
     """Parse ``D;E`` constraint lines (brace notation, # comments) into masks."""
     pairs: set[tuple[int, int]] = set()
     by_d, by_e = responses._mask_by_label.get, covariates._mask_by_label.get
-    for line_no, raw in enumerate(StringIO(_read_text(source), newline=""), start=1):
+    for line_no, raw in enumerate(_lines(_read_text(source)), start=1):
         # write_zero_set's layout is two labels; a '#' (a label may hold one) cuts a comment
         d_text, _, e_text = raw.rstrip("\r\n").partition(";")
         d, e = by_d(d_text), by_e(e_text)
@@ -242,7 +242,7 @@ def read_param_matrix(source: str | IO[str], responses: SubsetLattice,
     """Read a matrix CSV: a ``D`` column plus one value column per covariate subset."""
     if kind not in KINDS:
         raise ConfigError(f"unknown parameter kind {kind!r} (expected one of {', '.join(KINDS)})")
-    reader = csv.reader(StringIO(_read_text(source), newline=""))
+    reader = csv.reader(_lines(_read_text(source)))
     header = next(reader, None)
     if header is None:
         raise DataError("matrix file is empty")

@@ -18,6 +18,9 @@ two axes together with elementwise exp / log, so each one is closed form and
 exactly invertible inside the valid region.  ``mu`` and ``gamma`` are not
 variation independent: an arbitrary matrix of either kind may imply negative
 cell probabilities, detected a posteriori by :func:`pi_from_mu`.
+
+Means and coefficients are linked once each way, on raw arrays, by
+:func:`mu_values_from_beta` and its inverse :func:`beta_values_from_mu`.
 """
 
 from __future__ import annotations
@@ -218,6 +221,17 @@ def mu_values_from_beta(beta_values: np.ndarray, link: str) -> np.ndarray:
     return np.exp(zeta_transform(np.ravel(beta_values)).reshape(np.shape(beta_values)))
 
 
+def beta_values_from_mu(mu_values: np.ndarray, link: str) -> np.ndarray:
+    """Means -> coefficients, the inverse of :func:`mu_values_from_beta`.
+
+    log, then Möbius down columns (lml only), then Möbius along rows.
+    """
+    theta = np.log(mu_values)
+    if check_link(link) == "lml":
+        theta = mobius_transform(theta, axis=0)
+    return mobius_transform(theta, axis=-1)
+
+
 def pi_values_from_beta(beta_values: np.ndarray, link: str) -> np.ndarray:
     """Coefficients -> cell probabilities, without positivity checks.
 
@@ -229,9 +243,8 @@ def pi_values_from_beta(beta_values: np.ndarray, link: str) -> np.ndarray:
 
 def beta_from_pi(pi: ParamMatrix, link: str) -> ParamMatrix:
     """Cell probabilities -> regression coefficients under the given link."""
-    mu = mu_from_pi(pi)
-    theta = np.log(mu.values) if check_link(link) == "lm" else gamma_from_mu(mu).values
-    return pi.with_values(coeffs_from_link(theta), beta_kind_for_link(link))
+    return pi.with_values(beta_values_from_mu(mu_from_pi(pi).values, link),
+                          beta_kind_for_link(link))
 
 
 def pi_from_beta(beta: ParamMatrix, link: str) -> ParamMatrix:

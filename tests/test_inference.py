@@ -114,6 +114,20 @@ class TestCountTable:
             with pytest.raises(ValueError, match=message):
                 CountTable(V, U, np.where(np.eye(4, 2, dtype=bool), bad, near))
 
+    def test_object_counts_of_integers_build_the_int_table(self):
+        V, U = lattices(1, 1)
+        t = CountTable(V, U, np.array([[1, 2], [3, 4]], dtype=object))
+        assert t.counts.dtype == np.int64
+        assert np.array_equal(t.counts, CountTable(V, U, np.array([[1, 2], [3, 4]])).counts)
+
+    @pytest.mark.parametrize("bad", [None, "a", "3", [1]])
+    def test_non_number_counts_rejected(self, bad):
+        V, U = lattices(1, 1)
+        raw = np.array([[1, 2], [3, 4]], dtype=object)
+        raw[1, 0] = bad
+        with pytest.raises(ValueError, match="^counts must be finite and nonnegative$"):
+            CountTable(V, U, raw)
+
     def test_column_totals_and_total(self):
         t = random_table(2, 1, 0)
         assert t.total == int(t.counts.sum())
@@ -694,6 +708,18 @@ class TestMissingCells:
         # the interaction column is unidentifiable once cell {x0,x1} is gone
         assert all(e == 3 for _, e in res.unidentified)
         assert len(res.unidentified) == 3
+
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    def test_table_with_no_observation_fits_silently(self, link):
+        # every coefficient is unidentified, so the fit has none free; beta =
+        # 0 puts pi = 0 in the unobserved columns, where no weight divides
+        V, U = lattices(2, 1)
+        res = fit(ModelSpec(link), CountTable(V, U, np.zeros((4, 2), dtype=np.int64)),
+                  FitOptions(allow_missing_cells=True))
+        assert res.converged and res.missing_cells == (0, 1)
+        assert res.unidentified == tuple(ModelSpec(link).free_positions(V, U))
+        assert res.estimates.shape == res.std_errors.shape == (0,)
+        assert res.covariance.shape == (0, 0) and not res.singular_information
 
     def test_unidentified_scan_matches_loop_and_builds_one_likelihood(self, monkeypatch):
         # cells {x0,x1}, {x0,x2} and {x0,x1,x2} empty: every E holding x0 and

@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -511,6 +512,24 @@ class TestEncoding:
         data = b"".join(lines[:2]) + b"\r\n\r" + b"\xff" + b"".join(lines[2:])
         with pytest.raises(DataError, match="^line 5: byte 0xff is not UTF-8 text$"):
             read(source_of(kind, text, data))
+
+    @pytest.mark.parametrize("end", ["\r", "\r\n"], ids=["CR", "CRLF"])
+    @pytest.mark.parametrize("kind", SOURCES)
+    @pytest.mark.parametrize("what", ["zeros", "matrix"])
+    def test_cr_and_crlf_line_ends_read_alike(self, source_of, what, kind, end):
+        text, read = READER_INPUTS[what]
+        assert read(source_of(kind, "\ufeff" + text.replace("\n", end))) == read(io.StringIO(text))
+
+    @pytest.mark.parametrize("what, text, message", [
+        ("zeros", "{y0};{}\r# a comment\r\n\r\n{y0};{x0}\r{q};{}\n",
+         "line 5: unknown label 'q'; expected one of ('y0',)"),
+        ("matrix", "D,{},{x0}\r{},0,0\r\n\r{y0},-1.5,many\r\n", "line 4: not a number: 'many'"),
+    ])
+    def test_line_numbers_count_cr_and_crlf_ends(self, source_of, what, text, message):
+        read = READER_INPUTS[what][1]
+        for kind in SOURCES:
+            with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+                read(source_of(kind, text))
 
     @pytest.mark.parametrize("what", READER_INPUTS)
     def test_undecodable_stream_byte_is_a_data_error(self, source_of, what):
@@ -1074,6 +1093,20 @@ class TestExitCodes:
         assert main([*args, "--allow-missing-cells"]) == 0
         captured = capsys.readouterr()
         assert "warning: no observations" in captured.err
+
+    def test_header_only_input_warns_once_and_nothing_else(self, tmp_path):
+        # every coefficient is unidentified; a process with the default
+        # warning filters shows whatever numpy would print
+        path = tmp_path / "empty.csv"
+        path.write_text("a,b,x\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(lmlreg.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "lmlreg.cli", "fit", "--input", str(path),
+                               "--responses", "a,b", "--covariates", "x",
+                               "--allow-missing-cells"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == "warning: no observations in covariate cells: {}, {x}\n"
+        assert "unidentified coefficients forced to zero" in proc.stdout
 
     @pytest.mark.parametrize("argv, message", CONFIG_ERRORS.values(), ids=CONFIG_ERRORS.keys())
     def test_config_error_messages(self, workdir, capsys, argv, message):

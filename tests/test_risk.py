@@ -6,8 +6,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from lmlreg.inference import CountTable, ModelSpec, fit
+from lmlreg.inference import ConvergenceError, CountTable, ModelSpec, fit
 from lmlreg.lattice import SubsetLattice, iter_submasks
 from lmlreg.params import (
     ParamMatrix,
@@ -23,6 +25,7 @@ from lmlreg.risk import (
     implied_response_independencies,
     reference_coeffs,
     risk_report,
+    risk_table,
 )
 
 from oracles import (
@@ -209,6 +212,50 @@ class TestBlockProduct:
         # the (y0,y1)-block split shows up for every straddling pattern
         assert fitted_response_independencies(beta_from_pi(extended, "lml")) == [
             (0b101, 0b001, 0b100), (0b110, 0b010, 0b100), (0b111, 0b011, 0b100)]
+
+
+@st.composite
+def split_models(draw):
+    """(lml spec, table with every cell positive, (D, A, B)): the zero set pins
+    every gamma row of D meeting both A and B, plus some drawn zeros."""
+    p, q = draw(st.integers(2, 4)), draw(st.integers(1, 2))
+    V, U = lattices(p, q)
+    d = draw(st.sampled_from([m for m in range(V.size) if m.bit_count() >= 2]))
+    a = draw(st.sampled_from([m for m in iter_submasks(d) if m and m != d]))
+    b = d ^ a
+    zeros = {(r, e) for r in iter_submasks(d) if r & a and r & b for e in range(U.size)}
+    drawn = draw(st.sets(st.tuples(st.integers(1, V.size - 1), st.integers(0, U.size - 1)),
+                         max_size=V.size))
+    # a zero singleton intercept forces mu_v(∅) = 1: pi = 0 at every pattern without v in cell ∅
+    zeros |= {(r, e) for r, e in drawn if e or r.bit_count() > 1}
+    counts = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(
+        1, 300, size=(V.size, U.size))
+    low = d & -d   # implied_response_independencies lists A as the side with D's lowest bit
+    split = (d, a, b) if a & low else (d, b, a)
+    return ModelSpec("lml", frozenset(zeros)), CountTable(V, U, counts), split
+
+
+class TestFactorisation:
+    """The abstract's claim: where the zero pattern implies Y_A ⟂ Y_B | X,
+    the joint relative risk of D = A ∪ B is the product of the marginal ones."""
+
+    @given(split_models())
+    @settings(max_examples=40, deadline=None)
+    def test_implied_splits_factor_the_relative_risk(self, model):
+        spec, table, split = model
+        try:
+            res = fit(spec, table)
+        except ConvergenceError:
+            assume(False)
+        assume(res.converged)
+        d, u, e, lrr, lref, lratio, constrained = risk_table(res)
+        found = implied_response_independencies(res)
+        assert split in found
+        n = table.responses.size - 1   # rows run by D, then the same (u, E) block for each D
+        by_d = dict(zip(d.reshape(n, -1)[:, 0].tolist(), lrr.reshape(n, -1)))
+        for dd, a, b in found:
+            np.testing.assert_allclose(by_d[dd], by_d[a] + by_d[b], rtol=0, atol=1e-9)
+        assert np.all(np.abs(lratio[constrained]) <= 1e-12)
 
 
 class TestEffectOnAssociationOnly:
