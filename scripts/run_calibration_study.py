@@ -52,8 +52,7 @@ class CalibConfig:
 def run(cfg: CalibConfig) -> None:
     preset = single_covariate_preset()
     spec = preset.spec
-    truth = {pos: preset.beta_gamma.values[pos]
-             for pos in spec.free_positions(preset.responses, preset.covariates)}
+    truth = preset.beta_gamma.values
     totals = tuple(int(round(t * cfg.scale)) for t in preset.column_totals)
 
     deviances = []

@@ -68,7 +68,7 @@ def run(cfg: DemoConfig) -> None:
             print(f"  {step.label:14s} skipped: {step.error}")
             continue
         print(f"  {step.label:14s} dropped {len(step.dropped):2d}   "
-              f"deviance {step.deviance:8.2f}  df {step.df:3d}  p {step.p_value:.3f}")
+              f"deviance {step.fit.deviance:8.2f}  df {step.fit.df:3d}  p {step.fit.p_value:.3f}")
     chosen = trace.zero_set
     true_zeros = preset.spec.zero_set
     print(f"selected {len(chosen)} zeros; truth has {len(true_zeros)} "
@@ -87,7 +87,7 @@ def run(cfg: DemoConfig) -> None:
         write_param_matrix(final.beta_hat, f)
 
     print("\n== response independencies implied by the selected zeros ==")
-    stmts = implied_response_independencies(trace.final_spec, V, U)
+    stmts = implied_response_independencies(trace.final_fit.spec, V, U)
     if not stmts:
         print("  none")
     for _, a, b in stmts:

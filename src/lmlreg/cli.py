@@ -509,9 +509,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.run(args, *_check_config(args))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # the reader closed the output early; what is still buffered goes to
         # os.devnull, so the flush at interpreter exit cannot raise again

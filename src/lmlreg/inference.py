@@ -185,11 +185,6 @@ class ModelSpec:
     def with_zeros(self, extra: Iterable[tuple[int, int]]) -> "ModelSpec":
         return ModelSpec(self.link, self.zero_set | frozenset(extra))
 
-    def free_positions(self, responses: SubsetLattice, covariates: SubsetLattice) -> list[tuple[int, int]]:
-        """Free (D, E) coefficient positions in canonical (|D|, D, |E|, E) order."""
-        zero_set = self.validate_for(responses, covariates).zero_set
-        return list(zip(*_free_pairs(zero_set, (responses.size, covariates.size)).tolist()))
-
 
 def _free_pairs(zero_set: Iterable[tuple[int, int]], shape: tuple[int, int]) -> np.ndarray:
     """:func:`_free_mask`'s positions as a (2, n) array in canonical order."""
@@ -432,15 +427,6 @@ class LogLikelihood:
         value = _loglik_values(self.counts, pi) if valid else -np.inf
         self._point = point = _Point(key, mu, pi, valid, value)
         return point
-
-    def pi_values(self, x: np.ndarray) -> np.ndarray | None:
-        """Implied cell probabilities, or None when x is outside the valid region.
-
-        The region is defined by the observed columns; implied values for
-        unobserved covariate cells are extrapolation and left unconstrained.
-        """
-        point = self._at(x)
-        return point.pi.copy() if point.valid else None
 
     def value(self, x: np.ndarray) -> float:
         return self._at(x).value

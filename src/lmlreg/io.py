@@ -115,7 +115,7 @@ def read_count_data(source: str | IO[str], responses: SubsetLattice,
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)   # loadtxt on a header-only file
-                values = np.loadtxt(StringIO(text[len(head):]), delimiter=",",
+                values = np.loadtxt(StringIO(text[len(head):], newline=None), delimiter=",",
                                     dtype=np.int64 if counted else np.int8, comments=None,
                                     quotechar='"', usecols=usecols, ndmin=2)
             if np.any(values < 0) or np.any(values[:, :len(bits)] > 1):

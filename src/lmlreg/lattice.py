@@ -23,19 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Iterable
+from typing import Iterable
 
 import numpy as np
 
 MAX_GROUND_SIZE = 20          # 2**20 subsets: hard cap to bound memory
-
-
-def _require_power_of_two(n: int) -> int:
-    """Return log2(n), raising ValueError if n is not a power of two."""
-    q = n.bit_length() - 1
-    if n <= 0 or (1 << q) != n:
-        raise ValueError(f"axis length {n} is not a power of two")
-    return q
 
 
 @dataclass(frozen=True)
@@ -129,18 +121,6 @@ class SubsetLattice:
             m.bit_count(), [i for i in range(m.bit_length()) if m >> i & 1])))
 
 
-def iter_submasks(mask: int) -> Iterator[int]:
-    """All submasks of ``mask`` (including 0 and mask) in increasing order."""
-    subs = []
-    s = mask
-    while True:
-        subs.append(s)
-        if s == 0:
-            break
-        s = (s - 1) & mask
-    return iter(reversed(subs))
-
-
 @lru_cache(maxsize=256)
 def _passes(shape: tuple[int, ...], axis: int, supersets: bool) -> tuple[tuple, ...]:
     """The butterfly's passes for one shape, axis and orientation: (view, dst, src).
@@ -150,7 +130,10 @@ def _passes(shape: tuple[int, ...], axis: int, supersets: bool) -> tuple[tuple, 
     ``op(upper, lower)``; for superset sums the lower half takes
     ``op(lower, upper)``.
     """
-    n = _require_power_of_two(shape[axis])
+    size = shape[axis]
+    n = size.bit_length() - 1
+    if size <= 0 or 1 << n != size:   # tested first: size 0 gives n = -1, a negative shift
+        raise ValueError(f"axis length {size} is not a power of two")
     axis %= len(shape)
     lead = (slice(None),) * (axis + 1)
     dst, src = lead + (int(not supersets),), lead + (int(supersets),)

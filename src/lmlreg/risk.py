@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inference import FitResult, ModelSpec, _free_mask
-from .lattice import SubsetLattice, iter_submasks, mobius_transform, zeta_transform
+from .lattice import SubsetLattice, mobius_transform, zeta_transform
 from .params import ParamMatrix, beta_gamma_from_beta_mu, beta_mu_from_beta_gamma
 
 
@@ -127,14 +127,14 @@ def risk_report(fit_result: FitResult) -> RiskReport:
 # implied independence structure
 
 def _bipartitions(d_mask: int):
-    """Unordered proper bipartitions (A, B) of d_mask, A holding its lowest bit."""
+    """Unordered proper bipartitions (A, B) of d_mask, A holding its lowest bit,
+    in increasing A."""
     low = d_mask & -d_mask
     rest = d_mask ^ low
-    for sub in iter_submasks(rest):
-        a = low | sub
-        b = d_mask ^ a
-        if b:
-            yield a, b
+    sub = 0
+    while sub != rest:   # the submasks of rest short of rest itself, ascending
+        yield low | sub, rest ^ sub
+        sub = (sub - rest) & rest
 
 
 def implied_response_independencies(

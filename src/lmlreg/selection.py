@@ -52,28 +52,15 @@ class SelectionStep:
     scope: tuple[str, ...] | None = None   # margin labels for forward steps
     error: str | None = None
 
-    @property
-    def deviance(self) -> float | None:
-        return None if self.fit is None else self.fit.deviance
-
-    @property
-    def df(self) -> int | None:
-        return None if self.fit is None else self.fit.df
-
-    @property
-    def p_value(self) -> float | None:
-        return None if self.fit is None else self.fit.p_value
-
 
 @dataclass(frozen=True)
 class SelectionTrace:
     steps: tuple[SelectionStep, ...]
-    final_spec: ModelSpec
     final_fit: FitResult
 
     @property
     def zero_set(self) -> frozenset[tuple[int, int]]:
-        return self.final_spec.zero_set
+        return self.final_fit.spec.zero_set
 
 
 def _drop_rounds(result: FitResult, data: CountTable, alpha: float, rows: set[int], options: FitOptions,
@@ -153,12 +140,12 @@ def forward_margin_selection(data: CountTable, alpha: float = 0.05,
             dropped=tuple(sorted_pairs(dropped_joint)), scope=labels, error=err,
         ))
 
-    final_spec = ModelSpec("lml", frozenset(joint_zeros))
+    joint_spec = ModelSpec("lml", frozenset(joint_zeros))
     last = steps[-1]   # the margin on every response is the table itself
-    final_fit = (last.fit if last.fit is not None and last.spec == final_spec
-                 else fit(final_spec, data, options))
-    steps.append(SelectionStep(label="joint", spec=final_spec, fit=final_fit, dropped=()))
-    return SelectionTrace(tuple(steps), final_spec, final_fit)
+    final_fit = (last.fit if last.fit is not None and last.spec == joint_spec
+                 else fit(joint_spec, data, options))
+    steps.append(SelectionStep(label="joint", spec=joint_spec, fit=final_fit, dropped=()))
+    return SelectionTrace(tuple(steps), final_fit)
 
 
 def backward_staged_selection(data: CountTable, link: str = "lml", alpha: float = 0.05,
@@ -200,7 +187,7 @@ def backward_staged_selection(data: CountTable, link: str = "lml", alpha: float 
         if err:
             break
 
-    return SelectionTrace(tuple(steps), result.spec, result)
+    return SelectionTrace(tuple(steps), result)
 
 
 # ---------------------------------------------------------------------------

@@ -2,26 +2,29 @@
 
 Everything here is written with explicit subset loops, row-by-row and
 entry-by-entry code and generic optimizers on purpose: no fast transforms,
-no shared code with the package internals beyond data containers.  Five
+no shared code with the package internals beyond data containers.  Six
 exceptions reuse package pieces: the finite-difference Hessian oracle
 differentiates the package's analytic score (itself checked against
 differences of the log-likelihood), the Gram-matrix Hessian oracle builds
 the same quantity from the package's transforms by another route, the
 start-point oracle builds every candidate from the package's own maps
 before checking any, so the lazy search must return the same vector bit for
-bit, the single-entry risk functions (``log_relative_risk`` and its kin)
-sum with ``lmlreg.risk._background_sums`` over ``reference_coeffs``, so a
-risk report's entries must equal them, and the report built from them entry
-by entry (``entry_by_entry_risk_entries``), bit for bit, and the tolerance
+bit, ``implied_pi`` runs the likelihood's β → μ → π chain through the
+package's maps, so the validity it reports is the fit's, bit for bit, the
+single-entry risk functions (``log_relative_risk`` and its kin) sum with
+``lmlreg.risk._background_sums`` over ``reference_coeffs``, so a risk
+report's entries must equal them, and the report built from them entry by
+entry (``entry_by_entry_risk_entries``), bit for bit, and the tolerance
 scan of a fitted coefficient matrix (``fitted_response_independencies``)
-uses the package's transforms and lists splits with
-``lmlreg.risk._bipartitions``, in the order the package lists them.
+takes the gamma rows of a ``beta_mu`` matrix with the package's Möbius
+transform; it lists the splits with its own loop.
 
 The dense zeta and Möbius matrices (the reference for every transform, and
 the maps of the brute-force maximiser's objective), the
 single-entry risk functions, the closed-form saturated fit
-(``empirical_pi``) and the tolerance scan are test references, not package
-API.
+(``empirical_pi``), a spec's free positions (``free_positions``), the
+implied cell probabilities (``implied_pi``) and the tolerance scan are test
+references, not package API.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from lmlreg.inference import (CountTable, DataError, LogLikelihood, ModelSpec, _
 from lmlreg.lattice import SubsetLattice, mobius_transform, zeta_transform
 from lmlreg.params import (ParamMatrix, beta_from_pi, beta_gamma_from_beta_mu,
                             beta_mu_from_beta_gamma, mu_values_from_beta)
-from lmlreg.risk import RiskEntry, _background_sums, _bipartitions, reference_coeffs
+from lmlreg.risk import RiskEntry, _background_sums, reference_coeffs
 
 FITTED_ZERO_TOL = 1e-8
 
@@ -105,6 +108,14 @@ def empirical_pi(table: CountTable, smooth: float | None = None) -> ParamMatrix:
     return ParamMatrix("pi", table.responses, table.covariates, counts / totals)
 
 
+def free_positions(spec: ModelSpec, responses: SubsetLattice,
+                   covariates: SubsetLattice) -> list[tuple[int, int]]:
+    """The free (D, E) positions of ``spec``, D ≠ ∅, in canonical (|D|, D, |E|, E) order."""
+    free = [(d, e) for d in range(1, responses.size) for e in range(covariates.size)
+            if (d, e) not in spec.zero_set]
+    return sorted(free, key=lambda de: (de[0].bit_count(), de[0], de[1].bit_count(), de[1]))
+
+
 def oracle_empirical_start(spec: ModelSpec, data: CountTable) -> np.ndarray:
     """Free coefficients of the smoothed empirical distribution, by loops."""
     p = data.responses.ground_size
@@ -131,7 +142,7 @@ def oracle_empirical_start(spec: ModelSpec, data: CountTable) -> np.ndarray:
             beta[d, cell] = sum(
                 (-1.0 if (cell ^ e).bit_count() % 2 else 1.0) * theta[d, e]
                 for e in subsets_of(cell))
-    free = spec.free_positions(data.responses, data.covariates)
+    free = free_positions(spec, data.responses, data.covariates)
     return np.array([beta[d, e] for d, e in free])
 
 
@@ -143,7 +154,7 @@ def brute_force_max_loglik(spec: ModelSpec, data: CountTable, n_starts: int = 12
     distribution (jittered for the remaining restarts); purely random
     starts sit on the invalid-region penalty plateau too often.
     """
-    free = spec.free_positions(data.responses, data.covariates)
+    free = free_positions(spec, data.responses, data.covariates)
     rows, cols = np.array(free, dtype=np.intp).reshape(-1, 2).T
     counts = np.asarray(data.counts, dtype=float)
     # the maps as dense matrices: theta = beta Z_U, log mu = Z_V^T theta
@@ -366,22 +377,27 @@ def oracle_risk_entries(beta: np.ndarray, link: str, zero_set: frozenset) -> dic
     return out
 
 
+def _splits(zero_rows: set[int], p: int) -> list[tuple[int, int, int]]:
+    """Splits (D, A, B) of the nonempty D ⊆ {0..p-1} whose straddling rows D' ⊆ D
+    (those meeting both A and B) all lie in ``zero_rows``, in the package's
+    order: D by cardinality, A holding D's lowest bit, A ascending."""
+    out = []
+    for d in sorted(range(1, 2**p), key=lambda m: (m.bit_count(), _bits(m))):
+        low = d & -d
+        for sub in sorted(subsets_of(d ^ low)):
+            a, b = low | sub, d ^ low ^ sub
+            if b and all(dp in zero_rows for dp in subsets_of(d) if dp & a and dp & b):
+                out.append((d, a, b))
+    return out
+
+
 def oracle_response_independencies(spec: ModelSpec, p: int, q: int) -> list[tuple[int, int, int]]:
     """Splits (D, A, B) whose straddling gamma rows the zero set zeroes, by loops."""
     zero_rows = set()
     if spec.link == "lml":
         zero_rows = {d for d in range(1, 2**p)
                      if all((d, e) in spec.zero_set for e in range(2**q))}
-    out = []
-    for d in sorted(range(1, 2**p), key=lambda m: (m.bit_count(), _bits(m))):
-        if d.bit_count() < 2:
-            continue
-        low = d & -d
-        for sub in subsets_of(d ^ low):
-            a, b = low | sub, d ^ (low | sub)
-            if b and all(dp in zero_rows for dp in subsets_of(d) if dp & a and dp & b):
-                out.append((d, a, b))
-    return sorted(out, key=lambda t: (t[0].bit_count(), _bits(t[0]), t[1]))
+    return _splits(zero_rows, p)
 
 
 def fitted_response_independencies(beta: ParamMatrix,
@@ -393,16 +409,8 @@ def fitted_response_independencies(beta: ParamMatrix,
         values = mobius_transform(values, axis=0)
     elif beta.kind != "beta_gamma":
         raise ValueError(f"expected beta_mu or beta_gamma, got kind {beta.kind!r}")
-    rows = (~np.all(np.abs(values) <= tol, axis=1)).astype(float)
-    rows[0] = 0.0
-    below = zeta_transform(rows).tolist()
-    return [
-        (d, a, b)
-        for d in beta.rows.masks_by_cardinality()
-        if d.bit_count() >= 2
-        for a, b in _bipartitions(d)
-        if below[d] - below[a] - below[b] == 0
-    ]
+    zero_rows = {d for d in range(1, beta.rows.size) if np.all(np.abs(values[d]) <= tol)}
+    return _splits(zero_rows, beta.rows.ground_size)
 
 
 def oracle_covariate_independencies(spec: ModelSpec, p: int, q: int) -> list[tuple[int, int]]:
@@ -514,6 +522,15 @@ def oracle_marginalize(table: CountTable, labels) -> np.ndarray:
     return out
 
 
+def implied_pi(ll: LogLikelihood, x: np.ndarray) -> np.ndarray | None:
+    """The cell probabilities the free coefficients x imply, or None when x is
+    outside the valid region: some observed column has a π that is not
+    finite and positive.  Unobserved columns are left unconstrained."""
+    pi = mobius_transform(mu_values_from_beta(ll.beta_values(x), ll.link), axis=0, supersets=True)
+    observed = pi[:, ll.counts.sum(axis=0) > 0]
+    return pi if np.all(np.isfinite(observed)) and np.all(observed > 0) else None
+
+
 def oracle_starting_point(ll: LogLikelihood, data: CountTable) -> np.ndarray | None:
     """The first valid start, with every candidate built before any is checked."""
     candidates = []
@@ -529,7 +546,7 @@ def oracle_starting_point(ll: LogLikelihood, data: CountTable) -> np.ndarray | N
             theta = mobius_transform(theta, axis=0)
         candidates.append(ll.free_of(mobius_transform(theta, axis=-1)))
     for x in candidates:
-        if ll.pi_values(x) is not None:
+        if implied_pi(ll, x) is not None:
             return x
     return None
 

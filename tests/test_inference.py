@@ -37,6 +37,8 @@ from oracles import (
     brute_force_max_loglik,
     empirical_pi,
     central_difference_hessian,
+    free_positions,
+    implied_pi,
     oracle_gram_hessian,
     oracle_independence_mu,
     oracle_induced_mu_ses,
@@ -190,7 +192,7 @@ class TestModelSpec:
     def test_free_positions_order_and_content(self):
         V, U = lattices(2, 1)
         spec = ModelSpec("lml", frozenset({(3, 1)}))
-        free = spec.free_positions(V, U)
+        free = free_positions(spec, V, U)
         assert (3, 1) not in free
         assert len(free) == 5
         assert free[0] == (1, 0)
@@ -266,7 +268,7 @@ class TestGradient:
         res = fit(spec, t)
         rng = np.random.default_rng(seed)
         x = ll.free_of(res.beta_hat.values) + rng.normal(scale=0.05, size=len(res.free_index))
-        if ll.pi_values(x) is None:
+        if implied_pi(ll, x) is None:
             x = ll.free_of(res.beta_hat.values)
         g = ll.gradient(x)
         step = 1e-6
@@ -283,7 +285,7 @@ def interior_point(ll: LogLikelihood, x: np.ndarray, seed: int) -> np.ndarray:
     """x moved by a random jitter, halved until the result is valid."""
     jitter = np.random.default_rng(seed).normal(scale=0.05, size=x.size)
     for _ in range(20):
-        if ll.pi_values(x + jitter) is not None:
+        if implied_pi(ll, x + jitter) is not None:
             return x + jitter
         jitter *= 0.5
     return x
@@ -360,7 +362,7 @@ class TestEvaluationState:
         spec, t, x1, x2 = self.points(link)
         ll = LogLikelihood(spec, t)
         calls = [("value", x1), ("gradient", x2), ("fd_hessian", x1), ("value", x2),
-                 ("fd_hessian", x2), ("gradient", x1), ("pi_values", x2), ("fd_hessian", x1),
+                 ("fd_hessian", x2), ("gradient", x1), ("fd_hessian", x1),
                  ("gradient", x2), ("value", x1)]
         for name, x in calls:
             got = getattr(ll, name)(x)
@@ -379,15 +381,6 @@ class TestEvaluationState:
         assert np.array_equal(ll.gradient(x), fresh.gradient(x2))
         assert np.array_equal(ll.fd_hessian(x), fresh.fd_hessian(x2))
 
-    def test_pi_values_returns_a_copy(self):
-        spec, t, x1, _ = self.points("lml")
-        ll = LogLikelihood(spec, t)
-        ll.pi_values(x1)[:] = -1.0
-        fresh = LogLikelihood(spec, t)
-        assert np.array_equal(ll.pi_values(x1), fresh.pi_values(x1))
-        assert ll.value(x1) == fresh.value(x1)
-        assert np.array_equal(ll.gradient(x1), fresh.gradient(x1))
-
     @pytest.mark.parametrize("link", ["lm", "lml"])
     def test_derivatives_at_an_invalid_point_raise(self, link):
         spec, t, x1, _ = self.points(link)
@@ -400,7 +393,7 @@ class TestEvaluationState:
         ll.fd_hessian(x1)
         with pytest.raises(BoundaryError):
             ll.fd_hessian(bad)
-        assert ll.value(bad) == -np.inf and ll.pi_values(bad) is None
+        assert ll.value(bad) == -np.inf and implied_pi(ll, bad) is None
 
     @pytest.mark.parametrize("link", ["lm", "lml"])
     def test_one_chain_per_point(self, monkeypatch, link):
@@ -410,7 +403,7 @@ class TestEvaluationState:
         real = lmlreg.inference.mu_values_from_beta
         monkeypatch.setattr(lmlreg.inference, "mu_values_from_beta",
                             lambda beta, link: built.append(1) or real(beta, link))
-        ll.value(x1), ll.gradient(x1), ll.fd_hessian(x1), ll.pi_values(x1)
+        ll.value(x1), ll.gradient(x1), ll.fd_hessian(x1)
         assert len(built) == 1
         ll.fd_hessian(x2)
         assert len(built) == 2
@@ -589,6 +582,25 @@ class TestInvariance:
         np.testing.assert_allclose(moved.beta_hat.values[move], base.beta_hat.values,
                                    rtol=0, atol=1e-8)
 
+    @given(st.integers(1, 3), st.integers(2, 3), st.integers(0, 10**6), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_swapping_two_covariates(self, p, q, seed, draw):
+        """Two covariates' count columns and zero-set masks swapped: under
+        either link every coefficient moves with its covariate subset."""
+        i, j = draw.draw(st.lists(st.integers(0, q - 1), min_size=2, max_size=2, unique=True))
+        cells = np.arange(2**q)
+        move = cells ^ ((cells >> i ^ cells >> j) & 1) * (1 << i | 1 << j)   # bits i, j swapped
+        for link in ("lm", "lml"):
+            data, spec = self.case(p, q, seed, link)
+            counts = np.empty_like(data.counts)
+            counts[:, move] = data.counts
+            moved_spec = ModelSpec(link, frozenset((d, int(move[e])) for d, e in spec.zero_set))
+            base = fit(spec, data)
+            moved = fit(moved_spec, CountTable(data.responses, data.covariates, counts))
+            assert base.converged and moved.converged
+            np.testing.assert_allclose(moved.beta_hat.values[:, move], base.beta_hat.values,
+                                       rtol=0, atol=1e-9)
+
     @given(st.integers(1, 3), st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
     def test_one_response_links_agree(self, q, seed):
@@ -717,7 +729,7 @@ class TestMissingCells:
         res = fit(ModelSpec(link), CountTable(V, U, np.zeros((4, 2), dtype=np.int64)),
                   FitOptions(allow_missing_cells=True))
         assert res.converged and res.missing_cells == (0, 1)
-        assert res.unidentified == tuple(ModelSpec(link).free_positions(V, U))
+        assert res.unidentified == tuple(free_positions(ModelSpec(link), V, U))
         assert res.estimates.shape == res.std_errors.shape == (0,)
         assert res.covariance.shape == (0, 0) and not res.singular_information
 
@@ -730,7 +742,7 @@ class TestMissingCells:
         t = CountTable(V, U, counts)
         spec = ModelSpec("lml", frozenset({(3, 3), (3, 6), (1, 7)}))
         observed = [e for e in range(8) if e not in (3, 5, 7)]
-        expected = tuple((d, e) for d, e in spec.free_positions(V, U)
+        expected = tuple((d, e) for d, e in free_positions(spec, V, U)
                          if not any(obs & e == e for obs in observed))
         likelihoods, validations = [], []
         validate_for = ModelSpec.validate_for

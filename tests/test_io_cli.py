@@ -350,15 +350,11 @@ class TestReaderAgainstRowByRowOracle:
                                   "cases")
         assert got.counts.tolist() == [[0, 0], [0, 1], [1, 0], [0, 0]]
 
-    def test_lone_cr_stream_fails_as_its_path(self, source_of):
-        text = "y0,y1,x0\n1,0,1\r0,1,0\n"
-        errors = []
-        for kind in ("stringio", "path"):
-            with pytest.raises(DataError) as exc:
-                lio.read_count_data(source_of(kind, text), *lattices(2, 1), "cases")
-            errors.append(str(exc.value))
-        assert errors[0] == errors[1]
-        assert errors[0].startswith("input could not be parsed: ")
+    @pytest.mark.parametrize("kind", SOURCES)
+    def test_lone_cr_ends_a_body_row(self, source_of, kind):
+        got = lio.read_count_data(source_of(kind, "y0,y1,x0\n1,0,1\r0,1,0\n"), *lattices(2, 1),
+                                  "cases")
+        assert got.counts.tolist() == [[0, 0], [0, 1], [1, 0], [0, 0]]
 
     @pytest.mark.parametrize("text", ["y0,x0\n", "y0,x0", "y0,x0\n\n\n", "y0,x0,count\n"])
     def test_header_only_gives_empty_table(self, text):
@@ -490,6 +486,8 @@ class TestParamMatrixIO:
 READER_INPUTS = {
     "cases": ("y0,x0\n1,0\n0,1\n1,1\n",
               lambda src: lio.read_count_data(src, *lattices(1, 1), "cases").counts.tolist()),
+    "counts": ("y0,x0,count\n1,0,3\n0,1,2\n1,1,5\n",
+               lambda src: lio.read_count_data(src, *lattices(1, 1), "counts").counts.tolist()),
     "zeros": ("{y0};{}\n# a comment\n{y0};{x0}\n",
               lambda src: sorted(lio.read_zero_set(src, *lattices(1, 1)))),
     "matrix": ("D,{},{x0}\n{},0,0\n{y0},-1.5,0.25\n",
@@ -515,12 +513,14 @@ class TestEncoding:
 
     @pytest.mark.parametrize("end", ["\r", "\r\n"], ids=["CR", "CRLF"])
     @pytest.mark.parametrize("kind", SOURCES)
-    @pytest.mark.parametrize("what", ["zeros", "matrix"])
+    @pytest.mark.parametrize("what", READER_INPUTS)
     def test_cr_and_crlf_line_ends_read_alike(self, source_of, what, kind, end):
         text, read = READER_INPUTS[what]
         assert read(source_of(kind, "\ufeff" + text.replace("\n", end))) == read(io.StringIO(text))
 
     @pytest.mark.parametrize("what, text, message", [
+        ("cases", "y0,x0\r1,0\r\n\r2,1\n", "line 4: column 'y0' must be 0 or 1, got '2'"),
+        ("counts", "y0,x0,count\r\n1,0,3\r\r0,1,-2\n", "line 4: count must be non-negative, got -2"),
         ("zeros", "{y0};{}\r# a comment\r\n\r\n{y0};{x0}\r{q};{}\n",
          "line 5: unknown label 'q'; expected one of ('y0',)"),
         ("matrix", "D,{},{x0}\r{},0,0\r\n\r{y0},-1.5,many\r\n", "line 4: not a number: 'many'"),

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from lmlreg.lattice import (
     SubsetLattice,
-    iter_submasks,
     mobius_transform,
     zeta_transform,
 )
@@ -91,13 +90,11 @@ class TestSubsetLattice:
         assert len(order) == 15
 
 
-class TestSubmaskIteration:
-    @given(st.integers(min_value=0, max_value=2**10 - 1))
-    def test_iter_submasks_complete(self, mask):
-        subs = list(iter_submasks(mask))
-        assert len(subs) == 2 ** mask.bit_count()
-        assert subs == sorted(subs)
-        assert all(s & mask == s for s in subs)
+class TestTransformShape:
+    @pytest.mark.parametrize("n", [0, 3, 6])
+    def test_axis_length_not_a_power_of_two(self, n):
+        with pytest.raises(ValueError, match=f"^axis length {n} is not a power of two$"):
+            zeta_transform(np.zeros((2, n)))
 
 
 class TestDenseMatrices:

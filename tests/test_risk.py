@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lmlreg.inference import ConvergenceError, CountTable, ModelSpec, fit
-from lmlreg.lattice import SubsetLattice, iter_submasks
+from lmlreg.lattice import SubsetLattice
 from lmlreg.params import (
     ParamMatrix,
     beta_from_pi,
@@ -21,6 +21,7 @@ from lmlreg.params import (
 )
 from lmlreg.risk import (
     RiskEntry,
+    _bipartitions,
     implied_covariate_independencies,
     implied_response_independencies,
     reference_coeffs,
@@ -39,6 +40,7 @@ from oracles import (
     oracle_log_reference_rr_product,
     oracle_response_independencies,
     oracle_risk_entries,
+    subsets_of,
 )
 
 
@@ -95,7 +97,7 @@ class TestReferenceCoeffs:
                 continue
             for e in range(2):
                 acc = 0.0
-                for dp in iter_submasks(d):
+                for dp in subsets_of(d):
                     if dp == d:
                         continue
                     acc += (-1.0) ** ((d ^ dp).bit_count()) * bmu.values[dp, e]
@@ -221,9 +223,9 @@ def split_models(draw):
     p, q = draw(st.integers(2, 4)), draw(st.integers(1, 2))
     V, U = lattices(p, q)
     d = draw(st.sampled_from([m for m in range(V.size) if m.bit_count() >= 2]))
-    a = draw(st.sampled_from([m for m in iter_submasks(d) if m and m != d]))
+    a = draw(st.sampled_from([m for m in sorted(subsets_of(d)) if m and m != d]))
     b = d ^ a
-    zeros = {(r, e) for r in iter_submasks(d) if r & a and r & b for e in range(U.size)}
+    zeros = {(r, e) for r in subsets_of(d) if r & a and r & b for e in range(U.size)}
     drawn = draw(st.sets(st.tuples(st.integers(1, V.size - 1), st.integers(0, U.size - 1)),
                          max_size=V.size))
     # a zero singleton intercept forces mu_v(∅) = 1: pi = 0 at every pattern without v in cell ∅
@@ -233,6 +235,47 @@ def split_models(draw):
     low = d & -d   # implied_response_independencies lists A as the side with D's lowest bit
     split = (d, a, b) if a & low else (d, b, a)
     return ModelSpec("lml", frozenset(zeros)), CountTable(V, U, counts), split
+
+
+@st.composite
+def fitted_models(draw):
+    """(spec, table with every cell positive) for p ≤ 3, q ≤ 2 and either link."""
+    p, q = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    link = draw(st.sampled_from(["lm", "lml"]))
+    V, U = lattices(p, q)
+    # a zero (D, ∅) forces mu_D(∅) = 1, a boundary point: under lm for every
+    # D, under lml for a singleton D
+    allowed = [(d, e) for d in range(1, V.size) for e in range(U.size)
+               if e or (link == "lml" and d.bit_count() > 1)]
+    zeros = draw(st.sets(st.sampled_from(allowed), max_size=len(allowed) // 2))
+    counts = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(
+        1, 300, size=(V.size, U.size))
+    return ModelSpec(link, frozenset(zeros)), CountTable(V, U, counts)
+
+
+class TestSingleResponseRows:
+    """The abstract's claim: under either link, the coefficients of a single
+    response are log relative risks, on any table and zero set."""
+
+    @given(fitted_models())
+    @settings(max_examples=40, deadline=None)
+    def test_single_response_rows_are_log_relative_risks(self, model):
+        spec, table = model
+        try:
+            res = fit(spec, table)
+        except ConvergenceError:
+            assume(False)
+        assume(res.converged)
+        pi = res.pi_hat.values
+        V, U = table.responses, table.covariates
+        # mu[D, E] = pr(Y_D = 1 | X = E), the sum of pi over the patterns H ⊇ D
+        mu = np.array([[sum(pi[h, c] for h in range(V.size) if h & d == d) for c in range(U.size)]
+                       for d in range(V.size)])
+        d, u, e, lrr = risk_table(res)[:4]
+        single = np.bitwise_count(d) == 1
+        d, e, with_u = d[single], e[single], e[single] | (1 << u[single])
+        np.testing.assert_allclose(lrr[single], np.log(mu[d, with_u]) - np.log(mu[d, e]),
+                                   rtol=0, atol=1e-12)
 
 
 class TestFactorisation:
@@ -382,6 +425,14 @@ class TestRiskReport:
         counts = rng.integers(50, 500, size=(4, 2)).astype(np.int64)
         res = fit(ModelSpec("lm", frozenset({(3, 1)})), CountTable(V, U, counts))
         assert not any(en.constrained_zero for en in risk_report(res).entries)
+
+
+class TestBipartitions:
+    @given(st.integers(0, 2**10 - 1))
+    def test_every_split_once_in_increasing_a(self, d):
+        low = d & -d
+        brute = [(a, d ^ a) for a in range(d) if a & d == a and a & low]
+        assert list(_bipartitions(d)) == brute
 
 
 class TestImpliedResponseIndependencies:

@@ -124,7 +124,7 @@ class TestForward:
     def test_alpha_one_keeps_the_saturated_model(self):
         t = random_table(2, 1, 3)
         trace = forward_margin_selection(t, alpha=1.0)
-        assert trace.final_spec.df == 0
+        assert trace.final_fit.spec.df == 0
         assert trace.zero_set == frozenset()
         assert all(not step.dropped for step in trace.steps)
 
@@ -134,7 +134,7 @@ class TestForward:
         scopes = [step.scope for step in trace.steps]
         assert scopes == [("y0",), ("y1",), ("y0", "y1"), None]
         assert trace.steps[-1].label == "joint"
-        assert trace.final_fit.spec == trace.final_spec
+        assert trace.final_fit.spec == trace.steps[-1].spec
 
     def test_recovers_the_generating_zero_set(self):
         preset = single_covariate_preset()
@@ -209,7 +209,6 @@ class TestForward:
         assert (step.label, step.scope) == ("margin {y1}", ("y1",))
         assert step.fit is None and step.dropped == ()
         assert step.error == "no valid interior starting point found"
-        assert step.deviance is None and step.df is None and step.p_value is None
         assert [s.fit is not None for s in trace.steps] == [True, False, True, True]
         assert trace.final_fit.converged
 
@@ -225,7 +224,7 @@ class TestBackward:
         trace = backward_staged_selection(t, alpha=1.0)
         assert trace.steps[0].label == "start (saturated)"
         assert trace.steps[0].spec.df == 0
-        assert trace.final_spec.df == 0
+        assert trace.final_fit.spec.df == 0
 
     def test_two_covariates_start_without_interactions(self):
         t = random_table(2, 2, 7)
