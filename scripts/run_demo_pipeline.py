@@ -26,7 +26,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from lmlreg import (
     average_effects,
     backward_staged_selection,
-    fit,
     implied_response_independencies,
     risk_report,
     simulate,

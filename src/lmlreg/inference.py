@@ -14,9 +14,11 @@ numpy has neither.
 Fitting is a damped Newton iteration on the free coefficients: analytic
 gradient, analytic Hessian (the exact observed information), and step
 halving whenever a step would leave the valid region (some implied cell
-probability ≤ 0) or decrease the log-likelihood.  The step is the plain
-Newton step when a Cholesky factorisation shows the Hessian negative
-definite; otherwise its eigenvalues, taken in magnitude, give an ascent
+probability ≤ 0) or decrease the log-likelihood.  Each iteration factorises
+the negated Hessian once, in one solve for the plain Newton step d; that
+step is taken when it is finite and ascends, gᵀd > 0, which is exactly
+positive curvature dᵀ(−H)d along it.  Otherwise, or when the solve finds
+−H singular, the Hessian's eigenvalues, taken in magnitude, give an ascent
 direction.  There is one direction per iteration: the fit stops
 unconverged when the Hessian or the direction is not finite, the
 direction does not ascend, or ``MAX_HALVINGS`` halvings find no step.
@@ -39,8 +41,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -91,11 +93,12 @@ def sorted_pairs(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     return list(zip(*_canonical(_pair_array(pairs)).tolist()))
 
 
-def _free_mask(zero_set: Iterable[tuple[int, int]], shape: tuple[int, int]) -> np.ndarray:
-    """A boolean (2**p, 2**q) mask, True at every (D, E) with D ≠ ∅ not in ``zero_set``."""
+def _free_mask(zero_pairs: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """A boolean (2**p, 2**q) mask, True at every (D, E) with D ≠ ∅ not among
+    the columns of the (2, n) array ``zero_pairs``."""
     free = np.ones(shape, dtype=bool)
     free[0] = False
-    free[tuple(_pair_array(zero_set))] = False
+    free[tuple(zero_pairs)] = False
     return free
 
 
@@ -149,46 +152,82 @@ class CountTable:
         return CountTable(sub, self.covariates, out.reshape(sub.size, -1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class ModelSpec:
-    """A link plus the set of (D, E) coefficients constrained to zero."""
+    """A link plus the set of (D, E) coefficients constrained to zero.
+
+    ``ModelSpec(link, zero_set)`` takes the set as any iterable of (D, E)
+    mask pairs and holds it as ``pairs``: one read-only (2, n) array of D
+    and E masks, each pair once, in canonical (|D|, D, |E|, E) order.  Two
+    specs are equal, and hash alike, when their links and sets are.
+    ``zero_set``, the same pairs as a frozenset of Python ints, is built on
+    first use.
+    """
 
     link: str
-    zero_set: frozenset[tuple[int, int]] = frozenset()
+    pairs: np.ndarray
 
-    def __post_init__(self) -> None:
-        check_link(self.link)
-        zs = frozenset((int(d), int(e)) for d, e in self.zero_set)
-        d_low, e_low = _pair_array(zs).min(axis=1, initial=1)
-        if d_low == 0:
-            raise ValueError("zero_set must not contain row-∅ pairs (structurally zero already)")
-        if min(d_low, e_low) < 0:
-            raise ValueError("zero_set masks must be nonnegative")
-        object.__setattr__(self, "zero_set", zs)
+    def __init__(self, link: str, zero_set: Iterable[tuple[int, int]] = ()):
+        self._hold(link, _pair_array(zero_set))
+
+    def _hold(self, link: str, pairs: np.ndarray) -> None:
+        check_link(link)
+        if pairs.shape[1] > 0:
+            d_low, e_low = pairs.min(axis=1)
+            if d_low == 0:
+                raise ValueError("zero_set must not contain row-∅ pairs (structurally zero already)")
+            if min(d_low, e_low) < 0:
+                raise ValueError("zero_set masks must be nonnegative")
+        if pairs.shape[1] > 1:
+            pairs = _canonical(pairs)
+            repeated = (pairs[:, 1:] == pairs[:, :-1]).all(axis=0)
+            if repeated.any():
+                pairs = pairs[:, np.concatenate(([True], ~repeated))]
+        pairs.setflags(write=False)
+        object.__setattr__(self, "link", link)
+        object.__setattr__(self, "pairs", pairs)
+
+    def _key(self) -> tuple[str, bytes]:
+        return self.link, self.pairs.tobytes()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ModelSpec):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    @cached_property
+    def zero_set(self) -> frozenset[tuple[int, int]]:
+        return frozenset(zip(*self.pairs.tolist()))
 
     @property
     def df(self) -> int:
-        return len(self.zero_set)
+        return self.pairs.shape[1]
 
     @property
     def is_saturated(self) -> bool:
-        return not self.zero_set
+        return not self.pairs.size
 
     def validate_for(self, responses: SubsetLattice, covariates: SubsetLattice) -> "ModelSpec":
         """Check that every constrained (D, E) lies in the lattices; ValueError if not."""
-        if self.zero_set:
+        if self.pairs.size:
             # masks are nonnegative, so the largest of each side is the one to test
-            responses.check_mask(max(map(itemgetter(0), self.zero_set)))
-            covariates.check_mask(max(map(itemgetter(1), self.zero_set)))
+            d_high, e_high = self.pairs.max(axis=1).tolist()
+            responses.check_mask(d_high)
+            covariates.check_mask(e_high)
         return self
 
     def with_zeros(self, extra: Iterable[tuple[int, int]]) -> "ModelSpec":
-        return ModelSpec(self.link, self.zero_set | frozenset(extra))
+        spec = object.__new__(ModelSpec)
+        spec._hold(self.link, np.concatenate((self.pairs, _pair_array(extra)), axis=1))
+        return spec
 
 
-def _free_pairs(zero_set: Iterable[tuple[int, int]], shape: tuple[int, int]) -> np.ndarray:
+def _free_pairs(zero_pairs: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """:func:`_free_mask`'s positions as a (2, n) array in canonical order."""
-    return _canonical(np.array(np.nonzero(_free_mask(zero_set, shape))))
+    return _canonical(np.array(np.nonzero(_free_mask(zero_pairs, shape))))
 
 
 @dataclass(frozen=True)
@@ -373,7 +412,7 @@ class LogLikelihood:
             self.counts = self.counts + float(smooth)
         self.shape = (data.responses.size, data.covariates.size)
         # the spec is validated once, by fit, which builds every likelihood
-        free = _free_pairs(spec.zero_set, self.shape)
+        free = _free_pairs(spec.pairs, self.shape)
         self.free: list[tuple[int, int]] = list(zip(*free.tolist()))
         self._rows, self._cols = free
         # Columns with no observations contribute nothing to the likelihood,
@@ -540,7 +579,7 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
         # cells containing E, so E is covered iff the superset sum of the
         # observed-cell indicator is positive there
         covered = zeta_transform((totals > 0).astype(float), supersets=True) > 0
-        free = _free_pairs(spec.zero_set, data.counts.shape)
+        free = _free_pairs(spec.pairs, data.counts.shape)
         unidentified = list(zip(*free[:, ~covered[free[1]]].tolist()))
     ll = LogLikelihood(spec.with_zeros(unidentified) if unidentified else spec, data,
                        smooth=options.smooth)
@@ -560,15 +599,16 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
         hess = ll.fd_hessian(x)
         if not np.isfinite(hess).all():
             break
+        # One factorisation: solve for the Newton step d and keep it when it
+        # is finite and ascends.  gᵀd = dᵀ(-H)d, so that test is positive
+        # curvature along d, and it holds for every d when H is negative
+        # definite.
         try:
-            # -H = L Lᵀ exists iff the Hessian is negative definite, and
-            # then the step is the plain Newton step.  numpy has no
-            # triangular solve, so the factor only decides and ``solve``
-            # factorises -H a second time.
-            neg = -hess
-            np.linalg.cholesky(neg)
-            direction = np.linalg.solve(neg, grad)
+            direction = np.linalg.solve(-hess, grad)
+            newton = bool(np.isfinite(direction).all()) and float(direction @ grad) > 0.0
         except np.linalg.LinAlgError:
+            newton = False
+        if not newton:
             # Curvature-magnitude Newton: with eigenpairs (lam_i, q_i) of
             # the Hessian, step sum_i (q_i'g / max(|lam_i|, floor)) q_i.
             # This is the Newton step above whenever the Hessian is

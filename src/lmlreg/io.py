@@ -9,8 +9,10 @@ numpy's C tokenizer.  Either way the rows become cell indices for one
 scatter; only when the parse refuses the input is the text, held in
 memory, rescanned to name the bad line.
 Zero-set files list one constrained coefficient per line as ``D;E`` in
-brace notation, with ``#`` comments.  Coefficient matrices are CSV with a
-``D`` label column and one column per covariate subset.
+brace notation, with ``#`` comments; the labels of all lines are looked up
+in one pass, and only the lines it misses are parsed one at a time.
+Coefficient matrices are CSV with a ``D`` label column and one column per
+covariate subset.
 
 Output is written from encoded columns: numbers and labels become text a
 column at a time, one encoder per format.  Both float encoders,
@@ -36,8 +38,9 @@ import re
 import warnings
 from dataclasses import dataclass
 from io import StringIO
-from itertools import islice
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -204,28 +207,43 @@ def write_count_data(table: CountTable, stream: IO[str], fmt: str = "counts") ->
 
 def read_zero_set(source: str | IO[str], responses: SubsetLattice,
                   covariates: SubsetLattice) -> frozenset[tuple[int, int]]:
-    """Parse ``D;E`` constraint lines (brace notation, # comments) into masks."""
-    pairs: set[tuple[int, int]] = set()
-    by_d, by_e = responses._mask_by_label.get, covariates._mask_by_label.get
-    for line_no, raw in enumerate(_lines(_read_text(source)), start=1):
-        # write_zero_set's layout is two labels; a '#' (a label may hold one) cuts a comment
-        d_text, _, e_text = raw.rstrip("\r\n").partition(";")
-        d, e = by_d(d_text), by_e(e_text)
-        if d is None or e is None or "#" in raw:
-            text = raw.partition("#")[0].strip()
-            if not text:
+    """Parse ``D;E`` constraint lines (brace notation, # comments) into masks.
+
+    Every line's two sides are first looked up at once as the labels
+    :func:`write_zero_set` prints.  Only the lines that lookup misses, and
+    any holding a ``#`` (a label may hold one; otherwise it cuts a
+    comment), are parsed one by one: blank and comment lines, other
+    spellings, and bad lines, which are reported with their line number.
+    """
+    text = _read_text(source)
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    # each side's mask, -1 where it is not a printed label; the partitions
+    # are made once per side and not kept, so the collector never scans them
+    d, e = (np.fromiter(map(lattice._mask_by_label.get,
+                            map(itemgetter(side), map(str.partition, lines, repeat(";"))),
+                            repeat(-1)), np.intp, len(lines))
+            for lattice, side in ((responses, 0), (covariates, 2)))
+    parse = (d < 0) | (e < 0)
+    if "#" in text:
+        parse |= np.fromiter(("#" in line for line in lines), bool, len(lines))
+    keep = np.ones(len(lines), dtype=bool)
+    for i in np.flatnonzero(parse | (d == 0)).tolist():
+        line_no = i + 1
+        if parse[i]:
+            line = lines[i].partition("#")[0].strip()
+            if not line:
+                keep[i] = False
                 continue
-            d_text, sep, e_text = text.partition(";")
+            d_side, sep, e_side = line.partition(";")
             if not sep:
-                raise DataError(f"line {line_no}: expected 'D;E', got {text!r}")
+                raise DataError(f"line {line_no}: expected 'D;E', got {line!r}")
             try:
-                d, e = responses.parse_subset(d_text), covariates.parse_subset(e_text)
+                d[i], e[i] = responses.parse_subset(d_side), covariates.parse_subset(e_side)
             except ValueError as exc:
                 raise DataError(f"line {line_no}: {exc}") from None
-        if d == 0:
+        if d[i] == 0:
             raise DataError(f"line {line_no}: the empty response row cannot be constrained")
-        pairs.add((d, e))
-    return frozenset(pairs)
+    return frozenset(zip(d[keep].tolist(), e[keep].tolist()))
 
 
 def write_zero_set(zero_set: Iterable[tuple[int, int]], responses: SubsetLattice,

@@ -75,7 +75,8 @@ def risk_table(fit_result: FitResult) -> tuple[np.ndarray, ...]:
     lml = beta.kind == "beta_gamma"
     bmu = beta_mu_from_beta_gamma(beta) if lml else beta
     bgamma = beta if lml else beta_gamma_from_beta_mu(beta)
-    gamma_zeros = fit_result.spec.zero_set if lml else ()   # lm zeros pin no gamma
+    zeros = fit_result.spec.pairs
+    gamma_zeros = zeros if lml else zeros[:, :0]   # lm zeros pin no gamma
     # stacked on a leading axis: log RR, log reference RR, log ratio, and the
     # number of unconstrained gamma terms each ratio sums
     stacked = np.stack([bmu.values, reference_coeffs(bmu).values, bgamma.values,
@@ -161,7 +162,7 @@ def implied_response_independencies(
         source.validate_for(responses, covariates)
 
     # gamma rows D ≠ ∅ the zero set does not pin whole (lm zeros pin no gamma)
-    zeros = source.zero_set if source.link == "lml" else ()
+    zeros = source.pairs if source.link == "lml" else source.pairs[:, :0]
     nonzero = _free_mask(zeros, (responses.size, covariates.size)).any(axis=1)
     # nonzero rows below D; the rows below A or below B are exactly those not
     # meeting both, and they share only the (never nonzero) row ∅
@@ -185,7 +186,7 @@ def implied_covariate_independencies(
     to lm and lml specs alike.
     """
     spec.validate_for(responses, covariates)
-    free = _free_mask(spec.zero_set, (responses.size, covariates.size)).astype(float)
+    free = _free_mask(spec.pairs, (responses.size, covariates.size)).astype(float)
     # free coefficients with D' ⊆ D and E ⊆ W; those with E meeting U' are
     # the row total less the count at W = U \ U'
     below = zeta_transform(zeta_transform(free, axis=0), axis=1)

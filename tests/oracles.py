@@ -511,6 +511,39 @@ def oracle_read_count_data(source, responses: SubsetLattice, covariates: SubsetL
             stream.close()
 
 
+def oracle_read_zero_set(source, responses: SubsetLattice,
+                         covariates: SubsetLattice) -> frozenset[tuple[int, int]]:
+    """The zero-set reader as one loop over lines: each line's two sides are
+    looked up as printed labels, and the line is parsed when either misses or
+    it holds a ``#``.  Lines end at LF, CRLF or a bare CR; one leading BOM is
+    dropped."""
+    if isinstance(source, str):
+        with open(source, encoding="utf-8", newline="") as f:
+            text = f.read()
+    else:
+        text = source.read()
+    pairs: set[tuple[int, int]] = set()
+    by_d, by_e = responses._mask_by_label.get, covariates._mask_by_label.get
+    for line_no, raw in enumerate(io.StringIO(text.removeprefix("\ufeff"), newline=""), start=1):
+        d_text, _, e_text = raw.rstrip("\r\n").partition(";")
+        d, e = by_d(d_text), by_e(e_text)
+        if d is None or e is None or "#" in raw:
+            line = raw.partition("#")[0].strip()
+            if not line:
+                continue
+            d_text, sep, e_text = line.partition(";")
+            if not sep:
+                raise DataError(f"line {line_no}: expected 'D;E', got {line!r}")
+            try:
+                d, e = responses.parse_subset(d_text), covariates.parse_subset(e_text)
+            except ValueError as exc:
+                raise DataError(f"line {line_no}: {exc}") from None
+        if d == 0:
+            raise DataError(f"line {line_no}: the empty response row cannot be constrained")
+        pairs.add((d, e))
+    return frozenset(pairs)
+
+
 def oracle_marginalize(table: CountTable, labels) -> np.ndarray:
     """Margin counts by a loop over every response pattern, re-indexed one at a time."""
     V = table.responses

@@ -15,7 +15,7 @@ from scipy import stats as sstats
 
 from lmlreg.cli import main as cli_main
 from lmlreg import io as lio
-from lmlreg.inference import CountTable, FitOptions, ModelSpec, fit, simulate
+from lmlreg.inference import CountTable, ModelSpec, fit, simulate
 from lmlreg.lattice import SubsetLattice, mobius_transform, zeta_transform
 from lmlreg.params import ParamMatrix, beta_from_pi, gamma_from_mu, mu_from_pi, pi_from_beta
 from lmlreg.presets import single_covariate_preset, two_covariate_preset

@@ -11,11 +11,9 @@ from scipy import special
 import lmlreg.inference
 
 from lmlreg.inference import (
-    ConvergenceError,
     CountTable,
     DataError,
     FitOptions,
-    FitResult,
     LogLikelihood,
     ModelSpec,
     _chi2_tail,
@@ -29,6 +27,7 @@ from lmlreg.inference import (
     simulate,
     wald_tests,
 )
+from lmlreg.io import read_zero_set
 from lmlreg.lattice import SubsetLattice
 from lmlreg.params import (BoundaryError, ParamMatrix, beta_from_pi, beta_mu_from_beta_gamma,
                            pi_from_beta)
@@ -200,6 +199,51 @@ class TestModelSpec:
     def test_with_zeros_extends(self):
         spec = ModelSpec("lml", frozenset({(1, 0)}))
         assert spec.with_zeros([(2, 1)]).df == 2
+
+
+class TestModelSpecPairs:
+    """A spec holds its zero set as one canonical, repeat-free pair array."""
+
+    def test_a_spec_from_a_file_equals_and_hashes_like_one_from_a_frozenset(self, tmp_path):
+        V, U = lattices(3, 2)
+        path = tmp_path / "zeros.txt"
+        path.write_text("{y0,y1};{x1}\n{y2};{}\n# again\n{y1,y0};{x1}\n{y0,y1,y2};{x0,x1}\n")
+        want = frozenset({(3, 2), (4, 0), (7, 3)})
+        for link in ("lm", "lml"):
+            from_file, from_set = ModelSpec(link, read_zero_set(str(path), V, U)), ModelSpec(link, want)
+            assert from_file == from_set and hash(from_file) == hash(from_set)
+            assert from_file.zero_set == want and from_file.df == 3
+        assert ModelSpec("lm", want) != ModelSpec("lml", want)
+        assert ModelSpec("lml", want) != ModelSpec("lml", want - {(4, 0)})
+
+    def test_order_and_repeats_do_not_matter(self):
+        a = ModelSpec("lml", [(3, 1), (1, 0), (3, 1), (2, 3)])
+        b = ModelSpec("lml", iter([(2, 3), (1, 0), (3, 1)]))
+        assert a == b and hash(a) == hash(b) and a.df == b.df == 3
+        assert a.pairs.tolist() == [[1, 2, 3], [0, 3, 1]]   # canonical (|D|, D, |E|, E)
+        assert not a.pairs.flags.writeable
+
+    def test_with_zeros_deduplicates(self):
+        spec = ModelSpec("lml", frozenset({(1, 0), (3, 1)}))
+        grown = spec.with_zeros([(2, 1), (3, 1), (2, 1)])
+        assert grown.df == 3 and grown == ModelSpec("lml", {(1, 0), (2, 1), (3, 1)})
+        assert spec.with_zeros([]) == spec and spec.with_zeros([]).link == "lml"
+
+    def test_zero_set_holds_python_ints(self):
+        spec = ModelSpec("lm", {(np.int64(3), np.int64(1))}).with_zeros([(np.intp(1), 2)])
+        assert spec.zero_set == {(3, 1), (1, 2)}
+        assert all(type(d) is int and type(e) is int for d, e in spec.zero_set)
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([(1, 0), (0, 1)], "^zero_set must not contain row-∅ pairs \\(structurally zero already\\)$"),
+        ([(1, 0), (-1, 1)], "^zero_set masks must be nonnegative$"),
+        ([(1, -2)], "^zero_set masks must be nonnegative$"),
+    ])
+    def test_bad_masks_keep_their_messages(self, pairs, message):
+        with pytest.raises(ValueError, match=message):
+            ModelSpec("lml", pairs)
+        with pytest.raises(ValueError, match=message):
+            ModelSpec("lml").with_zeros(pairs)
 
 
 class TestLoglik:
@@ -618,7 +662,8 @@ class TestInvariance:
 
 
 class TestNewtonStep:
-    """The Newton step is a Cholesky-checked solve; the eigenvalue step is the fallback."""
+    """The Newton step is one solve, kept when it is finite and ascends; the
+    eigenvalue step is the fallback when the solve raises or its step is refused."""
 
     @pytest.mark.parametrize("link", ["lm", "lml"])
     def test_no_eigendecomposition_when_negative_definite(self, monkeypatch, link):
@@ -631,20 +676,46 @@ class TestNewtonStep:
 
     @pytest.mark.parametrize("link", ["lm", "lml"])
     def test_eigenvalue_step_when_the_factor_fails(self, monkeypatch, link):
-        """Where -H does not factor, the eigenvalue step reaches the same optimum."""
+        """Where the solve cannot factor -H, the eigenvalue step reaches the same optimum."""
         spec, data = random_constrained_spec(3, 2, 6, link), random_table(3, 2, 6)
         want = fit(spec, data)
         refused, eigh_calls = [], []
         real_eigh = np.linalg.eigh
 
-        def no_factor(a):
+        def no_factor(a, b):
             refused.append(1)
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
+            raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(np.linalg, "cholesky", no_factor)
+        monkeypatch.setattr(np.linalg, "solve", no_factor)
         monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh_calls.append(1) or real_eigh(a))
         got = fit(spec, data)
         assert got.converged and len(refused) == len(eigh_calls) == got.iterations > 0
+        np.testing.assert_allclose(got.estimates, want.estimates, rtol=0, atol=1e-8)
+        assert got.loglik == pytest.approx(want.loglik, rel=1e-12)
+
+    @pytest.mark.parametrize("refusal", ["non-finite", "not-ascending"])
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    def test_eigenvalue_step_when_the_newton_step_is_refused(self, monkeypatch, link, refusal):
+        """A solved step that is not finite, or has gᵀd ≤ 0, gives way to one
+        eigenvalue step per iteration, which reaches the same optimum."""
+        spec, data = random_constrained_spec(3, 2, 6, link), random_table(3, 2, 6)
+        want = fit(spec, data)
+        solves, eigh_calls = [], []
+        real_solve, real_eigh = np.linalg.solve, np.linalg.eigh
+
+        def refused_solve(a, b):
+            solves.append(1)
+            d = real_solve(a, b)
+            if refusal == "non-finite":
+                d[0] = np.copysign(np.inf, b[0])   # gᵀd = +inf: only the finiteness test refuses it
+            else:
+                d = -d
+            return d
+
+        monkeypatch.setattr(np.linalg, "solve", refused_solve)
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh_calls.append(1) or real_eigh(a))
+        got = fit(spec, data)
+        assert got.converged and len(solves) == len(eigh_calls) == got.iterations > 0
         np.testing.assert_allclose(got.estimates, want.estimates, rtol=0, atol=1e-8)
         assert got.loglik == pytest.approx(want.loglik, rel=1e-12)
 
@@ -657,10 +728,17 @@ class TestNewtonStep:
         assert result.singular_information and result.covariance is None
 
     def test_a_direction_that_does_not_ascend_stops_unconverged(self, monkeypatch):
+        """The solved step descends and the eigenvalue step is zero, so no direction ascends."""
         spec, data = random_constrained_spec(3, 2, 5), random_table(3, 2, 5)
         start = _starting_point(LogLikelihood(spec, data), data)
-        real_solve = np.linalg.solve
+        real_solve, real_eigh = np.linalg.solve, np.linalg.eigh
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: -real_solve(a, b))
+
+        def no_eigenvectors(a):
+            evals, evecs = real_eigh(a)
+            return evals, np.zeros_like(evecs)
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigenvectors)
         result = fit(spec, data)
         assert not result.converged and result.iterations == 1
         assert np.array_equal(result.estimates, start)

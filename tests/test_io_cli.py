@@ -35,7 +35,8 @@ from lmlreg.selection import (average_effects, backward_staged_selection,
                               forward_margin_selection)
 
 from oracles import (_oracle_fmt_num, _oracle_json_num, oracle_fit_stdout,
-                     oracle_plot_data_json_stdout, oracle_read_count_data, oracle_risk_stdout,
+                     oracle_plot_data_json_stdout, oracle_read_count_data,
+                     oracle_read_zero_set, oracle_risk_stdout,
                      oracle_select_json_stdout, oracle_select_tsv_stdout,
                      oracle_transform_json_stdout, oracle_transform_tsv_stdout,
                      oracle_write_count_data, render_to_string)
@@ -419,6 +420,75 @@ class TestZeroSetIO:
         with pytest.raises(DataError, match=r"^line 1: expected 'D;E', got '\{a'$"):
             lio.read_zero_set(io.StringIO("{a#b};{}\n"), V, U)
         assert lio.read_zero_set(io.StringIO("{c};{x}#{a#b};{}\n"), V, U) == {(2, 1)}
+
+
+# a lattice with a '#' in a label, and every kind of line a zero-set file may hold
+HASH_V, HASH_U = SubsetLattice(("a#b", "c", "d")), SubsetLattice(("x", "y"))
+ZERO_LINES = ["{c};{x}", "", "# a comment", "   ", "{c,d};{x,y}  # then {a#b};{}",
+              " { d , c } ; { y } ", "{c};{x}", "{d,c};{x,y}", "{d};{}", "{d};{ }", "c;x,y",
+              "#{a#b};{}"]
+BAD_ZERO_LINES = ["{c}{x}", "{};{x}", " {} ; {}", "{bogus};{}", "{c};{z}", "{c};{x};{y}",
+                  "{a#b};{x}", "{a#b,c};{}#"]
+
+
+def read_zero_both(text: str, V, U):
+    """(outcome of the package reader, outcome of the per-line oracle) on ``text``."""
+    out = []
+    for reader in (lio.read_zero_set, oracle_read_zero_set):
+        try:
+            out.append(reader(io.StringIO(text), V, U))
+        except DataError as exc:
+            out.append(f"DataError: {exc}")
+    return out
+
+
+class TestZeroSetReader:
+    """The batched zero-set reader reads every file as the per-line oracle does."""
+
+    @pytest.mark.parametrize("kind", ["path", "stringio"])
+    @pytest.mark.parametrize("final_eol", [True, False])
+    @pytest.mark.parametrize("bom", ["", "\ufeff"])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    def test_every_kind_of_line(self, source_of, kind, eol, bom, final_eol):
+        text = bom + eol.join(ZERO_LINES) + eol * final_eol
+        got = lio.read_zero_set(source_of(kind, text), HASH_V, HASH_U)
+        assert got == oracle_read_zero_set(source_of(kind, text), HASH_V, HASH_U)
+        assert got == {(2, 1), (6, 3), (6, 2), (4, 0), (2, 3)}
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("lines, message", [
+        (["{c};{x}", "", "{c}{x}"], "line 3: expected 'D;E', got '{c}{x}'"),
+        (["# c", "{c};{x}", "{bogus};{}"],
+         "line 3: unknown label 'bogus'; expected one of ('a#b', 'c', 'd')"),
+        (["{c};{x}", "{};{x}"], "line 2: the empty response row cannot be constrained"),
+        (["{c};{x}", " { } ; {x}"], "line 2: the empty response row cannot be constrained"),
+        (["{c};{x}", "{a#b};{}"], "line 2: expected 'D;E', got '{a'"),
+        (["{};{}", "{c}{x}"], "line 1: the empty response row cannot be constrained"),
+        (["{c}{x}", "{};{}"], "line 1: expected 'D;E', got '{c}{x}'"),
+        (["{c};{bogus}", "{};{}"],
+         "line 1: unknown label 'bogus'; expected one of ('x', 'y')"),
+    ])
+    def test_errors_keep_their_message_and_line(self, eol, lines, message):
+        got, want = read_zero_both(eol.join(lines) + eol, HASH_V, HASH_U)
+        assert got == want == f"DataError: {message}"
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_write_then_read_round_trips(self, data):
+        p, q = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        V, U = lattices(p, q)
+        zeros = data.draw(st.frozensets(st.tuples(st.integers(1, V.size - 1),
+                                                  st.integers(0, U.size - 1))))
+        eol = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        text = render_to_string(lambda s: lio.write_zero_set(zeros, V, U, s)).replace("\n", eol)
+        assert read_zero_both(text, V, U) == [zeros, zeros]
+
+    @settings(max_examples=200, deadline=None)
+    @given(lines=st.lists(st.sampled_from(ZERO_LINES + BAD_ZERO_LINES), max_size=8),
+           eol=st.sampled_from(["\n", "\r\n", "\r"]), final_eol=st.booleans())
+    def test_mixed_lines_read_as_the_oracle_reads_them(self, lines, eol, final_eol):
+        got, want = read_zero_both(eol.join(lines) + eol * final_eol, HASH_V, HASH_U)
+        assert got == want
 
 
 class TestParamMatrixIO:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -20,7 +18,6 @@ from lmlreg.params import (
     pi_from_beta,
 )
 from lmlreg.risk import (
-    RiskEntry,
     _bipartitions,
     implied_covariate_independencies,
     implied_response_independencies,

@@ -15,7 +15,6 @@ from lmlreg.params import ParamMatrix
 from lmlreg.presets import single_covariate_preset, two_covariate_preset
 from lmlreg.selection import (
     CI_Z,
-    AverageEffect,
     _drop_rounds,
     average_effects,
     backward_staged_selection,
