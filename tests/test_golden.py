@@ -55,11 +55,34 @@ INPUTS = {
     "badrow.csv": "cough,fever,exposed\n0,1,0\n1,1,0\n\n1,2,0\n",
     "nan.csv": 'D,{},{exposed}\n{},0,0\n{cough},-1.386,nan\n'
                '{fever},-1.561,0.669\n"{cough,fever}",0.288,-0.185\n',
+    # malformed coefficient matrices: one fault each, then two faults on
+    # lines 3 and 4 in both orders (the earlier line is reported)
+    "bad-label.csv": 'D,{},{exposed}\n{},0,0\n{cough},-1.386,0.565\n'
+                     '{fevr},-1.561,0.669\n"{cough,fever}",0.288,-0.185\n',
+    "short-row.csv": 'D,{},{exposed}\n{},0,0\n{cough},-1.386\n'
+                     '{fever},-1.561,0.669\n"{cough,fever}",0.288,-0.185\n',
+    "duplicate-row.csv": 'D,{},{exposed}\n{},0,0\n{cough},-1.386,0.565\n'
+                         '{cough},-1.561,0.669\n"{cough,fever}",0.288,-0.185\n',
+    "missing-row.csv": 'D,{},{exposed}\n{},0,0\n{cough},-1.386,0.565\n'
+                       '"{cough,fever}",0.288,-0.185\n',
+    "nan-then-bad-label.csv": 'D,{},{exposed}\n{},0,0\n{cough},-1.386,nan\n'
+                              '{fevr},-1.561,0.669\n"{cough,fever}",0.288,-0.185\n',
+    "bad-label-then-nan.csv": 'D,{},{exposed}\n{},0,0\n{cogh},-1.386,0.565\n'
+                              '{fever},nan,0.669\n"{cough,fever}",0.288,-0.185\n',
+    # a pi matrix for 3 responses and 2 covariates: CRLF ends, the header's
+    # columns and the rows out of order, cells below 1e-4 and two cells of
+    # 1e-300 that put coefficients above 1e3
+    "wide.csv": 'D,"{x1,x2}",{},{x2},{x1}\r\n"{y1,y3}",0.0625,3.5e-05,0.03125,0.0625\r\n'
+                '{},0.125,0.437465,0.3984375,0.25\r\n"{y1,y2,y3}",0.0625,0.0625,1e-300,1e-300\r\n'
+                '{y2},0.25,0.125,0.0625,0.125\r\n{y1},0.25,0.125,0.125,0.25\r\n'
+                '"{y2,y3}",0.0625,0.0625,0.0078125,0.0625\r\n"{y1,y2}",0.0625,0.0625,0.125,0.125\r\n'
+                '{y3},0.125,0.125,0.25,0.125\r\n',
 }
 
 LABELS = ["--responses", "cough,fever", "--covariates", "exposed"]
 CHEST = ["--input", "chest.csv", "--format", "counts", *LABELS]
 COEFFS = ["--input", "coeffs.csv", *LABELS]
+WIDE = ["--input", "wide.csv", "--responses", "y1,y2,y3", "--covariates", "x1,x2", "--kind", "pi"]
 
 
 def _cases() -> dict[str, list[str]]:
@@ -77,6 +100,7 @@ def _cases() -> dict[str, list[str]]:
             cases[f"select-backward-{link}-{out}"] = [*select, "backward", "--link", link]
         cases[f"plot-data-{out}"] = ["plot-data", *CHEST, "--effect", "exposed", "--out", out]
         cases[f"transform-{out}"] = ["transform", *COEFFS, "--kind", "beta_gamma", "--out", out]
+        cases[f"transform-wide-{out}"] = ["transform", *WIDE, "--out", out]
     cases["simulate-counts"] = ["simulate", *COEFFS, "--link", "lml", "--totals", "1000,1000",
                                 "--seed", "7", "--format", "counts"]
     cases["simulate-cases"] = ["simulate", *COEFFS, "--link", "lml", "--totals", "4,3",
@@ -85,6 +109,10 @@ def _cases() -> dict[str, list[str]]:
     cases["error-bad-row"] = ["fit", "--input", "badrow.csv", *LABELS]
     cases["error-nan-cell"] = ["transform", "--input", "nan.csv", *LABELS, "--kind", "beta_gamma"]
     cases["error-no-input"] = ["fit", *LABELS]
+    for fault in ("bad-label", "short-row", "duplicate-row", "missing-row",
+                  "nan-then-bad-label", "bad-label-then-nan"):
+        cases[f"error-{fault}"] = ["transform", "--input", f"{fault}.csv", *LABELS,
+                                   "--kind", "beta_gamma"]
     return cases
 
 
