@@ -9,7 +9,9 @@ with one call each (``io.fixed_floats`` for TSV, ``io.json_floats`` for
 JSON) and then only joins tokens; ``risk`` takes its columns straight from
 ``risk.risk_table``, with no object per entry.  Every JSON document goes
 through ``io.write_json``, which takes tables of records as token columns,
-not as one dict per entry, and writes the document from one walk.
+not as one dict per entry, and writes the document from one walk;
+``transform`` gives it each matrix as one ``io.TokenRows`` leaf, the flat
+token list of the matrix, which is written in one join.
 
 Exit codes: 0 success, 1 the reader closed the output early, 2
 configuration error, 3 data error, 4 numerical failure (boundary or
@@ -36,7 +38,8 @@ from .inference import (
     induced_mu_stats,
     simulate,
 )
-from .io import ConfigError, Raw, Records, Tokens, fixed_floats, json_floats, json_strings
+from .io import (ConfigError, Raw, Records, TokenRows, Tokens, fixed_floats, json_floats,
+                 json_strings)
 from .lattice import SubsetLattice
 from .params import (
     BoundaryError,
@@ -298,11 +301,8 @@ def cmd_transform(args: argparse.Namespace, V: SubsetLattice, U: SubsetLattice) 
     if args.out == "json":
         labels = {"rows": Tokens(json_strings(V.mask_labels)),
                   "cols": Tokens(json_strings(U.mask_labels))}
-        doc = {}
-        for name, m in derived.items():
-            tokens = json_floats(m.values)
-            doc[name] = {**labels, "values": [Tokens(tokens[i:i + U.size])
-                                             for i in range(0, len(tokens), U.size)]}
+        doc = {name: {**labels, "values": TokenRows(json_floats(m.values), U.size)}
+               for name, m in derived.items()}
         lio.write_json(doc, sys.stdout)
     else:
         for name, m in derived.items():

@@ -12,7 +12,8 @@ Zero-set files list one constrained coefficient per line as ``D;E`` in
 brace notation, with ``#`` comments; the labels of all lines are looked up
 in one pass, and only the lines it misses are parsed one at a time.
 Coefficient matrices are CSV with a ``D`` label column and one column per
-covariate subset.
+covariate subset; each row's label and width are checked one row at a
+time, and the cells of all rows are converted and tested in one block.
 
 Output is written from encoded columns: numbers and labels become text a
 column at a time, one encoder per format.  Both float encoders,
@@ -25,8 +26,9 @@ json``) take tokens from :func:`json_floats` and :func:`json_strings`;
 :func:`write_json` walks a document once, in the layout of
 ``json.dumps(indent=2)`` byte for byte, appending its text piece by piece
 to one list that is written once.  Rows of cells, the records of a
-:class:`Records` table as the lines of a TSV table, are interleaved from
-their columns and joined once (:func:`join_rows`).
+:class:`Records` table, the rows of a :class:`TokenRows` matrix and the
+lines of a TSV table, are interleaved from their columns and joined once
+(:func:`join_rows`).
 """
 
 from __future__ import annotations
@@ -257,7 +259,16 @@ def write_zero_set(zero_set: Iterable[tuple[int, int]], responses: SubsetLattice
 
 def read_param_matrix(source: str | IO[str], responses: SubsetLattice,
                       covariates: SubsetLattice, kind: str) -> ParamMatrix:
-    """Read a matrix CSV: a ``D`` column plus one value column per covariate subset."""
+    """Read a matrix CSV: a ``D`` column plus one value column per covariate subset.
+
+    The header and then each row's label, width and uniqueness are checked
+    one row at a time, in file order; the rows up to the first bad one keep
+    their cells as text.  Those cells are converted by one
+    ``np.array(cells, dtype=float)``, which takes the spellings ``float()``
+    takes, and tested by one ``isfinite``.  Only when that conversion fails
+    are the cells converted again one at a time, to name the first bad
+    cell; a bad cell on an earlier line than the bad row is reported first.
+    """
     if kind not in KINDS:
         raise ConfigError(f"unknown parameter kind {kind!r} (expected one of {', '.join(KINDS)})")
     reader = csv.reader(_lines(_read_text(source)))
@@ -275,8 +286,10 @@ def read_param_matrix(source: str | IO[str], responses: SubsetLattice,
     if sorted(col_masks) != list(range(covariates.size)):
         raise DataError("matrix header must list every covariate subset exactly once")
 
-    values = np.empty((responses.size, covariates.size))
-    seen: set[int] = set()
+    # up to the first bad row: each row's mask -> its line, and all its cells in one list
+    seen: dict[int, int] = {}
+    cells: list[str] = []
+    bad_row = None
     for row in reader:
         line = reader.line_num
         if not row or not any(cell.strip() for cell in row):
@@ -284,22 +297,40 @@ def read_param_matrix(source: str | IO[str], responses: SubsetLattice,
         try:
             d = responses.parse_subset(row[0])
         except ValueError as exc:
-            raise DataError(f"line {line}: {exc}") from None
+            bad_row = DataError(f"line {line}: {exc}")
+            break
         if len(row) != len(header):
-            raise DataError(f"line {line}: expected {len(header)} fields, got {len(row)}")
+            bad_row = DataError(f"line {line}: expected {len(header)} fields, got {len(row)}")
+            break
         if d in seen:
-            raise DataError(f"line {line}: duplicate row for {responses.format_mask(d)}")
-        seen.add(d)
-        for e, cell in zip(col_masks, row[1:]):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise DataError(f"line {line}: not a number: {cell!r}") from None
-            if not math.isfinite(value):
-                raise DataError(f"line {line}: not a finite number: {cell!r}")
-            values[d, e] = value
+            bad_row = DataError(f"line {line}: duplicate row for {responses.format_mask(d)}")
+            break
+        seen[d] = line
+        cells += row[1:]
+
+    values = np.empty((responses.size, covariates.size))
+    try:
+        block = np.array(cells, dtype=float)
+    except ValueError:                      # a cell float() refuses: the scan below names it
+        block = None
+    if block is not None and np.isfinite(block).all():
+        rows = np.fromiter(seen, dtype=np.intp, count=len(seen))
+        values[rows[:, None], col_masks] = block.reshape(len(seen), len(col_masks))
+    else:
+        width = len(col_masks)
+        for k, (d, line) in enumerate(seen.items()):
+            for e, text in zip(col_masks, cells[k * width:(k + 1) * width]):
+                try:
+                    value = float(text)
+                except ValueError:
+                    raise DataError(f"line {line}: not a number: {text!r}") from None
+                if not math.isfinite(value):
+                    raise DataError(f"line {line}: not a finite number: {text!r}")
+                values[d, e] = value
+    if bad_row is not None:
+        raise bad_row
     if len(seen) < responses.size:
-        d = min(set(range(responses.size)) - seen)
+        d = min(set(range(responses.size)).difference(seen))
         raise DataError(f"matrix is missing a row for {responses.format_mask(d)}")
     return ParamMatrix(kind, responses, covariates, values)
 
@@ -494,6 +525,20 @@ class Tokens(list):
 
 
 @dataclass(frozen=True)
+class TokenRows:
+    """A JSON array of rows of ``width`` encoded tokens each, held as one
+    flat list of the tokens row by row (an array of :class:`Tokens` arrays
+    of one length)."""
+
+    tokens: Sequence[str]
+    width: int
+
+    def __post_init__(self) -> None:
+        if self.width < 0 or (self.tokens and (not self.width or len(self.tokens) % self.width)):
+            raise ValueError("the tokens must fill rows of a nonnegative width")
+
+
+@dataclass(frozen=True)
 class Records:
     """A JSON array of objects with the same keys, held as one column of
     encoded tokens per key (all of one length)."""
@@ -537,9 +582,10 @@ def write_json(doc, stream: IO[str]) -> None:
     """Write ``doc`` and a newline, byte for byte as ``print(json.dumps(doc, indent=2))``.
 
     ``doc`` nests dicts, lists and JSON scalars, with leaves encoded
-    beforehand: :class:`Raw` values, :class:`Tokens` arrays and
-    :class:`Records` tables.  One walk appends the text to one list, written
-    once, so no nested value is copied into its parent's text.
+    beforehand: :class:`Raw` values, :class:`Tokens` arrays,
+    :class:`TokenRows` matrices and :class:`Records` tables.  One walk
+    appends the text to one list, written once, so no nested value is
+    copied into its parent's text.
     """
     parts: list[str] = []
     _emit(doc, "\n", parts)
@@ -560,6 +606,11 @@ def _emit(value, pad: str, parts: list[str]) -> None:
         parts.append(join_rows(list(value.columns.values()), ["," + key for key in keys],
                                f"[{row}{{{first}", f"{row}}},{row}{{{first}",
                                f"{row}}}{pad}]") or "[]")
+    elif isinstance(value, TokenRows):
+        width, row, cell = value.width, pad + "  ", pad + "    "
+        parts.append(join_rows([value.tokens[j::width] for j in range(width)],
+                               ["," + cell] * (width - 1), f"[{row}[{cell}",
+                               f"{row}],{row}[{cell}", f"{row}]{pad}]") if value.tokens else "[]")
     elif not value or not isinstance(value, (dict, list, tuple)):
         parts.append(json.dumps(value))    # scalars and empty containers
     elif isinstance(value, Tokens):

@@ -2,7 +2,7 @@
 
 Everything here is written with explicit subset loops, row-by-row and
 entry-by-entry code and generic optimizers on purpose: no fast transforms,
-no shared code with the package internals beyond data containers.  Six
+no shared code with the package internals beyond data containers.  Seven
 exceptions reuse package pieces: the finite-difference Hessian oracle
 differentiates the package's analytic score (itself checked against
 differences of the log-likelihood), the Gram-matrix Hessian oracle builds
@@ -17,7 +17,11 @@ report's entries must equal them, and the report built from them entry by
 entry (``entry_by_entry_risk_entries``), bit for bit, and the tolerance
 scan of a fitted coefficient matrix (``fitted_response_independencies``)
 takes the gamma rows of a ``beta_mu`` matrix with the package's Möbius
-transform; it lists the splits with its own loop.
+transform; it lists the splits with its own loop; and the per-cell matrix
+reader (``oracle_read_param_matrix``, the package's reader before it
+converted the cells in one block) takes its text and lines from
+``lmlreg.io``'s ``_read_text`` and ``_lines``, so what it checks is the
+handling of rows and cells.
 
 The dense zeta and Möbius matrices (the reference for every transform, and
 the maps of the brute-force maximiser's objective), the
@@ -34,14 +38,17 @@ import functools
 import io
 import itertools
 import json
+import math
+from typing import IO
 
 import numpy as np
 from scipy import optimize
 
 from lmlreg.inference import (CountTable, DataError, LogLikelihood, ModelSpec, _independence_mu,
                               induced_mu_stats)
+from lmlreg.io import ConfigError, _lines, _read_text
 from lmlreg.lattice import SubsetLattice, mobius_transform, zeta_transform
-from lmlreg.params import (ParamMatrix, beta_from_pi, beta_gamma_from_beta_mu,
+from lmlreg.params import (KINDS, ParamMatrix, beta_from_pi, beta_gamma_from_beta_mu,
                             beta_mu_from_beta_gamma, mu_values_from_beta)
 from lmlreg.risk import RiskEntry, _background_sums, reference_coeffs
 
@@ -542,6 +549,55 @@ def oracle_read_zero_set(source, responses: SubsetLattice,
             raise DataError(f"line {line_no}: the empty response row cannot be constrained")
         pairs.add((d, e))
     return frozenset(pairs)
+
+
+def oracle_read_param_matrix(source: str | IO[str], responses: SubsetLattice,
+                             covariates: SubsetLattice, kind: str) -> ParamMatrix:
+    """Read a matrix CSV: a ``D`` column plus one value column per covariate subset."""
+    if kind not in KINDS:
+        raise ConfigError(f"unknown parameter kind {kind!r} (expected one of {', '.join(KINDS)})")
+    reader = csv.reader(_lines(_read_text(source)))
+    header = next(reader, None)
+    if header is None:
+        raise DataError("matrix file is empty")
+    if not header or header[0].strip() != "D":
+        raise DataError("matrix header must start with a 'D' column")
+    col_masks = []
+    for name in header[1:]:
+        try:
+            col_masks.append(covariates.parse_subset(name))
+        except ValueError as exc:
+            raise DataError(f"matrix header: {exc}") from None
+    if sorted(col_masks) != list(range(covariates.size)):
+        raise DataError("matrix header must list every covariate subset exactly once")
+
+    values = np.empty((responses.size, covariates.size))
+    seen: set[int] = set()
+    for row in reader:
+        line = reader.line_num
+        if not row or not any(cell.strip() for cell in row):
+            continue
+        try:
+            d = responses.parse_subset(row[0])
+        except ValueError as exc:
+            raise DataError(f"line {line}: {exc}") from None
+        if len(row) != len(header):
+            raise DataError(f"line {line}: expected {len(header)} fields, got {len(row)}")
+        if d in seen:
+            raise DataError(f"line {line}: duplicate row for {responses.format_mask(d)}")
+        seen.add(d)
+        for e, cell in zip(col_masks, row[1:]):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DataError(f"line {line}: not a number: {cell!r}") from None
+            if not math.isfinite(value):
+                raise DataError(f"line {line}: not a finite number: {cell!r}")
+            values[d, e] = value
+    if len(seen) < responses.size:
+        d = min(set(range(responses.size)) - seen)
+        raise DataError(f"matrix is missing a row for {responses.format_mask(d)}")
+    return ParamMatrix(kind, responses, covariates, values)
 
 
 def oracle_marginalize(table: CountTable, labels) -> np.ndarray:

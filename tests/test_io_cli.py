@@ -10,7 +10,7 @@ import re
 import subprocess
 import sys
 import warnings
-from itertools import count
+from itertools import count, permutations
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from lmlreg import cli
 from lmlreg import io as lio
 from lmlreg.cli import main
 from lmlreg.inference import CountTable, DataError, FitOptions, ModelSpec, fit, simulate
-from lmlreg.io import (ConfigError, Raw, Records, Tokens, fixed_floats, json_floats,
+from lmlreg.io import (ConfigError, Raw, Records, TokenRows, Tokens, fixed_floats, json_floats,
                        json_strings, parse_labels)
 from lmlreg.lattice import SubsetLattice
 from lmlreg.params import (ParamMatrix, beta_from_pi, gamma_from_mu, mu_from_gamma, mu_from_pi,
@@ -36,7 +36,7 @@ from lmlreg.selection import (average_effects, backward_staged_selection,
 
 from oracles import (_oracle_fmt_num, _oracle_json_num, oracle_fit_stdout,
                      oracle_plot_data_json_stdout, oracle_read_count_data,
-                     oracle_read_zero_set, oracle_risk_stdout,
+                     oracle_read_param_matrix, oracle_read_zero_set, oracle_risk_stdout,
                      oracle_select_json_stdout, oracle_select_tsv_stdout,
                      oracle_transform_json_stdout, oracle_transform_tsv_stdout,
                      oracle_write_count_data, render_to_string)
@@ -552,6 +552,126 @@ class TestParamMatrixIO:
             lio.read_param_matrix(io.StringIO(text), V, U, "beta_gamma")
 
 
+def read_matrix_both(text: str, V, U, kind: str = "beta_gamma") -> list:
+    """(outcome of the package reader, outcome of the per-cell oracle) on ``text``:
+    the values' bytes, or the error's type and message."""
+    out = []
+    for reader in (lio.read_param_matrix, oracle_read_param_matrix):
+        try:
+            out.append(reader(io.StringIO(text), V, U, kind).values.tobytes())
+        except ValueError as exc:              # DataError and ConfigError
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+# a matrix for lattices(2, 1): header columns and rows out of order
+MATRIX_LINES = ["D,{x0},{}", "{y1},0.25,-1.5", "{},0,0", '"{y0,y1}",1e-300,3', "{y0},-2,0.5"]
+MATRIX_VALUES = np.array([[0, 0], [0.5, -2], [-1.5, 0.25], [3, 1e-300]]).tobytes()
+
+# lines for a lattices(2, 1) matrix after the header "D,{},{x0}", good and bad
+GOOD_MATRIX_LINES = ["{},0,0", "{y0},-1,0.5", "{y1},-2,0.25", '"{y0,y1}",0.1,0.2', "",
+                     "  ", " , ", '" {y1} ",0.5,1', '"{ y1 , y0 }",-1e-5,5.', "y0, .5 ,+1e5"]
+BAD_MATRIX_LINES = ["{q},1,1", "{y0},1", "{y0},1,2,3", "{y0},nan,1", "{y0},1,many",
+                    "{y1},-inf,1", "{y1},1e999,1", "{y1},1,1 1", "{y0};{x0},1,1"]
+
+
+class TestParamMatrixReader:
+    """The block reader reads what the per-cell oracle reads, bit for bit, and
+    fails where it fails, with the same message and line."""
+
+    @pytest.mark.parametrize("final_eol", [True, False])
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["no-bom", "bom"])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    def test_line_ends_bom_and_final_newline(self, eol, bom, final_eol):
+        text = bom + eol.join(MATRIX_LINES) + eol * final_eol
+        assert read_matrix_both(text, *lattices(2, 1)) == [MATRIX_VALUES] * 2
+
+    def test_blank_rows_and_label_spellings(self):
+        lines = [MATRIX_LINES[0], "", MATRIX_LINES[1], "   ", " , ", MATRIX_LINES[2],
+                 '"{y1, y0}",1e-300,3', "", ' {y0} ,-2,0.5', " \t"]
+        assert read_matrix_both("\n".join(lines) + "\n", *lattices(2, 1)) == [MATRIX_VALUES] * 2
+        quoted = ('"D","{x0}","{}"\n"y1",0.25,-1.5\n"{ }",0,0\n" y0 , y1 ",1e-300,3\n'
+                  '"{y0}",-2,0.5\n')
+        assert read_matrix_both(quoted, *lattices(2, 1)) == [MATRIX_VALUES] * 2
+
+    @pytest.mark.parametrize("cell", [
+        # read by float()
+        " 0.5 ", "1_0", "+1e5", ".5", "5.", "-0", "1E-3", "\t2\t", "1e-400", "4.9e-324",
+        "1.7976931348623157e308", "0.30000000000000004", "123456789012345678901234567890",
+        "1_000.000_1", "\u0661\u0662", "\uff11",
+        # refused by float()
+        "1__0", "_1", "1_", "1e1_0", "0x10", "0b1", "1j", "1e", ".e5", "e5", "--1", "+-1",
+        "1 2", "", "infinit", "nan(1)", "\u0661\u066b\u0665",
+        # read by float(), not finite
+        "inf", "-Infinity", "nan", "-nan", "1e999",
+    ])
+    def test_cell_spellings_read_as_float_reads_them(self, cell):
+        text = f"D,{{}},{{x0}}\n{{}},0,0\n{{y0}},-1,{cell}\n"
+        got, want = read_matrix_both(text, *lattices(1, 1))
+        assert got == want
+        try:
+            value = float(cell)
+        except ValueError:
+            assert got == f"DataError: line 3: not a number: {cell!r}"
+        else:
+            assert got == (np.array([[0, 0], [-1, value]]).tobytes() if np.isfinite(value) else
+                           f"DataError: line 3: not a finite number: {cell!r}")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "matrix file is empty"),
+        ("\ufeff", "matrix file is empty"),
+        ("row,{},{x0}\n{},0,0\n", "matrix header must start with a 'D' column"),
+        ("\n{},0,0\n", "matrix header must start with a 'D' column"),
+        ("D,{}\n{},0\n", "matrix header must list every covariate subset exactly once"),
+        ("D,{},{x0},{}\n", "matrix header must list every covariate subset exactly once"),
+        ("D,{},{z}\n", "matrix header: unknown label 'z'; expected one of ('x0',)"),
+        ("D,{},{x0}\n{},0,0\n\n{q},1,1\n",
+         "line 4: unknown label 'q'; expected one of ('y0', 'y1')"),
+        ("D,{},{x0}\n{},0,0\n{y0},1\n", "line 3: expected 3 fields, got 2"),
+        ("D,{},{x0}\n{},0,0\n{y0},1,2,3\n", "line 3: expected 3 fields, got 4"),
+        ("D,{},{x0}\n{},0,0\n{y0},1,1\n{ y0 },1,1\n", "line 4: duplicate row for {y0}"),
+        ("D,{},{x0}\r\n{},0,0\r\n{y0},1,1 1\r\n", "line 3: not a number: '1 1'"),
+        ("D,{},{x0}\r{},0,0\r{y0},1,\r", "line 3: not a number: ''"),
+        ("D,{},{x0}\n{},0,0\n{y0},1,1\n{y1},-inf,1\n", "line 4: not a finite number: '-inf'"),
+        ("D,{},{x0}\n{},0,0\n{y1},1,1\n", "matrix is missing a row for {y0}"),
+        ("D,{},{x0}\n", "matrix is missing a row for {}"),
+    ])
+    def test_errors_name_the_same_line(self, text, message):
+        assert read_matrix_both(text, *lattices(2, 1)) == [f"DataError: {message}"] * 2
+
+    def test_unknown_kind_is_a_config_error(self):
+        got, want = read_matrix_both("D,{},{x0}\n", *lattices(1, 1), kind="theta")
+        assert got == want and got.startswith("ConfigError: unknown parameter kind 'theta'")
+
+    @pytest.mark.parametrize("first, second", list(permutations(
+        ["{q},1,1", "{y0},1", "{},1,1", "{y0},nan,1", "{y0},1,many"], 2)))
+    def test_the_earlier_of_two_bad_lines_is_reported(self, first, second):
+        text = "\n".join(["D,{},{x0}", "{},0,0", first, second, "{y1},1,1", '"{y0,y1}",1,1', ""])
+        got, want = read_matrix_both(text, *lattices(2, 1))
+        assert got == want
+        assert got.startswith("DataError: line 3: ")
+
+    @settings(max_examples=200, deadline=None)
+    @given(lines=st.lists(st.sampled_from(GOOD_MATRIX_LINES + BAD_MATRIX_LINES), max_size=8),
+           eol=st.sampled_from(["\n", "\r\n", "\r"]), final_eol=st.booleans())
+    def test_mixed_lines_read_as_the_oracle_reads_them(self, lines, eol, final_eol):
+        text = eol.join(["D,{},{x0}", *lines]) + eol * final_eol
+        got, want = read_matrix_both(text, *lattices(2, 1))
+        assert got == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_written_matrix_reads_back_bitwise(self, data):
+        p, q = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+        V, U = lattices(p, q)
+        values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                    min_size=V.size * U.size, max_size=V.size * U.size))
+        pm = ParamMatrix("gamma", V, U, np.reshape(values, (V.size, U.size)))
+        text = render_to_string(lambda s: lio.write_param_matrix(pm, s))
+        eol = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        assert read_matrix_both(text.replace("\n", eol), V, U, "gamma") == [pm.values.tobytes()] * 2
+
+
 # one file of each kind the readers take, for lattices(1, 1)
 READER_INPUTS = {
     "cases": ("y0,x0\n1,0\n0,1\n1,1\n",
@@ -717,6 +837,10 @@ SCALARS = st.one_of(
     DELICATE_FLOATS.map(lambda x: (Raw(json_floats([x])[0]), _oracle_json_num(x))),
     st.lists(DELICATE_FLOATS, max_size=3).map(
         lambda xs: (Tokens(json_floats(xs)), [_oracle_json_num(x) for x in xs])),
+    st.integers(1, 3).flatmap(lambda w: st.lists(st.lists(
+        DELICATE_FLOATS, min_size=w, max_size=w), max_size=3)).map(
+        lambda rows: (TokenRows(json_floats(np.ravel(rows)), len(rows[0]) if rows else 0),
+                      [[_oracle_json_num(x) for x in row] for row in rows])),
 )
 
 
@@ -783,6 +907,28 @@ class TestJsonWriter:
         want = [{"a%s": 1, "%%": 2, '"q"': 3, "ü": 4}]
         assert render_to_string(lambda s: lio.write_json({"t": records}, s)) == \
             json.dumps({"t": want}, indent=2) + "\n"
+
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    @pytest.mark.parametrize("shape", [(0, 0), (1, 1), (1, 5), (5, 1), (256, 16)])
+    def test_token_rows_print_as_rows_of_tokens(self, shape, depth):
+        rng = np.random.default_rng(shape[0] + shape[1])
+        values = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+        values[rng.random(shape) < 0.1] = np.nan             # printed as null
+        tokens = json_floats(values)
+        rows = [Tokens(tokens[i * shape[1]:(i + 1) * shape[1]]) for i in range(shape[0])]
+        plain = [[_oracle_json_num(x) for x in row] for row in values.tolist()]
+
+        def nest(leaf):     # the leaf inside ``depth`` containers
+            return {0: leaf, 1: {"values": leaf}, 3: {"pi": [{"values": leaf}]}}[depth]
+
+        got = render_to_string(lambda s: lio.write_json(nest(TokenRows(tokens, shape[1])), s))
+        assert got == render_to_string(lambda s: lio.write_json(nest(rows), s))
+        assert got == json.dumps(nest(plain), indent=2) + "\n"
+
+    def test_token_rows_need_whole_rows(self):
+        for tokens, width in ((["1"], 0), (["1", "2", "3"], 2), ([], -1)):
+            with pytest.raises(ValueError):
+                TokenRows(tokens, width)
 
     def test_record_table_needs_equal_columns(self):
         with pytest.raises(ValueError):
