@@ -77,6 +77,9 @@ INPUTS = {
                 '{y2},0.25,0.125,0.0625,0.125\r\n{y1},0.25,0.125,0.125,0.25\r\n'
                 '"{y2,y3}",0.0625,0.0625,0.0078125,0.0625\r\n"{y1,y2}",0.0625,0.0625,0.125,0.125\r\n'
                 '{y3},0.125,0.125,0.25,0.125\r\n',
+    # a gamma matrix whose ∅ row is 1e-10, so each implied pi column sums to 1 + 1e-10
+    "gamma-offset.csv": 'D,{},{exposed}\n{},1e-10,1e-10\n{cough},-1.386,-0.821\n'
+                        '{fever},-1.561,-0.892\n"{cough,fever}",0.288,0.103\n',
 }
 
 LABELS = ["--responses", "cough,fever", "--covariates", "exposed"]
@@ -105,6 +108,8 @@ def _cases() -> dict[str, list[str]]:
                                 "--seed", "7", "--format", "counts"]
     cases["simulate-cases"] = ["simulate", *COEFFS, "--link", "lml", "--totals", "4,3",
                                "--seed", "7", "--format", "cases"]
+    cases["error-pi-column-sum"] = ["simulate", "--input", "gamma-offset.csv", *LABELS,
+                                    "--kind", "gamma", "--totals", "10", "--seed", "7"]
     cases["error-undecodable-byte"] = ["fit", "--input", "undecodable.csv", *LABELS]
     cases["error-bad-row"] = ["fit", "--input", "badrow.csv", *LABELS]
     cases["error-nan-cell"] = ["transform", "--input", "nan.csv", *LABELS, "--kind", "beta_gamma"]
