@@ -34,9 +34,9 @@ from .inference import (
     FitOptions,
     FitResult,
     ModelSpec,
+    _sample_counts,
     fit,
     induced_mu_stats,
-    simulate,
 )
 from .io import (ConfigError, Raw, Records, TokenRows, Tokens, fixed_floats, json_floats,
                  json_strings)
@@ -45,7 +45,6 @@ from .params import (
     BoundaryError,
     ParamMatrix,
     ValidationError,
-    beta_from_pi,
     beta_kind_for_link,
     beta_values_from_mu,
     gamma_from_mu,
@@ -139,7 +138,7 @@ def _fit_options(args: argparse.Namespace) -> FitOptions:
 def _fit_input(args: argparse.Namespace, V: SubsetLattice, U: SubsetLattice) -> FitResult:
     """Read the data, then the zero set if one is given, and fit; it must converge."""
     data = _ingest(args, V, U)
-    zeros = frozenset() if args.zeros is None else lio.read_zero_set(args.zeros, V, U)
+    zeros = () if args.zeros is None else lio.read_zero_set(args.zeros, V, U)
     return _require_converged(fit(ModelSpec(args.link, zeros), data, _fit_options(args)))
 
 
@@ -277,7 +276,6 @@ _TRANSFORM_INPUT_KINDS = ("pi", "mu", "gamma", "beta_mu", "beta_gamma")
 
 def _pi_from_any(pm: ParamMatrix) -> ParamMatrix:
     if pm.kind == "pi":
-        validate(pm)
         return pm
     if pm.kind == "mu":
         return pi_from_mu(pm)
@@ -399,8 +397,7 @@ def cmd_risk(args: argparse.Namespace, V: SubsetLattice, U: SubsetLattice) -> in
 
 def cmd_simulate(args: argparse.Namespace, V: SubsetLattice, U: SubsetLattice) -> int:
     pm = lio.read_param_matrix(args.input, V, U, args.kind or beta_kind_for_link(args.link))
-    beta = beta_from_pi(_pi_from_any(pm), args.link)
-    table = simulate(beta, args.link, args.totals, seed=args.seed)
+    table = _sample_counts(validate(_pi_from_any(pm)), args.totals, args.seed)
     lio.write_count_data(table, sys.stdout, args.format)
     return 0
 

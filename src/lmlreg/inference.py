@@ -4,12 +4,13 @@ The sampling scheme is one independent multinomial per covariate cell: the
 count matrix has a column per cell E ⊆ U and a row per response pattern
 D ⊆ V (the observations with exactly the responses in D equal to 1).  A
 model is a link choice (``lm`` or ``lml``) plus a set of regression
-coefficients constrained to zero, read everywhere as one boolean mask; the
-free coefficients, in canonical (|D|, D, |E|, E) order, make the
-log-likelihood and its gradient cheap to evaluate exactly through the
-closed-form coefficient→probability map.  The Wald and deviance p-values
-come from the normal and χ² tails computed here in floating point, since
-numpy has neither.
+coefficients constrained to zero, which ``ModelSpec`` takes as an integer
+(n, 2) array of (D, E) rows or as any iterable of (D, E) mask pairs, and
+which is read everywhere as one boolean mask; the free coefficients, in
+canonical (|D|, D, |E|, E) order, make the log-likelihood and its gradient
+cheap to evaluate exactly through the closed-form coefficient→probability
+map.  The Wald and deviance p-values come from the normal and χ² tails
+computed here in floating point, since numpy has neither.
 
 Fitting is a damped Newton iteration on the free coefficients: analytic
 gradient, analytic Hessian (the exact observed information), and step
@@ -42,7 +43,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -76,9 +76,17 @@ MAX_HALVINGS = 30
 MAX_STEP = 10.0
 
 
-def _pair_array(pairs: Iterable[tuple[int, int]]) -> np.ndarray:
-    """(D, E) pairs as a (2, n) array of D and E masks, converted in one C-level pass."""
-    return np.fromiter(chain.from_iterable(pairs), np.intp).reshape(-1, 2).T
+def _pair_array(pairs: np.ndarray | Iterable[tuple[int, int]]) -> np.ndarray:
+    """An integer (n, 2) array, or an iterable of two-integer items, converted in
+    one C-level pass to a new (2, n) array of D and E masks; ValueError for others."""
+    try:
+        rows = np.array(pairs if isinstance(pairs, np.ndarray)
+                        else list(pairs) or np.empty((0, 2), np.intp))
+    except ValueError:   # items of unequal lengths
+        rows = None
+    if rows is None or rows.ndim != 2 or rows.shape[1] != 2 or rows.dtype.kind not in "iu":
+        raise ValueError("zero_set items must be (D, E) pairs of two integer masks")
+    return rows.astype(np.intp, copy=False).T
 
 
 def _canonical(pairs: np.ndarray) -> np.ndarray:
@@ -156,22 +164,21 @@ class CountTable:
 class ModelSpec:
     """A link plus the set of (D, E) coefficients constrained to zero.
 
-    ``ModelSpec(link, zero_set)`` takes the set as any iterable of (D, E)
-    mask pairs and holds it as ``pairs``: one read-only (2, n) array of D
-    and E masks, each pair once, in canonical (|D|, D, |E|, E) order.  Two
-    specs are equal, and hash alike, when their links and sets are.
-    ``zero_set``, the same pairs as a frozenset of Python ints, is built on
-    first use.
+    ``ModelSpec(link, zero_set)`` takes the set as an integer (n, 2) array
+    of (D, E) rows, as ``io.read_zero_set`` returns it, or as any iterable
+    of (D, E) mask pairs, and holds it as ``pairs``: one read-only (2, n)
+    array of D and E masks, each pair once, in canonical (|D|, D, |E|, E)
+    order.  Two specs are equal, and hash alike, when their links and sets
+    are.  ``zero_set``, the same pairs as a frozenset of Python ints, is
+    built on first use.
     """
 
     link: str
     pairs: np.ndarray
 
-    def __init__(self, link: str, zero_set: Iterable[tuple[int, int]] = ()):
-        self._hold(link, _pair_array(zero_set))
-
-    def _hold(self, link: str, pairs: np.ndarray) -> None:
+    def __init__(self, link: str, zero_set: np.ndarray | Iterable[tuple[int, int]] = ()):
         check_link(link)
+        pairs = _pair_array(zero_set)
         if pairs.shape[1] > 0:
             d_low, e_low = pairs.min(axis=1)
             if d_low == 0:
@@ -206,10 +213,6 @@ class ModelSpec:
     def df(self) -> int:
         return self.pairs.shape[1]
 
-    @property
-    def is_saturated(self) -> bool:
-        return not self.pairs.size
-
     def validate_for(self, responses: SubsetLattice, covariates: SubsetLattice) -> "ModelSpec":
         """Check that every constrained (D, E) lies in the lattices; ValueError if not."""
         if self.pairs.size:
@@ -219,10 +222,8 @@ class ModelSpec:
             covariates.check_mask(e_high)
         return self
 
-    def with_zeros(self, extra: Iterable[tuple[int, int]]) -> "ModelSpec":
-        spec = object.__new__(ModelSpec)
-        spec._hold(self.link, np.concatenate((self.pairs, _pair_array(extra)), axis=1))
-        return spec
+    def with_zeros(self, extra: np.ndarray | Iterable[tuple[int, int]]) -> "ModelSpec":
+        return ModelSpec(self.link, np.concatenate((self.pairs, _pair_array(extra)), axis=1).T)
 
 
 def _free_pairs(zero_pairs: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -568,7 +569,7 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
             f"covariate cells with no observations: {names} "
             f"(pass allow_missing_cells to restrict the likelihood to observed cells)"
         )
-    if spec.is_saturated and options.smooth is None and np.any(data.counts[:, totals > 0] == 0):
+    if spec.df == 0 and options.smooth is None and np.any(data.counts[:, totals > 0] == 0):
         raise DataError(
             "zero observed cell in a saturated fit; enable smoothing or constrain the model"
         )
@@ -719,18 +720,23 @@ def wald_tests(fit_result: FitResult) -> list[tuple[int, int, float, float, floa
 def simulate(beta: ParamMatrix, link: str, column_totals: Sequence[int],
              seed: int | None = None) -> CountTable:
     """Draw one multinomial sample per covariate cell from the implied pi."""
-    pi = pi_from_beta(beta, link)
-    totals = np.asarray(column_totals, dtype=np.int64)
-    if totals.shape != (beta.cols.size,):
-        raise ValueError(f"expected {beta.cols.size} column totals, got shape {totals.shape}")
+    return _sample_counts(pi_from_beta(beta, link), column_totals, seed)
+
+
+def _sample_counts(pi: ParamMatrix, column_totals: Sequence[int], seed: int | None) -> CountTable:
+    """One multinomial sample per cell of a valid ``pi``; integral float totals are taken."""
+    totals = np.asarray(column_totals)
+    if totals.shape != (pi.cols.size,):
+        raise ValueError(f"expected {pi.cols.size} column totals, got shape {totals.shape}")
+    if (totals.dtype.kind not in "iuf"
+            or not np.all(np.isfinite(totals) & (totals == np.round(totals)))):
+        raise ValueError("column totals must be integers")
+    totals = totals.astype(np.int64)
     if np.any(totals < 0):
         raise ValueError("column totals must be nonnegative")
-    rng = np.random.default_rng(seed)
-    counts = np.zeros((beta.rows.size, beta.cols.size), dtype=np.int64)
-    for j in range(beta.cols.size):
-        if totals[j] > 0:
-            counts[:, j] = rng.multinomial(totals[j], pi.values[:, j])
-    return CountTable(beta.rows, beta.cols, counts)
+    # one draw per cell, in cell order (a cell of total 0 draws nothing), copied to C order
+    counts = np.random.default_rng(seed).multinomial(totals, pi.values.T).T.copy()
+    return CountTable(pi.rows, pi.cols, counts)
 
 
 def induced_mu_stats(fit_result: FitResult) -> tuple[np.ndarray, np.ndarray]:

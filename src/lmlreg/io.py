@@ -11,6 +11,8 @@ memory, rescanned to name the bad line.
 Zero-set files list one constrained coefficient per line as ``D;E`` in
 brace notation, with ``#`` comments; the labels of all lines are looked up
 in one pass, and only the lines it misses are parsed one at a time.
+:func:`read_zero_set` returns the masks as an integer (n, 2) array of
+(D, E) rows in file order, which ``ModelSpec`` takes as it is.
 Coefficient matrices are CSV with a ``D`` label column and one column per
 covariate subset; each row's label and width are checked one row at a
 time, and the cells of all rows are converted and tested in one block.
@@ -208,14 +210,16 @@ def write_count_data(table: CountTable, stream: IO[str], fmt: str = "counts") ->
 # zero-set files
 
 def read_zero_set(source: str | IO[str], responses: SubsetLattice,
-                  covariates: SubsetLattice) -> frozenset[tuple[int, int]]:
+                  covariates: SubsetLattice) -> np.ndarray:
     """Parse ``D;E`` constraint lines (brace notation, # comments) into masks.
 
-    Every line's two sides are first looked up at once as the labels
-    :func:`write_zero_set` prints.  Only the lines that lookup misses, and
-    any holding a ``#`` (a label may hold one; otherwise it cuts a
-    comment), are parsed one by one: blank and comment lines, other
-    spellings, and bad lines, which are reported with their line number.
+    Returns an integer (n, 2) array, one (D, E) row per constraint line in
+    file order, repeats kept.  Every line's two sides are first looked up
+    at once as the labels :func:`write_zero_set` prints.  Only the lines
+    that lookup misses, and any holding a ``#`` (a label may hold one;
+    otherwise it cuts a comment), are parsed one by one: blank and comment
+    lines, other spellings, and bad lines, which are reported with their
+    line number.
     """
     text = _read_text(source)
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -245,7 +249,7 @@ def read_zero_set(source: str | IO[str], responses: SubsetLattice,
                 raise DataError(f"line {line_no}: {exc}") from None
         if d[i] == 0:
             raise DataError(f"line {line_no}: the empty response row cannot be constrained")
-    return frozenset(zip(d[keep].tolist(), e[keep].tolist()))
+    return np.stack((d[keep], e[keep]), axis=1)
 
 
 def write_zero_set(zero_set: Iterable[tuple[int, int]], responses: SubsetLattice,

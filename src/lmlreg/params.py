@@ -104,7 +104,7 @@ def validate(pm: ParamMatrix) -> ParamMatrix:
         if bad.size:
             e = int(bad[0, 0])
             raise ValidationError(
-                f"pi: column {pm.cols.format_mask(e)} sums to {float(sums[e]):.6g}, expected 1 within {COLUMN_SUM_TOL}"
+                f"pi: column {pm.cols.format_mask(e)} sums to {float(sums[e])!r}, expected 1 within {COLUMN_SUM_TOL}"
             )
     elif pm.kind == "mu":
         if np.any(np.abs(v[0] - 1.0) > STRUCTURAL_TOL):

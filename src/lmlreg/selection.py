@@ -16,6 +16,10 @@ further coefficient fails, so the reported model contains only significant
 terms; only the first backward stage stops after one batch.  No model is
 fitted twice: a stage starts from the fit the step before ended with, and
 the forward joint fit is that of the last margin, which is the whole table.
+
+A step of a trace is its fit: its model is ``step.fit.spec``, a forward
+margin's responses are ``step.fit.beta_hat.rows``, a failed step has none,
+and the trace's ``final_fit`` is the last step's fit.
 """
 
 from __future__ import annotations
@@ -46,10 +50,8 @@ class SelectionStep:
     """One margin (forward) or stage (backward) of a selection run."""
 
     label: str
-    spec: ModelSpec
     fit: FitResult | None
     dropped: tuple[tuple[int, int], ...]   # joint-level (D, E) masks zeroed here
-    scope: tuple[str, ...] | None = None   # margin labels for forward steps
     error: str | None = None
 
 
@@ -114,37 +116,30 @@ def forward_margin_selection(data: CountTable, alpha: float = 0.05,
     steps: list[SelectionStep] = []
 
     for d_joint in V.masks_by_cardinality():
-        labels = V.members(d_joint)
-        margin = data.marginalize(labels)
+        margin = data.marginalize(V.members(d_joint))
         top = margin.responses.size - 1
         inherited = {
             (margin.responses.mask_of(V.members(dz)), e)
             for (dz, e) in joint_zeros
             if dz & d_joint == dz
         }
-        spec = ModelSpec("lml", frozenset(inherited))
+        label = f"margin {V.format_mask(d_joint)}"
         try:
             result, dropped_margin, err = _drop_rounds(
-                fit(spec, margin, options), margin, alpha, rows={top}, options=options,
-            )
+                fit(ModelSpec("lml", inherited), margin, options), margin, alpha, {top}, options)
         except (DataError, ConvergenceError, BoundaryError) as exc:
-            steps.append(SelectionStep(
-                label=f"margin {V.format_mask(d_joint)}", spec=spec, fit=None,
-                dropped=(), scope=labels, error=str(exc),
-            ))
+            steps.append(SelectionStep(label=label, fit=None, dropped=(), error=str(exc)))
             continue
         dropped_joint = [(V.mask_of(margin.responses.members(d)), e) for d, e in dropped_margin]
         joint_zeros.update(dropped_joint)
-        steps.append(SelectionStep(
-            label=f"margin {V.format_mask(d_joint)}", spec=result.spec, fit=result,
-            dropped=tuple(sorted_pairs(dropped_joint)), scope=labels, error=err,
-        ))
+        steps.append(SelectionStep(label=label, fit=result,
+                                   dropped=tuple(sorted_pairs(dropped_joint)), error=err))
 
-    joint_spec = ModelSpec("lml", frozenset(joint_zeros))
-    last = steps[-1]   # the margin on every response is the table itself
-    final_fit = (last.fit if last.fit is not None and last.spec == joint_spec
+    joint_spec = ModelSpec("lml", joint_zeros)
+    last = steps[-1].fit   # the margin on every response is the table itself
+    final_fit = (last if last is not None and last.spec == joint_spec
                  else fit(joint_spec, data, options))
-    steps.append(SelectionStep(label="joint", spec=joint_spec, fit=final_fit, dropped=()))
+    steps.append(SelectionStep(label="joint", fit=final_fit, dropped=()))
     return SelectionTrace(tuple(steps), final_fit)
 
 
@@ -165,15 +160,11 @@ def backward_staged_selection(data: CountTable, link: str = "lml", alpha: float 
     V, U = data.responses, data.covariates
     p, q = V.ground_size, U.ground_size
 
-    start_zeros: set[tuple[int, int]] = set()
-    if q >= 2:
-        full_e = U.size - 1
-        start_zeros = {(d, full_e) for d in range(1, V.size)}
-    spec = ModelSpec(link, frozenset(start_zeros))
-    result = fit(spec, data, options)
+    start_zeros = {(d, U.size - 1) for d in range(1, V.size)} if q >= 2 else set()
+    result = fit(ModelSpec(link, start_zeros), data, options)
     steps = [SelectionStep(
         label="start (no covariate interactions)" if start_zeros else "start (saturated)",
-        spec=spec, fit=result, dropped=(),
+        fit=result, dropped=(),
     )]
 
     sizes = ",".join(str(k) for k in range(p, 0, -1) if k > p / 2)
@@ -182,7 +173,7 @@ def backward_staged_selection(data: CountTable, link: str = "lml", alpha: float 
               ("drop remaining non-significant", set(range(1, V.size)), False)]
     for label, rows, single_batch in stages:
         result, dropped, err = _drop_rounds(result, data, alpha, rows, options, single_batch)
-        steps.append(SelectionStep(label=label, spec=result.spec, fit=result,
+        steps.append(SelectionStep(label=label, fit=result,
                                    dropped=tuple(sorted_pairs(dropped)), error=err))
         if err:
             break

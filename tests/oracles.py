@@ -519,17 +519,17 @@ def oracle_read_count_data(source, responses: SubsetLattice, covariates: SubsetL
 
 
 def oracle_read_zero_set(source, responses: SubsetLattice,
-                         covariates: SubsetLattice) -> frozenset[tuple[int, int]]:
+                         covariates: SubsetLattice) -> np.ndarray:
     """The zero-set reader as one loop over lines: each line's two sides are
     looked up as printed labels, and the line is parsed when either misses or
     it holds a ``#``.  Lines end at LF, CRLF or a bare CR; one leading BOM is
-    dropped."""
+    dropped.  The pairs come back as an (n, 2) array in file order."""
     if isinstance(source, str):
         with open(source, encoding="utf-8", newline="") as f:
             text = f.read()
     else:
         text = source.read()
-    pairs: set[tuple[int, int]] = set()
+    pairs: list[tuple[int, int]] = []
     by_d, by_e = responses._mask_by_label.get, covariates._mask_by_label.get
     for line_no, raw in enumerate(io.StringIO(text.removeprefix("\ufeff"), newline=""), start=1):
         d_text, _, e_text = raw.rstrip("\r\n").partition(";")
@@ -547,8 +547,8 @@ def oracle_read_zero_set(source, responses: SubsetLattice,
                 raise DataError(f"line {line_no}: {exc}") from None
         if d == 0:
             raise DataError(f"line {line_no}: the empty response row cannot be constrained")
-        pairs.add((d, e))
-    return frozenset(pairs)
+        pairs.append((d, e))
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2)
 
 
 def oracle_read_param_matrix(source: str | IO[str], responses: SubsetLattice,

@@ -1,13 +1,24 @@
-"""Source hygiene that no installed linter checks: every import is used.
+"""Source hygiene that no installed linter checks.
 
-A module-level ``__all__`` counts as a use of the names it lists, a name
-used only in a quoted annotation counts as used, and ``from __future__``
-imports are exempt.
+Every import is used: a module-level ``__all__`` counts as a use of the
+names it lists, a name used only in a quoted annotation counts as used, and
+``from __future__`` imports are exempt.
+
+Every member of the package has a reader besides the tests: each
+module-level function and class, and each method and class-level annotated
+field, defined in ``src/lmlreg`` is read in ``src/`` outside its own definition,
+in ``scripts/`` or in ``bench/``; or README.md names it in code; or
+``bench/spans.py`` names it in a string, as the traced run wraps functions
+by name.  A function or class is read as a name or an attribute, a method
+or field only as an attribute: a local variable of the same name is not a
+read of a field.  Dunder methods, which Python calls itself, are exempt.
 """
 
 from __future__ import annotations
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -56,6 +67,94 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}"
             for line, name in sorted((line, name) for name, line in imported_names(tree).items())
             if name not in used]
+
+
+def definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """Each module-level function and class, and each method and annotated field
+    of a module-level class, as (qualified name, node); dunders are left out."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    out.append((f"{node.name}.{member.name}", member))
+                elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                    out.append((f"{node.name}.{member.target.id}", member))
+    return [(name, node) for name, node in out if not re.search(r"(^|\.)__\w+__$", name)]
+
+
+def loads(tree: ast.AST) -> Counter[str]:
+    """How often each name is read in ``tree``: ``name`` as a name, ``.name`` as an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else "." + node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load))
+
+
+def readme_names(text: str) -> set[str]:
+    """The identifiers in README's code: fenced blocks and `inline spans`."""
+    fences = re.findall(r"^```.*?^```", text, flags=re.S | re.M)
+    prose = re.sub(r"^```.*?^```", "", text, flags=re.S | re.M)
+    return set(re.findall(r"\w+", " ".join(fences + re.findall(r"`([^`]*)`", prose))))
+
+
+def unread_members(src: dict[str, str], outside: list[str], readme: str,
+                   wrapped: str) -> list[str]:
+    """The members defined in the ``src`` sources that nothing outside the tests reads.
+
+    ``outside`` holds the other sources whose reads count, ``wrapped`` the
+    source whose string constants name wrapped members.
+    """
+    trees = {path: ast.parse(text) for path, text in src.items()}
+    read = sum(map(loads, trees.values()), Counter())
+    external = set().union(*(loads(ast.parse(text)) for text in outside))
+    named = readme_names(readme) | {node.value for node in ast.walk(ast.parse(wrapped))
+                                    if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    unread = []
+    for path, tree in trees.items():
+        for qualified, node in definitions(tree):
+            _, dot, name = qualified.rpartition(".")
+            ways = ["." + name] if dot else [name, "." + name]
+            own = loads(node)
+            if (name not in named and not any(way in external for way in ways)
+                    and all(read[way] <= own[way] for way in ways)):
+                unread.append(f"{path}: {qualified}")
+    return unread
+
+
+def test_every_member_has_a_reader_besides_the_tests():
+    src = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+           for path in sorted((ROOT / "src" / "lmlreg").glob("*.py"))}
+    outside = [path.read_text(encoding="utf-8")
+               for folder in ("scripts", "bench") for path in (ROOT / folder).rglob("*.py")]
+    assert unread_members(src, outside, (ROOT / "README.md").read_text(encoding="utf-8"),
+                          (ROOT / "bench" / "spans.py").read_text(encoding="utf-8")) == []
+
+
+def test_the_member_scan_finds_what_it_should():
+    source = ("from dataclasses import dataclass\n"
+              "@dataclass\n"
+              "class Step:\n"
+              "    fit: int\n"
+              "    scope: int\n"
+              "    def __post_init__(self):\n"
+              "        pass\n"
+              "    def again(self):\n"
+              "        return self.again()\n"
+              "def helper(step):\n"
+              "    scope = 1\n"
+              "    return step.fit, scope\n"
+              "def listed():\n"
+              "    pass\n"
+              "def wrapped():\n"
+              "    pass\n"
+              "def used():\n"
+              "    pass\n")
+    unread = unread_members({"m.py": source}, ["import m\nm.used()\n"],
+                            "Call `listed()`; fit and helper are only prose.",
+                            "NAMES = [('m', 'wrapped')]\n")
+    assert unread == ["m.py: Step", "m.py: Step.scope", "m.py: Step.again", "m.py: helper"]
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))

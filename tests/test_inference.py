@@ -170,8 +170,7 @@ class TestModelSpec:
     def test_df_counts_constraints(self):
         spec = ModelSpec("lml", frozenset({(1, 0), (3, 1)}))
         assert spec.df == 2
-        assert not spec.is_saturated
-        assert ModelSpec("lm").is_saturated
+        assert ModelSpec("lm").df == 0
 
     def test_empty_response_row_rejected(self):
         with pytest.raises(ValueError):
@@ -244,6 +243,26 @@ class TestModelSpecPairs:
             ModelSpec("lml", pairs)
         with pytest.raises(ValueError, match=message):
             ModelSpec("lml").with_zeros(pairs)
+
+    @pytest.mark.parametrize("pairs", [
+        [(1, 0, 5), (3, 1, 2)], [(1, 0), (3,)], [(1, 0), 3], [("1", 0)], [(1.7, 0)],
+        np.array([[1, 0, 5]]), np.array([1, 0]), np.array([[1.0, 0.0]]),
+    ], ids=["triples", "a single", "a bare int", "a string", "a float",
+            "an (n, 3) array", "a 1-D array", "a float array"])
+    def test_items_that_are_not_two_integers_are_refused(self, pairs):
+        message = r"^zero_set items must be \(D, E\) pairs of two integer masks$"
+        with pytest.raises(ValueError, match=message):
+            ModelSpec("lml", pairs)
+        with pytest.raises(ValueError, match=message):
+            ModelSpec("lml", [(1, 0)]).with_zeros(pairs)
+
+    @pytest.mark.parametrize("rows", [[[3, 1], [1, 0], [3, 1]], [[3, 1]]])
+    def test_an_integer_array_of_rows_is_taken_as_a_copy(self, rows):
+        array = np.array(rows, dtype=np.int32)
+        spec = ModelSpec("lml", array)
+        array[0] = [7, 7]
+        assert spec == ModelSpec("lml", map(tuple, rows)) and spec.pairs.dtype == np.intp
+        assert ModelSpec("lml", np.empty((0, 2), np.int64)) == ModelSpec("lml")
 
 
 class TestLoglik:
@@ -958,3 +977,13 @@ class TestSimulate:
             simulate(beta, "lml", [100], seed=0)
         with pytest.raises(ValueError):
             simulate(beta, "lml", [100, -1], seed=0)
+
+    def test_totals_must_be_integers(self):
+        V, U = lattices(1, 1)
+        beta = ParamMatrix("beta_gamma", V, U, np.array([[0.0, 0.0], [-1.0, 0.2]]))
+        for totals in ([2.9, 3.7], ["5", 3], [np.nan, 3], [np.inf, 3]):
+            with pytest.raises(ValueError, match="^column totals must be integers$"):
+                simulate(beta, "lml", totals, seed=0)
+        # integral floats are counts, as in CountTable
+        assert np.array_equal(simulate(beta, "lml", [5.0, 3.0], seed=1).counts,
+                              simulate(beta, "lml", [5, 3], seed=1).counts)

@@ -24,7 +24,8 @@ import lmlreg.selection
 from lmlreg import cli
 from lmlreg import io as lio
 from lmlreg.cli import main
-from lmlreg.inference import CountTable, DataError, FitOptions, ModelSpec, fit, simulate
+from lmlreg.inference import (CountTable, DataError, FitOptions, ModelSpec, fit, simulate,
+                              sorted_pairs)
 from lmlreg.io import (ConfigError, Raw, Records, TokenRows, Tokens, fixed_floats, json_floats,
                        json_strings, parse_labels)
 from lmlreg.lattice import SubsetLattice
@@ -380,7 +381,7 @@ class TestZeroSetIO:
         zeros = {(3, 0), (1, 2), (3, 3)}
         text = render_to_string(lambda s: lio.write_zero_set(zeros, V, U, s))
         text = "# header comment\n\n" + text
-        assert lio.read_zero_set(io.StringIO(text), V, U) == frozenset(zeros)
+        assert lio.read_zero_set(io.StringIO(text), V, U).tolist() == [[1, 2], [3, 0], [3, 3]]
 
     def test_sorted_by_size_then_mask(self):
         V, U = lattices(2, 2)
@@ -413,13 +414,14 @@ class TestZeroSetIO:
         respelled = [" {y1,y0} ; { } ", "# {y0};{x1}", "y0;x1  # a comment", "",
                      "{y2,y0,y1};{x1,x0}", "{y1,y2};x0"]
         for lines in (printed, respelled):
-            assert lio.read_zero_set(io.StringIO(eol.join(lines)), V, U) == zeros
+            got = lio.read_zero_set(io.StringIO(eol.join(lines)), V, U)
+            assert set(map(tuple, got.tolist())) == zeros and got.shape == (4, 2)
 
     def test_label_with_hash_is_cut_as_a_comment(self):
         V, U = SubsetLattice(("a#b", "c")), SubsetLattice(("x",))
         with pytest.raises(DataError, match=r"^line 1: expected 'D;E', got '\{a'$"):
             lio.read_zero_set(io.StringIO("{a#b};{}\n"), V, U)
-        assert lio.read_zero_set(io.StringIO("{c};{x}#{a#b};{}\n"), V, U) == {(2, 1)}
+        assert lio.read_zero_set(io.StringIO("{c};{x}#{a#b};{}\n"), V, U).tolist() == [[2, 1]]
 
 
 # a lattice with a '#' in a label, and every kind of line a zero-set file may hold
@@ -436,7 +438,7 @@ def read_zero_both(text: str, V, U):
     out = []
     for reader in (lio.read_zero_set, oracle_read_zero_set):
         try:
-            out.append(reader(io.StringIO(text), V, U))
+            out.append(reader(io.StringIO(text), V, U).tolist())
         except DataError as exc:
             out.append(f"DataError: {exc}")
     return out
@@ -452,8 +454,10 @@ class TestZeroSetReader:
     def test_every_kind_of_line(self, source_of, kind, eol, bom, final_eol):
         text = bom + eol.join(ZERO_LINES) + eol * final_eol
         got = lio.read_zero_set(source_of(kind, text), HASH_V, HASH_U)
-        assert got == oracle_read_zero_set(source_of(kind, text), HASH_V, HASH_U)
-        assert got == {(2, 1), (6, 3), (6, 2), (4, 0), (2, 3)}
+        assert got.dtype == np.intp
+        assert np.array_equal(got, oracle_read_zero_set(source_of(kind, text), HASH_V, HASH_U))
+        # one row per constraint line, in file order, repeats kept
+        assert got.tolist() == [[2, 1], [6, 3], [6, 2], [2, 1], [6, 3], [4, 0], [4, 0], [2, 3]]
 
     @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
     @pytest.mark.parametrize("lines, message", [
@@ -481,7 +485,8 @@ class TestZeroSetReader:
                                                   st.integers(0, U.size - 1))))
         eol = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
         text = render_to_string(lambda s: lio.write_zero_set(zeros, V, U, s)).replace("\n", eol)
-        assert read_zero_both(text, V, U) == [zeros, zeros]
+        want = [[d, e] for d, e in sorted_pairs(zeros)]
+        assert read_zero_both(text, V, U) == [want, want]
 
     @settings(max_examples=200, deadline=None)
     @given(lines=st.lists(st.sampled_from(ZERO_LINES + BAD_ZERO_LINES), max_size=8),
@@ -679,7 +684,7 @@ READER_INPUTS = {
     "counts": ("y0,x0,count\n1,0,3\n0,1,2\n1,1,5\n",
                lambda src: lio.read_count_data(src, *lattices(1, 1), "counts").counts.tolist()),
     "zeros": ("{y0};{}\n# a comment\n{y0};{x0}\n",
-              lambda src: sorted(lio.read_zero_set(src, *lattices(1, 1)))),
+              lambda src: lio.read_zero_set(src, *lattices(1, 1)).tolist()),
     "matrix": ("D,{},{x0}\n{},0,0\n{y0},-1.5,0.25\n",
                lambda src: lio.read_param_matrix(src, *lattices(1, 1), "beta_gamma").values.tolist()),
 }
@@ -1169,6 +1174,21 @@ class TestCliSimulate:
         argv = ["simulate", "--input", beta_path, "--responses", "b,c",
                 "--covariates", "h", "--totals", "10,20,30"]
         assert main(argv) == 2
+
+    def test_samples_the_pi_it_reads(self, tmp_path, capsys):
+        # a cell of 1e-20 is valid; mapped to coefficients and back, it
+        # rounds to 0 and the matrix would be refused
+        path = tmp_path / "pi.csv"
+        path.write_text('D,{},{h}\n{},0.4,0.4\n{b},0.3,0.35\n{c},1e-20,1e-20\n"{b,c}",0.3,0.25\n')
+        argv = ["simulate", "--input", str(path), "--responses", "b,c", "--covariates", "h",
+                "--kind", "pi", "--totals", "1000,800", "--seed", "9", "--format", "counts"]
+        assert main(argv) == 0
+        V, U = SubsetLattice(("b", "c")), SubsetLattice(("h",))
+        got = lio.read_count_data(io.StringIO(capsys.readouterr().out), V, U, "counts").counts
+        pi = lio.read_param_matrix(str(path), V, U, "pi").values
+        rng = np.random.default_rng(9)
+        want = np.stack([rng.multinomial(n, pi[:, j]) for j, n in enumerate((1000, 800))], axis=1)
+        assert np.array_equal(got, want)
 
 
 class TestCliPlotData:

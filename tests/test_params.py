@@ -72,6 +72,11 @@ class TestValidate:
         pm = random_pi(2, 1, 3)
         with pytest.raises(ValidationError, match="sums to"):
             validate(pm.with_values(pm.values * 1.01))
+        # every digit of the sum is printed, so a gap of 1e-10 shows
+        values = pm.values.copy()
+        values[0, 0] += 1e-10
+        with pytest.raises(ValidationError, match=r"column \{\} sums to 1\.0000000001\d*, expected"):
+            validate(pm.with_values(values))
 
     def test_mu_monotonicity_enforced(self):
         V = SubsetLattice(("y0", "y1"))

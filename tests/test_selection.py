@@ -130,10 +130,11 @@ class TestForward:
     def test_visits_margins_by_size_then_joint(self):
         t = random_table(2, 1, 4)
         trace = forward_margin_selection(t, alpha=1.0)
-        scopes = [step.scope for step in trace.steps]
-        assert scopes == [("y0",), ("y1",), ("y0", "y1"), None]
-        assert trace.steps[-1].label == "joint"
-        assert trace.final_fit.spec == trace.steps[-1].spec
+        labels = [step.label for step in trace.steps]
+        assert labels == ["margin {y0}", "margin {y1}", "margin {y0,y1}", "joint"]
+        assert [step.fit.beta_hat.rows.labels for step in trace.steps] == [
+            ("y0",), ("y1",), ("y0", "y1"), ("y0", "y1")]
+        assert trace.final_fit is trace.steps[-1].fit
 
     def test_recovers_the_generating_zero_set(self):
         preset = single_covariate_preset()
@@ -152,8 +153,9 @@ class TestForward:
         data = simulate(preset.beta_gamma, "lml", totals, seed=3)
         trace = forward_margin_selection(data)
         joint = trace.final_fit.beta_hat.values
-        gaps = [np.abs(step.fit.beta_hat.values[-1] - joint[data.responses.mask_of(step.scope)])
-                for step in trace.steps if step.scope is not None]
+        gaps = [np.abs(step.fit.beta_hat.values[-1]
+                       - joint[data.responses.mask_of(step.fit.beta_hat.rows.labels)])
+                for step in trace.steps if step.label != "joint"]
         assert 1e-3 < np.max(gaps) < 0.1
 
     def test_margins_inherit_submargin_zeros(self):
@@ -161,19 +163,17 @@ class TestForward:
         data = simulate(preset.beta_gamma, "lml", preset.column_totals, seed=1000)
         trace = forward_margin_selection(data)
         selected: set[tuple[int, int]] = set()
-        for step in trace.steps:
-            if step.scope is None:
-                continue
-            V, margin = data.responses, SubsetLattice(step.scope)
-            d_joint = V.mask_of(step.scope)
+        for step in trace.steps[:-1]:
+            V, margin = data.responses, step.fit.beta_hat.rows
+            d_joint = V.mask_of(margin.labels)
             expected = {
                 (margin.mask_of(V.members(dz)), e)
                 for (dz, e) in selected
                 if dz & d_joint == dz
             }
             own = {(margin.mask_of(V.members(dz)), e) for (dz, e) in step.dropped}
-            assert set(step.spec.zero_set) == expected | own
-            assert step.fit is not None and step.fit.df == len(step.spec.zero_set)
+            assert set(step.fit.spec.zero_set) == expected | own
+            assert step.fit.df == len(step.fit.spec.zero_set)
             selected.update(step.dropped)
 
     def test_dropping_a_whole_singleton_row_is_reverted(self):
@@ -186,11 +186,11 @@ class TestForward:
         counts = np.round(pi * 2000).astype(np.int64)
         t = CountTable(V, U, counts)
         trace = forward_margin_selection(t, alpha=1e-250)
-        by_scope = {step.scope: step for step in trace.steps}
-        assert by_scope[("y0",)].error is not None
-        assert "failed" in by_scope[("y0",)].error
-        assert by_scope[("y0",)].dropped == ()
-        assert by_scope[("y0", "y1")].dropped == ((3, 0), (3, 1))
+        by_label = {step.label: step for step in trace.steps}
+        assert by_label["margin {y0}"].error is not None
+        assert "failed" in by_label["margin {y0}"].error
+        assert by_label["margin {y0}"].dropped == ()
+        assert by_label["margin {y0,y1}"].dropped == ((3, 0), (3, 1))
         assert trace.zero_set == frozenset({(3, 0), (3, 1)})
 
     def test_a_margin_whose_fit_fails_is_recorded_and_skipped(self, monkeypatch):
@@ -205,7 +205,7 @@ class TestForward:
         monkeypatch.setattr(lmlreg.selection, "fit", failing_fit)
         trace = forward_margin_selection(t, alpha=1.0)
         step = trace.steps[1]
-        assert (step.label, step.scope) == ("margin {y1}", ("y1",))
+        assert step.label == "margin {y1}"
         assert step.fit is None and step.dropped == ()
         assert step.error == "no valid interior starting point found"
         assert [s.fit is not None for s in trace.steps] == [True, False, True, True]
@@ -222,7 +222,7 @@ class TestBackward:
         t = random_table(2, 1, 6)
         trace = backward_staged_selection(t, alpha=1.0)
         assert trace.steps[0].label == "start (saturated)"
-        assert trace.steps[0].spec.df == 0
+        assert trace.steps[0].fit.spec.df == 0
         assert trace.final_fit.spec.df == 0
 
     def test_two_covariates_start_without_interactions(self):
@@ -230,9 +230,9 @@ class TestBackward:
         trace = backward_staged_selection(t, alpha=1.0)
         start = trace.steps[0]
         assert start.label == "start (no covariate interactions)"
-        assert start.spec.zero_set == frozenset({(d, 3) for d in (1, 2, 3)})
+        assert start.fit.spec.zero_set == frozenset({(d, 3) for d in (1, 2, 3)})
         # nothing beyond the structural zeros is removed at alpha = 1
-        assert trace.zero_set == start.spec.zero_set
+        assert trace.zero_set == start.fit.spec.zero_set
 
     def test_stages_run_high_sizes_first(self):
         t = random_table(3, 1, 8)
