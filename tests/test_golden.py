@@ -48,6 +48,9 @@ MANIFEST = GOLDEN / "golden.json"
 INPUTS = {
     "chest.csv": "cough,fever,exposed,count\n0,0,0,610\n1,0,0,180\n0,1,0,140\n1,1,0,70\n"
                  "0,0,1,350\n1,0,1,240\n0,1,1,210\n1,1,1,200\n",
+    # the same table with every exposed row 0: an empty covariate cell
+    "chest-missing.csv": "cough,fever,exposed,count\n0,0,0,610\n1,0,0,180\n0,1,0,140\n1,1,0,70\n"
+                         "0,0,1,0\n1,0,1,0\n0,1,1,0\n1,1,1,0\n",
     "zeros.txt": "{cough,fever};{exposed}\n",
     "coeffs.csv": 'D,{},{exposed}\n{},0.000,0.000\n{cough},-1.386,0.565\n'
                   '{fever},-1.561,0.669\n"{cough,fever}",0.288,-0.185\n',
@@ -104,6 +107,8 @@ def _cases() -> dict[str, list[str]]:
         cases[f"plot-data-{out}"] = ["plot-data", *CHEST, "--effect", "exposed", "--out", out]
         cases[f"transform-{out}"] = ["transform", *COEFFS, "--kind", "beta_gamma", "--out", out]
         cases[f"transform-wide-{out}"] = ["transform", *WIDE, "--out", out]
+    cases["fit-smooth-missing-tsv"] = ["fit", "--input", "chest-missing.csv", "--format", "counts",
+                                       *LABELS, "--smooth", "--allow-missing-cells"]
     cases["simulate-counts"] = ["simulate", *COEFFS, "--link", "lml", "--totals", "1000,1000",
                                 "--seed", "7", "--format", "counts"]
     cases["simulate-cases"] = ["simulate", *COEFFS, "--link", "lml", "--totals", "4,3",
