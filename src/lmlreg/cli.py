@@ -88,8 +88,12 @@ def _check_config(args: argparse.Namespace) -> tuple[SubsetLattice, SubsetLattic
         raise ConfigError(f"labels used as both response and covariate: {clash}")
     if "alpha" in args and not 0.0 < args.alpha <= 1.0:
         raise ConfigError(f"--alpha must be in (0, 1], got {args.alpha}")
-    if "smooth" in args and args.smooth is not None and args.smooth <= 0:
-        raise ConfigError(f"--smooth must be positive, got {args.smooth}")
+    if "smooth" in args and args.smooth is not None:
+        try:
+            FitOptions(smooth=args.smooth)
+        except ValueError:
+            rule = "finite" if args.smooth > 0 else "positive"
+            raise ConfigError(f"--smooth must be {rule}, got {args.smooth}") from None
     try:
         V, U = SubsetLattice(responses), SubsetLattice(covariates)
     except ValueError as exc:
@@ -447,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="log-mean (lm) or log-mean-linear (lml) link"),
         "alpha": dict(type=float, default=0.05, help="significance level for selection"),
         "smooth": dict(type=float, nargs="?", const=0.5, default=None,
-                       help="add this constant to every cell before fitting "
+                       help="add this constant to every cell of an observed covariate cell "
                             "(0.5 when given without a value)"),
         "zeros": dict(help="file of D;E pairs constrained to zero"),
         "seed": dict(type=int, help="random seed"),

@@ -12,6 +12,13 @@ cheap to evaluate exactly through the closed-form coefficient→probability
 map.  The Wald and deviance p-values come from the normal and χ² tails
 computed here in floating point, since numpy has neither.
 
+What the data can see is derived once per likelihood, from the raw counts,
+as two masks: the observed covariate cells (positive totals) and, by one
+superset sum, the coefficients (D, E) some observed cell E′ ⊇ E reaches.
+Smoothing, the validity test and the likelihood read only observed cells;
+free coefficients outside the reached mask are pinned at zero, and only
+the zero constraints inside it count as degrees of freedom.
+
 Fitting is a damped Newton iteration on the free coefficients: analytic
 gradient, analytic Hessian (the exact observed information), and step
 halving whenever a step would leave the valid region (some implied cell
@@ -226,15 +233,18 @@ class ModelSpec:
         return ModelSpec(self.link, np.concatenate((self.pairs, _pair_array(extra)), axis=1).T)
 
 
-def _free_pairs(zero_pairs: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """:func:`_free_mask`'s positions as a (2, n) array in canonical order."""
-    return _canonical(np.array(np.nonzero(_free_mask(zero_pairs, shape))))
-
-
 @dataclass(frozen=True)
 class FitOptions:
+    """``smooth``, finite and positive, is added to every cell of an observed
+    covariate cell (one with a positive total), never to an empty one.
+    ``allow_missing_cells`` restricts the fit to the observed cells."""
+
     smooth: float | None = None
     allow_missing_cells: bool = False
+
+    def __post_init__(self) -> None:
+        if self.smooth is not None and not 0.0 < self.smooth < math.inf:
+            raise ValueError(f"smoothing epsilon must be finite and positive, got {self.smooth}")
 
 
 @dataclass(frozen=True)
@@ -274,15 +284,8 @@ def _loglik_values(counts: np.ndarray, pi_values: np.ndarray) -> float:
 
 
 def _saturated_loglik(counts: np.ndarray) -> float:
-    totals = counts.sum(axis=0)
-    out = 0.0
-    for j in range(counts.shape[1]):
-        if totals[j] <= 0:
-            continue
-        col = counts[:, j]
-        pos = col > 0
-        out += float(np.sum(col[pos] * np.log(col[pos] / totals[j])))
-    return out
+    return sum((_loglik_values(col, col / total)
+                for col, total in zip(counts.T, counts.sum(axis=0)) if total > 0), 0.0)
 
 
 # Tail probabilities for the Wald and deviance tests, to about 1e-15 absolute.
@@ -406,19 +409,21 @@ class LogLikelihood:
 
     def __init__(self, spec: ModelSpec, data: CountTable, smooth: float | None = None):
         self.link = spec.link
+        self.shape = (data.responses.size, data.covariates.size)
+        # the two masks of the module docstring, the second by column E
+        self.observed = data.column_totals > 0
+        reached = zeta_transform(self.observed.astype(float), supersets=True) > 0
         self.counts = data.counts.astype(float)
         if smooth is not None:
-            if smooth <= 0:
-                raise ValueError(f"smoothing epsilon must be positive, got {smooth}")
-            self.counts = self.counts + float(smooth)
-        self.shape = (data.responses.size, data.covariates.size)
+            self.counts[:, self.observed] += smooth
         # the spec is validated once, by fit, which builds every likelihood
-        free = _free_pairs(spec.pairs, self.shape)
+        free = _canonical(np.array(np.nonzero(_free_mask(spec.pairs, self.shape))))
+        seen = reached[free[1]]
+        self.unidentified: list[tuple[int, int]] = list(zip(*free[:, ~seen].tolist()))
+        free = free[:, seen]
         self.free: list[tuple[int, int]] = list(zip(*free.tolist()))
         self._rows, self._cols = free
-        # Columns with no observations contribute nothing to the likelihood,
-        # so validity (pi > 0) is only required where there is data.
-        self._col_observed = self.counts.sum(axis=0) > 0
+        self.df = int(np.count_nonzero(reached[spec.pairs[1]]))
         self._point: _Point | None = None
         # Gather tables of the Hessian (see fd_hessian): signs and pi rows of
         # j over the distinct free rows d and the response patterns D; and,
@@ -462,7 +467,7 @@ class LogLikelihood:
             return point
         mu = mu_values_from_beta(self.beta_values(x), self.link)
         pi = mobius_transform(mu, axis=0, supersets=True)
-        check = pi[:, self._col_observed]
+        check = pi[:, self.observed]
         valid = bool(np.all(np.isfinite(check)) and not np.any(check <= 0.0))
         value = _loglik_values(self.counts, pi) if valid else -np.inf
         self._point = point = _Point(key, mu, pi, valid, value)
@@ -485,12 +490,12 @@ class LogLikelihood:
             raise BoundaryError("derivatives requested outside the valid region")
         if point.grad is None:
             pi = point.pi
-            r = np.divide(self.counts, pi, out=np.zeros_like(pi), where=self._col_observed)
+            r = np.divide(self.counts, pi, out=np.zeros_like(pi), where=self.observed)
             a = mobius_transform(r, axis=0) * point.mu
             if self.link == "lml":
                 a = zeta_transform(a, axis=0, supersets=True)
             point.grad = zeta_transform(a, axis=1, supersets=True)
-            point.v = np.divide(r, pi, out=np.zeros_like(pi), where=self._col_observed)
+            point.v = np.divide(r, pi, out=np.zeros_like(pi), where=self.observed)
         return point
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
@@ -553,37 +558,27 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
     for empty cells/columns the model cannot tolerate and ConvergenceError
     when no valid interior starting point exists.
 
-    With ``allow_missing_cells`` the likelihood is restricted to observed
-    covariate cells: coefficients identified only through empty cells are
-    pinned to zero (reported in ``unidentified``) and the ``pi_hat`` columns
-    for those cells are model extrapolation, not estimates.
+    With ``allow_missing_cells`` the likelihood is restricted to the
+    observed covariate cells: free coefficients no observed cell reaches are
+    pinned to zero (``unidentified``), ``df`` counts only the constraints
+    some observed cell reaches, and smoothing adds nothing to empty cells,
+    whose ``pi_hat`` columns are model extrapolation, not estimates.
     """
     options = options or FitOptions()
     spec.validate_for(data.responses, data.covariates)
+    ll = LogLikelihood(spec, data, smooth=options.smooth)
 
-    totals = data.column_totals
-    missing = tuple(int(e) for e in np.flatnonzero(totals == 0))
+    missing = tuple(np.flatnonzero(~ll.observed).tolist())
     if missing and not options.allow_missing_cells:
         names = ", ".join(data.covariates.format_mask(e) for e in missing)
         raise DataError(
             f"covariate cells with no observations: {names} "
             f"(pass allow_missing_cells to restrict the likelihood to observed cells)"
         )
-    if spec.df == 0 and options.smooth is None and np.any(data.counts[:, totals > 0] == 0):
+    if ll.df == 0 and options.smooth is None and np.any(data.counts[:, ll.observed] == 0):
         raise DataError(
             "zero observed cell in a saturated fit; enable smoothing or constrain the model"
         )
-
-    unidentified: list[tuple[int, int]] = []
-    if missing:
-        # a coefficient (D, E) reaches the likelihood only through observed
-        # cells containing E, so E is covered iff the superset sum of the
-        # observed-cell indicator is positive there
-        covered = zeta_transform((totals > 0).astype(float), supersets=True) > 0
-        free = _free_pairs(spec.pairs, data.counts.shape)
-        unidentified = list(zip(*free[:, ~covered[free[1]]].tolist()))
-    ll = LogLikelihood(spec.with_zeros(unidentified) if unidentified else spec, data,
-                       smooth=options.smooth)
 
     x = _starting_point(ll, data)
     if x is None:
@@ -666,8 +661,7 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
 
     dev = 2.0 * (_saturated_loglik(ll.counts) - value)
     dev = 0.0 if -1e-6 < dev < 0.0 else float(dev)
-    df = spec.df
-    p_value = _chi2_tail(df, dev) if df > 0 else None
+    p_value = _chi2_tail(ll.df, dev) if ll.df > 0 else None
 
     return FitResult(
         spec=spec,
@@ -680,14 +674,14 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
         wald_p=wald_p,
         loglik=float(value),
         deviance=dev,
-        df=df,
+        df=ll.df,
         p_value=p_value,
         converged=converged,
         iterations=iterations,
         grad_norm=grad_norm,
         singular_information=singular,
         missing_cells=missing,
-        unidentified=tuple(unidentified),
+        unidentified=tuple(ll.unidentified),
     )
 
 
@@ -699,9 +693,8 @@ def _starting_point(ll: LogLikelihood, data: CountTable) -> np.ndarray | None:
 def _start_candidates(ll: LogLikelihood, data: CountTable) -> Iterator[np.ndarray]:
     """The starting candidates in order, each built only when the one before is rejected."""
     smoothed = ll.counts
-    totals = smoothed.sum(axis=0)
-    if np.all(totals > 0) and np.all(smoothed > 0):
-        empirical = zeta_transform(smoothed / totals, axis=0, supersets=True)
+    if np.all(smoothed > 0):   # so every covariate cell is observed
+        empirical = zeta_transform(smoothed / smoothed.sum(axis=0), axis=0, supersets=True)
         yield ll.free_of(beta_values_from_mu(empirical, ll.link))
     for counts in (smoothed, np.ones_like(smoothed)):
         mu = _independence_mu(counts, data.responses.ground_size)

@@ -14,6 +14,7 @@ from lmlreg.inference import (
     CountTable,
     DataError,
     FitOptions,
+    GRAD_TOL,
     LogLikelihood,
     ModelSpec,
     _chi2_tail,
@@ -30,7 +31,7 @@ from lmlreg.inference import (
 from lmlreg.io import read_zero_set
 from lmlreg.lattice import SubsetLattice
 from lmlreg.params import (BoundaryError, ParamMatrix, beta_from_pi, beta_mu_from_beta_gamma,
-                           pi_from_beta)
+                           mu_values_from_beta, pi_from_beta)
 
 from oracles import (
     brute_force_max_loglik,
@@ -313,6 +314,11 @@ class TestSaturatedFit:
         smoothed = empirical_pi(t, smooth=0.5)
         assert np.max(np.abs(res.pi_hat.values - smoothed.values)) < 1e-10
 
+    @pytest.mark.parametrize("smooth", [np.nan, np.inf, -np.inf, 0.0, -0.5])
+    def test_smoothing_must_be_finite_and_positive(self, smooth):
+        with pytest.raises(ValueError, match="finite and positive"):
+            FitOptions(smooth=smooth)
+
     def test_constrained_fit_tolerates_zero_cells(self):
         V, U = lattices(2, 1)
         counts = np.array([[50, 40], [10, 0], [5, 3], [1, 2]], dtype=np.int64)
@@ -397,16 +403,9 @@ class TestHessian:
         t = TestMissingCells().make_table_with_empty_column()
         res = fit(ModelSpec(link), t, FitOptions(allow_missing_cells=True))
         assert res.missing_cells == (3,)
-        ll = LogLikelihood(ModelSpec(link).with_zeros(res.unidentified), t)
+        ll = LogLikelihood(ModelSpec(link), t)
+        assert ll.free == list(res.free_index) and ll.unidentified == list(res.unidentified)
         self.check(ll, interior_point(ll, res.estimates, 6))
-        # coefficients seen only through the empty cell have no curvature
-        spec = ModelSpec(link)
-        ll_all = LogLikelihood(spec, t)
-        x = interior_point(ll_all, ll_all.free_of(res.beta_hat.values), 7)
-        self.check(ll_all, x)
-        seen_only_there = [i for i, (_, e) in enumerate(ll_all.free) if e == 3]
-        assert seen_only_there
-        assert np.all(ll_all.fd_hessian(x)[seen_only_there] == 0.0)
 
 
 class TestEvaluationState:
@@ -506,9 +505,7 @@ class TestGatherHessian:
     def test_missing_cells(self, link):
         t = TestMissingCells().make_table_with_empty_column()
         res = fit(ModelSpec(link), t, FitOptions(allow_missing_cells=True))
-        self.check(LogLikelihood(ModelSpec(link).with_zeros(res.unidentified), t), res.estimates)
-        ll_all = LogLikelihood(ModelSpec(link), t)
-        self.check(ll_all, ll_all.free_of(res.beta_hat.values))
+        self.check(LogLikelihood(ModelSpec(link), t), res.estimates)
 
 
 class TestTailProbabilities:
@@ -830,13 +827,43 @@ class TestMissingCells:
         assert res.estimates.shape == res.std_errors.shape == (0,)
         assert res.covariance.shape == (0, 0) and not res.singular_information
 
-    def test_unidentified_scan_matches_loop_and_builds_one_likelihood(self, monkeypatch):
-        # cells {x0,x1}, {x0,x2} and {x0,x1,x2} empty: every E holding x0 and
-        # another covariate is reached by no observed cell
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    def test_unreached_coefficients_leave_observed_cells_alone(self, link):
+        # why they are pinned: moving one changes mu only in empty cells
+        t = self.make_table_with_empty_column()
+        res = fit(ModelSpec(link), t, FitOptions(allow_missing_cells=True))
+        observed = t.column_totals > 0
+        base = mu_values_from_beta(res.beta_hat.values, link)
+        assert res.unidentified
+        for d, e in res.unidentified:
+            beta = res.beta_hat.values.copy()
+            beta[d, e] += 0.25
+            moved = mu_values_from_beta(beta, link)
+            assert np.array_equal(moved[:, observed], base[:, observed])
+            assert not np.array_equal(moved, base)
+
+    def test_df_counts_only_reached_constraints(self):
+        # (3, 3) and (1, 7) sit in empty cells no observed cell reaches:
+        # spelling them out changes neither the fit nor its test
+        t = self.table_without_x0_interactions()
+        options = FitOptions(allow_missing_cells=True)
+        one = fit(ModelSpec("lml", [(3, 6)]), t, options)
+        three = fit(ModelSpec("lml", [(3, 6), (3, 3), (1, 7)]), t, options)
+        assert one.df == three.df == 1 and one.p_value == pytest.approx(0.0128, abs=5e-5)
+        assert (three.loglik, three.deviance, three.p_value) == (one.loglik, one.deviance,
+                                                                 one.p_value)
+
+    def table_without_x0_interactions(self) -> CountTable:
         V, U = lattices(2, 3)
         counts = np.random.default_rng(15).integers(10, 200, size=(4, 8))
         counts[:, [3, 5, 7]] = 0
-        t = CountTable(V, U, counts)
+        return CountTable(V, U, counts)
+
+    def test_unidentified_scan_matches_loop_and_builds_one_likelihood(self, monkeypatch):
+        # cells {x0,x1}, {x0,x2} and {x0,x1,x2} empty: every E holding x0 and
+        # another covariate is reached by no observed cell
+        t = self.table_without_x0_interactions()
+        V, U = t.responses, t.covariates
         spec = ModelSpec("lml", frozenset({(3, 3), (3, 6), (1, 7)}))
         observed = [e for e in range(8) if e not in (3, 5, 7)]
         expected = tuple((d, e) for d, e in free_positions(spec, V, U)
@@ -861,6 +888,60 @@ class TestMissingCells:
         assert len(likelihoods) == 1
         assert len(validations) <= 2
         assert res.free_index == tuple(likelihoods[0].free)
+
+
+class TestObservedCellMasks:
+    """Tables whose empty covariate cells hold every superset of a drawn few,
+    so the observed cells are closed under subsets and reach exactly their
+    own columns."""
+
+    @staticmethod
+    def case(p: int, q: int, seed: int, link: str, hit: set[int],
+             low: int) -> tuple[CountTable, ModelSpec, np.ndarray]:
+        """Counts in [low, 50] on the observed cells; the spec; the observed-cell mask."""
+        V, U = lattices(p, q)
+        cells = np.arange(U.size)
+        observed = ~np.any([(cells & e) == e for e in hit], axis=0)
+        counts = np.random.default_rng(seed).integers(low, 51, size=(V.size, U.size))
+        counts[:, ~observed] = 0
+        return CountTable(V, U, counts), random_constrained_spec(p, q, seed, link), observed
+
+    @given(st.integers(1, 2), st.integers(1, 2), st.integers(0, 10**6),
+           st.sampled_from(["lm", "lml"]), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_smoothing_is_the_fit_of_doubled_counts_plus_one(self, p, q, seed, link, draw):
+        """c + 1/2 on the observed cells is (2c + 1)/2 there: the same estimates
+        and pinned set, half the deviance, and a saturated fit with none."""
+        hit = draw.draw(st.sets(st.integers(1, 2**q - 1), min_size=1))
+        data, spec, observed = self.case(p, q, seed, link, hit, low=0)
+        options = FitOptions(smooth=0.5, allow_missing_cells=True)
+        smoothed = fit(spec, data, options)
+        doubled = fit(spec, CountTable(data.responses, data.covariates,
+                                       np.where(observed, 2 * data.counts + 1, 0)),
+                      FitOptions(allow_missing_cells=True))
+        assert smoothed.converged and doubled.converged
+        # each fit stops at a score within GRAD_TOL of 0, so within
+        # GRAD_TOL · |Σ| of its optimum, Σ the smoothed fit's covariance
+        spread = np.abs(smoothed.covariance).sum(axis=1).max(initial=1.0)
+        np.testing.assert_allclose(smoothed.estimates, doubled.estimates,
+                                   rtol=0, atol=2 * GRAD_TOL * spread)
+        assert smoothed.deviance == pytest.approx(doubled.deviance / 2, rel=0, abs=1e-8)
+        assert (smoothed.df, smoothed.unidentified) == (doubled.df, doubled.unidentified)
+        assert fit(ModelSpec(link), data, options).deviance <= 1e-8
+
+    @given(st.integers(1, 2), st.integers(1, 2), st.integers(0, 10**6),
+           st.sampled_from(["lm", "lml"]), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_zeros_no_observed_cell_reaches_change_nothing(self, p, q, seed, link, draw):
+        hit = draw.draw(st.sets(st.integers(1, 2**q - 1), min_size=1))
+        data, spec, observed = self.case(p, q, seed, link, hit, low=1)
+        unreached = [(d, e) for d in range(1, 2**p) for e in np.flatnonzero(~observed).tolist()]
+        extra = draw.draw(st.lists(st.sampled_from(unreached), min_size=1))
+        options = FitOptions(allow_missing_cells=True)
+        base, more = fit(spec, data, options), fit(spec.with_zeros(extra), data, options)
+        assert base.converged and more.converged
+        assert ((more.loglik, more.deviance, more.df, more.p_value)
+                == (base.loglik, base.deviance, base.df, base.p_value))
 
 
 class TestInducedMu:

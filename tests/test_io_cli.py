@@ -1224,6 +1224,10 @@ CONFIG_ERRORS = {
                         "at most 4 covariates are supported, got 5"),
     "smooth-zero": (["fit", "--input", "{data}", "--format", "counts", "--responses", "b,c",
                      "--covariates", "h", "--smooth", "0"], "--smooth must be positive, got 0.0"),
+    "smooth-nan": (["fit", "--input", "{data}", "--format", "counts", "--responses", "b,c",
+                    "--covariates", "h", "--smooth", "nan"], "--smooth must be positive, got nan"),
+    "smooth-inf": (["fit", "--input", "{data}", "--format", "counts", "--responses", "b,c",
+                    "--covariates", "h", "--smooth", "inf"], "--smooth must be finite, got inf"),
     "totals-not-integers": (["simulate", "--input", "{beta}", "--responses", "b,c",
                              "--covariates", "h", "--totals", "10,x"],
                             "--totals must be integers, got '10,x'"),

@@ -1,8 +1,9 @@
-"""The examples in README.md run and print what README.md shows, and its
-Dependencies line holds."""
+"""The examples in README.md run and print what README.md shows, its
+Dependencies line holds, and its command/flag table is the parser's."""
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import os
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import lmlreg
-from lmlreg.cli import main
+from lmlreg.cli import build_parser, main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 # (info string, body) of every fenced block, in order
@@ -82,3 +83,23 @@ def test_fit_example_starts_as_shown(chest, capsys):
     assert len(lines) == len(shown)
     for line, prefix in zip(lines, shown):
         assert line.startswith(prefix.removesuffix("..."))
+
+
+def test_command_flag_table_is_the_parsers():
+    """Each row of README's ``| command | flags |`` table lists exactly the
+    ``--`` options its commands take besides those every command takes."""
+    body = re.search(r"^\| command \| flags \|\n\| --- \| --- \|\n((?:\|.*\n)+)",
+                     README, re.M).group(1)
+    rows = {}
+    for line in body.splitlines():
+        commands, flags = line.strip("|").split("|")
+        for name in re.findall(r"`([\w-]+)`", commands):
+            rows[name] = sorted(flags.strip().strip("`").split())
+    parsers = next(action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    assert sorted(rows) == sorted(parsers)
+    every = {"--input", "--responses", "--covariates", "--help"}
+    for name, flags in rows.items():
+        taken = [option for action in parsers[name]._actions for option in action.option_strings
+                 if option.startswith("--") and option not in every]
+        assert flags == sorted(taken), name
