@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,22 +35,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from lmlreg import fit, simulate
 from lmlreg.presets import single_covariate_preset
-
-CI_Z = 1.96
-
-
-@dataclass(frozen=True)
-class CalibConfig:
-    reps: int = 500
-    seed0: int = 20000
-    scale: float = 1.0
+from lmlreg.selection import CI_Z
 
 
-def run(cfg: CalibConfig) -> None:
+def run(args: argparse.Namespace) -> None:
     preset = single_covariate_preset()
     spec = preset.spec
     truth = preset.beta_gamma.values
-    totals = tuple(int(round(t * cfg.scale)) for t in preset.column_totals)
+    totals = tuple(int(round(t * args.scale)) for t in preset.column_totals)
 
     deviances = []
     p_values = []
@@ -59,8 +50,8 @@ def run(cfg: CalibConfig) -> None:
     boundary = 0
     iters = []
     t0 = time.perf_counter()
-    for rep in range(cfg.reps):
-        data = simulate(preset.beta_gamma, "lml", totals, seed=cfg.seed0 + rep)
+    for rep in range(args.reps):
+        data = simulate(preset.beta_gamma, "lml", totals, seed=args.seed0 + rep)
         res = fit(spec, data)
         if not res.converged:
             boundary += 1
@@ -77,8 +68,8 @@ def run(cfg: CalibConfig) -> None:
     df = spec.df
     dev = np.asarray(deviances)
     p_values = np.asarray(p_values)
-    coverage = hits / cfg.reps
-    print(f"reps={cfg.reps} seed0={cfg.seed0} totals={totals} model df={df} "
+    coverage = hits / args.reps
+    print(f"reps={args.reps} seed0={args.seed0} totals={totals} model df={df} "
           f"free={len(coverage)}  [{elapsed:.1f}s]")
     print(f"deviance mean / df      {dev.mean() / df:7.3f}")
     print(f"deviance var  / 2 df    {dev.var() / (2 * df):7.3f}")
@@ -86,7 +77,7 @@ def run(cfg: CalibConfig) -> None:
         share = np.mean(p_values <= level)
         print(f"share p <= {level:.2f}        {share:7.3f}  (nominal {level:.2f})")
     print(f"coverage min/mean/max   {coverage.min():.3f} / {coverage.mean():.3f} / {coverage.max():.3f}")
-    print(f"boundary (non-interior) {boundary} of {cfg.reps}")
+    print(f"boundary (non-interior) {boundary} of {args.reps}")
     print(f"newton iterations       mean {np.mean(iters):.2f}, max {max(iters)}")
 
 
@@ -96,8 +87,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seed0", type=int, default=20000)
     ap.add_argument("--scale", type=float, default=1.0,
                     help="multiplier on the preset cell totals")
-    ns = ap.parse_args(argv)
-    run(CalibConfig(ns.reps, ns.seed0, ns.scale))
+    run(ap.parse_args(argv))
     return 0
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -32,37 +31,20 @@ from lmlreg import backward_staged_selection, forward_margin_selection, simulate
 from lmlreg.presets import single_covariate_preset, two_covariate_preset
 
 
-@dataclass(frozen=True)
-class StudyConfig:
-    method: str = "forward"
-    reps: int = 100
-    alpha: float = 0.05
-    seed0: int | None = None       # default: 1000 forward, 7000 backward
-    scale: float | None = None     # cell-total multiplier; default: 2.5 forward, 1.0 backward
-
-    @property
-    def resolved_seed0(self) -> int:
-        return self.seed0 if self.seed0 is not None else (1000 if self.method == "forward" else 7000)
-
-    @property
-    def resolved_scale(self) -> float:
-        return self.scale if self.scale is not None else (2.5 if self.method == "forward" else 1.0)
-
-
-def run(cfg: StudyConfig) -> dict[str, float]:
-    preset = single_covariate_preset() if cfg.method == "forward" else two_covariate_preset()
-    select = forward_margin_selection if cfg.method == "forward" else backward_staged_selection
+def run(args: argparse.Namespace) -> dict[str, float]:
+    preset = single_covariate_preset() if args.method == "forward" else two_covariate_preset()
+    select = forward_margin_selection if args.method == "forward" else backward_staged_selection
     true_zeros = preset.spec.zero_set
-    totals = tuple(int(round(t * cfg.resolved_scale)) for t in preset.column_totals)
+    totals = tuple(int(round(t * args.scale)) for t in preset.column_totals)
 
     exact = 0
     false_keeps = 0
     false_drops = 0
     sizes = []
     t0 = time.perf_counter()
-    for rep in range(cfg.reps):
-        data = simulate(preset.beta_gamma, "lml", totals, seed=cfg.resolved_seed0 + rep)
-        trace = select(data, alpha=cfg.alpha)
+    for rep in range(args.reps):
+        data = simulate(preset.beta_gamma, "lml", totals, seed=args.seed0 + rep)
+        trace = select(data, alpha=args.alpha)
         chosen = trace.zero_set
         exact += chosen == true_zeros
         false_keeps += len(true_zeros - chosen)
@@ -71,11 +53,11 @@ def run(cfg: StudyConfig) -> dict[str, float]:
     elapsed = time.perf_counter() - t0
 
     return {
-        "exact_rate": exact / cfg.reps,
-        "keep_rate": false_keeps / (cfg.reps * len(true_zeros)),
-        "drop_rate": false_drops / (cfg.reps * (preset.responses.size - 1) * preset.covariates.size
-                                    - cfg.reps * len(true_zeros)),
-        "mean_zero_set": sum(sizes) / cfg.reps,
+        "exact_rate": exact / args.reps,
+        "keep_rate": false_keeps / (args.reps * len(true_zeros)),
+        "drop_rate": false_drops / (args.reps * (preset.responses.size - 1) * preset.covariates.size
+                                    - args.reps * len(true_zeros)),
+        "mean_zero_set": sum(sizes) / args.reps,
         "true_zero_set": float(len(true_zeros)),
         "seconds": elapsed,
     }
@@ -86,14 +68,20 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--method", choices=("forward", "backward"), default="forward")
     ap.add_argument("--reps", type=int, default=100)
     ap.add_argument("--alpha", type=float, default=0.05)
-    ap.add_argument("--seed0", type=int, default=None, help="base seed (rep r uses seed0 + r)")
-    ap.add_argument("--scale", type=float, default=None, help="multiplier on the preset cell totals")
-    ns = ap.parse_args(argv)
-    cfg = StudyConfig(ns.method, ns.reps, ns.alpha, ns.seed0, ns.scale)
+    ap.add_argument("--seed0", type=int, default=None,
+                    help="base seed (rep r uses seed0 + r); default 1000 forward, 7000 backward")
+    ap.add_argument("--scale", type=float, default=None,
+                    help="multiplier on the preset cell totals; default 2.5 forward, 1.0 backward")
+    args = ap.parse_args(argv)
+    forward = args.method == "forward"
+    if args.seed0 is None:
+        args.seed0 = 1000 if forward else 7000
+    if args.scale is None:
+        args.scale = 2.5 if forward else 1.0
 
-    print(f"method={cfg.method} reps={cfg.reps} alpha={cfg.alpha} "
-          f"seed0={cfg.resolved_seed0} scale={cfg.resolved_scale}")
-    stats = run(cfg)
+    print(f"method={args.method} reps={args.reps} alpha={args.alpha} "
+          f"seed0={args.seed0} scale={args.scale}")
+    stats = run(args)
     print(f"exact recovery        {stats['exact_rate']:6.1%}")
     print(f"false-keep rate       {stats['keep_rate']:7.4f}  (per true zero)")
     print(f"false-drop rate       {stats['drop_rate']:7.4f}  (per true nonzero)")

@@ -42,6 +42,7 @@ from .io import (ConfigError, Raw, Records, TokenRows, Tokens, fixed_floats, jso
                  json_strings)
 from .lattice import SubsetLattice
 from .params import (
+    LINKS,
     BoundaryError,
     ParamMatrix,
     ValidationError,
@@ -443,11 +444,11 @@ def build_parser() -> argparse.ArgumentParser:
     # --responses, --covariates and the ones it names, and no other
     flags = {
         "input": dict(help="input data or matrix file"),
-        "format": dict(choices=("cases", "counts"), default="cases",
+        "format": dict(choices=lio.FORMATS, default="cases",
                        help="shape of the input (or simulate output) data file"),
         "responses": dict(help="comma-separated response column names"),
         "covariates": dict(help="comma-separated covariate column names"),
-        "link": dict(choices=("lm", "lml"), default="lml",
+        "link": dict(choices=LINKS, default="lml",
                      help="log-mean (lm) or log-mean-linear (lml) link"),
         "alpha": dict(type=float, default=0.05, help="significance level for selection"),
         "smooth": dict(type=float, nargs="?", const=0.5, default=None,

@@ -61,6 +61,7 @@ from .params import (
     beta_kind_for_link,
     beta_mu_from_beta_gamma,
     beta_values_from_mu,
+    check_kind,
     check_link,
     mu_values_from_beta,
     pi_from_beta,
@@ -271,8 +272,7 @@ class FitResult:
 
 def loglik(pi: ParamMatrix, data: CountTable) -> float:
     """Σ counts · log(pi) over all cells, the product-multinomial log-likelihood."""
-    if pi.kind != "pi":
-        raise ValueError(f"expected a pi matrix, got kind {pi.kind!r}")
+    check_kind(pi, "pi")
     if pi.values.shape != data.counts.shape:
         raise ValueError(f"shape mismatch: pi {pi.values.shape} vs counts {data.counts.shape}")
     return _loglik_values(data.counts.astype(float), pi.values)

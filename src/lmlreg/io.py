@@ -53,6 +53,8 @@ from .inference import CountTable, DataError, sorted_pairs
 from .lattice import SubsetLattice
 from .params import KINDS, ParamMatrix
 
+FORMATS = ("cases", "counts")   # the two count-data shapes above
+
 
 class ConfigError(ValueError):
     """Invalid run configuration (labels, flags, unsupported sizes)."""
@@ -98,7 +100,7 @@ def _lines(text: str) -> Iterator[str]:
 def read_count_data(source: str | IO[str], responses: SubsetLattice,
                     covariates: SubsetLattice, fmt: str = "cases") -> CountTable:
     """Read a cases or counts CSV into a complete cell-count table."""
-    if fmt not in ("cases", "counts"):
+    if fmt not in FORMATS:
         raise ConfigError(f"unknown input format {fmt!r} (expected 'cases' or 'counts')")
     counted = fmt == "counts"
     text = _read_text(source)
@@ -188,7 +190,7 @@ def _bad_row(text: str, needed: list[str], counted: bool, detail: str) -> DataEr
 
 def write_count_data(table: CountTable, stream: IO[str], fmt: str = "counts") -> None:
     """Write a count table as CSV; ``counts`` lists every cell, ``cases`` repeats rows."""
-    if fmt not in ("cases", "counts"):
+    if fmt not in FORMATS:
         raise ConfigError(f"unknown output format {fmt!r} (expected 'cases' or 'counts')")
     header = list(table.responses.labels) + list(table.covariates.labels)
     if fmt == "counts":

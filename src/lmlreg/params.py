@@ -21,6 +21,10 @@ cell probabilities, detected a posteriori by :func:`pi_from_mu`.
 
 Means and coefficients are linked once each way, on raw arrays, by
 :func:`mu_values_from_beta` and its inverse :func:`beta_values_from_mu`.
+
+Each rule is stated once: :func:`validate` (every invariant of a kind),
+:func:`check_kind` (the one kind a map takes) and :func:`_check_row_empty`
+(the structural row ∅, also checked by :func:`pi_from_mu` and :func:`pi_from_beta`).
 """
 
 from __future__ import annotations
@@ -45,13 +49,6 @@ class ValidationError(ValueError):
 class BoundaryError(ValueError):
     """A transform left the valid region (a cell probability was ≤ 0)."""
 
-    def __init__(self, message: str, row_mask: int | None = None, col_mask: int | None = None,
-                 value: float | None = None):
-        super().__init__(message)
-        self.row_mask = row_mask
-        self.col_mask = col_mask
-        self.value = value
-
 
 def check_link(link: str) -> str:
     if link not in LINKS:
@@ -61,6 +58,11 @@ def check_link(link: str) -> str:
 
 def beta_kind_for_link(link: str) -> str:
     return "beta_mu" if check_link(link) == "lm" else "beta_gamma"
+
+
+def check_kind(pm: ParamMatrix, kind: str) -> None:
+    if pm.kind != kind:
+        raise ValueError(f"expected a {kind} matrix, got kind {pm.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,8 @@ def validate(pm: ParamMatrix) -> ParamMatrix:
     v = pm.values
     if not np.all(np.isfinite(v)):
         raise ValidationError(f"{pm.kind}: non-finite entries present")
+    if pm.kind in ("mu", "gamma", "beta_mu", "beta_gamma"):
+        _check_row_empty(pm)
     if pm.kind == "pi":
         if np.any(v <= 0.0):
             d, e = np.argwhere(v <= 0.0)[0]
@@ -107,8 +111,6 @@ def validate(pm: ParamMatrix) -> ParamMatrix:
                 f"pi: column {pm.cols.format_mask(e)} sums to {float(sums[e])!r}, expected 1 within {COLUMN_SUM_TOL}"
             )
     elif pm.kind == "mu":
-        if np.any(np.abs(v[0] - 1.0) > STRUCTURAL_TOL):
-            raise ValidationError("mu: row ∅ must be all ones")
         if np.any(v <= 0.0) or np.any(v > 1.0 + STRUCTURAL_TOL):
             raise ValidationError("mu: entries must lie in (0, 1]")
         # monotone in D: mu_D <= mu_{D\{i}} suffices bit by bit (transitivity)
@@ -119,10 +121,14 @@ def validate(pm: ParamMatrix) -> ParamMatrix:
                 raise ValidationError(
                     f"mu: not monotone, mu_D > mu_D\\{{{pm.rows.labels[b]}}} somewhere"
                 )
-    elif pm.kind in ("gamma", "beta_mu", "beta_gamma"):
-        if np.any(np.abs(v[0]) > STRUCTURAL_TOL):
-            raise ValidationError(f"{pm.kind}: row ∅ must be all zeros")
     return pm
+
+
+def _check_row_empty(pm: ParamMatrix) -> None:
+    """Row ∅ is structural: all ones in a mu matrix, all zeros in a gamma or beta one."""
+    target, word = (1.0, "ones") if pm.kind == "mu" else (0.0, "zeros")
+    if np.any(np.abs(pm.values[0] - target) > STRUCTURAL_TOL):
+        raise ValidationError(f"{pm.kind}: row ∅ must be all {word}")
 
 
 # ---------------------------------------------------------------------------
@@ -130,34 +136,29 @@ def validate(pm: ParamMatrix) -> ParamMatrix:
 
 def mu_from_pi(pi: ParamMatrix) -> ParamMatrix:
     """mu = Z_V pi: superset sums of cell probabilities down each column."""
-    if pi.kind != "pi":
-        raise ValueError(f"expected a pi matrix, got kind {pi.kind!r}")
+    check_kind(pi, "pi")
     validate(pi)
     return pi.with_values(zeta_transform(pi.values, axis=0, supersets=True), "mu")
 
 
 def pi_from_mu(mu: ParamMatrix) -> ParamMatrix:
     """pi = M_V mu; raises BoundaryError naming the first non-positive cell."""
-    if mu.kind != "mu":
-        raise ValueError(f"expected a mu matrix, got kind {mu.kind!r}")
-    if np.any(np.abs(mu.values[0] - 1.0) > STRUCTURAL_TOL):
-        raise ValidationError("mu: row ∅ must be all ones")
+    check_kind(mu, "mu")
+    _check_row_empty(mu)
     values = mobius_transform(mu.values, axis=0, supersets=True)
     bad = np.argwhere(values <= 0.0)
     if bad.size:
         d, e = (int(x) for x in bad[0])
         raise BoundaryError(
             f"implied cell probability (D={mu.rows.format_mask(d)}, E={mu.cols.format_mask(e)}) "
-            f"= {values[d, e]:.6g} is not positive",
-            row_mask=d, col_mask=e, value=float(values[d, e]),
+            f"= {values[d, e]:.6g} is not positive"
         )
     return mu.with_values(values, "pi")
 
 
 def gamma_from_mu(mu: ParamMatrix) -> ParamMatrix:
     """gamma = M_V^T log(mu): the log-linear expansion of the means."""
-    if mu.kind != "mu":
-        raise ValueError(f"expected a mu matrix, got kind {mu.kind!r}")
+    check_kind(mu, "mu")
     if np.any(mu.values <= 0.0):
         d, e = (int(x) for x in np.argwhere(mu.values <= 0.0)[0])
         raise ValidationError(
@@ -168,8 +169,7 @@ def gamma_from_mu(mu: ParamMatrix) -> ParamMatrix:
 
 def mu_from_gamma(gamma: ParamMatrix) -> ParamMatrix:
     """mu = exp(Z_V^T gamma); always positive (validity of pi checked downstream)."""
-    if gamma.kind != "gamma":
-        raise ValueError(f"expected a gamma matrix, got kind {gamma.kind!r}")
+    check_kind(gamma, "gamma")
     return gamma.with_values(mu_values_from_gamma(gamma.values), "mu")
 
 
@@ -191,15 +191,13 @@ def link_from_coeffs(beta: np.ndarray) -> np.ndarray:
 
 def beta_gamma_from_beta_mu(bmu: ParamMatrix) -> ParamMatrix:
     """beta_gamma = M_V^T beta_mu (an exact linear identity between the links)."""
-    if bmu.kind != "beta_mu":
-        raise ValueError(f"expected a beta_mu matrix, got kind {bmu.kind!r}")
+    check_kind(bmu, "beta_mu")
     return bmu.with_values(mobius_transform(bmu.values, axis=0), "beta_gamma")
 
 
 def beta_mu_from_beta_gamma(bgamma: ParamMatrix) -> ParamMatrix:
     """Inverse of :func:`beta_gamma_from_beta_mu`: left-multiply by Z_V^T."""
-    if bgamma.kind != "beta_gamma":
-        raise ValueError(f"expected a beta_gamma matrix, got kind {bgamma.kind!r}")
+    check_kind(bgamma, "beta_gamma")
     return bgamma.with_values(zeta_transform(bgamma.values, axis=0), "beta_mu")
 
 
@@ -251,7 +249,6 @@ def pi_from_beta(beta: ParamMatrix, link: str) -> ParamMatrix:
     """Regression coefficients -> cell probabilities; BoundaryError if invalid."""
     if beta.kind != beta_kind_for_link(link):
         raise ValueError(f"link {link!r} pairs with kind {beta_kind_for_link(link)!r}, got {beta.kind!r}")
-    if np.any(np.abs(beta.values[0]) > STRUCTURAL_TOL):
-        raise ValidationError(f"{beta.kind}: row ∅ must be all zeros")
+    _check_row_empty(beta)
     mu = beta.with_values(mu_values_from_beta(beta.values, link), "mu")
     return pi_from_mu(mu)

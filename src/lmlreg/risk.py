@@ -27,7 +27,7 @@ import numpy as np
 
 from .inference import FitResult, ModelSpec, _free_mask
 from .lattice import SubsetLattice, mobius_transform, zeta_transform
-from .params import ParamMatrix, beta_gamma_from_beta_mu, beta_mu_from_beta_gamma
+from .params import ParamMatrix, beta_gamma_from_beta_mu, beta_mu_from_beta_gamma, check_kind
 
 
 def reference_coeffs(beta_mu: ParamMatrix) -> ParamMatrix:
@@ -38,8 +38,7 @@ def reference_coeffs(beta_mu: ParamMatrix) -> ParamMatrix:
     the value beta_mu_D(E) takes whenever Y_D splits into conditionally
     independent blocks.  Rows with |D| ≤ 1 are zero.
     """
-    if beta_mu.kind != "beta_mu":
-        raise ValueError(f"expected a beta_mu matrix, got kind {beta_mu.kind!r}")
+    check_kind(beta_mu, "beta_mu")
     # beta_gamma_D = Σ_{D'⊆D} (-1)^{|D\D'|} beta_mu_{D'}, so the strict-subset
     # sum above is beta_mu_D - beta_gamma_D row by row.
     ref = beta_mu.values - mobius_transform(beta_mu.values, axis=0)

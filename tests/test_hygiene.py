@@ -5,13 +5,17 @@ names it lists, a name used only in a quoted annotation counts as used, and
 ``from __future__`` imports are exempt.
 
 Every member of the package has a reader besides the tests: each
-module-level function and class, and each method and class-level annotated
-field, defined in ``src/lmlreg`` is read in ``src/`` outside its own definition,
-in ``scripts/`` or in ``bench/``; or README.md names it in code; or
+module-level function and class, and each method, class-level annotated
+field and instance attribute (``self.name = …`` in a method) defined in
+``src/lmlreg`` is read in ``src/`` outside its own definition, in
+``scripts/`` or in ``bench/``; or README.md names it in code; or
 ``bench/spans.py`` names it in a string, as the traced run wraps functions
-by name.  A function or class is read as a name or an attribute, a method
-or field only as an attribute: a local variable of the same name is not a
-read of a field.  Dunder methods, which Python calls itself, are exempt.
+by name.  A function or class is read as a name or an attribute, a method,
+field or instance attribute only as an attribute: a local variable of the
+same name is not a read of a field.  Dunder methods, which Python calls
+itself, are exempt.  Reads match by name, not by class, so a member counts
+as read when a member of another class with its name is: an unread
+``value`` attribute on an exception would pass, as ``_Point.value`` is read.
 """
 
 from __future__ import annotations
@@ -70,18 +74,26 @@ def unused_imports(source: str) -> list[str]:
 
 
 def definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
-    """Each module-level function and class, and each method and annotated field
-    of a module-level class, as (qualified name, node); dunders are left out."""
+    """Each module-level function and class, and each method, annotated field and
+    instance attribute of a module-level class, as (qualified name, node); an
+    instance attribute's node is its first ``self.name`` target.  Dunders are
+    left out."""
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             out.append((node.name, node))
         if isinstance(node, ast.ClassDef):
+            attributes = {}
             for member in node.body:
                 if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     out.append((f"{node.name}.{member.name}", member))
+                    for part in ast.walk(member):
+                        if (isinstance(part, ast.Attribute) and isinstance(part.ctx, ast.Store)
+                                and isinstance(part.value, ast.Name) and part.value.id == "self"):
+                            attributes.setdefault(f"{node.name}.{part.attr}", part)
                 elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
                     out.append((f"{node.name}.{member.target.id}", member))
+            out += attributes.items()
     return [(name, node) for name, node in out if not re.search(r"(^|\.)__\w+__$", name)]
 
 
@@ -141,7 +153,8 @@ def test_the_member_scan_finds_what_it_should():
               "    def __post_init__(self):\n"
               "        pass\n"
               "    def again(self):\n"
-              "        return self.again()\n"
+              "        self.kept, self.lost = 1, 2\n"
+              "        return self.again(), self.kept\n"
               "def helper(step):\n"
               "    scope = 1\n"
               "    return step.fit, scope\n"
@@ -154,7 +167,8 @@ def test_the_member_scan_finds_what_it_should():
     unread = unread_members({"m.py": source}, ["import m\nm.used()\n"],
                             "Call `listed()`; fit and helper are only prose.",
                             "NAMES = [('m', 'wrapped')]\n")
-    assert unread == ["m.py: Step", "m.py: Step.scope", "m.py: Step.again", "m.py: helper"]
+    assert unread == ["m.py: Step", "m.py: Step.scope", "m.py: Step.again", "m.py: Step.lost",
+                      "m.py: helper"]
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))

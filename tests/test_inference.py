@@ -282,6 +282,17 @@ class TestLoglik:
             other = ParamMatrix("pi", *lattices(2, 1), raw / raw.sum(axis=0))
             assert loglik(other, t) <= base + 1e-9
 
+    @pytest.mark.parametrize("kind, shape, message", [
+        ("mu", (4, 2), "expected a pi matrix, got kind 'mu'"),
+        ("pi", (2, 2), "shape mismatch: pi (2, 2) vs counts (4, 2)"),
+    ], ids=["kind", "shape"])
+    def test_guards(self, kind, shape, message):
+        t = random_table(2, 1, 4)
+        V, U = lattices(shape[0].bit_length() - 1, 1)
+        with pytest.raises(ValueError) as err:
+            loglik(ParamMatrix(kind, V, U, np.full(shape, 0.5)), t)
+        assert str(err.value) == message
+
 
 class TestSaturatedFit:
     @pytest.mark.parametrize("link", ["lm", "lml"])
@@ -841,6 +852,18 @@ class TestMissingCells:
             moved = mu_values_from_beta(beta, link)
             assert np.array_equal(moved[:, observed], base[:, observed])
             assert not np.array_equal(moved, base)
+
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    def test_observed_cells_not_closed_under_subsets_report_singular_information(self, link):
+        # cells {x0} and {x1} empty, {x0,x1} observed: every coefficient is
+        # reached, but the cells alone do not identify them (README)
+        V, U = lattices(2, 2)
+        counts = np.random.default_rng(3).integers(10, 200, size=(4, 4))
+        counts[:, [1, 2]] = 0
+        res = fit(ModelSpec(link), CountTable(V, U, counts), FitOptions(allow_missing_cells=True))
+        assert res.converged and res.singular_information
+        assert res.covariance is None and np.isnan(res.std_errors).all()
+        assert (res.df, res.unidentified, res.missing_cells) == (0, (), (1, 2))
 
     def test_df_counts_only_reached_constraints(self):
         # (3, 3) and (1, 7) sit in empty cells no observed cell reaches:

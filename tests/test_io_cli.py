@@ -1241,6 +1241,9 @@ CONFIG_ERRORS = {
                    "forward margin selection requires the lml link (margin-consistent terms)"),
     "alpha": (["select", "--input", "{data}", "--format", "counts", "--responses", "b,c",
                "--covariates", "h", "--alpha", "7"], "--alpha must be in (0, 1], got 7.0"),
+    "reserved-label": (["fit", "--input", "{data}", "--format", "counts", "--responses", "a b",
+                        "--covariates", "h"],
+                       "label 'a b' is empty or contains a reserved character"),
 }
 
 

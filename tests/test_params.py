@@ -92,6 +92,40 @@ class TestValidate:
             validate(ParamMatrix("gamma", V, U, np.array([[0.1, 0.0], [-1.0, -1.0]])))
 
 
+def small_matrix(kind: str, values) -> ParamMatrix:
+    """A (y0, y1) x (x) matrix of ``kind``."""
+    return ParamMatrix(kind, SubsetLattice(("y0", "y1")), SubsetLattice(("x",)), values)
+
+
+MU = [[1.0, 1.0], [0.6, 0.5], [0.5, 0.4], [0.3, 0.2]]
+BETA = [[0.0, 0.0], [-0.5, 0.1], [-0.7, 0.2], [0.1, 0.0]]
+
+
+@pytest.mark.parametrize("call, kind, values, message", [
+    (validate, "pi", [[0.5, np.nan], [0.5, 0.5], [0.0, 0.0], [0.0, 0.0]],
+     "pi: non-finite entries present"),
+    (validate, "mu", [[1.0, 0.9], *MU[1:]], "mu: row ∅ must be all ones"),
+    (validate, "mu", [[1.0, 1.0], [1.5, 0.5], *MU[2:]], "mu: entries must lie in (0, 1]"),
+    (validate, "mu", [[1.0, 1.0], [0.6, 0.0], *MU[2:]], "mu: entries must lie in (0, 1]"),
+    (validate, "beta_mu", [[0.0, 0.1], *BETA[1:]], "beta_mu: row ∅ must be all zeros"),
+    (mu_from_pi, "mu", MU, "expected a pi matrix, got kind 'mu'"),
+    (pi_from_mu, "pi", MU, "expected a mu matrix, got kind 'pi'"),
+    (pi_from_mu, "mu", [[1.0, 0.9], *MU[1:]], "mu: row ∅ must be all ones"),
+    (gamma_from_mu, "gamma", MU, "expected a mu matrix, got kind 'gamma'"),
+    (mu_from_gamma, "mu", MU, "expected a gamma matrix, got kind 'mu'"),
+    (beta_gamma_from_beta_mu, "beta_gamma", BETA, "expected a beta_mu matrix, got kind 'beta_gamma'"),
+    (beta_mu_from_beta_gamma, "beta_mu", BETA, "expected a beta_gamma matrix, got kind 'beta_mu'"),
+    (lambda pm: pi_from_beta(pm, "lml"), "beta_gamma", [[0.0, 0.1], *BETA[1:]],
+     "beta_gamma: row ∅ must be all zeros"),
+    (lambda pm: pi_from_beta(pm, "lml"), "beta_mu", BETA,
+     "link 'lml' pairs with kind 'beta_gamma', got 'beta_mu'"),
+])
+def test_guard_messages(call, kind, values, message):
+    with pytest.raises(ValueError) as err:
+        call(small_matrix(kind, values))
+    assert str(err.value) == message
+
+
 class TestChain:
     @pytest.mark.parametrize("p,q,seed", [(1, 1, 0), (2, 1, 1), (3, 2, 2), (4, 2, 3), (5, 3, 4)])
     def test_full_round_trip(self, p, q, seed):
@@ -133,10 +167,8 @@ class TestChain:
         V = SubsetLattice(("y0", "y1"))
         U = SubsetLattice(("x",))
         vals = np.array([[1, 1], [0.6, 0.5], [0.6, 0.5], [0.1, 0.2]])
-        with pytest.raises(BoundaryError) as err:
+        with pytest.raises(BoundaryError, match=r"^implied cell probability \(D=\{\}, E=\{\}\) = "):
             pi_from_mu(ParamMatrix("mu", V, U, vals))
-        assert err.value.row_mask == 0
-        assert err.value.col_mask == 0
 
     def test_nonpositive_mu_rejected_by_gamma(self):
         V = SubsetLattice(("y",))

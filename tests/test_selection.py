@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -262,6 +264,25 @@ class TestBackward:
         assert trace.zero_set == preset.spec.zero_set
         assert trace.final_fit.converged
 
+    def test_a_failed_refit_ends_the_stages(self, monkeypatch):
+        t = random_table(3, 1, 8)
+        real_fit = lmlreg.selection.fit
+        fits = []
+
+        def failing_refit(spec, data, options=None):
+            fits.append(spec)
+            if len(fits) > 1:
+                raise ConvergenceError("no valid interior starting point found")
+            return real_fit(spec, data, options)
+
+        monkeypatch.setattr(lmlreg.selection, "fit", failing_refit)
+        trace = backward_staged_selection(t, alpha=1e-12)
+        assert len(fits) == 2 and len(trace.steps) == 2
+        stage = trace.steps[1]
+        assert stage.error.startswith("refit after dropping ")
+        assert stage.error.endswith(" coefficients failed: no valid interior starting point found")
+        assert stage.fit is trace.steps[0].fit is trace.final_fit and stage.dropped == ()
+
     def test_lm_link_supported(self):
         t = random_table(2, 1, 9)
         trace = backward_staged_selection(t, link="lm", alpha=0.2)
@@ -387,6 +408,12 @@ class TestAverageEffects:
         assert ae.estimate == 0.0
         assert ae.se == 0.0
         assert ae.ci == (0.0, 0.0)
+
+    def test_no_covariance_gives_nan_se_and_interval(self):
+        res, t = self.make_fit(12)
+        for ae in average_effects(dataclasses.replace(res, covariance=None), t, "x0"):
+            assert np.isfinite(ae.estimate)
+            assert np.isnan(ae.se) and np.isnan(ae.ci).all()
 
     def test_weights_are_scale_invariant(self):
         res, t = self.make_fit(14)
