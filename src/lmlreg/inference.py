@@ -31,14 +31,16 @@ direction.  There is one direction per iteration: the fit stops
 unconverged when the Hessian or the direction is not finite, the
 direction does not ascend, or ``MAX_HALVINGS`` halvings find no step.
 Every start is a mean matrix taken to coefficients by the map of
-``beta_from_pi``; every covariance is the inverse of the negated Hessian,
-with a standard error only where its variance is positive.
+``beta_from_pi``.  A fit keeps the negated Hessian at its optimum as
+``FitResult.information``; the covariance is derived from it on first
+read, as its inverse, with a standard error only where its variance is
+positive.
 
 The likelihood keeps one evaluation state, for the point it saw last: the
 chain β → μ → π, validity and the value, with the score terms added on the
 first derivative request.  A line-search trial builds only the chain; the
 accepted trial's state then serves its gradient, the next Newton
-iteration's Hessian and, at the optimum, the covariance.  The Hessian is
+iteration's Hessian and, at the optimum, the information.  The Hessian is
 assembled by gathers from that state: the Möbius image of a coefficient's
 direction in μ is a signed copy of π (lml) or of one row of μ (lm), and the
 curvature of the log link is a gather from the gradient matrix, so no
@@ -250,14 +252,19 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class FitResult:
+    """A fit and its observed ``information``, −H at the estimates.
+
+    ``covariance``, ``std_errors``, ``wald_p`` and ``singular_information``
+    are derived from ``information`` on first read, so a caller that reads
+    none of them never inverts it.
+    """
+
     spec: ModelSpec
     beta_hat: ParamMatrix
     pi_hat: ParamMatrix
     free_index: tuple[tuple[int, int], ...]
     estimates: np.ndarray
-    covariance: np.ndarray | None
-    std_errors: np.ndarray
-    wald_p: np.ndarray
+    information: np.ndarray
     loglik: float
     deviance: float
     df: int
@@ -265,9 +272,38 @@ class FitResult:
     converged: bool
     iterations: int
     grad_norm: float
-    singular_information: bool = False
     missing_cells: tuple[int, ...] = ()
     unidentified: tuple[tuple[int, int], ...] = ()
+
+    @cached_property
+    def covariance(self) -> np.ndarray | None:
+        """The inverse of ``information``; None when it has no finite inverse.
+        With no free coefficient it is 0 x 0, and so is its inverse."""
+        try:
+            covariance = np.linalg.inv(self.information)
+        except np.linalg.LinAlgError:
+            return None
+        return covariance if np.isfinite(covariance).all() else None
+
+    @cached_property
+    def std_errors(self) -> np.ndarray:
+        """A standard error only where the variance is positive, NaN elsewhere."""
+        covariance = self.covariance
+        if covariance is None:
+            return np.full(self.estimates.size, np.nan)
+        variances = np.diag(covariance)
+        return np.sqrt(np.where(variances > 0, variances, np.nan))
+
+    @cached_property
+    def wald_p(self) -> np.ndarray:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            z = self.estimates / self.std_errors
+        return _two_sided_normal_tail(z)
+
+    @cached_property
+    def singular_information(self) -> bool:
+        covariance = self.covariance
+        return covariance is None or bool(np.any(np.diag(covariance) <= 0))
 
 
 def loglik(pi: ParamMatrix, data: CountTable) -> float:
@@ -390,7 +426,7 @@ class _Point:
     valid: bool
     value: float
     grad: np.ndarray | None = None   # the full gradient matrix over every (D, E)
-    v: np.ndarray | None = None      # the weights counts/pi²
+    root_v: np.ndarray | None = None   # √v, the roots of the weights v = counts/pi²
 
 
 class LogLikelihood:
@@ -425,23 +461,23 @@ class LogLikelihood:
         self._rows, self._cols = free
         self.df = int(np.count_nonzero(reached[spec.pairs[1]]))
         self._point: _Point | None = None
-        # Gather tables of the Hessian (see fd_hessian): signs and pi rows of
-        # j over the distinct free rows d and the response patterns D; and,
-        # for each pair of free coefficients, the flat positions for one
-        # ``take`` each of the first term's gradient-matrix entry (pair row,
-        # pair column) and the second term's Gram-block entry (pair column,
-        # free row, free row).
+        # Gather tables of the Hessian (see fd_hessian): j over the distinct
+        # free rows d and the response patterns D, as signs (lm) or as
+        # positions in the signed pi rows [pi | −pi] (lml); and, for each
+        # pair of free coefficients, the flat positions for one ``take`` each
+        # of the first term's gradient-matrix entry (pair row, pair column)
+        # and the second term's Gram-block entry (pair column, free row,
+        # free row).
         self._free_rows = free_rows = np.unique(self._rows)
         d, patterns = free_rows[:, None], np.arange(self.shape[0])[None, :]
-        sign = np.where(np.bitwise_count(d & ~patterns) % 2 == 1, -1.0, 1.0)
+        odd = np.bitwise_count(d & ~patterns) % 2 == 1
         rows_i, rows_j = self._rows[:, None], self._rows[None, :]
         if self.link == "lm":
-            self._j_sign = np.where((patterns & d) == patterns, sign, 0.0)
+            self._j_sign = np.where((patterns & d) == patterns, np.where(odd, -1.0, 1.0), 0.0)
             pair_rows = rows_i
             self._same_row = rows_i == rows_j
         else:
-            self._j_sign = sign
-            self._j_index = d | patterns
+            self._j_index = (d | patterns) + np.where(odd, self.shape[0], 0)
             pair_rows = rows_i | rows_j
         pair_cols = self._cols[:, None] | self._cols[None, :]
         self._first_at = pair_rows * self.shape[1] + pair_cols
@@ -495,7 +531,7 @@ class LogLikelihood:
             if self.link == "lml":
                 a = zeta_transform(a, axis=0, supersets=True)
             point.grad = zeta_transform(a, axis=1, supersets=True)
-            point.v = np.divide(r, pi, out=np.zeros_like(pi), where=self.observed)
+            point.root_v = np.sqrt(np.divide(r, pi, out=np.zeros_like(pi), where=self.observed))
         return point
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
@@ -514,25 +550,26 @@ class LogLikelihood:
         Both terms are gathers.  The first, Σ_{E ⊇ e∪e'} Σ_D a_d a_d' w, is
         the gradient matrix at (d∪d', e∪e') (lml), or at (d, e∪e') when
         d = d' and 0 otherwise (lm).  In the second, the Möbius image of
-        a_d⊙mu is j_d[D] = (−1)^{|d∖D|} pi[D∪d] (lml) or
-        (−1)^{|d∖D|} [D ⊆ d] mu[d] (lm), gathered from the state; its
+        a_d⊙mu is j_d[D] = (−1)^{|d∖D|} pi[D∪d] (lml), gathered from the
+        signed rows [pi | −pi], or (−1)^{|d∖D|} [D ⊆ d] mu[d] (lm).  Its
         per-column Gram matrices j diag(v) jᵀ over the distinct free rows are
-        summed over E ⊇ e∪e'.  The n x 2**p x 2**q Jacobian is never built.
+        summed over E ⊇ e∪e'.  As v ≥ 0 (0 on unobserved columns), each is
+        a aᵀ with a = j⊙√v, one operand, so numpy hands every column's slice
+        to a symmetric rank-k BLAS product and H comes out exactly
+        symmetric.  The n x 2**p x 2**q Jacobian is never built.
         """
         point = self._derivatives(x)
         first = point.grad.take(self._first_at)
         if self.link == "lml":
-            # gathered from a transposed copy and signed in place: a fresh
-            # (E, rows, D) array per operation costs more than the gather
-            j = np.ascontiguousarray(point.pi.T).take(self._j_index, axis=1)   # (E, rows, D)
-            j *= self._j_sign
+            pi = point.pi.T
+            a = np.concatenate((pi, -pi), axis=1).take(self._j_index, axis=1)   # (E, rows, D)
         else:
-            j = self._j_sign * point.mu.T[:, self._free_rows, None]
+            a = self._j_sign * point.mu.T[:, self._free_rows, None]
             first = np.where(self._same_row, first, 0.0)
-        k = np.matmul(j * point.v.T[:, None, :], j.transpose(0, 2, 1))
-        k = zeta_transform(k, axis=0, supersets=True)
-        # the products are symmetric only up to rounding; make H exactly so
-        k = (k + k.transpose(0, 2, 1)) / 2.0
+        # scaled in place: a second (E, rows, D) array per operation costs
+        # more than the gather
+        a *= point.root_v.T[:, None, :]
+        k = zeta_transform(np.matmul(a, a.transpose(0, 2, 1)), axis=0, supersets=True)
         return first - k.take(self._second_at)
 
 
@@ -554,9 +591,11 @@ def _independence_mu(counts: np.ndarray, p: int) -> np.ndarray:
 def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) -> FitResult:
     """Maximize the log-likelihood over the free coefficients of ``spec``.
 
-    Returns the MLE with observed-information covariance.  Raises DataError
-    for empty cells/columns the model cannot tolerate and ConvergenceError
-    when no valid interior starting point exists.
+    Returns the MLE with its observed information −H; the covariance,
+    standard errors and Wald p-values are derived from it on first read, so
+    a caller that reads only the estimates never inverts it.  Raises
+    DataError for empty cells/columns the model cannot tolerate and
+    ConvergenceError when no valid interior starting point exists.
 
     With ``allow_missing_cells`` the likelihood is restricted to the
     observed covariate cells: free coefficients no observed cell reaches are
@@ -640,20 +679,6 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
 
     grad_norm = float(np.max(np.abs(grad), initial=0.0))
 
-    # with no free coefficient the Hessian is 0 x 0 and so is its inverse
-    try:
-        covariance = np.linalg.inv(-ll.fd_hessian(x))
-    except np.linalg.LinAlgError:
-        covariance = None
-    if covariance is not None and not np.isfinite(covariance).all():
-        covariance = None
-    variances = np.full(x.size, np.nan) if covariance is None else np.diag(covariance)
-    std_errors = np.sqrt(np.where(variances > 0, variances, np.nan))
-    singular = covariance is None or bool(np.any(variances <= 0))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        z = x / std_errors
-    wald_p = _two_sided_normal_tail(z)
-
     beta_hat = ParamMatrix(beta_kind_for_link(spec.link), data.responses, data.covariates,
                            ll.beta_values(x))
     # the optimizer accepts only valid points, so pi is positive on observed columns
@@ -669,9 +694,7 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
         pi_hat=pi_hat,
         free_index=tuple(ll.free),
         estimates=x.copy(),
-        covariance=covariance,
-        std_errors=std_errors,
-        wald_p=wald_p,
+        information=-ll.fd_hessian(x),
         loglik=float(value),
         deviance=dev,
         df=ll.df,
@@ -679,7 +702,6 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
         converged=converged,
         iterations=iterations,
         grad_norm=grad_norm,
-        singular_information=singular,
         missing_cells=missing,
         unidentified=tuple(ll.unidentified),
     )
@@ -703,11 +725,9 @@ def _start_candidates(ll: LogLikelihood, data: CountTable) -> Iterator[np.ndarra
 
 def wald_tests(fit_result: FitResult) -> list[tuple[int, int, float, float, float]]:
     """Rows (D-mask, E-mask, estimate, se, p) for every free coefficient."""
-    out = []
-    for i, (d, e) in enumerate(fit_result.free_index):
-        out.append((d, e, float(fit_result.estimates[i]),
-                    float(fit_result.std_errors[i]), float(fit_result.wald_p[i])))
-    return out
+    return [(d, e, estimate, se, p) for (d, e), estimate, se, p in zip(
+        fit_result.free_index, fit_result.estimates.tolist(),
+        fit_result.std_errors.tolist(), fit_result.wald_p.tolist())]
 
 
 def simulate(beta: ParamMatrix, link: str, column_totals: Sequence[int],

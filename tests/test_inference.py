@@ -28,7 +28,7 @@ from lmlreg.inference import (
     simulate,
     wald_tests,
 )
-from lmlreg.io import read_zero_set
+from lmlreg.io import read_count_data, read_zero_set
 from lmlreg.lattice import SubsetLattice
 from lmlreg.params import (BoundaryError, ParamMatrix, beta_from_pi, beta_mu_from_beta_gamma,
                            mu_values_from_beta, pi_from_beta)
@@ -46,6 +46,7 @@ from oracles import (
     oracle_marginalize,
     oracle_starting_point,
 )
+from test_golden import cap_inputs
 
 
 def lattices(p: int, q: int) -> tuple[SubsetLattice, SubsetLattice]:
@@ -489,9 +490,10 @@ class TestGatherHessian:
         want = oracle_gram_hessian(ll, x)
         got = ll.fd_hessian(x)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+        assert np.array_equal(got, got.T)
 
     @pytest.mark.parametrize("link", ["lm", "lml"])
-    @pytest.mark.parametrize("p, q", [(1, 1), (2, 2), (3, 1), (4, 2), (5, 1)])
+    @pytest.mark.parametrize("p, q", [(1, 1), (2, 2), (3, 1), (4, 2), (5, 1), (6, 3)])
     def test_saturated(self, link, p, q):
         t = random_table(p, q, 300 + p + q)
         ll = LogLikelihood(ModelSpec(link), t, smooth=0.5)
@@ -517,6 +519,18 @@ class TestGatherHessian:
         t = TestMissingCells().make_table_with_empty_column()
         res = fit(ModelSpec(link), t, FitOptions(allow_missing_cells=True))
         self.check(LogLikelihood(ModelSpec(link), t), res.estimates)
+
+    def test_cli_cap(self, tmp_path):
+        """lml on the CLI cap's model: 8 responses, 4 covariates, 236 free coefficients.
+        Its zero set leaves lm no valid start."""
+        argv = cap_inputs(tmp_path)[0]
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        V, U = (SubsetLattice(tuple(flags[f].split(","))) for f in ("--responses", "--covariates"))
+        t = read_count_data(str(tmp_path / flags["--input"]), V, U)
+        zeros = read_zero_set(str(tmp_path / flags["--zeros"]), V, U)
+        ll = LogLikelihood(ModelSpec("lml", zeros), t)
+        assert len(ll.free) == 236
+        self.check(ll, interior_point(ll, _starting_point(ll, t), 8))
 
 
 class TestTailProbabilities:
@@ -598,10 +612,10 @@ class TestConstrainedFit:
         t = random_table(2, 1, 12)
         res = fit(ModelSpec("lml", frozenset({(3, 1)})), t)
         rows = wald_tests(res)
-        assert len(rows) == len(res.free_index)
-        d, e, est, se, p = rows[0]
-        assert (d, e) == res.free_index[0]
-        assert est == pytest.approx(res.estimates[0])
+        assert rows == [(d, e, float(res.estimates[i]), float(res.std_errors[i]),
+                         float(res.wald_p[i])) for i, (d, e) in enumerate(res.free_index)]
+        assert all(type(v) is int for row in rows for v in row[:2])
+        assert all(type(v) is float for row in rows for v in row[2:])
 
     @given(st.integers(min_value=0, max_value=500))
     @settings(max_examples=25, deadline=None)
@@ -778,6 +792,8 @@ class TestSingularInformation:
     def test_branches(self, monkeypatch, inverse):
         spec, data = random_constrained_spec(3, 2, 5), random_table(3, 2, 5)
         want = fit(spec, data)
+        # derived now, before inv is patched: the fields are read lazily
+        assert not want.singular_information and np.isfinite(want.std_errors).all()
         real_inv = np.linalg.inv
 
         def broken_inv(a):
@@ -792,7 +808,7 @@ class TestSingularInformation:
 
         monkeypatch.setattr(np.linalg, "inv", broken_inv)
         got = fit(spec, data)
-        assert got.singular_information and not want.singular_information
+        assert got.singular_information
         assert got.converged and np.array_equal(got.estimates, want.estimates)
         if inverse == "negative-variance":
             assert got.covariance is not None
@@ -801,6 +817,57 @@ class TestSingularInformation:
         else:
             assert got.covariance is None
             assert np.isnan(got.std_errors).all() and np.isnan(got.wald_p).all()
+
+
+class TestCovarianceOnRead:
+    """A fit keeps its information; the covariance and what follows from it
+    are derived on first read, and equal a direct derivation."""
+
+    @staticmethod
+    def case(kind: str, link: str) -> tuple[ModelSpec, CountTable, FitOptions]:
+        if kind == "constrained":
+            return random_constrained_spec(3, 2, 5, link), random_table(3, 2, 5), FitOptions()
+        if kind == "no-free":   # every coefficient unidentified: a 0 x 0 information
+            V, U = lattices(2, 1)
+            return (ModelSpec(link), CountTable(V, U, np.zeros((4, 2), dtype=np.int64)),
+                    FitOptions(allow_missing_cells=True))
+        # observed cells not closed under subsets: a singular information
+        V, U = lattices(2, 2)
+        counts = np.random.default_rng(3).integers(10, 200, size=(4, 4))
+        counts[:, [1, 2]] = 0
+        return ModelSpec(link), CountTable(V, U, counts), FitOptions(allow_missing_cells=True)
+
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    @pytest.mark.parametrize("kind", ["constrained", "no-free", "singular"])
+    def test_fields_follow_from_the_information(self, monkeypatch, kind, link):
+        spec, data, options = self.case(kind, link)
+        calls = []
+        real_inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(1) or real_inv(a))
+        res = fit(spec, data, options)
+        assert res.converged and not calls
+        info = res.information
+        assert np.array_equal(info, -LogLikelihood(spec, data).fd_hessian(res.estimates))
+        assert info.shape == (res.estimates.size,) * 2
+
+        try:
+            cov = real_inv(info)
+        except np.linalg.LinAlgError:
+            cov = None
+        if cov is not None and not np.isfinite(cov).all():
+            cov = None
+        var = np.full(info.shape[0], np.nan) if cov is None else np.diag(cov)
+        se = np.where(var > 0, np.sqrt(np.abs(var)), np.nan)
+        p = 2.0 * special.ndtr(-np.abs(res.estimates / se))
+
+        assert res.singular_information == (cov is None or bool(np.any(var <= 0)))
+        assert res.singular_information == (kind == "singular")
+        assert (res.covariance is None) == (cov is None)
+        if cov is not None:
+            assert np.array_equal(res.covariance, cov)
+        assert np.array_equal(res.std_errors, se, equal_nan=True)
+        np.testing.assert_allclose(res.wald_p, p, rtol=0, atol=1e-15)
+        assert len(calls) == 1   # all four from one inverse, kept
 
 
 class TestMissingCells:

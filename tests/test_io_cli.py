@@ -1412,6 +1412,18 @@ class TestExitCodes:
         notes = [ln for ln in captured.out.splitlines() if ln.startswith("# note:")]
         assert notes == ["# note: observed information is singular; standard errors unavailable"]
 
+    @pytest.mark.parametrize("command, inverses", [("fit", 1), ("risk", 0)])
+    def test_only_fit_inverts_the_information(self, tmp_path, capsys, monkeypatch, command,
+                                              inverses):
+        """risk reads only the coefficients, so its fit never inverts the information."""
+        calls = []
+        real_inv = np.linalg.inv
+        monkeypatch.setattr(lmlreg.inference.np.linalg, "inv",
+                            lambda a: calls.append(a.shape) or real_inv(a))
+        assert main([command, *self.chest_fit_argv(tmp_path)[1:]]) == 0
+        assert capsys.readouterr().out
+        assert len(calls) == inverses
+
     def test_closed_output_exits_1_silently(self, workdir, capsys, monkeypatch):
         tmp_path, beta_path, _ = workdir
         sink = (tmp_path / "sink").open("wb")
@@ -1646,15 +1658,16 @@ class TestJsonCommandsMatchPerValueRenderers:
         _, _, _, data, _, _, data_args = uni_case
 
         def singular_fit(spec, data, options=None):
+            # a zero information matrix has no inverse, so no covariance
             result = fit(spec, data, options)
-            missing = np.full(result.estimates.size, np.nan)
-            return dataclasses.replace(result, covariance=None, std_errors=missing,
-                                       wald_p=missing, singular_information=True)
+            return dataclasses.replace(result, information=np.zeros_like(result.information))
 
         monkeypatch.setattr(cli, "fit", singular_fit)
         assert main(["fit", *data_args, "--out", out]) == 0
         got = capsys.readouterr().out
-        assert got.encode() == oracle_fit_stdout(singular_fit(ModelSpec("lml"), data), out).encode()
+        want = singular_fit(ModelSpec("lml"), data)
+        assert np.isnan(want.std_errors).all() and np.isnan(want.wald_p).all()
+        assert got.encode() == oracle_fit_stdout(want, out).encode()
         assert "observed information is singular" in got
         if out == "json":
             assert '"se": null' in got and '"se": 0.' not in got

@@ -300,12 +300,12 @@ class TestDropRounds:
             spec=spec, beta_hat=beta, pi_hat=pi,
             free_index=((1, 0), (1, 1)),
             estimates=np.array([-1.0, 0.2]),
-            covariance=None,
-            std_errors=np.array([np.nan, 0.1]),
-            wald_p=np.array([np.nan, 0.5]),
+            # variances -1 and 0.16: no standard error for the first, p 0.62 for the second
+            information=np.diag([-1.0, 6.25]),
             loglik=-10.0, deviance=0.0, df=0, p_value=None,
             converged=True, iterations=1, grad_norm=0.0,
         )
+        assert np.isnan(res.wald_p[0]) and res.wald_p[1] > 0.05
         specs = []
         monkeypatch.setattr(lmlreg.selection, "fit",
                             lambda spec, data, options: specs.append(spec) or res)
@@ -411,7 +411,9 @@ class TestAverageEffects:
 
     def test_no_covariance_gives_nan_se_and_interval(self):
         res, t = self.make_fit(12)
-        for ae in average_effects(dataclasses.replace(res, covariance=None), t, "x0"):
+        singular = dataclasses.replace(res, information=np.zeros_like(res.information))
+        assert singular.covariance is None
+        for ae in average_effects(singular, t, "x0"):
             assert np.isfinite(ae.estimate)
             assert np.isnan(ae.se) and np.isnan(ae.ci).all()
 
