@@ -766,6 +766,7 @@ class TestNewtonStep:
                             lambda self, x: np.full((x.size, x.size), np.nan))
         result = fit(spec, data)
         assert not result.converged and result.iterations == 1
+        assert result.converged == (result.grad_norm <= GRAD_TOL)
         assert result.singular_information and result.covariance is None
 
     def test_a_direction_that_does_not_ascend_stops_unconverged(self, monkeypatch):
@@ -782,7 +783,31 @@ class TestNewtonStep:
         monkeypatch.setattr(np.linalg, "eigh", no_eigenvectors)
         result = fit(spec, data)
         assert not result.converged and result.iterations == 1
+        assert result.converged == (result.grad_norm <= GRAD_TOL)
         assert np.array_equal(result.estimates, start)
+
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    def test_max_iter_stops_unconverged(self, monkeypatch, link):
+        spec, data = random_constrained_spec(3, 2, 5, link), random_table(3, 2, 5)
+        monkeypatch.setattr(lmlreg.inference, "MAX_ITER", 1)
+        result = fit(spec, data)
+        assert result.iterations == 1 and result.grad_norm > GRAD_TOL
+        assert not result.converged
+        assert result.converged == (result.grad_norm <= GRAD_TOL)
+
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    def test_spent_halvings_stop_unconverged_at_the_start(self, monkeypatch, link):
+        """Every trial point away from the start has value −inf, so the line
+        search spends its ``MAX_HALVINGS`` halvings and the fit stops where it began."""
+        spec, data = random_constrained_spec(3, 2, 5, link), random_table(3, 2, 5)
+        start = _starting_point(LogLikelihood(spec, data), data)
+        real_value = LogLikelihood.value
+        monkeypatch.setattr(LogLikelihood, "value", lambda self, x: (
+            real_value(self, x) if np.array_equal(x, start) else -np.inf))
+        result = fit(spec, data)
+        assert result.iterations == 1 and np.array_equal(result.estimates, start)
+        assert not result.converged
+        assert result.converged == (result.grad_norm <= GRAD_TOL)
 
 
 class TestSingularInformation:
