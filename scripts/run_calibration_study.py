@@ -46,7 +46,7 @@ def run(args: argparse.Namespace) -> None:
 
     deviances = []
     p_values = []
-    hits = None
+    hits = 0
     boundary = 0
     iters = []
     t0 = time.perf_counter()
@@ -58,11 +58,8 @@ def run(args: argparse.Namespace) -> None:
         deviances.append(res.deviance)
         p_values.append(res.p_value)
         iters.append(res.iterations)
-        if hits is None:
-            hits = np.zeros(len(res.free_index))
-        for i, pos in enumerate(res.free_index):
-            if abs(res.estimates[i] - truth[pos]) <= CI_Z * res.std_errors[i]:
-                hits[i] += 1
+        covered = np.abs(res.estimates - truth[tuple(res.free_pairs)]) <= CI_Z * res.std_errors
+        hits = hits + covered   # counts: 0 + bool is int, and int + bool stays int
     elapsed = time.perf_counter() - t0
 
     df = spec.df

@@ -181,10 +181,9 @@ def _table_order(result: FitResult) -> tuple[list[int], list[int], list[int]]:
     """
     V, U = result.beta_hat.rows, result.beta_hat.cols
     rows, cols = V.masks_by_cardinality(), U.masks_by_cardinality(include_empty=True)
-    n = len(result.free_index)
-    free = np.array(result.free_index, dtype=np.intp).reshape(-1, 2)
+    n = result.free_pairs.shape[1]
     slot = np.full((V.size, U.size), n)
-    slot[free[:, 0], free[:, 1]] = np.arange(n)
+    slot[tuple(result.free_pairs)] = np.arange(n)
     return rows, cols, slot[np.ix_(rows, cols)].ravel().tolist()
 
 
@@ -235,7 +234,7 @@ def _fit_json_obj(result: FitResult) -> dict:
     vtok, utok = json_strings(V.mask_labels), json_strings(U.mask_labels)
     d_col = [vtok[d] for d in rows for _ in cols]
     e_col = [utok[e] for e in cols] * len(rows)
-    n = len(result.free_index)
+    n = result.free_pairs.shape[1]
 
     deviance, p_value, loglik = map(Raw, json_floats([result.deviance, result.p_value,
                                                       result.loglik]))

@@ -6,11 +6,12 @@ D ⊆ V (the observations with exactly the responses in D equal to 1).  A
 model is a link choice (``lm`` or ``lml``) plus a set of regression
 coefficients constrained to zero, which ``ModelSpec`` takes as an integer
 (n, 2) array of (D, E) rows or as any iterable of (D, E) mask pairs, and
-which is read everywhere as one boolean mask; the free coefficients, in
-canonical (|D|, D, |E|, E) order, make the log-likelihood and its gradient
-cheap to evaluate exactly through the closed-form coefficient→probability
-map.  The Wald and deviance p-values come from the normal and χ² tails
-computed here in floating point, since numpy has neither.
+which is read everywhere as one boolean mask.  The free coefficients are
+one read-only (2, n) array, ``free_pairs``, laid out and ordered as
+``ModelSpec.pairs``; the fit result carries the likelihood's array, and
+every read-out indexes by its two rows.  The Wald and deviance p-values
+come from the normal and χ² tails computed here in floating point, since
+numpy has neither.
 
 What the data can see is derived once per likelihood, from the raw counts,
 as two masks: the observed covariate cells (positive totals) and, by one
@@ -41,10 +42,10 @@ chain β → μ → π, validity and the value, with the score terms added on th
 first derivative request.  A line-search trial builds only the chain; the
 accepted trial's state then serves its gradient, the next Newton
 iteration's Hessian and, at the optimum, the information.  The Hessian is
-assembled by gathers from that state: the Möbius image of a coefficient's
-direction in μ is a signed copy of π (lml) or of one row of μ (lm), and the
-curvature of the log link is a gather from the gradient matrix, so no
-transform of a Jacobian-sized array is needed.
+assembled by gathers from that state, one body for both links: the Möbius
+image of a coefficient's direction in μ is a signed copy of π (lml) or of
+one row of μ (lm), and the curvature of the log link is a gather from the
+gradient matrix, so no transform of a Jacobian-sized array is needed.
 """
 
 from __future__ import annotations
@@ -254,15 +255,18 @@ class FitOptions:
 class FitResult:
     """A fit and its observed ``information``, −H at the estimates.
 
-    ``covariance``, ``std_errors``, ``wald_p`` and ``singular_information``
-    are derived from ``information`` on first read, so a caller that reads
-    none of them never inverts it.
+    ``free_pairs`` is the likelihood's free-set array, column i naming
+    ``estimates[i]``; ``free_index``, the same as a tuple, is kept because
+    the benchmark's fit check hashes its items.  ``covariance``,
+    ``std_errors``, ``wald_p`` and ``singular_information`` are derived from
+    ``information`` on first read, so a caller that reads none of them
+    never inverts it.
     """
 
     spec: ModelSpec
     beta_hat: ParamMatrix
     pi_hat: ParamMatrix
-    free_index: tuple[tuple[int, int], ...]
+    free_pairs: np.ndarray
     estimates: np.ndarray
     information: np.ndarray
     loglik: float
@@ -274,6 +278,10 @@ class FitResult:
     grad_norm: float
     missing_cells: tuple[int, ...] = ()
     unidentified: tuple[tuple[int, int], ...] = ()
+
+    @cached_property
+    def free_index(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(*self.free_pairs.tolist()))
 
     @cached_property
     def covariance(self) -> np.ndarray | None:
@@ -302,8 +310,7 @@ class FitResult:
 
     @cached_property
     def singular_information(self) -> bool:
-        covariance = self.covariance
-        return covariance is None or bool(np.any(np.diag(covariance) <= 0))
+        return bool(np.isnan(self.std_errors).any())
 
 
 def loglik(pi: ParamMatrix, data: CountTable) -> float:
@@ -433,8 +440,8 @@ class LogLikelihood:
     """The log-likelihood of a model over its free coefficient vector.
 
     Exposes ``value``, the analytic ``gradient`` and Hessian
-    (``fd_hessian``), and the free-coefficient indexing shared by the
-    optimizer, the Wald tests and the tests.
+    (``fd_hessian``), and the free coefficients ``free_pairs`` that index
+    them, which the fit result carries on.
 
     The last point evaluated is kept: value, gradient and Hessian at the
     same x share one pass through β → μ → π, so a Newton iteration builds
@@ -455,32 +462,30 @@ class LogLikelihood:
         # the spec is validated once, by fit, which builds every likelihood
         free = _canonical(np.array(np.nonzero(_free_mask(spec.pairs, self.shape))))
         seen = reached[free[1]]
-        self.unidentified: list[tuple[int, int]] = list(zip(*free[:, ~seen].tolist()))
-        free = free[:, seen]
-        self.free: list[tuple[int, int]] = list(zip(*free.tolist()))
+        self.unidentified: tuple[tuple[int, int], ...] = tuple(zip(*free[:, ~seen].tolist()))
+        self.free_pairs = free = free.compress(seen, axis=1)
+        free.setflags(write=False)
         self._rows, self._cols = free
         self.df = int(np.count_nonzero(reached[spec.pairs[1]]))
         self._point: _Point | None = None
-        # Gather tables of the Hessian (see fd_hessian): j over the distinct
-        # free rows d and the response patterns D, as signs (lm) or as
-        # positions in the signed pi rows [pi | −pi] (lml); and, for each
-        # pair of free coefficients, the flat positions for one ``take`` each
-        # of the first term's gradient-matrix entry (pair row, pair column)
-        # and the second term's Gram-block entry (pair column, free row,
-        # free row).
-        self._free_rows = free_rows = np.unique(self._rows)
+        # Gather tables of the Hessian (see fd_hessian), one set for both
+        # links: j over the distinct free rows d and the patterns D, as
+        # positions in the signed rows [srcᵀ | −srcᵀ | 0], lm's D ⊄ d at the 0
+        # column; and, for each pair of free coefficients, the flat positions
+        # for one ``take`` each of the first term's entry (pair row, pair
+        # column) in the gradient matrix with a 0 appended, lm's pairs in
+        # different rows at the 0, and the second term's Gram-block entry
+        # (pair column, free row, free row).
+        free_rows = np.unique(self._rows)
         d, patterns = free_rows[:, None], np.arange(self.shape[0])[None, :]
         odd = np.bitwise_count(d & ~patterns) % 2 == 1
+        self._j_index = (d | patterns) + np.where(odd, self.shape[0], 0)
         rows_i, rows_j = self._rows[:, None], self._rows[None, :]
-        if self.link == "lm":
-            self._j_sign = np.where((patterns & d) == patterns, np.where(odd, -1.0, 1.0), 0.0)
-            pair_rows = rows_i
-            self._same_row = rows_i == rows_j
-        else:
-            self._j_index = (d | patterns) + np.where(odd, self.shape[0], 0)
-            pair_rows = rows_i | rows_j
         pair_cols = self._cols[:, None] | self._cols[None, :]
-        self._first_at = pair_rows * self.shape[1] + pair_cols
+        self._first_at = (rows_i | rows_j) * self.shape[1] + pair_cols
+        if self.link == "lm":
+            self._j_index[(patterns & d) != patterns] = 2 * self.shape[0]
+            self._first_at[rows_i != rows_j] = self.shape[0] * self.shape[1]
         row, nrows = np.searchsorted(free_rows, self._rows), free_rows.size
         self._second_at = (pair_cols * nrows + row[:, None]) * nrows + row[None, :]
 
@@ -547,25 +552,23 @@ class LogLikelihood:
         H = Lᵀ diag(w) L − Jᵀ diag(v) J.  A free coefficient (d, e) moves
         log mu by a_d[D]·[E ⊇ e], with a_d marking D = d (lm) or D ⊇ d (lml).
 
-        Both terms are gathers.  The first, Σ_{E ⊇ e∪e'} Σ_D a_d a_d' w, is
-        the gradient matrix at (d∪d', e∪e') (lml), or at (d, e∪e') when
-        d = d' and 0 otherwise (lm).  In the second, the Möbius image of
-        a_d⊙mu is j_d[D] = (−1)^{|d∖D|} pi[D∪d] (lml), gathered from the
-        signed rows [pi | −pi], or (−1)^{|d∖D|} [D ⊆ d] mu[d] (lm).  Its
-        per-column Gram matrices j diag(v) jᵀ over the distinct free rows are
-        summed over E ⊇ e∪e'.  As v ≥ 0 (0 on unobserved columns), each is
+        Both terms are gathers, by one body for both links.  The first,
+        Σ_{E ⊇ e∪e'} Σ_D a_d a_d' w, is the gradient matrix at (d∪d', e∪e')
+        (lml), or at (d, e∪e') when d = d' and the 0 appended to it
+        otherwise (lm).  In the second, the Möbius image of a_d⊙mu is
+        j_d[D] = (−1)^{|d∖D|} src[D∪d], with src = pi (lml), or mu and 0
+        where D ⊄ d (lm), gathered from the signed rows [srcᵀ | −srcᵀ | 0].
+        Its per-column Gram matrices j diag(v) jᵀ over the distinct free
+        rows are summed over E ⊇ e∪e'.  As v ≥ 0 (0 on unobserved columns), each is
         a aᵀ with a = j⊙√v, one operand, so numpy hands every column's slice
         to a symmetric rank-k BLAS product and H comes out exactly
         symmetric.  The n x 2**p x 2**q Jacobian is never built.
         """
         point = self._derivatives(x)
-        first = point.grad.take(self._first_at)
-        if self.link == "lml":
-            pi = point.pi.T
-            a = np.concatenate((pi, -pi), axis=1).take(self._j_index, axis=1)   # (E, rows, D)
-        else:
-            a = self._j_sign * point.mu.T[:, self._free_rows, None]
-            first = np.where(self._same_row, first, 0.0)
+        first = np.append(point.grad, 0.0).take(self._first_at)
+        src = (point.mu if self.link == "lm" else point.pi).T
+        a = np.concatenate((src, -src, np.zeros((src.shape[0], 1))), axis=1).take(
+            self._j_index, axis=1)   # (E, rows, D)
         # scaled in place: a second (E, rows, D) array per operation costs
         # more than the gather
         a *= point.root_v.T[:, None, :]
@@ -626,10 +629,11 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
 
     value = ll.value(x)
     grad = ll.gradient(x)
+    grad_norm = float(np.max(np.abs(grad), initial=0.0))
     iterations = 0
-    converged = bool(np.max(np.abs(grad), initial=0.0) <= GRAD_TOL)
 
-    while not converged and iterations < MAX_ITER:
+    # written so that a NaN score iterates on
+    while not grad_norm <= GRAD_TOL and iterations < MAX_ITER:
         iterations += 1
         hess = ll.fd_hessian(x)
         if not np.isfinite(hess).all():
@@ -675,9 +679,7 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
         else:
             break
         grad = ll.gradient(x)
-        converged = bool(np.max(np.abs(grad), initial=0.0) <= GRAD_TOL)
-
-    grad_norm = float(np.max(np.abs(grad), initial=0.0))
+        grad_norm = float(np.max(np.abs(grad), initial=0.0))
 
     beta_hat = ParamMatrix(beta_kind_for_link(spec.link), data.responses, data.covariates,
                            ll.beta_values(x))
@@ -692,18 +694,18 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
         spec=spec,
         beta_hat=beta_hat,
         pi_hat=pi_hat,
-        free_index=tuple(ll.free),
+        free_pairs=ll.free_pairs,
         estimates=x.copy(),
         information=-ll.fd_hessian(x),
         loglik=float(value),
         deviance=dev,
         df=ll.df,
         p_value=p_value,
-        converged=converged,
+        converged=grad_norm <= GRAD_TOL,
         iterations=iterations,
         grad_norm=grad_norm,
         missing_cells=missing,
-        unidentified=tuple(ll.unidentified),
+        unidentified=ll.unidentified,
     )
 
 
@@ -725,9 +727,8 @@ def _start_candidates(ll: LogLikelihood, data: CountTable) -> Iterator[np.ndarra
 
 def wald_tests(fit_result: FitResult) -> list[tuple[int, int, float, float, float]]:
     """Rows (D-mask, E-mask, estimate, se, p) for every free coefficient."""
-    return [(d, e, estimate, se, p) for (d, e), estimate, se, p in zip(
-        fit_result.free_index, fit_result.estimates.tolist(),
-        fit_result.std_errors.tolist(), fit_result.wald_p.tolist())]
+    return list(zip(*fit_result.free_pairs.tolist(), fit_result.estimates.tolist(),
+                    fit_result.std_errors.tolist(), fit_result.wald_p.tolist()))
 
 
 def simulate(beta: ParamMatrix, link: str, column_totals: Sequence[int],
@@ -762,8 +763,7 @@ def induced_mu_stats(fit_result: FitResult) -> tuple[np.ndarray, np.ndarray]:
     the native estimates and SEs are returned.
     """
     beta = fit_result.beta_hat
-    free = np.array(fit_result.free_index, dtype=np.intp).reshape(-1, 2)
-    rows, cols = free[:, 0], free[:, 1]
+    rows, cols = fit_result.free_pairs
     if fit_result.spec.link == "lm":
         ses = np.zeros(beta.values.shape)
         ses[rows, cols] = fit_result.std_errors

@@ -77,7 +77,7 @@ def _drop_rounds(result: FitResult, data: CountTable, alpha: float, rows: set[in
     """
     dropped: list[tuple[int, int]] = []
     while True:
-        flagged = [(d, e) for (d, e), p in zip(result.free_index, result.wald_p.tolist())
+        flagged = [(d, e) for d, e, p in zip(*result.free_pairs.tolist(), result.wald_p.tolist())
                    if d in rows and p > alpha]
         if not flagged:
             break
@@ -216,8 +216,8 @@ def average_effects(fit_result: FitResult, data: CountTable, u: str) -> list[Ave
     raw = pattern_weights(data)
     sizes = np.bitwise_count(np.arange(beta.rows.size))
     # the row of each free coefficient in column u; row ∅ (never free) elsewhere
-    free = np.array(fit_result.free_index, dtype=np.intp).reshape(-1, 2)
-    u_rows = np.where(free[:, 1] == u_mask, free[:, 0], 0)
+    rows, cols = fit_result.free_pairs
+    u_rows = np.where(cols == u_mask, rows, 0)
 
     out: list[AverageEffect] = []
     for k in range(1, beta.rows.ground_size + 1):

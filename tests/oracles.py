@@ -235,7 +235,8 @@ def oracle_gram_hessian(ll: LogLikelihood, x: np.ndarray) -> np.ndarray:
     r[:, observed] = ll.counts[:, observed] / pi[:, observed]
     w = mobius_transform(r, axis=0) * mu
     v = r / pi
-    free_rows = np.array(sorted({d for d, _ in ll.free}), dtype=np.intp)
+    free_d, free_e = ll.free_pairs.tolist()
+    free_rows = np.array(sorted(set(free_d)), dtype=np.intp)
     patterns = np.arange(pi.shape[0])
     if ll.link == "lm":
         a = (patterns[None, :] == free_rows[:, None]).astype(float)
@@ -245,8 +246,8 @@ def oracle_gram_hessian(ll: LogLikelihood, x: np.ndarray) -> np.ndarray:
     k = (np.matmul((a[:, :, None] * w).transpose(2, 0, 1), a.T)
          - np.matmul((j * v).transpose(2, 0, 1), j.transpose(2, 1, 0)))
     k = zeta_transform(k, axis=0, supersets=True)
-    rows = np.searchsorted(free_rows, [d for d, _ in ll.free])
-    cols = np.array([e for _, e in ll.free], dtype=np.intp)
+    rows = np.searchsorted(free_rows, free_d)
+    cols = np.array(free_e, dtype=np.intp)
     h = k[cols[:, None] | cols[None, :], rows[:, None], rows[None, :]]
     return (h + h.T) / 2.0
 

@@ -416,7 +416,7 @@ class TestHessian:
         res = fit(ModelSpec(link), t, FitOptions(allow_missing_cells=True))
         assert res.missing_cells == (3,)
         ll = LogLikelihood(ModelSpec(link), t)
-        assert ll.free == list(res.free_index) and ll.unidentified == list(res.unidentified)
+        assert np.array_equal(ll.free_pairs, res.free_pairs) and ll.unidentified == res.unidentified
         self.check(ll, interior_point(ll, res.estimates, 6))
 
 
@@ -460,7 +460,7 @@ class TestEvaluationState:
         spec, t, x1, _ = self.points(link)
         ll = LogLikelihood(spec, t)
         bad = x1.copy()
-        bad[ll.free.index((1, 0))] = 5.0    # pr(y0 = 1) = e**5 in the first cell
+        bad[ll.free_pairs.T.tolist().index([1, 0])] = 5.0    # pr(y0 = 1) = e**5 in the first cell
         ll.gradient(x1)
         with pytest.raises(BoundaryError):
             ll.gradient(bad)
@@ -529,7 +529,7 @@ class TestGatherHessian:
         t = read_count_data(str(tmp_path / flags["--input"]), V, U)
         zeros = read_zero_set(str(tmp_path / flags["--zeros"]), V, U)
         ll = LogLikelihood(ModelSpec("lml", zeros), t)
-        assert len(ll.free) == 236
+        assert ll.free_pairs.shape == (2, 236)
         self.check(ll, interior_point(ll, _starting_point(ll, t), 8))
 
 
@@ -895,6 +895,49 @@ class TestCovarianceOnRead:
         assert len(calls) == 1   # all four from one inverse, kept
 
 
+class TestFreePairs:
+    """The free set is one read-only (2, n) array, from the likelihood that
+    builds it to the fit result and the readers."""
+
+    @staticmethod
+    def case(kind: str, link: str) -> tuple[ModelSpec, CountTable, FitOptions]:
+        if kind == "constrained":
+            return random_constrained_spec(3, 2, 7, link), random_table(3, 2, 7), FitOptions()
+        # every coefficient zeroed, on a table with no observation: 0 free
+        V, U = lattices(2, 1)
+        return (ModelSpec(link, [(d, e) for d in range(1, 4) for e in range(2)]),
+                CountTable(V, U, np.zeros((4, 2), dtype=np.int64)),
+                FitOptions(allow_missing_cells=True))
+
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    @pytest.mark.parametrize("kind", ["constrained", "all-zero"])
+    def test_layout(self, monkeypatch, kind, link):
+        spec, data, options = self.case(kind, link)
+        likelihoods = []
+
+        class RecordedLikelihood(LogLikelihood):
+            def __init__(self, *args, **kwargs):
+                likelihoods.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(lmlreg.inference, "LogLikelihood", RecordedLikelihood)
+        res = fit(spec, data, options)
+        pairs = res.free_pairs
+        assert pairs is likelihoods[0].free_pairs
+        assert pairs.dtype == np.intp and pairs.shape == (2, res.estimates.size)
+        assert not pairs.flags.writeable
+        expected = free_positions(spec, data.responses, data.covariates)
+        assert (not expected) == (kind == "all-zero")
+        assert pairs.T.tolist() == [list(de) for de in expected]   # canonical order
+        assert res.free_index == tuple(zip(*pairs.tolist()))
+        assert all(type(m) is int for de in res.free_index for m in de)
+        # the rows of a per-pair zip over free_index
+        old = [(d, e, estimate, se, p) for (d, e), estimate, se, p in zip(
+            res.free_index, res.estimates.tolist(), res.std_errors.tolist(), res.wald_p.tolist())]
+        rows = wald_tests(res)
+        assert rows == old and all(type(d) is type(e) is int for d, e, *_ in rows)
+
+
 class TestMissingCells:
     def make_table_with_empty_column(self):
         V, U = lattices(2, 2)
@@ -1002,7 +1045,7 @@ class TestMissingCells:
         assert (3, 5) in expected and (3, 3) not in expected
         assert len(likelihoods) == 1
         assert len(validations) <= 2
-        assert res.free_index == tuple(likelihoods[0].free)
+        assert res.free_pairs is likelihoods[0].free_pairs
 
 
 class TestObservedCellMasks:

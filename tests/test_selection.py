@@ -298,7 +298,7 @@ class TestDropRounds:
         pi = ParamMatrix("pi", V, U, np.full((2, 2), 0.5))
         res = FitResult(
             spec=spec, beta_hat=beta, pi_hat=pi,
-            free_index=((1, 0), (1, 1)),
+            free_pairs=np.array([[1, 1], [0, 1]]),
             estimates=np.array([-1.0, 0.2]),
             # variances -1 and 0.16: no standard error for the first, p 0.62 for the second
             information=np.diag([-1.0, 6.25]),
@@ -313,6 +313,28 @@ class TestDropRounds:
         _, dropped, err = _drop_rounds(res, table, 0.05, {1}, FitOptions(), single_batch=True)
         assert dropped == [(1, 1)] and err is None
         assert specs[-1].zero_set == {(1, 1)}
+
+
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    def test_flags_what_the_free_index_comprehension_flagged(self, monkeypatch, link):
+        """One batch per α and row set, on random fits, against a per-pair
+        comprehension over ``free_index``."""
+        monkeypatch.setattr(lmlreg.selection, "fit", lambda spec, data, options: res)
+        checked = 0
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            data = random_table(3, 2, 40 + seed, n=150)
+            zeros = {(int(d), int(e)) for d, e in zip(rng.integers(1, 8, 3), rng.integers(1, 4, 3))}
+            res = fit(ModelSpec(link, zeros), data)
+            for rows in ({1, 2, 3, 4, 5, 6, 7}, {3, 5, 6, 7}, {4}):
+                for alpha in (0.0, 0.01, 0.05, 0.2, 0.5, 0.9, 1.0):
+                    old = [(d, e) for (d, e), p in zip(res.free_index, res.wald_p.tolist())
+                           if d in rows and p > alpha]
+                    _, dropped, err = _drop_rounds(res, data, alpha, rows, FitOptions(),
+                                                   single_batch=True)
+                    assert dropped == old and err is None
+                    checked += bool(old)
+        assert checked > 20
 
 
 class TestFitsOnce:
