@@ -107,8 +107,12 @@ def _cases() -> dict[str, list[str]]:
         cases[f"plot-data-{out}"] = ["plot-data", *CHEST, "--effect", "exposed", "--out", out]
         cases[f"transform-{out}"] = ["transform", *COEFFS, "--kind", "beta_gamma", "--out", out]
         cases[f"transform-wide-{out}"] = ["transform", *WIDE, "--out", out]
-    cases["fit-smooth-missing-tsv"] = ["fit", "--input", "chest-missing.csv", "--format", "counts",
-                                       *LABELS, "--smooth", "--allow-missing-cells"]
+    missing = ["fit", "--input", "chest-missing.csv", "--format", "counts", *LABELS,
+               "--smooth", "--allow-missing-cells"]
+    cases["fit-smooth-missing-tsv"] = missing
+    cases["fit-smooth-missing-json"] = missing + ["--out", "json"]
+    cases["fit-smooth-missing-lm-tsv"] = missing + ["--link", "lm"]
+    cases["fit-smooth-missing-lm-json"] = missing + ["--link", "lm", "--out", "json"]
     cases["simulate-counts"] = ["simulate", *COEFFS, "--link", "lml", "--totals", "1000,1000",
                                 "--seed", "7", "--format", "counts"]
     cases["simulate-cases"] = ["simulate", *COEFFS, "--link", "lml", "--totals", "4,3",

@@ -316,6 +316,23 @@ class TestReaderAgainstRowByRowOracle:
         got, want = read_both(text, *lattices(2, 1), "cases")
         assert got == want
 
+    @pytest.mark.parametrize("fmt", ["cases", "counts"])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    def test_header_name_holding_a_newline(self, eol, fmt):
+        # the junk column's quoted name spans two physical lines, so every
+        # row sits one line further down than under the plain header
+        count = ",count" if fmt == "counts" else ""
+        body = [f"1,0,1{count and ',3'},7", f"0,1,0{count and ',2'},7", f"1,1,1{count and ',4'},7"]
+        plain = eol.join([f"y0,y1,x0{count},jk", *body, ""])
+        split = eol.join([f'y0,y1,x0{count},"j{eol}k"', *body, ""])
+        V, U = lattices(2, 1)
+        table = [[0, 0], [0, 3], [2, 0], [0, 4]] if count else [[0, 0], [0, 1], [1, 0], [0, 1]]
+        for text, line in ((plain, 3), (split, 4)):
+            assert lio.read_count_data(io.StringIO(text), V, U, fmt).counts.tolist() == table
+            bad = io.StringIO(text.replace(f"{eol}0,1,0", f"{eol}0,2,0"))
+            with pytest.raises(DataError, match=f"^line {line}: column 'y1' must be 0 or 1, got '2'$"):
+                lio.read_count_data(bad, V, U, fmt)
+
     def test_other_integer_spellings_accepted(self):
         V, U = lattices(1, 1)
         t = lio.read_count_data(io.StringIO("y0,x0\n01,0\n+1,-0\n0,+01\n"), V, U, "cases")

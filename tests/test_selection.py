@@ -213,6 +213,21 @@ class TestForward:
         assert [s.fit is not None for s in trace.steps] == [True, False, True, True]
         assert trace.final_fit.converged
 
+    def test_a_failed_full_table_margin_fails_the_joint_fit(self, monkeypatch):
+        # the joint model is refitted only when the full-table margin failed,
+        # and that refit raises the margin's failure
+        t = random_table(2, 1, 5)
+        real_fit = lmlreg.selection.fit
+
+        def failing_fit(spec, data, options=None):
+            if data.responses.labels == ("y0", "y1"):
+                raise ConvergenceError("full table failed")
+            return real_fit(spec, data, options)
+
+        monkeypatch.setattr(lmlreg.selection, "fit", failing_fit)
+        with pytest.raises(ConvergenceError, match="full table failed"):
+            forward_margin_selection(t, alpha=1.0)
+
 
 class TestBackward:
     def test_alpha_validated(self):
