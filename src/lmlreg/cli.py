@@ -6,12 +6,14 @@ series at full precision since their output is meant to be consumed by
 other programs rather than read as a table.  Both renderings are written
 from encoded columns: each command turns its numeric columns into text
 with one call each (``io.fixed_floats`` for TSV, ``io.json_floats`` for
-JSON) and then only joins tokens; ``risk`` takes its columns straight from
-``risk.risk_table``, with no object per entry.  Every JSON document goes
-through ``io.write_json``, which takes tables of records as token columns,
-not as one dict per entry, and writes the document from one walk;
-``transform`` gives it each matrix as one ``io.TokenRows`` leaf, the flat
-token list of the matrix, which is written in one join.
+JSON) and then only joins tokens.  ``risk`` takes its columns straight from
+``risk.risk_table``, with no object per entry, and ``fit`` and ``select``
+take each fit's from ``_coefficient_table``, which builds the table once
+with the rendering's encoder.  Every JSON document goes through
+``io.write_json``, which takes tables of records as token columns, not as
+one dict per entry, and writes the document from one walk; ``transform``
+gives it each matrix as one ``io.TokenRows`` leaf, the flat token list of
+the matrix, which is written in one join.
 
 Exit codes: 0 success, 1 the reader closed the output early, 2
 configuration error, 3 data error, 4 numerical failure (boundary or
@@ -172,19 +174,25 @@ def _fit_notes(result: FitResult) -> list[str]:
     return notes
 
 
-def _table_order(result: FitResult) -> tuple[list[int], list[int], list[int]]:
-    """Rows and columns of a coefficient table, and the slot of each (D, E) in it.
+def _coefficient_table(result: FitResult, encode) -> tuple:
+    """A fit's coefficient table, built once for both renderings.
 
-    The slots run through the table row by row; a free coefficient's slot is
-    its position in the estimates, and a constrained one points one past
-    them, at the fill value of its column.
+    Returns its rows and columns; the slot of each (D, E), row by row, among
+    the free coefficients, one past them when it is constrained; the
+    estimate, se and p columns, each encoded once by ``encode``; and for lml
+    the induced log-mean estimate and se at every cell in table order (none
+    for lm).
     """
     V, U = result.beta_hat.rows, result.beta_hat.cols
     rows, cols = V.masks_by_cardinality(), U.masks_by_cardinality(include_empty=True)
+    cells = np.ix_(rows, cols)
     n = result.free_pairs.shape[1]
     slot = np.full((V.size, U.size), n)
     slot[tuple(result.free_pairs)] = np.arange(n)
-    return rows, cols, slot[np.ix_(rows, cols)].ravel().tolist()
+    coef = [encode(col) for col in (result.estimates, result.std_errors, result.wald_p)]
+    induced = ([encode(m[cells]) for m in induced_mu_stats(result)]
+               if result.spec.link == "lml" else [])
+    return rows, cols, slot[cells].ravel().tolist(), coef, induced
 
 
 def _gather(tokens: list[str], fill: str, order: list[int]) -> list[str]:
@@ -194,7 +202,8 @@ def _gather(tokens: list[str], fill: str, order: list[int]) -> list[str]:
 
 def _fit_tsv(result: FitResult, stream) -> None:
     V, U = result.beta_hat.rows, result.beta_hat.cols
-    rows, cols, order = _table_order(result)
+    rows, cols, order, coef, induced = _coefficient_table(
+        result, lambda col: fixed_floats(col, TSV_DECIMALS))
     tags = [U.mask_labels[e] for e in cols]
 
     stream.write(f"# link: {result.spec.link}\n")
@@ -205,22 +214,14 @@ def _fit_tsv(result: FitResult, stream) -> None:
     for note in _fit_notes(result):
         stream.write(f"# note: {note}\n")
 
-    header = ["D"]
-    for tag in tags:
-        header += [f"est{tag}", f"se{tag}", f"p{tag}"]
+    header = ["D"] + [f"{name}{tag}" for tag in tags for name in ("est", "se", "p")]
+    if induced:
+        header += [f"{name}{tag}" for tag in tags for name in ("mu_est", "mu_se")]
+    stream.write("\t".join(header) + "\n")
     # the text of each (D, E) in table order: estimate, se and p, then the
     # induced log-mean estimate and se
-    est, se, p = (fixed_floats(col, TSV_DECIMALS)
-                  for col in (result.estimates, result.std_errors, result.wald_p))
-    coef = _gather(list(map("\t".join, zip(est, se, p))), "·\t·\t·", order)
-    induced = []
-    if result.spec.link == "lml":
-        for tag in tags:
-            header += [f"mu_est{tag}", f"mu_se{tag}"]
-        mu_est, mu_se = (fixed_floats(m[np.ix_(rows, cols)], TSV_DECIMALS)
-                         for m in induced_mu_stats(result))
-        induced = list(map("\t".join, zip(mu_est, mu_se)))
-    stream.write("\t".join(header) + "\n")
+    coef = _gather(list(map("\t".join, zip(*coef))), "·\t·\t·", order)
+    induced = list(map("\t".join, zip(*induced)))
 
     width = len(cols)
     for k, d in enumerate(rows):
@@ -230,11 +231,10 @@ def _fit_tsv(result: FitResult, stream) -> None:
 
 def _fit_json_obj(result: FitResult) -> dict:
     V, U = result.beta_hat.rows, result.beta_hat.cols
-    rows, cols, order = _table_order(result)
+    rows, cols, order, (est, se, p), induced = _coefficient_table(result, json_floats)
     vtok, utok = json_strings(V.mask_labels), json_strings(U.mask_labels)
     d_col = [vtok[d] for d in rows for _ in cols]
     e_col = [utok[e] for e in cols] * len(rows)
-    n = result.free_pairs.shape[1]
 
     deviance, p_value, loglik = map(Raw, json_floats([result.deviance, result.p_value,
                                                       result.loglik]))
@@ -247,19 +247,15 @@ def _fit_json_obj(result: FitResult) -> dict:
         "converged": result.converged,
         "iterations": result.iterations,
         "coefficients": Records({
-            "D": d_col, "E": e_col, "constrained": _gather(["false"] * n, "true", order),
-            "estimate": _gather(json_floats(result.estimates), "null", order),
-            "se": _gather(json_floats(result.std_errors), "null", order),
-            "p": _gather(json_floats(result.wald_p), "null", order),
+            "D": d_col, "E": e_col, "constrained": _gather(["false"] * len(est), "true", order),
+            "estimate": _gather(est, "null", order), "se": _gather(se, "null", order),
+            "p": _gather(p, "null", order),
         }),
         "notes": _fit_notes(result),
     }
-    if result.spec.link == "lml":
-        mu_values, mu_ses = (m[np.ix_(rows, cols)] for m in induced_mu_stats(result))
-        obj["beta_mu_induced"] = Records({
-            "D": d_col, "E": e_col,
-            "estimate": json_floats(mu_values), "se": json_floats(mu_ses),
-        })
+    if induced:
+        mu_est, mu_se = induced
+        obj["beta_mu_induced"] = Records({"D": d_col, "E": e_col, "estimate": mu_est, "se": mu_se})
     return obj
 
 

@@ -124,9 +124,11 @@ def read_count_data(source: str | IO[str], responses: SubsetLattice,
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)   # loadtxt on a header-only file
-                values = np.loadtxt(StringIO(text[len(head):], newline=None), delimiter=",",
+                # skiprows counts physical lines, as csv's line_num does
+                values = np.loadtxt(StringIO(text, newline=None), delimiter=",",
                                     dtype=np.int64 if counted else np.int8, comments=None,
-                                    quotechar='"', usecols=usecols, ndmin=2)
+                                    quotechar='"', usecols=usecols, ndmin=2,
+                                    skiprows=reader.line_num)
             if np.any(values < 0) or np.any(values[:, :len(bits)] > 1):
                 raise ValueError("a value is out of range")
         except ValueError as exc:

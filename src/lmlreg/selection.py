@@ -135,10 +135,9 @@ def forward_margin_selection(data: CountTable, alpha: float = 0.05,
         steps.append(SelectionStep(label=label, fit=result,
                                    dropped=tuple(sorted_pairs(dropped_joint)), error=err))
 
-    joint_spec = ModelSpec("lml", joint_zeros)
-    last = steps[-1].fit   # the margin on every response is the table itself
-    final_fit = (last if last is not None and last.spec == joint_spec
-                 else fit(joint_spec, data, options))
+    # the margin on every response is the table itself, fitted with every
+    # selected zero; only when it failed is the joint model fitted here
+    final_fit = steps[-1].fit or fit(ModelSpec("lml", joint_zeros), data, options)
     steps.append(SelectionStep(label="joint", fit=final_fit, dropped=()))
     return SelectionTrace(tuple(steps), final_fit)
 

@@ -234,6 +234,14 @@ def test_manifest_lists_every_case(manifest):
     assert sorted(manifest["cases"]) == sorted(CASES)
 
 
+def test_every_rendering_has_its_twin():
+    """Each ``*-tsv`` case has a ``*-json`` twin and the reverse, so both
+    renderings of a command stay covered alike."""
+    stems = {out: {name.removesuffix(f"-{out}") for name in CASES if name.endswith(f"-{out}")}
+             for out in ("tsv", "json")}
+    assert stems["tsv"] == stems["json"]
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_is_unchanged(name, manifest, workdir, monkeypatch):
     monkeypatch.chdir(workdir)
