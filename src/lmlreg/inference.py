@@ -13,12 +13,16 @@ every read-out indexes by its two rows.  The Wald and deviance p-values
 come from the normal and χ² tails computed here in floating point, since
 numpy has neither.
 
-What the data can see is derived once per likelihood, from the raw counts,
-as two masks: the observed covariate cells (positive totals) and, by one
-superset sum, the coefficients (D, E) some observed cell E′ ⊇ E reaches.
-Smoothing, the validity test and the likelihood read only observed cells;
-free coefficients outside the reached mask are pinned at zero, and only
-the zero constraints inside it count as degrees of freedom.
+What the data can see is derived once per table and smoothing value,
+shared by every fit on it, from the raw counts, as two masks: the observed
+covariate cells (positive totals) and, by one superset sum, the
+coefficients (D, E) some observed cell E′ ⊇ E reaches.  Smoothing, the
+validity test and the likelihood read only observed cells; free
+coefficients outside the reached mask are pinned at zero, and only the
+zero constraints inside it count as degrees of freedom.  The same terms
+hold the smoothed counts, their positive cells, the saturated
+log-likelihood and each link's start candidates, so the refits of a
+selection and both links on one table derive none of them again.
 
 Fitting is a damped Newton iteration on the free coefficients: analytic
 gradient, analytic Hessian (the exact observed information), and step
@@ -109,7 +113,16 @@ def _canonical(pairs: np.ndarray) -> np.ndarray:
 
 def sorted_pairs(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     """(D, E) coefficient positions in canonical (|D|, D, |E|, E) order."""
+    if not isinstance(pairs, np.ndarray):
+        pairs = list(pairs)
+        if not pairs:   # selection sorts a mostly empty list on every step
+            return []
     return list(zip(*_canonical(_pair_array(pairs)).tolist()))
+
+
+# the pairs of a spec with no zeros, shared by every such spec
+_NO_PAIRS = np.empty((2, 0), np.intp)
+_NO_PAIRS.setflags(write=False)
 
 
 def _free_mask(zero_pairs: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -123,11 +136,18 @@ def _free_mask(zero_pairs: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CountTable:
-    """Observed counts over the 2**p response patterns x 2**q covariate cells."""
+    """Observed counts over the 2**p response patterns x 2**q covariate cells.
+
+    The table is immutable, so what a fit reads of it at one smoothing value
+    is derived once, on the first fit, and kept with it in ``_terms``, keyed
+    by ``smooth``: every fit on the table then shares those terms.
+    """
 
     responses: SubsetLattice
     covariates: SubsetLattice
     counts: np.ndarray = field(repr=False)
+    _terms: dict[float | None, _TableTerms] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         c = np.asarray(self.counts)
@@ -189,7 +209,10 @@ class ModelSpec:
 
     def __init__(self, link: str, zero_set: np.ndarray | Iterable[tuple[int, int]] = ()):
         check_link(link)
-        pairs = _pair_array(zero_set)
+        if isinstance(zero_set, (tuple, list, set, frozenset)) and not zero_set:
+            pairs = _NO_PAIRS
+        else:
+            pairs = _pair_array(zero_set)
         if pairs.shape[1] > 0:
             d_low, e_low = pairs.min(axis=1)
             if d_low == 0:
@@ -418,6 +441,70 @@ def _chi2_tail(df: int, dev: float) -> float:
     return math.nan
 
 
+class _TableTerms:
+    """What every fit on one table at one smoothing value reads, all read-only.
+
+    ``observed`` and ``reached`` are the two masks of the module docstring
+    (the second by column E), ``counts`` the smoothed float counts, and
+    ``positive`` the flat index of their positive cells, which lie in
+    observed columns, with ``positive_counts`` the counts there.  The start
+    candidates' β matrices are built per link on first request, in
+    candidate order, so a fit that takes the first builds no other.
+    """
+
+    def __init__(self, data: CountTable, smooth: float | None):
+        self.observed = observed = data.column_totals > 0
+        self.all_observed = bool(observed.all())
+        self.missing = tuple(np.flatnonzero(~observed).tolist())
+        self.reached = zeta_transform(observed.astype(float), supersets=True) > 0
+        self.counts = counts = data.counts.astype(float)
+        if smooth is not None:
+            counts[:, observed] += smooth
+        self.positive = np.flatnonzero(counts > 0)
+        self.positive_counts = counts.take(self.positive)
+        for array in (observed, self.reached, counts, self.positive, self.positive_counts):
+            array.setflags(write=False)
+        self.saturated_loglik = _saturated_loglik(counts)
+        # the start candidates' means, in order: the empirical fit when no
+        # cell is empty, then independence with shrunk and with flat margins
+        p = data.responses.ground_size
+        self._start_mus = [lambda: _independence_mu(counts, p),
+                           lambda: _independence_mu(np.ones_like(counts), p)]
+        if self.positive.size == counts.size:
+            self._start_mus.insert(0, lambda: zeta_transform(
+                counts / counts.sum(axis=0), axis=0, supersets=True))
+        self._start_betas: dict[str, dict[int, np.ndarray]] = {}
+
+    def start_betas(self, link: str) -> Iterator[np.ndarray]:
+        """The start candidates' coefficient matrices for ``link``, in order."""
+        built = self._start_betas.setdefault(link, {})
+        for i, start_mu in enumerate(self._start_mus):
+            if i not in built:
+                beta = beta_values_from_mu(start_mu(), link)
+                beta.setflags(write=False)
+                built[i] = beta
+            yield built[i]
+
+    def evaluate(self, pi: np.ndarray) -> tuple[bool, float]:
+        """Whether ``pi`` is valid, finite and positive on every observed
+        column, and its log-likelihood there (−inf when it is not)."""
+        check = pi if self.all_observed else pi[:, self.observed]
+        # NaN propagates through both reductions and fails both tests; an
+        # empty check takes the initial values and passes
+        if not (np.minimum.reduce(check, axis=None, initial=np.inf) > 0.0
+                and np.maximum.reduce(check, axis=None, initial=-np.inf) < np.inf):
+            return False, -np.inf
+        return True, float(np.add.reduce(self.positive_counts * np.log(pi.take(self.positive))))
+
+
+def _table_terms(data: CountTable, smooth: float | None) -> _TableTerms:
+    """The terms of ``data`` at ``smooth``, built on the first request and kept on the table."""
+    terms = data._terms.get(smooth)
+    if terms is None:
+        terms = data._terms.setdefault(smooth, _TableTerms(data, smooth))
+    return terms
+
+
 @dataclass(eq=False)
 class _Point:
     """What one coefficient vector implies, filled as it is asked for.
@@ -441,7 +528,9 @@ class LogLikelihood:
 
     Exposes ``value``, the analytic ``gradient`` and Hessian
     (``fd_hessian``), and the free coefficients ``free_pairs`` that index
-    them, which the fit result carries on.
+    them, which the fit result carries on.  What depends only on the table
+    and ``smooth`` is read from the table's shared ``terms``; ``counts``,
+    the smoothed counts, is theirs and read-only.
 
     The last point evaluated is kept: value, gradient and Hessian at the
     same x share one pass through β → μ → π, so a Newton iteration builds
@@ -453,20 +542,16 @@ class LogLikelihood:
     def __init__(self, spec: ModelSpec, data: CountTable, smooth: float | None = None):
         self.link = spec.link
         self.shape = (data.responses.size, data.covariates.size)
-        # the two masks of the module docstring, the second by column E
-        self.observed = data.column_totals > 0
-        reached = zeta_transform(self.observed.astype(float), supersets=True) > 0
-        self.counts = data.counts.astype(float)
-        if smooth is not None:
-            self.counts[:, self.observed] += smooth
+        self.terms = terms = _table_terms(data, smooth)
+        self.counts = terms.counts
         # the spec is validated once, by fit, which builds every likelihood
         free = _canonical(np.array(np.nonzero(_free_mask(spec.pairs, self.shape))))
-        seen = reached[free[1]]
+        seen = terms.reached[free[1]]
         self.unidentified: tuple[tuple[int, int], ...] = tuple(zip(*free[:, ~seen].tolist()))
         self.free_pairs = free = free.compress(seen, axis=1)
         free.setflags(write=False)
         self._rows, self._cols = free
-        self.df = int(np.count_nonzero(reached[spec.pairs[1]]))
+        self.df = int(np.count_nonzero(terms.reached[spec.pairs[1]]))
         self._point: _Point | None = None
         # Gather tables of the Hessian (see fd_hessian), one set for both
         # links: j over the distinct free rows d and the patterns D, as
@@ -475,17 +560,19 @@ class LogLikelihood:
         # for one ``take`` each of the first term's entry (pair row, pair
         # column) in the gradient matrix with a 0 appended, lm's pairs in
         # different rows at the 0, and the second term's Gram-block entry
-        # (pair column, free row, free row).
+        # (pair column, free row, free row).  The first is the OR of the
+        # flat keys d·2**q + e: e < 2**q, so its bits never meet d's.
         free_rows = np.unique(self._rows)
         d, patterns = free_rows[:, None], np.arange(self.shape[0])[None, :]
         odd = np.bitwise_count(d & ~patterns) % 2 == 1
         self._j_index = (d | patterns) + np.where(odd, self.shape[0], 0)
-        rows_i, rows_j = self._rows[:, None], self._rows[None, :]
-        pair_cols = self._cols[:, None] | self._cols[None, :]
-        self._first_at = (rows_i | rows_j) * self.shape[1] + pair_cols
+        keys = self._rows * self.shape[1] + self._cols
+        self._first_at = np.bitwise_or.outer(keys, keys)
+        pair_cols = self._first_at & (self.shape[1] - 1)
         if self.link == "lm":
             self._j_index[(patterns & d) != patterns] = 2 * self.shape[0]
-            self._first_at[rows_i != rows_j] = self.shape[0] * self.shape[1]
+            self._first_at[np.not_equal.outer(self._rows, self._rows)] = (
+                self.shape[0] * self.shape[1])
         row, nrows = np.searchsorted(free_rows, self._rows), free_rows.size
         self._second_at = (pair_cols * nrows + row[:, None]) * nrows + row[None, :]
 
@@ -508,10 +595,7 @@ class LogLikelihood:
             return point
         mu = mu_values_from_beta(self.beta_values(x), self.link)
         pi = mobius_transform(mu, axis=0, supersets=True)
-        check = pi[:, self.observed]
-        valid = bool(np.all(np.isfinite(check)) and not np.any(check <= 0.0))
-        value = _loglik_values(self.counts, pi) if valid else -np.inf
-        self._point = point = _Point(key, mu, pi, valid, value)
+        self._point = point = _Point(key, mu, pi, *self.terms.evaluate(pi))
         return point
 
     def value(self, x: np.ndarray) -> float:
@@ -531,12 +615,18 @@ class LogLikelihood:
             raise BoundaryError("derivatives requested outside the valid region")
         if point.grad is None:
             pi = point.pi
-            r = np.divide(self.counts, pi, out=np.zeros_like(pi), where=self.observed)
+            if self.terms.all_observed:
+                r = self.counts / pi
+                v = r / pi
+            else:
+                observed = self.terms.observed
+                r = np.divide(self.counts, pi, out=np.zeros_like(pi), where=observed)
+                v = np.divide(r, pi, out=np.zeros_like(pi), where=observed)
             a = mobius_transform(r, axis=0) * point.mu
             if self.link == "lml":
                 a = zeta_transform(a, axis=0, supersets=True)
             point.grad = zeta_transform(a, axis=1, supersets=True)
-            point.root_v = np.sqrt(np.divide(r, pi, out=np.zeros_like(pi), where=self.observed))
+            point.root_v = np.sqrt(v)
         return point
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
@@ -610,26 +700,26 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
     spec.validate_for(data.responses, data.covariates)
     ll = LogLikelihood(spec, data, smooth=options.smooth)
 
-    missing = tuple(np.flatnonzero(~ll.observed).tolist())
+    missing = ll.terms.missing
     if missing and not options.allow_missing_cells:
         names = ", ".join(data.covariates.format_mask(e) for e in missing)
         raise DataError(
             f"covariate cells with no observations: {names} "
             f"(pass allow_missing_cells to restrict the likelihood to observed cells)"
         )
-    if ll.df == 0 and options.smooth is None and np.any(data.counts[:, ll.observed] == 0):
+    if ll.df == 0 and options.smooth is None and np.any(data.counts[:, ll.terms.observed] == 0):
         raise DataError(
             "zero observed cell in a saturated fit; enable smoothing or constrain the model"
         )
 
-    x = _starting_point(ll, data)
+    x = _starting_point(ll)
     if x is None:
         raise ConvergenceError("no valid interior starting point found "
                                "(all starting candidates imply non-positive cell probabilities)")
 
     value = ll.value(x)
     grad = ll.gradient(x)
-    grad_norm = float(np.max(np.abs(grad), initial=0.0))
+    grad_norm = float(np.abs(grad).max(initial=0.0))
     iterations = 0
 
     # written so that a NaN score iterates on
@@ -644,7 +734,7 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
         # definite.
         try:
             direction = np.linalg.solve(-hess, grad)
-            newton = bool(np.isfinite(direction).all()) and float(direction @ grad) > 0.0
+            newton = _ascends(direction, grad)
         except np.linalg.LinAlgError:
             newton = False
         if not newton:
@@ -658,10 +748,12 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
             floor = 1e-8 * max(1.0, float(np.max(np.abs(evals))))
             scale = np.maximum(np.abs(evals), floor)
             direction = evecs @ ((evecs.T @ grad) / scale)
-        size = float(np.max(np.abs(direction)))
+        size = float(np.abs(direction).max())
         if size > MAX_STEP:
             direction = direction * (MAX_STEP / size)
-        if not np.isfinite(direction).all() or float(direction @ grad) <= 0.0:
+        # a kept Newton step has passed the test; an eigenvalue or rescaled
+        # step takes it now
+        if (not newton or size > MAX_STEP) and not _ascends(direction, grad):
             break
 
         # the accept threshold must scale with |loglik|: near the optimum the
@@ -672,21 +764,21 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
         for _ in range(MAX_HALVINGS + 1):
             candidate = x + step * direction
             cand_value = ll.value(candidate)
-            if np.isfinite(cand_value) and cand_value >= value - accept_tol:
+            if math.isfinite(cand_value) and cand_value >= value - accept_tol:
                 x, value = candidate, cand_value
                 break
             step /= 2.0
         else:
             break
         grad = ll.gradient(x)
-        grad_norm = float(np.max(np.abs(grad), initial=0.0))
+        grad_norm = float(np.abs(grad).max(initial=0.0))
 
     beta_hat = ParamMatrix(beta_kind_for_link(spec.link), data.responses, data.covariates,
                            ll.beta_values(x))
     # the optimizer accepts only valid points, so pi is positive on observed columns
     pi_hat = ParamMatrix("pi", data.responses, data.covariates, ll._at(x).pi)
 
-    dev = 2.0 * (_saturated_loglik(ll.counts) - value)
+    dev = 2.0 * (ll.terms.saturated_loglik - value)
     dev = 0.0 if -1e-6 < dev < 0.0 else float(dev)
     p_value = _chi2_tail(ll.df, dev) if ll.df > 0 else None
 
@@ -709,20 +801,19 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
     )
 
 
-def _starting_point(ll: LogLikelihood, data: CountTable) -> np.ndarray | None:
+def _ascends(direction: np.ndarray, grad: np.ndarray) -> bool:
+    """Whether ``direction`` is finite and ascends, gᵀd > 0."""
+    return bool(np.isfinite(direction).all()) and float(direction @ grad) > 0.0
+
+
+def _starting_point(ll: LogLikelihood) -> np.ndarray | None:
     """First valid start among: projected empirical fit, independence, uniform."""
-    return next((x for x in _start_candidates(ll, data) if ll._at(x).valid), None)
+    return next((x for x in _start_candidates(ll) if ll._at(x).valid), None)
 
 
-def _start_candidates(ll: LogLikelihood, data: CountTable) -> Iterator[np.ndarray]:
+def _start_candidates(ll: LogLikelihood) -> Iterator[np.ndarray]:
     """The starting candidates in order, each built only when the one before is rejected."""
-    smoothed = ll.counts
-    if np.all(smoothed > 0):   # so every covariate cell is observed
-        empirical = zeta_transform(smoothed / smoothed.sum(axis=0), axis=0, supersets=True)
-        yield ll.free_of(beta_values_from_mu(empirical, ll.link))
-    for counts in (smoothed, np.ones_like(smoothed)):
-        mu = _independence_mu(counts, data.responses.ground_size)
-        yield ll.free_of(beta_values_from_mu(mu, ll.link))
+    return (ll.free_of(beta) for beta in ll.terms.start_betas(ll.link))
 
 
 def wald_tests(fit_result: FitResult) -> list[tuple[int, int, float, float, float]]:

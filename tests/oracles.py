@@ -92,6 +92,15 @@ def oracle_loglik(counts: np.ndarray, pi: np.ndarray) -> float:
     return float(np.sum(counts[mask] * np.log(pi[mask])))
 
 
+def oracle_validity_and_value(counts: np.ndarray, pi: np.ndarray,
+                              observed: np.ndarray) -> tuple[bool, float]:
+    """Whether ``pi`` is finite and positive on every ``observed`` column, and
+    then its log-likelihood, −inf otherwise: the likelihood's rule as first written."""
+    check = pi[:, observed]
+    valid = bool(np.all(np.isfinite(check)) and not np.any(check <= 0.0))
+    return valid, oracle_loglik(counts, pi) if valid else -np.inf
+
+
 def empirical_pi(table: CountTable, smooth: float | None = None) -> ParamMatrix:
     """Per-column observed proportions, optionally with +eps smoothing.
 

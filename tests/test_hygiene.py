@@ -4,6 +4,10 @@ Every import is used: a module-level ``__all__`` counts as a use of the
 names it lists, a name used only in a quoted annotation counts as used, and
 ``from __future__`` imports are exempt.
 
+No cache in ``src/lmlreg`` is unbounded: neither ``functools.cache`` nor an
+``lru_cache`` with ``maxsize=None``, since a cache keyed by sizes or shapes
+would grow with every table a long-running caller fits.
+
 Every member of the package has a reader besides the tests: each
 module-level function and class, and each method, class-level annotated
 field and instance attribute (``self.name = …`` in a method) defined in
@@ -187,3 +191,47 @@ def test_the_scan_finds_what_it_should():
               "    return numpy.linalg.norm(sys.argv)\n")
     assert unused_imports(source) == ["line 2: os", "line 4: It", "line 5: loads"]
     assert FILES and all(path.suffix == ".py" for path in FILES)
+
+
+def unbounded_caches(source: str) -> list[str]:
+    """Each ``functools.cache`` and each ``lru_cache`` called with ``maxsize=None``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [(node.lineno, "functools.cache") for alias in node.names if alias.name == "cache"]
+        elif (isinstance(node, ast.Attribute) and node.attr == "cache"
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            found.append((node.lineno, "functools.cache"))
+        elif isinstance(node, ast.Call) and "lru_cache" in (getattr(node.func, "id", None),
+                                                            getattr(node.func, "attr", None)):
+            size = node.args[0] if node.args else next(
+                (kw.value for kw in node.keywords if kw.arg == "maxsize"), None)
+            if isinstance(size, ast.Constant) and size.value is None:
+                found.append((node.lineno, "lru_cache(maxsize=None)"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "lmlreg").glob("*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_cache_is_bounded(path):
+    assert unbounded_caches(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_cache_scan_finds_what_it_should():
+    source = ("import functools\n"
+              "from functools import cache, lru_cache\n"
+              "@functools.cache\n"
+              "def a(n): return n\n"
+              "@lru_cache(maxsize=None)\n"
+              "def b(n): return n\n"
+              "@functools.lru_cache(None)\n"
+              "def c(n): return n\n"
+              "@lru_cache(maxsize=256)\n"
+              "def d(n): return n\n"
+              "@lru_cache\n"
+              "def e(n): return n\n"
+              "@functools.lru_cache()\n"
+              "def f(n): return n\n")
+    assert unbounded_caches(source) == ["line 2: functools.cache", "line 3: functools.cache",
+                                        "line 5: lru_cache(maxsize=None)",
+                                        "line 7: lru_cache(maxsize=None)"]

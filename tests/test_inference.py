@@ -32,6 +32,7 @@ from lmlreg.io import read_count_data, read_zero_set
 from lmlreg.lattice import SubsetLattice
 from lmlreg.params import (BoundaryError, ParamMatrix, beta_from_pi, beta_mu_from_beta_gamma,
                            mu_values_from_beta, pi_from_beta)
+from lmlreg.selection import backward_staged_selection
 
 from oracles import (
     brute_force_max_loglik,
@@ -45,6 +46,7 @@ from oracles import (
     oracle_loglik,
     oracle_marginalize,
     oracle_starting_point,
+    oracle_validity_and_value,
 )
 from test_golden import cap_inputs
 
@@ -497,7 +499,7 @@ class TestGatherHessian:
     def test_saturated(self, link, p, q):
         t = random_table(p, q, 300 + p + q)
         ll = LogLikelihood(ModelSpec(link), t, smooth=0.5)
-        self.check(ll, interior_point(ll, _starting_point(ll, t), p + q))
+        self.check(ll, interior_point(ll, _starting_point(ll), p + q))
 
     @pytest.mark.parametrize("link", ["lm", "lml"])
     @pytest.mark.parametrize("seed", range(6))
@@ -505,7 +507,7 @@ class TestGatherHessian:
         p, q = [(2, 1), (3, 2), (4, 1), (5, 1), (4, 2), (5, 2)][seed]
         t = random_table(p, q, 310 + seed)
         ll = LogLikelihood(random_constrained_spec(p, q, seed, link), t)
-        self.check(ll, interior_point(ll, _starting_point(ll, t), seed))
+        self.check(ll, interior_point(ll, _starting_point(ll), seed))
 
     @pytest.mark.parametrize("link", ["lm", "lml"])
     def test_smoothed(self, link):
@@ -530,7 +532,7 @@ class TestGatherHessian:
         zeros = read_zero_set(str(tmp_path / flags["--zeros"]), V, U)
         ll = LogLikelihood(ModelSpec("lml", zeros), t)
         assert ll.free_pairs.shape == (2, 236)
-        self.check(ll, interior_point(ll, _starting_point(ll, t), 8))
+        self.check(ll, interior_point(ll, _starting_point(ll), 8))
 
 
 class TestTailProbabilities:
@@ -760,6 +762,66 @@ class TestNewtonStep:
         np.testing.assert_allclose(got.estimates, want.estimates, rtol=0, atol=1e-8)
         assert got.loglik == pytest.approx(want.loglik, rel=1e-12)
 
+    def spy_ascents(self, monkeypatch) -> list[float]:
+        """The size, max |d|, of every direction the ascent test sees."""
+        sizes = []
+        real = lmlreg.inference._ascends
+        monkeypatch.setattr(lmlreg.inference, "_ascends", lambda d, g: (
+            sizes.append(float(np.abs(d).max())) or real(d, g)))
+        return sizes
+
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    def test_a_kept_newton_step_is_tested_once(self, monkeypatch, link):
+        sizes = self.spy_ascents(monkeypatch)
+        result = fit(random_constrained_spec(3, 2, 5, link), random_table(3, 2, 5))
+        assert result.converged and result.iterations > 0
+        assert len(sizes) == result.iterations and max(sizes) <= lmlreg.inference.MAX_STEP
+
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    def test_a_rescaled_newton_step_is_tested_again(self, monkeypatch, link):
+        """With a small ``MAX_STEP`` the first Newton steps are longer; each is
+        rescaled to ``MAX_STEP`` and tested again, and the fit reaches the same optimum."""
+        spec, data = random_constrained_spec(3, 2, 5, link), random_table(3, 2, 5)
+        want = fit(spec, data)
+        monkeypatch.setattr(lmlreg.inference, "MAX_STEP", 0.01)
+        sizes = self.spy_ascents(monkeypatch)
+        eigh_calls = []
+        real_eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh_calls.append(1) or real_eigh(a))
+        got = fit(spec, data)
+        retests = [size for size in sizes if size == pytest.approx(0.01, rel=1e-12)]
+        assert not eigh_calls and len(sizes) == got.iterations + len(retests) > got.iterations
+        assert got.converged and got.converged == (got.grad_norm <= GRAD_TOL)
+        np.testing.assert_allclose(got.estimates, want.estimates, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    def test_a_rescaled_step_that_fails_the_test_stops_unconverged(self, monkeypatch, link):
+        """The test after a rescale decides: refused there, the fit stops at its start."""
+        spec, data = random_constrained_spec(3, 2, 5, link), random_table(3, 2, 5)
+        start = _starting_point(LogLikelihood(spec, data))
+        monkeypatch.setattr(lmlreg.inference, "MAX_STEP", 0.01)
+        real = lmlreg.inference._ascends
+        monkeypatch.setattr(lmlreg.inference, "_ascends", lambda d, g: (
+            float(np.abs(d).max()) > 0.011 and real(d, g)))
+        result = fit(spec, data)
+        assert not result.converged and result.iterations == 1
+        assert result.converged == (result.grad_norm <= GRAD_TOL)
+        assert np.array_equal(result.estimates, start)
+
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    def test_an_eigenvalue_step_is_tested(self, monkeypatch, link):
+        """A refused Newton step gives way to the eigenvalue step, which is tested in its turn."""
+        spec, data = random_constrained_spec(3, 2, 6, link), random_table(3, 2, 6)
+        sizes = self.spy_ascents(monkeypatch)
+        eigh_calls = []
+        real_solve, real_eigh = np.linalg.solve, np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: -real_solve(a, b))
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh_calls.append(1) or real_eigh(a))
+        result = fit(spec, data)
+        assert len(eigh_calls) == result.iterations > 0
+        assert len(sizes) == 2 * result.iterations
+        assert result.converged and result.converged == (result.grad_norm <= GRAD_TOL)
+
     def test_non_finite_hessian_stops_unconverged(self, monkeypatch):
         spec, data = random_constrained_spec(3, 2, 5), random_table(3, 2, 5)
         monkeypatch.setattr(LogLikelihood, "fd_hessian",
@@ -772,7 +834,7 @@ class TestNewtonStep:
     def test_a_direction_that_does_not_ascend_stops_unconverged(self, monkeypatch):
         """The solved step descends and the eigenvalue step is zero, so no direction ascends."""
         spec, data = random_constrained_spec(3, 2, 5), random_table(3, 2, 5)
-        start = _starting_point(LogLikelihood(spec, data), data)
+        start = _starting_point(LogLikelihood(spec, data))
         real_solve, real_eigh = np.linalg.solve, np.linalg.eigh
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: -real_solve(a, b))
 
@@ -800,7 +862,7 @@ class TestNewtonStep:
         """Every trial point away from the start has value −inf, so the line
         search spends its ``MAX_HALVINGS`` halvings and the fit stops where it began."""
         spec, data = random_constrained_spec(3, 2, 5, link), random_table(3, 2, 5)
-        start = _starting_point(LogLikelihood(spec, data), data)
+        start = _starting_point(LogLikelihood(spec, data))
         real_value = LogLikelihood.value
         monkeypatch.setattr(LogLikelihood, "value", lambda self, x: (
             real_value(self, x) if np.array_equal(x, start) else -np.inf))
@@ -1158,7 +1220,7 @@ class TestStartingPoint:
             ll = LogLikelihood(random_constrained_spec(p, q, seed, link), t)
             emp = ParamMatrix("pi", t.responses, t.covariates, ll.counts / ll.counts.sum(axis=0))
             assert np.all(t.counts > 0)
-            assert np.array_equal(next(_start_candidates(ll, t)),
+            assert np.array_equal(next(_start_candidates(ll)),
                                   ll.free_of(beta_from_pi(emp, link).values))
 
     @pytest.mark.parametrize("link", ["lm", "lml"])
@@ -1168,9 +1230,9 @@ class TestStartingPoint:
             p, q = [(2, 1), (3, 1), (2, 2), (3, 2)][seed % 4]
             t = random_table(p, q, 200 + seed, n=60)   # sparse: some candidates fail
             ll = LogLikelihood(random_constrained_spec(p, q, seed, link), t)
-            x = _starting_point(ll, t)
+            x = _starting_point(ll)
             assert np.array_equal(x, oracle_starting_point(ll, t))
-            later += not np.array_equal(x, next(_start_candidates(ll, t)))
+            later += not np.array_equal(x, next(_start_candidates(ll)))
         assert later > 0   # the search went past the first candidate
 
     @pytest.mark.parametrize("link", ["lm", "lml"])
@@ -1180,7 +1242,7 @@ class TestStartingPoint:
         for t, options in ((random_table(3, 2, 31), FitOptions()),
                            (sparse, FitOptions(smooth=0.5))):
             ll = LogLikelihood(ModelSpec(link), t, smooth=options.smooth)
-            x = _starting_point(ll, t)
+            x = _starting_point(ll)
             assert np.array_equal(x, oracle_starting_point(ll, t))
 
 
@@ -1226,3 +1288,98 @@ class TestSimulate:
         # integral floats are counts, as in CountTable
         assert np.array_equal(simulate(beta, "lml", [5.0, 3.0], seed=1).counts,
                               simulate(beta, "lml", [5, 3], seed=1).counts)
+
+
+class TestTableTerms:
+    """What depends only on the table and the smoothing value is built once per
+    (table, smooth), kept on the table and shared by every fit on it."""
+
+    def test_backward_lml_then_lm_build_each_term_once(self, monkeypatch):
+        data = random_table(3, 2, 7, n=400)
+        saturated, starts, likelihoods = [], [], []
+        real_saturated = lmlreg.inference._saturated_loglik
+        real_start = lmlreg.inference.beta_values_from_mu
+        real_init = LogLikelihood.__init__
+        monkeypatch.setattr(lmlreg.inference, "_saturated_loglik",
+                            lambda counts: saturated.append(1) or real_saturated(counts))
+        monkeypatch.setattr(lmlreg.inference, "beta_values_from_mu",
+                            lambda mu, link: starts.append(link) or real_start(mu, link))
+        monkeypatch.setattr(LogLikelihood, "__init__",
+                            lambda self, *args, **kw: likelihoods.append(1) or real_init(self, *args, **kw))
+        traces = [backward_staged_selection(data, link) for link in ("lml", "lm")]
+        assert all(step.fit is not None for trace in traces for step in trace.steps)
+        assert len(likelihoods) > 4   # refits of both links
+        assert len(saturated) == 1
+        (terms,) = data._terms.values()
+        assert all(1 <= starts.count(link) <= len(terms._start_mus) for link in ("lml", "lm"))
+        # a second pass over the table builds neither again
+        before = len(starts)
+        for link in ("lml", "lm"):
+            backward_staged_selection(data, link)
+        assert len(starts) == before and len(saturated) == 1
+
+    def test_each_smoothing_value_has_its_own_read_only_terms(self):
+        data = random_table(2, 2, 8)
+        plain = fit(ModelSpec("lml"), data)
+        smoothed = fit(ModelSpec("lml"), data, FitOptions(smooth=0.5))
+        assert set(data._terms) == {None, 0.5}
+        assert data._terms[None] is not data._terms[0.5]
+        assert plain.loglik != smoothed.loglik
+        for terms in data._terms.values():
+            arrays = [terms.observed, terms.reached, terms.counts, terms.positive,
+                      terms.positive_counts, *terms.start_betas("lml")]
+            assert not any(array.flags.writeable for array in arrays)
+            with pytest.raises(ValueError):
+                terms.counts[0, 0] = 1.0
+        assert LogLikelihood(ModelSpec("lml"), data, smooth=0.5).counts is data._terms[0.5].counts
+
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    def test_a_fit_on_a_table_with_terms_equals_one_on_a_fresh_copy(self, link):
+        missing = TestMissingCells().make_table_with_empty_column()
+        cases = [(random_table(3, 2, 9), random_constrained_spec(3, 2, 9, link), FitOptions()),
+                 (random_table(3, 2, 9), ModelSpec(link), FitOptions()),
+                 (random_table(3, 2, 9), ModelSpec(link), FitOptions(smooth=0.5)),
+                 (missing, ModelSpec(link), FitOptions(smooth=0.5, allow_missing_cells=True)),
+                 (missing, ModelSpec(link, {(1, 2), (3, 1)}),
+                  FitOptions(smooth=0.5, allow_missing_cells=True))]
+        for data, spec, options in cases:
+            # other fits on the table first, so the terms are built and some starts cached
+            for other in ("lm", "lml"):
+                fit(ModelSpec(other), data, options)
+            shared = fit(spec, data, options)
+            fresh = fit(spec, CountTable(data.responses, data.covariates, data.counts.copy()),
+                        options)
+            assert shared.estimates.tobytes() == fresh.estimates.tobytes()
+            assert shared.information.tobytes() == fresh.information.tobytes()
+            assert (shared.loglik, shared.deviance, shared.iterations, shared.unidentified) == (
+                fresh.loglik, fresh.deviance, fresh.iterations, fresh.unidentified)
+
+
+class TestEvaluationAgainstTheFirstRule:
+    """Validity and value of π against the rule as first written: finite and
+    positive on every observed column, and Σ counts·log π at the positive counts."""
+
+    SPECIAL = (np.nan, np.inf, -np.inf, 0.0, -0.0, -1e-300, -5e-324)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 2), st.integers(0, 10**6), st.data())
+    def test_matches(self, p, q, seed, draw):
+        rng = np.random.default_rng(seed)
+        V, U = lattices(p, q)
+        counts = rng.integers(0, 4, size=(2**p, 2**q))
+        empty = draw.draw(st.lists(st.booleans(), min_size=2**q, max_size=2**q))
+        counts[:, empty] = 0   # any set of unobserved columns, all of them included
+        smooth = draw.draw(st.sampled_from([None, 0.5]))
+        terms = lmlreg.inference._table_terms(CountTable(V, U, counts), smooth)
+        pi = rng.uniform(1e-3, 1.0, size=counts.shape)
+        for _ in range(draw.draw(st.integers(0, 3))):
+            cell = (draw.draw(st.integers(0, 2**p - 1)), draw.draw(st.integers(0, 2**q - 1)))
+            pi[cell] = draw.draw(st.sampled_from(self.SPECIAL))
+        want_counts = counts.astype(float)
+        observed = counts.sum(axis=0) > 0
+        if smooth is not None:
+            want_counts[:, observed] += smooth
+        want = oracle_validity_and_value(want_counts, pi, observed)
+        got = terms.evaluate(pi)
+        assert got[0] == want[0]
+        assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
