@@ -10,6 +10,10 @@ The two outputs at the CLI cap (8 responses, 4 covariates, data seed 1:
 as SHA-256 and byte length; their inputs are drawn here with lmlreg's own
 ``simulate`` from fixed seeds.
 
+The help texts and argparse's usage errors are pinned the same way: a case
+that ends in ``SystemExit`` records its exit code, and every case runs with
+``COLUMNS`` fixed, so argparse wraps its lines alike on any terminal.
+
 The bytes are promised for the numpy and BLAS named in ``golden.json``'s
 header, and a failure names both builds.  A change that alters output on
 purpose rewrites every golden with
@@ -88,6 +92,7 @@ INPUTS = {
 LABELS = ["--responses", "cough,fever", "--covariates", "exposed"]
 CHEST = ["--input", "chest.csv", "--format", "counts", *LABELS]
 COEFFS = ["--input", "coeffs.csv", *LABELS]
+COMMANDS = ("fit", "transform", "select", "risk", "simulate", "plot-data")
 WIDE = ["--input", "wide.csv", "--responses", "y1,y2,y3", "--covariates", "x1,x2", "--kind", "pi"]
 
 
@@ -127,6 +132,15 @@ def _cases() -> dict[str, list[str]]:
                   "nan-then-bad-label", "bad-label-then-nan"):
         cases[f"error-{fault}"] = ["transform", "--input", f"{fault}.csv", *LABELS,
                                    "--kind", "beta_gamma"]
+    # argparse's own output: every help text and the usage errors, one of
+    # which ("unrecognized arguments") prints the top-level usage
+    cases["usage-help"] = ["-h"]
+    for command in COMMANDS:
+        cases[f"usage-{command}-help"] = [command, "-h"]
+    cases["usage-no-arguments"] = []
+    cases["usage-unknown-command"] = ["bogus"]
+    cases["usage-unknown-flag"] = ["fit", *CHEST, "--bogus"]
+    cases["usage-bad-choice"] = ["fit", *CHEST, "--link", "probit"]
     return cases
 
 
@@ -139,11 +153,20 @@ def environment() -> dict[str, str]:
     return {"numpy": np.__version__, "blas": f"{blas['name']} {blas.get('version', '?')}"}
 
 
+# the terminal width argparse wraps its help and usage lines to
+COLUMNS = "80"
+
+
 def run(argv: list[str]) -> tuple[int, str, str]:
-    """``main(argv)`` in-process: exit code, stdout and stderr."""
+    """``main(argv)`` in-process: exit code, stdout and stderr.
+
+    An argparse exit (help, usage error) gives the code it exits with."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -245,6 +268,7 @@ def test_every_rendering_has_its_twin():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_is_unchanged(name, manifest, workdir, monkeypatch):
     monkeypatch.chdir(workdir)
+    monkeypatch.setenv("COLUMNS", COLUMNS)
     code, out, err = run(CASES[name])
     want = manifest["cases"][name]
     assert (code, err) == (want["exit"], want["stderr"]), builds(manifest)
@@ -277,6 +301,7 @@ def regenerate() -> None:
     """Rewrite every golden from the current tree."""
     doc = {**environment(), "cases": {}, "cap": {}}
     start = os.getcwd()
+    os.environ["COLUMNS"] = COLUMNS
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
         write_inputs(directory)
