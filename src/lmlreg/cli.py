@@ -15,6 +15,12 @@ one dict per entry, and writes the document from one walk; ``transform``
 gives it each matrix as one ``io.TokenRows`` leaf, the flat token list of
 the matrix, which is written in one join.
 
+Each call builds only the parser it uses: every command is registered
+with its help, so the top-level usage and errors list all six, but when the
+first argument names a command only that command's flags are added
+(:func:`build_parser`).  Help, no arguments or an unknown command build
+every flag.
+
 Exit codes: 0 success, 1 the reader closed the output early, 2
 configuration error, 3 data error, 4 numerical failure (boundary or
 non-convergence), 5 internal error.
@@ -434,7 +440,15 @@ def cmd_plot_data(args: argparse.Namespace, V: SubsetLattice, U: SubsetLattice) 
 # ---------------------------------------------------------------------------
 # parser and dispatch
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser; with ``command`` one of the commands, built for it alone.
+
+    Every command is registered with its help either way, so the top-level
+    usage lists all of them.  Only the named command's subparser gets its
+    flags; any other ``command`` (None, ``-h``, an unknown name) builds
+    every subparser's.  Parsing an argv that starts with the command gives
+    the same namespace, help text and usage errors as the full build.
+    """
     # each flag the commands draw on, declared once; a command takes --input,
     # --responses, --covariates and the ones it names, and no other
     flags = {
@@ -456,6 +470,35 @@ def build_parser() -> argparse.ArgumentParser:
                                     help="restrict the likelihood to observed covariate "
                                          "cells instead of failing on empty ones"),
     }
+    # each command: its run function, its help, the shared flags it names and
+    # its own flags, added after the shared ones.  The cmd_* functions are read
+    # from the module each time the parser is built, so one rebound on the
+    # module (the traced benchmark wraps them this way) is the one that runs.
+    fit_flags = "format link zeros smooth allow-missing-cells out"
+    commands = {
+        "fit": (cmd_fit, "fit one model and print coefficients", fit_flags, {}),
+        "transform": (cmd_transform, "convert a parameter matrix between scales", "out", {
+            "kind": dict(required=True, choices=_TRANSFORM_INPUT_KINDS,
+                         help="scale of the input matrix")}),
+        "select": (cmd_select, "stepwise model selection",
+                   "format link alpha smooth allow-missing-cells out", {
+            "method": dict(choices=("forward", "backward"), default="forward",
+                           help="per-margin forward inclusion or staged backward elimination")}),
+        "risk": (cmd_risk, "relative risks and reference relative risks of a fitted model",
+                 fit_flags, {}),
+        "simulate": (cmd_simulate, "draw data from a model given as a parameter matrix",
+                     "format link seed", {
+            "kind": dict(default=None, choices=_TRANSFORM_INPUT_KINDS,
+                         help="scale of the input matrix (default: the link's coefficients)"),
+            "totals": dict(required=True,
+                           help="observations per covariate cell: one value for all "
+                                "cells or a comma list in cell order")}),
+        "plot-data": (cmd_plot_data, "average-effect confidence-interval series for both links",
+                      "format smooth allow-missing-cells out", {
+            "effect": dict(default=None,
+                           help="covariate whose average effect is plotted "
+                                "(default: the only covariate)")}),
+    }
 
     parser = argparse.ArgumentParser(
         prog="lmlreg",
@@ -463,48 +506,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "log-mean and log-mean-linear scales",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, names: str, run, help: str) -> argparse.ArgumentParser:
+    for name, (run, summary, names, own) in commands.items():
+        cmd = sub.add_parser(name, help=summary)
+        if command in commands and name != command:
+            continue
         taken = {"input", "responses", "covariates", *names.split()}
-        cmd = sub.add_parser(name, help=help)
         for flag, spec in flags.items():
             if flag in taken:
                 cmd.add_argument(f"--{flag}", **spec)
+        for flag, spec in own.items():
+            cmd.add_argument(f"--{flag}", **spec)
         cmd.set_defaults(run=run)
-        return cmd
-
-    # the cmd_* functions are read from the module each time the parser is
-    # built, so one rebound on the module (the traced benchmark wraps them
-    # this way) is the one that runs
-    fit_flags = "format link zeros smooth allow-missing-cells out"
-    command("fit", fit_flags, cmd_fit, "fit one model and print coefficients")
-    tr = command("transform", "out", cmd_transform, "convert a parameter matrix between scales")
-    tr.add_argument("--kind", required=True, choices=_TRANSFORM_INPUT_KINDS,
-                    help="scale of the input matrix")
-    se = command("select", "format link alpha smooth allow-missing-cells out", cmd_select,
-                 "stepwise model selection")
-    se.add_argument("--method", choices=("forward", "backward"), default="forward",
-                    help="per-margin forward inclusion or staged backward elimination")
-    command("risk", fit_flags, cmd_risk,
-            "relative risks and reference relative risks of a fitted model")
-    si = command("simulate", "format link seed", cmd_simulate,
-                 "draw data from a model given as a parameter matrix")
-    si.add_argument("--kind", default=None, choices=_TRANSFORM_INPUT_KINDS,
-                    help="scale of the input matrix (default: the link's coefficients)")
-    si.add_argument("--totals", required=True,
-                    help="observations per covariate cell: one value for all "
-                         "cells or a comma list in cell order")
-    pl = command("plot-data", "format smooth allow-missing-cells out", cmd_plot_data,
-                 "average-effect confidence-interval series for both links")
-    pl.add_argument("--effect", default=None,
-                    help="covariate whose average effect is plotted "
-                         "(default: the only covariate)")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         return args.run(args, *_check_config(args))
     except BrokenPipeError:
         # the reader closed the output early; what is still buffered goes to

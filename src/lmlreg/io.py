@@ -190,6 +190,18 @@ def _bad_row(text: str, needed: list[str], counted: bool, detail: str) -> DataEr
     return DataError(f"input could not be parsed: {detail}")
 
 
+def _bit_texts(n: int) -> list[str]:
+    """The ``"b0,b1,…"`` text of every mask below 2**n, indexed by mask.
+
+    Built by doubling: the masks with bit i are those below 2**i, each with
+    ``,1`` added where the others have ``,0``.
+    """
+    texts = ["0", "1"]
+    for _ in range(n - 1):
+        texts = [f"{t},0" for t in texts] + [f"{t},1" for t in texts]
+    return texts
+
+
 def write_count_data(table: CountTable, stream: IO[str], fmt: str = "counts") -> None:
     """Write a count table as CSV; ``counts`` lists every cell, ``cases`` repeats rows."""
     if fmt not in FORMATS:
@@ -199,10 +211,8 @@ def write_count_data(table: CountTable, stream: IO[str], fmt: str = "counts") ->
         header.append("count")
     csv.writer(stream, lineterminator="\n").writerow(header)
     # the text of every cell once, in row-major (y, x) order like the counts
-    y_text = [",".join(str(y >> i & 1) for i in range(table.responses.ground_size))
-              for y in range(table.responses.size)]
-    x_text = [",".join(str(x >> i & 1) for i in range(table.covariates.ground_size))
-              for x in range(table.covariates.size)]
+    y_text, x_text = (_bit_texts(lattice.ground_size)
+                      for lattice in (table.responses, table.covariates))
     cells = zip([f"{y},{x}" for y in y_text for x in x_text], table.counts.ravel().tolist())
     if fmt == "counts":
         stream.writelines(f"{cell},{n}\n" for cell, n in cells)

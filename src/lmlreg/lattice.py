@@ -17,12 +17,19 @@ subtract over the two halves of the axis split at bit ``b``,
 ``O(n * 2**n)`` per vector and exact to floating-point associativity.
 Their layout is planned once per shape, axis and orientation; each call
 still copies its input and runs the passes in bit order.
+
+Each lattice builds its text tables once, in O(2**n) string operations:
+the brace label of every mask by doubling (the masks with bit i are those
+below 2**i with label i added), the label-to-mask lookup from those labels,
+and the table order (size, then member indices) from
+``itertools.combinations``, with no per-mask member list or sort.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 from typing import Iterable
 
 import numpy as np
@@ -79,8 +86,15 @@ class SubsetLattice:
 
     @cached_property
     def mask_labels(self) -> tuple[str, ...]:
-        """Brace label of every subset, indexed by mask; built once per lattice."""
-        return tuple("{" + ",".join(self.members(m)) + "}" for m in range(self.size))
+        """Brace label of every subset, indexed by mask; built once per lattice.
+
+        Built by doubling: the masks with bit i are those below 2**i, each
+        with label i added last, one string operation per label.
+        """
+        inner = [""]
+        for lab in self.labels:
+            inner += [lab, *(f"{s},{lab}" for s in inner[1:])]
+        return tuple(f"{{{s}}}" for s in inner)
 
     def format_mask(self, mask: int) -> str:
         """Brace notation: ``{b,c}`` for subsets, ``{}`` for the empty set."""
@@ -88,7 +102,7 @@ class SubsetLattice:
 
     @cached_property
     def _mask_by_label(self) -> dict[str, int]:
-        return {label: mask for mask, label in enumerate(self.mask_labels)}
+        return dict(zip(self.mask_labels, range(self.size)))
 
     def parse_subset(self, text: str) -> int:
         """Inverse of :meth:`format_mask`; accepts optional surrounding braces.
@@ -117,8 +131,10 @@ class SubsetLattice:
 
     @cached_property
     def _by_cardinality(self) -> tuple[int, ...]:
-        return tuple(sorted(range(self.size), key=lambda m: (
-            m.bit_count(), [i for i in range(m.bit_length()) if m >> i & 1])))
+        # combinations of the bits, size by size, come in member-index order
+        bits = [1 << i for i in range(self.ground_size)]
+        return tuple(sum(c) for k in range(self.ground_size + 1)
+                     for c in combinations(bits, k))
 
 
 @lru_cache(maxsize=256)

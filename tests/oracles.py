@@ -72,6 +72,17 @@ def subsets_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def oracle_mask_label(labels, mask: int) -> str:
+    """A subset's brace label, from its members in label order: ``{b,d}``, ``{}``."""
+    return "{" + ",".join(lab for i, lab in enumerate(labels) if mask >> i & 1) + "}"
+
+
+def oracle_table_key(mask: int) -> tuple[int, list[int]]:
+    """A subset's place in the table order: its size, then its member indices."""
+    members = [i for i in range(mask.bit_length()) if mask >> i & 1]
+    return len(members), members
+
+
 def zeta_matrix(lattice: SubsetLattice) -> np.ndarray:
     """Z with entry 1 at (E, H) iff E ⊆ H, else 0."""
     m = np.arange(lattice.size)

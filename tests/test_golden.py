@@ -184,6 +184,8 @@ def write_inputs(directory: Path) -> None:
 CAP_TRUTH_SEED = 0
 CAP_DATA_SEED = 1
 CAP_PER_CELL = 4000
+CAP_RESPONSES = tuple(f"y{i}" for i in range(1, 9))
+CAP_COVARIATES = tuple(f"x{i}" for i in range(1, 5))
 
 
 def cap_inputs(directory: Path) -> list[list[str]]:
@@ -194,8 +196,7 @@ def cap_inputs(directory: Path) -> list[list[str]]:
     the 8 cyclic triples (zero in the truth).  Draws are repeated until
     every cell probability is positive.
     """
-    V = SubsetLattice(tuple(f"y{i}" for i in range(1, 9)))
-    U = SubsetLattice(tuple(f"x{i}" for i in range(1, 5)))
+    V, U = SubsetLattice(CAP_RESPONSES), SubsetLattice(CAP_COVARIATES)
     d, e = np.divmod(np.arange(V.size * U.size), U.size)
     kd, ke = np.bitwise_count(d), np.bitwise_count(e)
     triples = [sum(1 << (i + j) % 8 for j in range(3)) for i in range(8)]
@@ -222,8 +223,14 @@ def cap_inputs(directory: Path) -> list[list[str]]:
     zeros = zip(d[~free & (d > 0)].tolist(), e[~free & (d > 0)].tolist())
     with open(directory / "cap-zeros.txt", "w", encoding="utf-8", newline="") as f:
         lio.write_zero_set(zeros, V, U, f)
-    common = ["--input", "cap.csv", "--responses", ",".join(V.labels),
-              "--covariates", ",".join(U.labels), "--zeros", "cap-zeros.txt", "--out", "json"]
+    return cap_argvs()
+
+
+def cap_argvs() -> list[list[str]]:
+    """The cap's fit and risk argv, reading the files :func:`cap_inputs` writes."""
+    common = ["--input", "cap.csv", "--responses", ",".join(CAP_RESPONSES),
+              "--covariates", ",".join(CAP_COVARIATES), "--zeros", "cap-zeros.txt",
+              "--out", "json"]
     return [["fit", *common], ["risk", *common]]
 
 

@@ -219,6 +219,11 @@ class TestModelSpecPairs:
         assert ModelSpec("lm", want) != ModelSpec("lml", want)
         assert ModelSpec("lml", want) != ModelSpec("lml", want - {(4, 0)})
 
+    def test_a_spec_never_equals_another_type(self):
+        spec = ModelSpec("lml")
+        assert spec.__eq__("lml") is NotImplemented
+        assert (spec == "lml") is False and spec != "lml"
+
     def test_order_and_repeats_do_not_matter(self):
         a = ModelSpec("lml", [(3, 1), (1, 0), (3, 1), (2, 3)])
         b = ModelSpec("lml", iter([(2, 3), (1, 0), (3, 1)]))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import dataclasses
 import io
 import json
@@ -41,6 +43,7 @@ from oracles import (_oracle_fmt_num, _oracle_json_num, oracle_fit_stdout,
                      oracle_select_json_stdout, oracle_select_tsv_stdout,
                      oracle_transform_json_stdout, oracle_transform_tsv_stdout,
                      oracle_write_count_data, render_to_string)
+from test_golden import CASES, COMMANDS, cap_argvs
 
 
 def lattices(p: int, q: int) -> tuple[SubsetLattice, SubsetLattice]:
@@ -130,6 +133,10 @@ class TestCountDataIO:
         with pytest.raises(ConfigError, match="format"):
             lio.read_count_data(io.StringIO("y0,x0\n"), V, U, "wide")
 
+    def test_unknown_output_format_rejected(self):
+        with pytest.raises(ConfigError, match="^unknown output format 'wide'"):
+            lio.write_count_data(small_table(), io.StringIO(), "wide")
+
     def test_counts_accumulate_duplicate_cells(self):
         V, U = lattices(1, 1)
         text = "y0,x0,count\n1,0,3\n1,0,4\n"
@@ -142,7 +149,10 @@ class TestCountWriterAgainstRowByRowOracle:
 
     @pytest.mark.parametrize("fmt", ["counts", "cases"])
     @pytest.mark.parametrize("labels", [(("y0", "y1", "y2"), ("x0", "x1")),
-                                        (('r"1', "r2"), ('c"',))])
+                                        (('r"1', "r2"), ('c"',)),
+                                        (tuple(f"y{i}" for i in range(8)),
+                                         tuple(f"x{i}" for i in range(4)))],
+                             ids=["3x2", "quoted", "cap"])
     @pytest.mark.parametrize("fill", ["dense", "sparse", "empty"])
     def test_same_bytes(self, fmt, labels, fill):
         V, U = SubsetLattice(labels[0]), SubsetLattice(labels[1])
@@ -1500,6 +1510,70 @@ class TestExitCodes:
             main([*argv, flag, *FLAG_VALUES[flag]])
         assert exc.value.code == 2
         assert f"error: unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def _parse(parser, argv: list[str]):
+    """``vars`` of the namespace, or the exit code, stdout and stderr of argparse's exit.
+
+    The namespace is compared as its ``repr``, so a NaN value (``--smooth
+    nan``) equals itself."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return repr(vars(parser.parse_args(argv)))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def _minimal_argv(command: str) -> list[str]:
+    """An argv that parses for ``command``: the three common flags and its required ones."""
+    return [command, "--input", "in.csv", "--responses", "b,c", "--covariates", "h",
+            *REQUIRED_FLAGS.get(command, [])]
+
+
+def _parser_argvs() -> list[list[str]]:
+    """Every argv the goldens, the cap and the usage-error tests give ``main``."""
+    argvs = [*CASES.values(), *cap_argvs(), *(argv for argv, _ in CONFIG_ERRORS.values())]
+    for command, flags in UNREAD_FLAGS.items():
+        argv = _minimal_argv(command)
+        argvs += [argv, *([*argv, flag, *FLAG_VALUES[flag]] for flag in flags)]
+    return argvs
+
+
+class TestParserPerCommand:
+    """``main`` builds the flags of the command it runs and no other's."""
+
+    @pytest.mark.parametrize("argv", _parser_argvs(), ids=" ".join)
+    def test_same_parse_as_the_full_parser(self, argv, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        command = argv[0] if argv else None
+        assert _parse(cli.build_parser(command), argv) == _parse(cli.build_parser(), argv)
+
+    def test_argvs_cover_every_command(self):
+        assert {argv[0] for argv in _parser_argvs() if argv} >= set(COMMANDS)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_only_the_named_command_gets_flags(self, command):
+        def subparsers(parser):
+            return next(action.choices for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+
+        full, one = subparsers(cli.build_parser()), subparsers(cli.build_parser(command))
+        assert list(one) == list(full) == list(COMMANDS)
+        for name, parser in one.items():
+            dests = [action.dest for action in parser._actions]
+            assert dests == ([a.dest for a in full[name]._actions] if name == command
+                             else ["help"]), name
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_runs_the_function_bound_on_the_module(self, command, monkeypatch):
+        """A ``cmd_*`` rebound on the module, as the traced benchmark wraps
+        them, is the one ``main`` runs."""
+        calls = []
+        name = f"cmd_{command.replace('-', '_')}"
+        monkeypatch.setattr(cli, name, lambda args, V, U: calls.append(args.command) or 0)
+        assert main(_minimal_argv(command)) == 0
+        assert calls == [command]
 
 
 class TestCliMatchesEntryByEntryRenderers:

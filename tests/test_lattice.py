@@ -14,7 +14,12 @@ from lmlreg.lattice import (
 )
 from lmlreg.params import mu_values_from_beta
 
-from oracles import mobius_matrix, zeta_matrix
+from oracles import mobius_matrix, oracle_mask_label, oracle_table_key, zeta_matrix
+
+# a label of one to six characters, none of them reserved
+LABEL = st.text(st.characters(blacklist_characters=",;{} \t",
+                              blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")),
+                min_size=1, max_size=6)
 
 
 @pytest.fixture
@@ -48,10 +53,7 @@ class TestSubsetLattice:
         """The printed label, a reordered, an unbraced, a repeated and a padded
         spelling (``{ }`` for the empty set) all parse to the mask; an unknown
         member still names itself."""
-        label = st.text(st.characters(blacklist_characters=",;{} \t",
-                                      blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")),
-                        min_size=1, max_size=4)
-        labels = data.draw(st.lists(label, min_size=1, max_size=5, unique=True))
+        labels = data.draw(st.lists(LABEL, min_size=1, max_size=5, unique=True))
         lat = SubsetLattice(tuple(labels))
         for mask in range(lat.size):
             members = list(lat.members(mask))
@@ -60,10 +62,27 @@ class TestSubsetLattice:
                          ",".join(shuffled), "{" + ",".join(members + members[:1]) + "}",
                          " { " + " , ".join(members) + " }\t"]
             assert [lat.parse_subset(text) for text in spellings] == [mask] * len(spellings)
-        unknown = data.draw(label.filter(lambda lab: lab not in labels))
+        unknown = data.draw(LABEL.filter(lambda lab: lab not in labels))
         with pytest.raises(ValueError) as exc:
             lat.parse_subset("{" + ",".join([labels[0], unknown]) + "}")
         assert str(exc.value) == f"unknown label {unknown!r}; expected one of {tuple(labels)}"
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_text_tables_match_the_per_mask_definitions(self, n, data):
+        """The label of every mask, the lookup of every label and the table
+        order, with and without the empty set, are what the per-mask
+        definitions give."""
+        labels = data.draw(st.lists(LABEL, min_size=n, max_size=n, unique=True))
+        lat = SubsetLattice(tuple(labels))
+        masks = list(range(lat.size))
+        want = [oracle_mask_label(labels, m) for m in masks]
+        assert list(lat.mask_labels) == want
+        assert [lat.parse_subset(label) for label in want] == masks
+        order = sorted(masks, key=oracle_table_key)
+        assert lat.masks_by_cardinality(include_empty=True) == order
+        assert lat.masks_by_cardinality() == order[1:]
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
