@@ -87,6 +87,21 @@ INPUTS = {
     # a gamma matrix whose ∅ row is 1e-10, so each implied pi column sums to 1 + 1e-10
     "gamma-offset.csv": 'D,{},{exposed}\n{},1e-10,1e-10\n{cough},-1.386,-0.821\n'
                         '{fever},-1.561,-0.892\n"{cough,fever}",0.288,0.103\n',
+    # a boundary sample from acceptance check C9: the single-covariate
+    # preset's truth drawn with simulate(..., seed=50759), and the preset's
+    # zero set.  Its one empty cell ({b,c,r} at h=0) leaves no interior
+    # optimum, so the fit stops at its iteration cap
+    "boundary.csv": "b,c,d,r,h,count\n"
+                    "0,0,0,0,0,8418\n0,0,0,0,1,3443\n1,0,0,0,0,660\n1,0,0,0,1,822\n"
+                    "0,1,0,0,0,572\n0,1,0,0,1,571\n1,1,0,0,0,77\n1,1,0,0,1,302\n"
+                    "0,0,1,0,0,1252\n0,0,1,0,1,821\n1,0,1,0,0,59\n1,0,1,0,1,174\n"
+                    "0,1,1,0,0,325\n0,1,1,0,1,215\n1,1,1,0,0,40\n1,1,1,0,1,111\n"
+                    "0,0,0,1,0,417\n0,0,0,1,1,633\n1,0,0,1,0,13\n1,0,0,1,1,130\n"
+                    "0,1,0,1,0,11\n0,1,0,1,1,96\n1,1,0,1,0,0\n1,1,0,1,1,54\n"
+                    "0,0,1,1,0,112\n0,0,1,1,1,379\n1,0,1,1,0,19\n1,0,1,1,1,95\n"
+                    "0,1,1,1,0,21\n0,1,1,1,1,101\n1,1,1,1,0,4\n1,1,1,1,1,53\n",
+    "boundary-zeros.txt": "{b,c};{h}\n{b,d};{}\n{b,d};{h}\n{b,r};{}\n{b,r};{h}\n{c,r};{}\n"
+                          "{c,r};{h}\n{d,r};{h}\n{b,c,d};{}\n{b,c,d};{h}\n{c,d,r};{}\n{c,d,r};{h}\n",
 }
 
 LABELS = ["--responses", "cough,fever", "--covariates", "exposed"]
@@ -128,6 +143,9 @@ def _cases() -> dict[str, list[str]]:
     cases["error-bad-row"] = ["fit", "--input", "badrow.csv", *LABELS]
     cases["error-nan-cell"] = ["transform", "--input", "nan.csv", *LABELS, "--kind", "beta_gamma"]
     cases["error-no-input"] = ["fit", *LABELS]
+    cases["error-unconverged"] = ["fit", "--input", "boundary.csv", "--format", "counts",
+                                  "--responses", "b,c,d,r", "--covariates", "h",
+                                  "--zeros", "boundary-zeros.txt"]
     for fault in ("bad-label", "short-row", "duplicate-row", "missing-row",
                   "nan-then-bad-label", "bad-label-then-nan"):
         cases[f"error-{fault}"] = ["transform", "--input", f"{fault}.csv", *LABELS,
