@@ -15,11 +15,10 @@ one dict per entry, and writes the document from one walk; ``transform``
 gives it each matrix as one ``io.TokenRows`` leaf, the flat token list of
 the matrix, which is written in one join.
 
-Each call builds only the parser it uses: every command is registered
-with its help, so the top-level usage and errors list all six, but when the
-first argument names a command only that command's flags are added
-(:func:`build_parser`).  Help, no arguments or an unknown command build
-every flag.
+Each call builds only the parser it uses: when the first argument names a
+command, only that command's subparser is registered, and the top-level
+usage still lists all six (:func:`build_parser`).  Help, no arguments or an
+unknown command build every subparser.
 
 Exit codes: 0 success, 1 the reader closed the output early, 2
 configuration error, 3 data error, 4 numerical failure (boundary or
@@ -443,11 +442,12 @@ def cmd_plot_data(args: argparse.Namespace, V: SubsetLattice, U: SubsetLattice) 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The argument parser; with ``command`` one of the commands, built for it alone.
 
-    Every command is registered with its help either way, so the top-level
-    usage lists all of them.  Only the named command's subparser gets its
-    flags; any other ``command`` (None, ``-h``, an unknown name) builds
-    every subparser's.  Parsing an argv that starts with the command gives
-    the same namespace, help text and usage errors as the full build.
+    Only the named command's subparser is registered, under a metavar that
+    spells the six choices as argparse does, so the top-level usage still
+    lists them all.  Any other ``command`` (None, ``-h``, an unknown name)
+    registers every subparser with its help.  Parsing an argv that starts
+    with the command gives the same namespace, help text and usage errors
+    as the full build.
     """
     # each flag the commands draw on, declared once; a command takes --input,
     # --responses, --covariates and the ones it names, and no other
@@ -505,11 +505,17 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Regression for multivariate binary responses on the "
                     "log-mean and log-mean-linear scales",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # for one command, only its subparser, under argparse's own text for the
+    # six choices so the usage lines read as the full build's.  "invalid
+    # choice" and "required" errors name the action by its metavar, so the
+    # full build, which prints them, sets none
+    metavar = None
+    if command in commands:
+        metavar = "{" + ",".join(commands) + "}"
+        commands = {command: commands[command]}
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (run, summary, names, own) in commands.items():
         cmd = sub.add_parser(name, help=summary)
-        if command in commands and name != command:
-            continue
         taken = {"input", "responses", "covariates", *names.split()}
         for flag, spec in flags.items():
             if flag in taken:

@@ -14,8 +14,9 @@ in one pass, and only the lines it misses are parsed one at a time.
 :func:`read_zero_set` returns the masks as an integer (n, 2) array of
 (D, E) rows in file order, which ``ModelSpec`` takes as it is.
 Coefficient matrices are CSV with a ``D`` label column and one column per
-covariate subset; each row's label and width are checked one row at a
-time, and the cells of all rows are converted and tested in one block.
+covariate subset; the text is read through one ``StringIO``, each row's
+label and width are checked one row at a time, and the cells of all rows
+are converted and tested in one block.
 
 Output is written from encoded columns: numbers and labels become text a
 column at a time, one encoder per format.  Both float encoders,
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from io import StringIO
 from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -90,7 +91,12 @@ def _read_text(source: str | IO[str]) -> str:
 
 
 def _lines(text: str) -> Iterator[str]:
-    """``StringIO(text, newline="")``'s lines, without its 4-byte-per-character copy."""
+    """``StringIO(text, newline="")``'s lines, without its 4-byte-per-character copy.
+
+    For a reader that stops after a few lines, as the count-data readers
+    do; one that takes every line (:func:`read_param_matrix`) is cheaper
+    through the copy.
+    """
     return (m[0] for m in re.finditer(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+", text))
 
 
@@ -213,11 +219,13 @@ def write_count_data(table: CountTable, stream: IO[str], fmt: str = "counts") ->
     # the text of every cell once, in row-major (y, x) order like the counts
     y_text, x_text = (_bit_texts(lattice.ground_size)
                       for lattice in (table.responses, table.covariates))
-    cells = zip([f"{y},{x}" for y in y_text for x in x_text], table.counts.ravel().tolist())
+    cells = [f"{y},{x}" for y in y_text for x in x_text]
+    counts = table.counts.ravel().tolist()
     if fmt == "counts":
-        stream.writelines(f"{cell},{n}\n" for cell, n in cells)
+        stream.writelines(f"{cell},{n}\n" for cell, n in zip(cells, counts))
     else:
-        stream.writelines(f"{cell}\n" * n for cell, n in cells)
+        # each cell's row repeated by its count, the whole body in one join
+        stream.write("".join(map(mul, [f"{cell}\n" for cell in cells], counts)))
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +287,11 @@ def read_param_matrix(source: str | IO[str], responses: SubsetLattice,
                       covariates: SubsetLattice, kind: str) -> ParamMatrix:
     """Read a matrix CSV: a ``D`` column plus one value column per covariate subset.
 
-    The header and then each row's label, width and uniqueness are checked
-    one row at a time, in file order; the rows up to the first bad one keep
-    their cells as text.  Those cells are converted by one
+    The text is split into lines by one ``StringIO``: every line is read,
+    so its one copy costs less than matching each line apart.  The header
+    and then each row's label, width and uniqueness are checked one row at
+    a time, in file order, skipping blank rows; the rows up to the first
+    bad one keep their cells as text.  Those cells are converted by one
     ``np.array(cells, dtype=float)``, which takes the spellings ``float()``
     takes, and tested by one ``isfinite``.  Only when that conversion fails
     are the cells converted again one at a time, to name the first bad
@@ -289,7 +299,7 @@ def read_param_matrix(source: str | IO[str], responses: SubsetLattice,
     """
     if kind not in KINDS:
         raise ConfigError(f"unknown parameter kind {kind!r} (expected one of {', '.join(KINDS)})")
-    reader = csv.reader(_lines(_read_text(source)))
+    reader = csv.reader(StringIO(_read_text(source), newline=""))
     header = next(reader, None)
     if header is None:
         raise DataError("matrix file is empty")
@@ -310,7 +320,7 @@ def read_param_matrix(source: str | IO[str], responses: SubsetLattice,
     bad_row = None
     for row in reader:
         line = reader.line_num
-        if not row or not any(cell.strip() for cell in row):
+        if not "".join(row).strip():
             continue
         try:
             d = responses.parse_subset(row[0])

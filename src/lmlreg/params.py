@@ -23,8 +23,10 @@ Means and coefficients are linked once each way, on raw arrays, by
 :func:`mu_values_from_beta` and its inverse :func:`beta_values_from_mu`.
 
 Each rule is stated once: :func:`validate` (every invariant of a kind),
-:func:`check_kind` (the one kind a map takes) and :func:`_check_row_empty`
-(the structural row ∅, also checked by :func:`pi_from_mu` and :func:`pi_from_beta`).
+:func:`check_kind` (the one kind a map takes), :func:`_check_row_empty`
+(the structural row ∅, also checked by :func:`pi_from_mu` and :func:`pi_from_beta`)
+and :func:`pi_from_mu` (a mu matrix is valid when its implied cell
+probabilities are positive, which :func:`validate` applies too).
 """
 
 from __future__ import annotations
@@ -113,14 +115,12 @@ def validate(pm: ParamMatrix) -> ParamMatrix:
     elif pm.kind == "mu":
         if np.any(v <= 0.0) or np.any(v > 1.0 + STRUCTURAL_TOL):
             raise ValidationError("mu: entries must lie in (0, 1]")
-        # monotone in D: mu_D <= mu_{D\{i}} suffices bit by bit (transitivity)
-        patterns = np.arange(pm.rows.size)
-        for b in range(pm.rows.ground_size):
-            hi = patterns[patterns >> b & 1 == 1]
-            if np.any(v[hi] > v[hi ^ 1 << b] + COLUMN_SUM_TOL):
-                raise ValidationError(
-                    f"mu: not monotone, mu_D > mu_D\\{{{pm.rows.labels[b]}}} somewhere"
-                )
+        # the rule pi_from_mu applies: every implied cell probability is
+        # positive (which makes mu strictly decreasing in D)
+        try:
+            pi_from_mu(pm)
+        except BoundaryError as exc:
+            raise ValidationError(f"mu: {exc}") from None
     return pm
 
 

@@ -43,7 +43,7 @@ from oracles import (_oracle_fmt_num, _oracle_json_num, oracle_fit_stdout,
                      oracle_select_json_stdout, oracle_select_tsv_stdout,
                      oracle_transform_json_stdout, oracle_transform_tsv_stdout,
                      oracle_write_count_data, render_to_string)
-from test_golden import CASES, COMMANDS, cap_argvs
+from test_golden import CASES, COMMANDS, cap_argvs, run as run_main
 
 
 def lattices(p: int, q: int) -> tuple[SubsetLattice, SubsetLattice]:
@@ -1268,6 +1268,10 @@ CONFIG_ERRORS = {
                    "forward margin selection requires the lml link (margin-consistent terms)"),
     "alpha": (["select", "--input", "{data}", "--format", "counts", "--responses", "b,c",
                "--covariates", "h", "--alpha", "7"], "--alpha must be in (0, 1], got 7.0"),
+    # just above the bound, which a bound of 2 would let through
+    "alpha-above-one": (["select", "--input", "{data}", "--format", "counts", "--responses", "b,c",
+                         "--covariates", "h", "--alpha", "1.5"],
+                        "--alpha must be in (0, 1], got 1.5"),
     "reserved-label": (["fit", "--input", "{data}", "--format", "counts", "--responses", "a b",
                         "--covariates", "h"],
                        "label 'a b' is empty or contains a reserved character"),
@@ -1553,17 +1557,34 @@ class TestParserPerCommand:
         assert {argv[0] for argv in _parser_argvs() if argv} >= set(COMMANDS)
 
     @pytest.mark.parametrize("command", COMMANDS)
-    def test_only_the_named_command_gets_flags(self, command):
+    def test_only_the_named_command_is_registered(self, command):
         def subparsers(parser):
             return next(action.choices for action in parser._actions
                         if isinstance(action, argparse._SubParsersAction))
 
         full, one = subparsers(cli.build_parser()), subparsers(cli.build_parser(command))
-        assert list(one) == list(full) == list(COMMANDS)
-        for name, parser in one.items():
-            dests = [action.dest for action in parser._actions]
-            assert dests == ([a.dest for a in full[name]._actions] if name == command
-                             else ["help"]), name
+        assert list(full) == list(COMMANDS)
+        assert list(one) == [command]
+        assert ([action.dest for action in one[command]._actions]
+                == [action.dest for action in full[command]._actions])
+
+    @pytest.mark.parametrize("columns", ["30", "80"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_same_usage_as_the_full_parser(self, command, columns, monkeypatch):
+        """The top-level usage, which "unrecognized arguments" errors print,
+        lists all six commands however the terminal wraps it."""
+        monkeypatch.setenv("COLUMNS", columns)
+        assert cli.build_parser(command).format_usage() == cli.build_parser().format_usage()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unknown_flag_fails_as_under_the_full_parser(self, command, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [*_minimal_argv(command), "--bogus"]
+        one = run_main(argv)
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
+        assert one == run_main(argv)
+        assert one[0] == 2 and "unrecognized arguments: --bogus" in one[2]
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_runs_the_function_bound_on_the_module(self, command, monkeypatch):

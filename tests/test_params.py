@@ -85,6 +85,20 @@ class TestValidate:
         with pytest.raises(ValidationError):
             validate(ParamMatrix("mu", V, U, vals))
 
+    def test_valid_mu_accepted(self):
+        validate(mu_from_pi(random_pi(3, 2, 4)))
+        validate(ParamMatrix("mu", SubsetLattice(("y0", "y1")), SubsetLattice(("x",)),
+                             np.array([[1, 1], [0.6, 0.5], [0.5, 0.4], [0.3, 0.2]])))
+
+    def test_monotone_mu_with_a_negative_cell_rejected(self):
+        """Monotone in D and inside (0, 1], but pi(∅, ∅) = 1 - 0.6 - 0.6 + 0.1 < 0."""
+        mu = ParamMatrix("mu", SubsetLattice(("y0", "y1")), SubsetLattice(("x",)),
+                         np.array([[1, 1], [0.6, 0.5], [0.6, 0.5], [0.1, 0.2]]))
+        with pytest.raises(ValidationError) as err:
+            validate(mu)
+        assert str(err.value) == ("mu: implied cell probability (D={}, E={}) = -0.1 "
+                                  "is not positive")
+
     def test_gamma_empty_row_must_be_zero(self):
         V = SubsetLattice(("y",))
         U = SubsetLattice(("x",))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -470,6 +471,19 @@ class TestAverageEffects:
         with pytest.warns(UserWarning, match="size 2"):
             effects = average_effects(res, t, "x0")
         assert [ae.k for ae in effects] == [1]
+
+    def test_size_seen_once_is_kept(self):
+        """One case with every response: the top size's total is exactly 1."""
+        V, U = lattices(2, 1)
+        counts = np.array([[40, 30], [20, 10], [15, 12], [1, 0]], dtype=np.int64)
+        t = CountTable(V, U, counts)
+        res = fit(ModelSpec("lml"), t, FitOptions(smooth=0.5))
+        assert pattern_weights(t)[3] == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            effects = average_effects(res, t, "x0")
+        assert [ae.k for ae in effects] == [1, 2]
+        assert effects[1].estimate == res.beta_hat.values[3, 1]
 
     def test_shape_mismatch_rejected(self):
         res, _ = self.make_fit(15)
