@@ -19,10 +19,13 @@ covariate cells (positive totals) and, by one superset sum, the
 coefficients (D, E) some observed cell E′ ⊇ E reaches.  Smoothing, the
 validity test and the likelihood read only observed cells; free
 coefficients outside the reached mask are pinned at zero, and only the
-zero constraints inside it count as degrees of freedom.  The same terms
-hold the smoothed counts, their positive cells, the saturated
-log-likelihood and each link's start candidates, so the refits of a
-selection and both links on one table derive none of them again.
+zero constraints inside it count as degrees of freedom.  ``fit`` takes
+its two refusals and ``df`` from these terms before it builds any
+likelihood.  They also hold the smoothed counts, their positive cells, the
+saturated log-likelihood and each link's start candidates, so the refits
+of a selection and both links on one table derive none of them again.  A
+point is valid (π finite and positive on every observed column) exactly
+when its log-likelihood is finite; an invalid one's is −inf.
 
 Fitting is a damped Newton iteration on the free coefficients: analytic
 gradient, analytic Hessian (the exact observed information), and step
@@ -42,7 +45,7 @@ read, as its inverse, with a standard error only where its variance is
 positive.
 
 The likelihood keeps one evaluation state, for the point it saw last: the
-chain β → μ → π, validity and the value, with the score terms added on the
+chain β → μ → π and the value, with the score terms added on the
 first derivative request.  A line-search trial builds only the chain; the
 accepted trial's state then serves its gradient, the next Newton
 iteration's Hessian and, at the optimum, the information.  The Hessian is
@@ -454,7 +457,6 @@ class _TableTerms:
 
     def __init__(self, data: CountTable, smooth: float | None):
         self.observed = observed = data.column_totals > 0
-        self.all_observed = bool(observed.all())
         self.missing = tuple(np.flatnonzero(~observed).tolist())
         self.reached = zeta_transform(observed.astype(float), supersets=True) > 0
         self.counts = counts = data.counts.astype(float)
@@ -485,16 +487,16 @@ class _TableTerms:
                 built[i] = beta
             yield built[i]
 
-    def evaluate(self, pi: np.ndarray) -> tuple[bool, float]:
-        """Whether ``pi`` is valid, finite and positive on every observed
-        column, and its log-likelihood there (−inf when it is not)."""
-        check = pi if self.all_observed else pi[:, self.observed]
+    def evaluate(self, pi: np.ndarray) -> float:
+        """The log-likelihood of ``pi``: finite when ``pi`` is valid, finite
+        and positive on every observed column, and −inf when it is not."""
+        check = pi[:, self.observed] if self.missing else pi
         # NaN propagates through both reductions and fails both tests; an
         # empty check takes the initial values and passes
         if not (np.minimum.reduce(check, axis=None, initial=np.inf) > 0.0
                 and np.maximum.reduce(check, axis=None, initial=-np.inf) < np.inf):
-            return False, -np.inf
-        return True, float(np.add.reduce(self.positive_counts * np.log(pi.take(self.positive))))
+            return -np.inf
+        return float(np.add.reduce(self.positive_counts * np.log(pi.take(self.positive))))
 
 
 def _table_terms(data: CountTable, smooth: float | None) -> _TableTerms:
@@ -509,15 +511,14 @@ def _table_terms(data: CountTable, smooth: float | None) -> _TableTerms:
 class _Point:
     """What one coefficient vector implies, filled as it is asked for.
 
-    The chain β → μ → π, validity and the value are built together, since a
-    line-search trial needs exactly those.  The derivative terms follow on
-    the first ``gradient`` or ``fd_hessian`` request at the same point.
+    The chain β → μ → π and the value, finite exactly at a valid point, are
+    built together, since a line-search trial needs exactly those.  The
+    derivative terms follow on the first ``gradient`` or ``fd_hessian``.
     """
 
     key: bytes               # an exact copy of x, bit for bit
     mu: np.ndarray
     pi: np.ndarray
-    valid: bool
     value: float
     grad: np.ndarray | None = None   # the full gradient matrix over every (D, E)
     root_v: np.ndarray | None = None   # √v, the roots of the weights v = counts/pi²
@@ -529,8 +530,9 @@ class LogLikelihood:
     Exposes ``value``, the analytic ``gradient`` and Hessian
     (``fd_hessian``), and the free coefficients ``free_pairs`` that index
     them, which the fit result carries on.  What depends only on the table
-    and ``smooth`` is read from the table's shared ``terms``; ``counts``,
-    the smoothed counts, is theirs and read-only.
+    and ``smooth`` is read from the table's shared ``terms``, from which
+    ``fit`` counts ``df`` before it builds a likelihood; ``counts``, the
+    smoothed counts, is theirs and read-only.
 
     The last point evaluated is kept: value, gradient and Hessian at the
     same x share one pass through β → μ → π, so a Newton iteration builds
@@ -551,7 +553,6 @@ class LogLikelihood:
         self.free_pairs = free = free.compress(seen, axis=1)
         free.setflags(write=False)
         self._rows, self._cols = free
-        self.df = int(np.count_nonzero(terms.reached[spec.pairs[1]]))
         self._point: _Point | None = None
         # Gather tables of the Hessian (see fd_hessian), one set for both
         # links: j over the distinct free rows d and the patterns D, as
@@ -595,7 +596,7 @@ class LogLikelihood:
             return point
         mu = mu_values_from_beta(self.beta_values(x), self.link)
         pi = mobius_transform(mu, axis=0, supersets=True)
-        self._point = point = _Point(key, mu, pi, *self.terms.evaluate(pi))
+        self._point = point = _Point(key, mu, pi, self.terms.evaluate(pi))
         return point
 
     def value(self, x: np.ndarray) -> float:
@@ -611,11 +612,11 @@ class LogLikelihood:
         gradient matrix over every (D, E).
         """
         point = self._at(x)
-        if not point.valid:
+        if point.value == -np.inf:
             raise BoundaryError("derivatives requested outside the valid region")
         if point.grad is None:
             pi = point.pi
-            if self.terms.all_observed:
+            if not self.terms.missing:
                 r = self.counts / pi
                 v = r / pi
             else:
@@ -687,8 +688,9 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
     Returns the MLE with its observed information −H; the covariance,
     standard errors and Wald p-values are derived from it on first read, so
     a caller that reads only the estimates never inverts it.  Raises
-    DataError for empty cells/columns the model cannot tolerate and
-    ConvergenceError when no valid interior starting point exists.
+    DataError, read from the table's terms before any likelihood is built,
+    for empty cells/columns the model cannot tolerate, and ConvergenceError
+    when no valid interior starting point exists.
 
     With ``allow_missing_cells`` the likelihood is restricted to the
     observed covariate cells: free coefficients no observed cell reaches are
@@ -698,19 +700,22 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
     """
     options = options or FitOptions()
     spec.validate_for(data.responses, data.covariates)
-    ll = LogLikelihood(spec, data, smooth=options.smooth)
+    terms = _table_terms(data, options.smooth)
 
-    missing = ll.terms.missing
+    missing = terms.missing
     if missing and not options.allow_missing_cells:
         names = ", ".join(data.covariates.format_mask(e) for e in missing)
         raise DataError(
             f"covariate cells with no observations: {names} "
             f"(pass allow_missing_cells to restrict the likelihood to observed cells)"
         )
-    if ll.df == 0 and options.smooth is None and np.any(data.counts[:, ll.terms.observed] == 0):
+    # the zero constraints some observed cell reaches
+    df = int(np.count_nonzero(terms.reached[spec.pairs[1]]))
+    if df == 0 and options.smooth is None and np.any(data.counts[:, terms.observed] == 0):
         raise DataError(
             "zero observed cell in a saturated fit; enable smoothing or constrain the model"
         )
+    ll = LogLikelihood(spec, data, smooth=options.smooth)
 
     x = _starting_point(ll)
     if x is None:
@@ -778,9 +783,9 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
     # the optimizer accepts only valid points, so pi is positive on observed columns
     pi_hat = ParamMatrix("pi", data.responses, data.covariates, ll._at(x).pi)
 
-    dev = 2.0 * (ll.terms.saturated_loglik - value)
+    dev = 2.0 * (terms.saturated_loglik - value)
     dev = 0.0 if -1e-6 < dev < 0.0 else float(dev)
-    p_value = _chi2_tail(ll.df, dev) if ll.df > 0 else None
+    p_value = _chi2_tail(df, dev) if df > 0 else None
 
     return FitResult(
         spec=spec,
@@ -791,7 +796,7 @@ def fit(spec: ModelSpec, data: CountTable, options: FitOptions | None = None) ->
         information=-ll.fd_hessian(x),
         loglik=float(value),
         deviance=dev,
-        df=ll.df,
+        df=df,
         p_value=p_value,
         converged=grad_norm <= GRAD_TOL,
         iterations=iterations,
@@ -807,13 +812,10 @@ def _ascends(direction: np.ndarray, grad: np.ndarray) -> bool:
 
 
 def _starting_point(ll: LogLikelihood) -> np.ndarray | None:
-    """First valid start among: projected empirical fit, independence, uniform."""
-    return next((x for x in _start_candidates(ll) if ll._at(x).valid), None)
-
-
-def _start_candidates(ll: LogLikelihood) -> Iterator[np.ndarray]:
-    """The starting candidates in order, each built only when the one before is rejected."""
-    return (ll.free_of(beta) for beta in ll.terms.start_betas(ll.link))
+    """The first start of finite value, so valid, among: projected empirical
+    fit, independence, uniform; each is built only when the one before fails."""
+    return next((x for x in map(ll.free_of, ll.terms.start_betas(ll.link))
+                 if ll._at(x).value > -np.inf), None)
 
 
 def wald_tests(fit_result: FitResult) -> list[tuple[int, int, float, float, float]]:

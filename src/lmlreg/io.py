@@ -238,10 +238,9 @@ def read_zero_set(source: str | IO[str], responses: SubsetLattice,
     Returns an integer (n, 2) array, one (D, E) row per constraint line in
     file order, repeats kept.  Every line's two sides are first looked up
     at once as the labels :func:`write_zero_set` prints.  Only the lines
-    that lookup misses, and any holding a ``#`` (a label may hold one;
-    otherwise it cuts a comment), are parsed one by one: blank and comment
-    lines, other spellings, and bad lines, which are reported with their
-    line number.
+    that lookup misses, among them every line holding a ``#`` (which no
+    label holds), are parsed one by one: blank and comment lines, other
+    spellings, and bad lines, which are reported with their line number.
     """
     text = _read_text(source)
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -252,8 +251,6 @@ def read_zero_set(source: str | IO[str], responses: SubsetLattice,
                             repeat(-1)), np.intp, len(lines))
             for lattice, side in ((responses, 0), (covariates, 2)))
     parse = (d < 0) | (e < 0)
-    if "#" in text:
-        parse |= np.fromiter(("#" in line for line in lines), bool, len(lines))
     keep = np.ones(len(lines), dtype=bool)
     for i in np.flatnonzero(parse | (d == 0)).tolist():
         line_no = i + 1

@@ -53,7 +53,7 @@ class SubsetLattice:
         if len(set(self.labels)) != n:
             raise ValueError(f"duplicate labels in {self.labels}")
         for lab in self.labels:
-            if not lab or any(ch in lab for ch in ",;{} \t"):
+            if not lab or any(ch in lab for ch in ",;{}# \t"):
                 raise ValueError(f"label {lab!r} is empty or contains a reserved character")
 
     @property

@@ -20,6 +20,10 @@ same name is not a read of a field.  Dunder methods, which Python calls
 itself, are exempt.  Reads match by name, not by class, so a member counts
 as read when a member of another class with its name is: an unread
 ``value`` attribute on an exception would pass, as ``_Point.value`` is read.
+
+Every oracle is used: each module-level function and class in
+``tests/oracles.py`` is read, as a name or an attribute, by a test module
+or by an oracle that is itself used.
 """
 
 from __future__ import annotations
@@ -173,6 +177,50 @@ def test_the_member_scan_finds_what_it_should():
                             "NAMES = [('m', 'wrapped')]\n")
     assert unread == ["m.py: Step", "m.py: Step.scope", "m.py: Step.again", "m.py: Step.lost",
                       "m.py: helper"]
+
+
+def unreached_oracles(oracles: str, tests: list[str]) -> list[str]:
+    """The module-level functions and classes of the ``oracles`` source, in
+    definition order, that no source in ``tests`` reads, directly or through
+    the oracles it reads."""
+    defined = {node.name: node for node in ast.parse(oracles).body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+    def reads(tree: ast.AST) -> set[str]:
+        return {name.lstrip(".") for name in loads(tree)} & defined.keys()
+
+    reached: set[str] = set()
+    todo = set().union(*(reads(ast.parse(text)) for text in tests))
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        todo |= reads(defined[name]) - reached
+    return [name for name in defined if name not in reached]
+
+
+def test_every_oracle_is_used():
+    tests = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "tests").glob("*.py"))
+             if path.name != "oracles.py"]
+    assert unreached_oracles((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"),
+                             tests) == []
+
+
+def test_the_oracle_scan_finds_what_it_should():
+    oracles = ("def direct():\n"
+               "    return through()\n"
+               "def through():\n"
+               "    return through()\n"
+               "class ByAttribute:\n"
+               "    pass\n"
+               "def unread():\n"
+               "    return only_by_unread(), unread()\n"
+               "def only_by_unread():\n"
+               "    pass\n"
+               "def imported_only():\n"
+               "    pass\n")
+    tests = ["from oracles import direct, imported_only\n",
+             "import oracles\ndef test_a():\n    assert direct() and oracles.ByAttribute\n"]
+    assert unreached_oracles(oracles, tests) == ["unread", "only_by_unread", "imported_only"]
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))

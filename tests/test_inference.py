@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,6 @@ from lmlreg.inference import (
     ModelSpec,
     _chi2_tail,
     _independence_mu,
-    _start_candidates,
     _starting_point,
     _two_sided_normal_tail,
     fit,
@@ -1005,6 +1006,38 @@ class TestFreePairs:
         assert rows == old and all(type(d) is type(e) is int for d, e, *_ in rows)
 
 
+class TestRefusalsBuildNoLikelihood:
+    """``fit`` reads both refusals from the table's terms, so neither builds a
+    likelihood; the same table with the refusal lifted builds one."""
+
+    TABLES = {
+        "missing-cell": ([[50, 0], [10, 0], [5, 0], [1, 0]],
+                         "covariate cells with no observations: {x0} "),
+        "saturated-zero": ([[50, 40], [10, 0], [5, 3], [1, 2]],
+                           "zero observed cell in a saturated fit; "),
+    }
+
+    @pytest.mark.parametrize("link", ["lm", "lml"])
+    @pytest.mark.parametrize("kind", TABLES)
+    def test_refused_fit_builds_none(self, monkeypatch, kind, link):
+        counts, message = self.TABLES[kind]
+        V, U = lattices(2, 1)
+        data = CountTable(V, U, np.array(counts, dtype=np.int64))
+        likelihoods = []
+
+        class RecordedLikelihood(LogLikelihood):
+            def __init__(self, *args, **kwargs):
+                likelihoods.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(lmlreg.inference, "LogLikelihood", RecordedLikelihood)
+        with pytest.raises(DataError, match="^" + re.escape(message)):
+            fit(ModelSpec(link), data)
+        assert likelihoods == []
+        fit(ModelSpec(link), data, FitOptions(smooth=0.5, allow_missing_cells=True))
+        assert len(likelihoods) == 1
+
+
 class TestMissingCells:
     def make_table_with_empty_column(self):
         V, U = lattices(2, 2)
@@ -1225,7 +1258,7 @@ class TestStartingPoint:
             ll = LogLikelihood(random_constrained_spec(p, q, seed, link), t)
             emp = ParamMatrix("pi", t.responses, t.covariates, ll.counts / ll.counts.sum(axis=0))
             assert np.all(t.counts > 0)
-            assert np.array_equal(next(_start_candidates(ll)),
+            assert np.array_equal(ll.free_of(next(ll.terms.start_betas(ll.link))),
                                   ll.free_of(beta_from_pi(emp, link).values))
 
     @pytest.mark.parametrize("link", ["lm", "lml"])
@@ -1237,7 +1270,7 @@ class TestStartingPoint:
             ll = LogLikelihood(random_constrained_spec(p, q, seed, link), t)
             x = _starting_point(ll)
             assert np.array_equal(x, oracle_starting_point(ll, t))
-            later += not np.array_equal(x, next(_start_candidates(ll)))
+            later += not np.array_equal(x, ll.free_of(next(ll.terms.start_betas(ll.link))))
         assert later > 0   # the search went past the first candidate
 
     @pytest.mark.parametrize("link", ["lm", "lml"])
@@ -1386,5 +1419,5 @@ class TestEvaluationAgainstTheFirstRule:
             want_counts[:, observed] += smooth
         want = oracle_validity_and_value(want_counts, pi, observed)
         got = terms.evaluate(pi)
-        assert got[0] == want[0]
-        assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+        assert (got > -np.inf) == want[0]
+        assert np.float64(got).tobytes() == np.float64(want[1]).tobytes()

@@ -44,6 +44,7 @@ from oracles import (_oracle_fmt_num, _oracle_json_num, oracle_fit_stdout,
                      oracle_transform_json_stdout, oracle_transform_tsv_stdout,
                      oracle_write_count_data, render_to_string)
 from test_golden import CASES, COMMANDS, cap_argvs, run as run_main
+from test_lattice import LABEL
 
 
 def lattices(p: int, q: int) -> tuple[SubsetLattice, SubsetLattice]:
@@ -444,15 +445,21 @@ class TestZeroSetIO:
             got = lio.read_zero_set(io.StringIO(eol.join(lines)), V, U)
             assert set(map(tuple, got.tolist())) == zeros and got.shape == (4, 2)
 
-    def test_label_with_hash_is_cut_as_a_comment(self):
-        V, U = SubsetLattice(("a#b", "c")), SubsetLattice(("x",))
-        with pytest.raises(DataError, match=r"^line 1: expected 'D;E', got '\{a'$"):
-            lio.read_zero_set(io.StringIO("{a#b};{}\n"), V, U)
-        assert lio.read_zero_set(io.StringIO("{c};{x}#{a#b};{}\n"), V, U).tolist() == [[2, 1]]
+    def test_hash_is_a_reserved_label_character(self, tmp_path, capsys):
+        """No label holds the '#' that starts a comment: the lattice refuses
+        one, and so does the CLI, with exit 2 before it reads any file."""
+        with pytest.raises(ValueError, match="reserved character"):
+            SubsetLattice(("a#b", "c"))
+        assert main(["fit", "--input", str(tmp_path / "missing.csv"), "--zeros",
+                     str(tmp_path / "missing.txt"), "--responses", "a#b,c",
+                     "--covariates", "x"]) == 2
+        assert capsys.readouterr().err == (
+            "error: label 'a#b' is empty or contains a reserved character\n")
 
 
-# a lattice with a '#' in a label, and every kind of line a zero-set file may hold
-HASH_V, HASH_U = SubsetLattice(("a#b", "c", "d")), SubsetLattice(("x", "y"))
+# a lattice, and every kind of line a zero-set file may hold, '#' comments
+# among them; '{a#b}' is the label 'a' cut by a comment
+HASH_V, HASH_U = SubsetLattice(("a", "c", "d")), SubsetLattice(("x", "y"))
 ZERO_LINES = ["{c};{x}", "", "# a comment", "   ", "{c,d};{x,y}  # then {a#b};{}",
               " { d , c } ; { y } ", "{c};{x}", "{d,c};{x,y}", "{d};{}", "{d};{ }", "c;x,y",
               "#{a#b};{}"]
@@ -490,7 +497,7 @@ class TestZeroSetReader:
     @pytest.mark.parametrize("lines, message", [
         (["{c};{x}", "", "{c}{x}"], "line 3: expected 'D;E', got '{c}{x}'"),
         (["# c", "{c};{x}", "{bogus};{}"],
-         "line 3: unknown label 'bogus'; expected one of ('a#b', 'c', 'd')"),
+         "line 3: unknown label 'bogus'; expected one of ('a', 'c', 'd')"),
         (["{c};{x}", "{};{x}"], "line 2: the empty response row cannot be constrained"),
         (["{c};{x}", " { } ; {x}"], "line 2: the empty response row cannot be constrained"),
         (["{c};{x}", "{a#b};{}"], "line 2: expected 'D;E', got '{a'"),
@@ -506,8 +513,10 @@ class TestZeroSetReader:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_write_then_read_round_trips(self, data):
-        p, q = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
-        V, U = lattices(p, q)
+        """On labels drawn from every character no lattice reserves."""
+        V, U = (SubsetLattice(tuple(data.draw(st.lists(LABEL, min_size=n, max_size=n,
+                                                       unique=True))))
+                for n in (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))))
         zeros = data.draw(st.frozensets(st.tuples(st.integers(1, V.size - 1),
                                                   st.integers(0, U.size - 1))))
         eol = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))

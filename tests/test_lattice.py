@@ -17,7 +17,7 @@ from lmlreg.params import mu_values_from_beta
 from oracles import mobius_matrix, oracle_mask_label, oracle_table_key, zeta_matrix
 
 # a label of one to six characters, none of them reserved
-LABEL = st.text(st.characters(blacklist_characters=",;{} \t",
+LABEL = st.text(st.characters(blacklist_characters=",;{}# \t",
                               blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")),
                 min_size=1, max_size=6)
 
