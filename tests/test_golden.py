@@ -5,10 +5,11 @@ Each case runs ``lmlreg.cli.main`` in-process, from a directory holding
 README's chest files and a few malformed inputs, and compares its output
 with ``tests/golden/``: stdout is stored as ``<case>.out``, so a change
 reads as a text diff, and the exit code and stderr in ``golden.json``.
-The two outputs at the CLI cap (8 responses, 4 covariates, data seed 1:
-``fit`` and ``risk`` with ``--out json``, about 3 MB together) are stored
-as SHA-256 and byte length; their inputs are drawn here with lmlreg's own
-``simulate`` from fixed seeds.
+The outputs at the CLI cap (8 responses, 4 covariates, data seed 1:
+``fit`` and ``risk`` with ``--out json``, ``transform`` of the truth matrix
+with ``--out json`` and ``--out tsv``, and ``simulate --format cases`` from
+it, about 3.5 MB together) are stored as SHA-256 and byte length; their
+inputs are drawn here with lmlreg's own ``simulate`` from fixed seeds.
 
 The help texts and argparse's usage errors are pinned the same way: a case
 that ends in ``SystemExit`` records its exit code, and every case runs with
@@ -206,8 +207,8 @@ CAP_RESPONSES = tuple(f"y{i}" for i in range(1, 9))
 CAP_COVARIATES = tuple(f"x{i}" for i in range(1, 5))
 
 
-def cap_inputs(directory: Path) -> list[list[str]]:
-    """Cap cases and zero-set files in ``directory``; the fit and risk argv.
+def cap_inputs(directory: Path) -> dict[str, list[str]]:
+    """Cap cases, truth matrix and zero-set files in ``directory``; the cap argv by name.
 
     The lml truth is pairwise with small effects, 236 free coefficients:
     singleton rows with |E| ≤ 2, pairs with |E| ≤ 1 and the intercepts of
@@ -235,6 +236,8 @@ def cap_inputs(directory: Path) -> list[list[str]]:
             continue
     else:
         raise RuntimeError("no valid cap truth in 100 draws")
+    with open(directory / "cap-truth.csv", "w", encoding="utf-8", newline="") as f:
+        lio.write_param_matrix(beta, f)
     table = simulate(beta, "lml", [CAP_PER_CELL] * U.size, seed=CAP_DATA_SEED)
     with open(directory / "cap.csv", "w", encoding="utf-8", newline="") as f:
         lio.write_count_data(table, f, "cases")
@@ -244,12 +247,16 @@ def cap_inputs(directory: Path) -> list[list[str]]:
     return cap_argvs()
 
 
-def cap_argvs() -> list[list[str]]:
-    """The cap's fit and risk argv, reading the files :func:`cap_inputs` writes."""
-    common = ["--input", "cap.csv", "--responses", ",".join(CAP_RESPONSES),
-              "--covariates", ",".join(CAP_COVARIATES), "--zeros", "cap-zeros.txt",
-              "--out", "json"]
-    return [["fit", *common], ["risk", *common]]
+def cap_argvs() -> dict[str, list[str]]:
+    """The cap's argv by name, reading the files :func:`cap_inputs` writes."""
+    labels = ["--responses", ",".join(CAP_RESPONSES), "--covariates", ",".join(CAP_COVARIATES)]
+    common = ["--input", "cap.csv", *labels, "--zeros", "cap-zeros.txt", "--out", "json"]
+    truth = ["--input", "cap-truth.csv", *labels]
+    transform = ["transform", *truth, "--kind", "beta_gamma", "--out"]
+    return {"fit": ["fit", *common], "risk": ["risk", *common],
+            "transform-json": [*transform, "json"], "transform-tsv": [*transform, "tsv"],
+            "simulate-cases": ["simulate", *truth, "--link", "lml", "--totals", str(CAP_PER_CELL),
+                               "--seed", str(CAP_DATA_SEED), "--format", "cases"]}
 
 
 def digest(text: str) -> dict:
@@ -313,13 +320,14 @@ def test_bad_row_through_a_pipe(manifest, workdir):
     assert (proc.returncode, proc.stderr.decode(), proc.stdout) == (want["exit"], want["stderr"], b"")
 
 
-def test_cap_json_outputs_are_unchanged(manifest, tmp_path, monkeypatch):
+def test_cap_outputs_are_unchanged(manifest, tmp_path, monkeypatch):
     argvs = cap_inputs(tmp_path)
+    assert sorted(manifest["cap"]) == sorted(argvs)
     monkeypatch.chdir(tmp_path)
-    for argv in argvs:
+    for name, argv in argvs.items():
         code, out, err = run(argv)
-        assert (code, err) == (0, "")
-        assert digest(out) == manifest["cap"][argv[0]], builds(manifest)
+        assert (code, err) == (0, ""), name
+        assert digest(out) == manifest["cap"][name], f"{name}: {builds(manifest)}"
 
 
 def regenerate() -> None:
@@ -337,11 +345,11 @@ def regenerate() -> None:
                 code, out, err = run(argv)
                 (GOLDEN / f"{name}.out").write_text(out, encoding="utf-8", newline="")
                 doc["cases"][name] = {"exit": code, "stderr": err}
-            for argv in argvs:
+            for name, argv in argvs.items():
                 code, out, err = run(argv)
                 if (code, err) != (0, ""):
-                    raise RuntimeError(f"cap {argv[0]} exited {code}: {err}")
-                doc["cap"][argv[0]] = digest(out)
+                    raise RuntimeError(f"cap {name} exited {code}: {err}")
+                doc["cap"][name] = digest(out)
         finally:
             os.chdir(start)
     MANIFEST.write_text(json.dumps(doc, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")

@@ -531,7 +531,7 @@ class TestGatherHessian:
     def test_cli_cap(self, tmp_path):
         """lml on the CLI cap's model: 8 responses, 4 covariates, 236 free coefficients.
         Its zero set leaves lm no valid start."""
-        argv = cap_inputs(tmp_path)[0]
+        argv = cap_inputs(tmp_path)["fit"]
         flags = dict(zip(argv[1::2], argv[2::2]))
         V, U = (SubsetLattice(tuple(flags[f].split(","))) for f in ("--responses", "--covariates"))
         t = read_count_data(str(tmp_path / flags["--input"]), V, U)

@@ -1546,7 +1546,7 @@ def _minimal_argv(command: str) -> list[str]:
 
 def _parser_argvs() -> list[list[str]]:
     """Every argv the goldens, the cap and the usage-error tests give ``main``."""
-    argvs = [*CASES.values(), *cap_argvs(), *(argv for argv, _ in CONFIG_ERRORS.values())]
+    argvs = [*CASES.values(), *cap_argvs().values(), *(argv for argv, _ in CONFIG_ERRORS.values())]
     for command, flags in UNREAD_FLAGS.items():
         argv = _minimal_argv(command)
         argvs += [argv, *([*argv, flag, *FLAG_VALUES[flag]] for flag in flags)]
