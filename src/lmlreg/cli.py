@@ -12,8 +12,8 @@ take each fit's from ``_coefficient_table``, which builds the table once
 with the rendering's encoder.  Every JSON document goes through
 ``io.write_json``, which takes tables of records as token columns, not as
 one dict per entry, and writes the document from one walk; ``transform``
-gives it each matrix as one ``io.TokenRows`` leaf, the flat token list of
-the matrix, which is written in one join.
+gives it each matrix as one ``io.Matrix`` leaf from ``io.json_matrix``, the
+text of all its values, which two replaces lay out as rows.
 
 Each call builds only the parser it uses: when the first argument names a
 command, only that command's subparser is registered, and the top-level
@@ -45,7 +45,7 @@ from .inference import (
     fit,
     induced_mu_stats,
 )
-from .io import (ConfigError, Raw, Records, TokenRows, Tokens, fixed_floats, json_floats,
+from .io import (ConfigError, Raw, Records, Tokens, fixed_floats, json_floats, json_matrix,
                  json_strings)
 from .lattice import SubsetLattice
 from .params import (
@@ -304,7 +304,7 @@ def cmd_transform(args: argparse.Namespace, V: SubsetLattice, U: SubsetLattice) 
     if args.out == "json":
         labels = {"rows": Tokens(json_strings(V.mask_labels)),
                   "cols": Tokens(json_strings(U.mask_labels))}
-        doc = {name: {**labels, "values": TokenRows(json_floats(m.values), U.size)}
+        doc = {name: {**labels, "values": json_matrix(m.values)}
                for name, m in derived.items()}
         lio.write_json(doc, sys.stdout)
     else:

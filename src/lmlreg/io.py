@@ -23,14 +23,18 @@ column at a time, one encoder per format.  Both float encoders,
 :func:`fixed_floats` for TSV tables and matrix files and
 :func:`json_floats` for JSON, round each value exactly in integer
 arithmetic on numpy arrays and write its digits from a table, four at a
-time, into one row of bytes; only values of 10**(15 - decimals) or more in
-magnitude are formatted one at a time.  JSON documents (the CLI's ``--out
-json``) take tokens from :func:`json_floats` and :func:`json_strings`;
+time, into one row of bytes; the rows are decoded as one text, which is
+split into tokens.  Only values of 10**(15 - decimals) or more in
+magnitude are formatted one at a time, and written into their rows.  JSON
+documents (the CLI's ``--out json``) take tokens from :func:`json_floats`
+and :func:`json_strings`, and a matrix as the one text of
+:func:`json_matrix`, a :class:`Matrix`, not split into tokens;
 :func:`write_json` walks a document once, in the layout of
 ``json.dumps(indent=2)`` byte for byte, appending its text piece by piece
-to one list that is written once.  Rows of cells, the records of a
-:class:`Records` table, the rows of a :class:`TokenRows` matrix and the
-lines of a TSV table, are interleaved from their columns and joined once
+to one list that is written once.  A matrix's text becomes its rows by two
+replaces, of the mark between values and of the mark between rows.  Rows
+of cells, the records of a :class:`Records` table and the lines of a TSV
+table, are interleaved from their columns and joined once
 (:func:`join_rows`).
 """
 
@@ -216,16 +220,17 @@ def write_count_data(table: CountTable, stream: IO[str], fmt: str = "counts") ->
     if fmt == "counts":
         header.append("count")
     csv.writer(stream, lineterminator="\n").writerow(header)
-    # the text of every cell once, in row-major (y, x) order like the counts
+    # the text of every response and covariate mask; a cell's row joins one of
+    # each, in row-major (y, x) order like the counts
     y_text, x_text = (_bit_texts(lattice.ground_size)
                       for lattice in (table.responses, table.covariates))
-    cells = [f"{y},{x}" for y in y_text for x in x_text]
     counts = table.counts.ravel().tolist()
     if fmt == "counts":
+        cells = (f"{y},{x}" for y in y_text for x in x_text)
         stream.writelines(f"{cell},{n}\n" for cell, n in zip(cells, counts))
     else:
         # each cell's row repeated by its count, the whole body in one join
-        stream.write("".join(map(mul, [f"{cell}\n" for cell in cells], counts)))
+        stream.write("".join(map(mul, [f"{y},{x}\n" for y in y_text for x in x_text], counts)))
 
 
 # ---------------------------------------------------------------------------
@@ -423,89 +428,106 @@ def _digit_block(v: np.ndarray, chunks: int, drop: int = _ALL) -> np.ndarray:
 def _round_scaled(x: np.ndarray, decimals: int) -> np.ndarray:
     """x * 10**decimals rounded half to even, exactly, as int64 (all |x| < 10**(15 - decimals)).
 
-    ``p = x * 10**decimals`` is rounded, and Dekker's product gives the
-    exact remainder ``err = x * 10**decimals - p``.  ``p`` lies within
-    10**15 of zero, so ``f = p - rint(p)`` is exact; the rounded ``p``
-    is then off by one only at a tie ``|f| = 1/2`` that the remainder
-    moves off the tie, towards the other neighbour.
+    ``p = x * 10**decimals`` is rounded.  ``p`` lies within 10**15 of zero,
+    so ``f = p - rint(p)`` is exact and every half-integer near ``p`` is a
+    double: the exact product lies on ``p``'s side of each half-integer,
+    or ``p`` is that half-integer.  So ``rint(p)`` is off by one only at a
+    tie ``|f| = 1/2`` that the exact product misses, towards the other
+    neighbour; only there does Dekker's product give the exact remainder
+    ``err = x * 10**decimals - p`` that tells which way.
     """
     scale = 10.0 ** decimals               # exact up to 10**22
     p = x * scale
-    split = 134217729.0                    # 2**27 + 1: Veltkamp's split into 26-bit halves
-    s = split * scale
-    s_hi = s - (s - scale)
-    s_lo = scale - s_hi
-    hi = split * x
-    hi = hi - (hi - x)
-    lo = x - hi
-    err = hi * s_hi - p + hi * s_lo + lo * s_hi + lo * s_lo
     r = np.rint(p)
-    f = p - r
     k = r.astype(np.int64)
-    k += (f == 0.5) & (err > 0)
-    k -= (f == -0.5) & (err < 0)
+    tie = np.flatnonzero(np.abs(p - r) == 0.5)
+    if tie.size:
+        t, pt = x[tie], p[tie]
+        f = pt - r[tie]                    # +-1/2
+        split = 134217729.0                # 2**27 + 1: Veltkamp's split into 26-bit halves
+        s = split * scale
+        s_hi = s - (s - scale)
+        s_lo = scale - s_hi
+        hi = split * t
+        hi = hi - (hi - t)
+        lo = t - hi
+        err = hi * s_hi - pt + hi * s_lo + lo * s_hi + lo * s_lo
+        k[tie] += ((f > 0) & (err > 0)).astype(np.int64) - ((f < 0) & (err < 0))
     return k
 
 
-def _float_texts(values, decimals: int, as_json: bool) -> list[str]:
-    """The text of each value of a numeric column at ``decimals`` places.
+def _float_texts(values, decimals: int, as_json: bool, width: int = 0) -> str:
+    """The text of the values of a numeric column at ``decimals`` places, parted by newlines.
 
-    The digits are those of ``'{:.Nf}'`` with N = ``decimals``: k, the
-    exact value times 10**N rounded half to even (:func:`_round_scaled`),
-    written with N digits after the point and a sign only when k < 0.
-    With ``as_json`` the trailing zeros of the fraction go down to one digit,
-    a nonzero k below 10**(N - 4) is written in ``repr``'s exponent form
-    and NaN and infinities are ``null``; without it they are ``nan``,
-    ``inf`` and ``-inf``.
+    With ``width``, the last value of each row of ``width`` values is
+    parted from the next by ``;`` instead.  The digits are those of
+    ``'{:.Nf}'`` with N = ``decimals``: k, the exact value times 10**N
+    rounded half to even (:func:`_round_scaled`), written with N digits
+    after the point and a sign only when k < 0.  With ``as_json`` (N from
+    1) the trailing zeros of the fraction go down to one digit, a nonzero k
+    below 10**(N - 4) is written in ``repr``'s exponent form and NaN and
+    infinities are ``null``; without it they are ``nan``, ``inf`` and
+    ``-inf``.
 
     Every value is one fixed-width row of bytes, its digits taken four at
-    a time from :data:`_DIGITS4` and the places it does not use holding
-    the filler byte; one ``translate`` drops the filler and one ``split``
-    cuts the rows.  Only finite |x| >= 10**(15 - N), whose k may pass
-    10**15, are formatted one at a time.
+    a time from :data:`_DIGITS4`, the places it does not use holding the
+    filler byte, and the byte that parts it from the next value last
+    (filler after the last value); one ``translate`` drops the filler and
+    one ``decode`` gives the text.  Only finite |x| >= 10**(15 - N), whose
+    k may pass 10**15, are formatted one at a time, their text written
+    into their rows.
     """
-    if not 0 <= decimals <= 22:            # 10**decimals must be a double
-        raise ValueError(f"decimals must be from 0 to 22, got {decimals}")
+    low = int(as_json)                     # a JSON token keeps a fraction digit
+    if not low <= decimals <= 22:          # 10**decimals must be a double
+        raise ValueError(f"decimals must be from {low} to 22, got {decimals}")
     x = np.asarray(values, dtype=float).ravel()
     finite = np.isfinite(x)
     fast = np.abs(x) < 10.0 ** (15 - decimals)          # False for NaN and infinities
+    slow = np.flatnonzero(finite & ~fast)
+    exact = (lambda v: repr(round(v, decimals))) if as_json else f"{{:.{decimals}f}}".format
+    slow_texts = [exact(v).encode() for v in x[slow].tolist()]
     k = _round_scaled(np.where(fast, x, 0.0), decimals)
     mag = np.abs(k)
-    unit = _POW10[min(decimals, 16)]                    # |k| < 10**16
-    whole = mag // unit
-    frac = mag - whole * unit
-    # row: sign, integer digits, point, fraction digits, newline; 4 bytes before it fit -inf
+    whole, frac = np.divmod(mag, _POW10[min(decimals, 16)])    # |k| < 10**16
+    # a value: sign, integer digits, point, fraction digits, filler to fit
+    # the longest slow text, parting byte; 4 bytes before the point fit -inf
     point = max(1 + len(str(whole.max(initial=0))), 3 - decimals)
-    row = np.empty((x.size, point + decimals + 2), dtype=np.uint8)
+    end = point + decimals + 1
+    row = np.empty((x.size, max([end, *map(len, slow_texts)]) + 1), dtype=np.uint8)
     np.multiply(k < 0, np.uint8(ord("-")), out=row[:, 0])
     row[:, 1:point] = _digit_block(whole, (point + 2) // 4, _LEADING)[:, 1 - point:]
     # filler, below every digit, stands as the units digit and first fraction digit only of 0
     np.maximum(row[:, point - 1], ord("0"), out=row[:, point - 1])
     row[:, point] = ord(".") if decimals else _FILL
     if decimals:
-        row[:, point + 1:-1] = _digit_block(frac, (decimals + 3) // 4,
-                                            _TRAILING if as_json else _ALL)[:, -decimals:]
+        row[:, point + 1:end] = _digit_block(frac, (decimals + 3) // 4,
+                                             _TRAILING if as_json else _ALL)[:, -decimals:]
     if as_json:
         np.maximum(row[:, point + 1], ord("0"), out=row[:, point + 1])
-    row[:, -1] = ord("\n")
+    row[:, end:-1] = _FILL
     if as_json and decimals >= 5:
         sci = np.flatnonzero((mag > 0) & (mag < 10 ** (decimals - 4)))
         if sci.size:
-            row[sci, 1:-1] = _exponent_rows(mag[sci], decimals, row.shape[1] - 2)
+            row[sci, 1:end] = _exponent_rows(mag[sci], decimals, end - 1)
     special = np.flatnonzero(~finite)
     if special.size:
         texts = (b"null",) * 3 if as_json else (b"nan", b"inf", b"-inf")
-        rows = np.frombuffer(b"".join(text.ljust(row.shape[1] - 1, bytes([_FILL])) + b"\n"
-                                      for text in texts), dtype=np.uint8).reshape(3, -1)
         signed = x[special]
-        row[special] = rows[(signed > 0) + 2 * (signed < 0)]
-    tokens = row.tobytes().translate(None, bytes([_FILL])).decode("ascii").split("\n")
-    tokens.pop()                           # after the last newline
-    slow = np.flatnonzero(finite & ~fast)
-    exact = (lambda v: repr(round(v, decimals))) if as_json else f"{{:.{decimals}f}}".format
-    for i, v in zip(slow.tolist(), x[slow].tolist()):
-        tokens[i] = exact(v)
-    return tokens
+        row[special, :-1] = _text_rows(texts, row.shape[1] - 1)[(signed > 0) + 2 * (signed < 0)]
+    if slow.size:
+        row[slow, :-1] = _text_rows(slow_texts, row.shape[1] - 1)
+    row[:, -1] = ord("\n")
+    if width:
+        row[width - 1::width, -1] = ord(";")
+    row[-1:, -1] = _FILL                   # nothing follows the last value
+    return row.tobytes().translate(None, bytes([_FILL])).decode("ascii")
+
+
+def _text_rows(texts: Sequence[bytes], width: int) -> np.ndarray:
+    """One uint8 row of ``width`` bytes per text, the text then filler."""
+    filler = bytes([_FILL])
+    block = b"".join(text.ljust(width, filler) for text in texts)
+    return np.frombuffer(block, dtype=np.uint8).reshape(len(texts), width)
 
 
 def _exponent_rows(mag: np.ndarray, decimals: int, width: int) -> np.ndarray:
@@ -535,7 +557,8 @@ def fixed_floats(values, decimals: int) -> list[str]:
     A value that rounds to zero prints without a sign; NaN and None print
     as ``nan``, and infinities as ``inf`` and ``-inf``.
     """
-    return _float_texts(values, decimals, as_json=False)
+    text = _float_texts(values, decimals, as_json=False)
+    return text.split("\n") if text else []
 
 
 # ---------------------------------------------------------------------------
@@ -549,18 +572,10 @@ class Tokens(list):
     """A JSON array of values already encoded, copied as they are."""
 
 
-@dataclass(frozen=True)
-class TokenRows:
-    """A JSON array of rows of ``width`` encoded tokens each, held as one
-    flat list of the tokens row by row (an array of :class:`Tokens` arrays
-    of one length)."""
-
-    tokens: Sequence[str]
-    width: int
-
-    def __post_init__(self) -> None:
-        if self.width < 0 or (self.tokens and (not self.width or len(self.tokens) % self.width)):
-            raise ValueError("the tokens must fill rows of a nonnegative width")
+class Matrix(str):
+    """A JSON array of rows of values already encoded, held as one text: the
+    values of a row parted by newlines, the rows by ``;``, and "" for no
+    rows.  :func:`json_matrix` makes one."""
 
 
 @dataclass(frozen=True)
@@ -593,9 +608,19 @@ def json_floats(values, decimals: int = 6) -> list[str]:
     from k a column at a time; only finite |x| >= 10**(15 - N) take
     ``repr(round(x, N))`` one value at a time.
     """
-    if decimals < 1:
-        raise ValueError(f"decimals must be at least 1, got {decimals}")
-    return _float_texts(values, decimals, as_json=True)
+    text = _float_texts(values, decimals, as_json=True)
+    return text.split("\n") if text else []
+
+
+def json_matrix(values, decimals: int = 6) -> Matrix:
+    """The :class:`Matrix` of a 2-D numeric array, its values the tokens of :func:`json_floats`.
+
+    Every row must hold a value, as the text holds no empty row.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or (values.size == 0 and values.shape[0]):
+        raise ValueError(f"a matrix needs two axes and a value in each row, got shape {values.shape}")
+    return Matrix(_float_texts(values, decimals, as_json=True, width=values.shape[1]))
 
 
 def json_strings(values: Iterable[str]) -> list[str]:
@@ -608,7 +633,7 @@ def write_json(doc, stream: IO[str]) -> None:
 
     ``doc`` nests dicts, lists and JSON scalars, with leaves encoded
     beforehand: :class:`Raw` values, :class:`Tokens` arrays,
-    :class:`TokenRows` matrices and :class:`Records` tables.  One walk
+    :class:`Matrix` texts and :class:`Records` tables.  One walk
     appends the text to one list, written once, so no nested value is
     copied into its parent's text.
     """
@@ -623,6 +648,10 @@ def _emit(value, pad: str, parts: list[str]) -> None:
     opens the line of its closing bracket."""
     if isinstance(value, Raw):
         parts.append(value)
+    elif isinstance(value, Matrix):
+        row, cell = pad + "  ", pad + "    "
+        text = value.replace("\n", "," + cell).replace(";", f"{row}],{row}[{cell}")
+        parts.append(f"[{row}[{cell}{text}{row}]{pad}]" if value else "[]")
     elif isinstance(value, str):
         parts.append(encode_basestring_ascii(value))
     elif isinstance(value, Records):
@@ -631,11 +660,6 @@ def _emit(value, pad: str, parts: list[str]) -> None:
         parts.append(join_rows(list(value.columns.values()), ["," + key for key in keys],
                                f"[{row}{{{first}", f"{row}}},{row}{{{first}",
                                f"{row}}}{pad}]") or "[]")
-    elif isinstance(value, TokenRows):
-        width, row, cell = value.width, pad + "  ", pad + "    "
-        parts.append(join_rows([value.tokens[j::width] for j in range(width)],
-                               ["," + cell] * (width - 1), f"[{row}[{cell}",
-                               f"{row}],{row}[{cell}", f"{row}]{pad}]") if value.tokens else "[]")
     elif not value or not isinstance(value, (dict, list, tuple)):
         parts.append(json.dumps(value))    # scalars and empty containers
     elif isinstance(value, Tokens):

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from itertools import count, permutations
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from lmlreg import io as lio
 from lmlreg.cli import main
 from lmlreg.inference import (CountTable, DataError, FitOptions, ModelSpec, fit, simulate,
                               sorted_pairs)
-from lmlreg.io import (ConfigError, Raw, Records, TokenRows, Tokens, fixed_floats, json_floats,
+from lmlreg.io import (ConfigError, Raw, Records, Tokens, fixed_floats, json_floats, json_matrix,
                        json_strings, parse_labels)
 from lmlreg.lattice import SubsetLattice
 from lmlreg.params import (ParamMatrix, beta_from_pi, gamma_from_mu, mu_from_gamma, mu_from_pi,
@@ -831,6 +832,29 @@ def test_encoders_take_decimals_while_ten_to_the_power_is_exact():
     assert json_floats([], 6) == [] and fixed_floats(np.empty((0, 3)), 3) == []
 
 
+@pytest.mark.parametrize("decimals", [1, 6, 12, 15])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_round_scaled_is_exact_half_even_rounding(decimals, data):
+    """``_round_scaled`` gives x * 10**N rounded half to even in exact rational
+    arithmetic, on random values, on binary ties and on each tie's neighbours."""
+    bound = 10.0 ** (15 - decimals)
+    # (2j + 1) / 2**(N + 1) times 10**N is (2j + 1) * 5**N / 2, a tie below 10**15
+    odd = int(bound) * 2 ** decimals
+    ties = data.draw(st.lists(st.integers(-odd, odd - 1).map(
+        lambda j: (2 * j + 1) / 2.0 ** (decimals + 1)), max_size=20))
+    floats = data.draw(st.lists(st.floats(-bound, bound, exclude_min=True, exclude_max=True),
+                                max_size=20))
+    decimal_ties = data.draw(st.lists(st.integers(-10**6, 10**6).map(
+        lambda k: (k + 0.5) / 10.0 ** decimals), max_size=10))
+    center = np.array(ties + decimal_ties, dtype=float)
+    x = np.concatenate([floats, center, np.nextafter(center, np.inf),
+                        np.nextafter(center, -np.inf)])
+    x = x[np.abs(x) < bound]
+    assert lio._round_scaled(x, decimals).tolist() == \
+        [round(Fraction(v) * 10**decimals) for v in x.tolist()]
+
+
 def test_join_rows_interleaves_columns():
     columns = [["a", "b"], ["1", "2"], ["x", "y"]]
     assert lio.join_rows(columns, ["=", ";"], "<", "|", ">") == "<a=1;x|b=2;y>"
@@ -879,9 +903,9 @@ SCALARS = st.one_of(
     st.lists(DELICATE_FLOATS, max_size=3).map(
         lambda xs: (Tokens(json_floats(xs)), [_oracle_json_num(x) for x in xs])),
     st.integers(1, 3).flatmap(lambda w: st.lists(st.lists(
-        DELICATE_FLOATS, min_size=w, max_size=w), max_size=3)).map(
-        lambda rows: (TokenRows(json_floats(np.ravel(rows)), len(rows[0]) if rows else 0),
-                      [[_oracle_json_num(x) for x in row] for row in rows])),
+        DELICATE_FLOATS, min_size=w, max_size=w), max_size=3).map(
+        lambda rows: (json_matrix(np.reshape(rows, (len(rows), w))),
+                      [[_oracle_json_num(x) for x in row] for row in rows]))),
 )
 
 
@@ -949,12 +973,19 @@ class TestJsonWriter:
         assert render_to_string(lambda s: lio.write_json({"t": records}, s)) == \
             json.dumps({"t": want}, indent=2) + "\n"
 
+    # the values the encoder writes apart: the per-value path (|x| >= 1e9 at
+    # 6 places), infinities and NaN (null), and negative zero (0.0)
+    RARE = [8673695546.32591, 1e16, -1e16, np.inf, -np.inf, np.nan, -0.0]
+
     @pytest.mark.parametrize("depth", [0, 1, 3])
-    @pytest.mark.parametrize("shape", [(0, 0), (1, 1), (1, 5), (5, 1), (256, 16)])
-    def test_token_rows_print_as_rows_of_tokens(self, shape, depth):
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (1, 1), (1, 5), (5, 1), (256, 16),
+                                       (1, 7), (7, 1)])
+    def test_matrix_prints_as_rows_of_tokens(self, shape, depth):
         rng = np.random.default_rng(shape[0] + shape[1])
         values = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
         values[rng.random(shape) < 0.1] = np.nan             # printed as null
+        rare = rng.permutation(self.RARE)[:values.size]
+        values.flat[rng.choice(values.size, rare.size, replace=False)] = rare
         tokens = json_floats(values)
         rows = [Tokens(tokens[i * shape[1]:(i + 1) * shape[1]]) for i in range(shape[0])]
         plain = [[_oracle_json_num(x) for x in row] for row in values.tolist()]
@@ -962,14 +993,24 @@ class TestJsonWriter:
         def nest(leaf):     # the leaf inside ``depth`` containers
             return {0: leaf, 1: {"values": leaf}, 3: {"pi": [{"values": leaf}]}}[depth]
 
-        got = render_to_string(lambda s: lio.write_json(nest(TokenRows(tokens, shape[1])), s))
+        got = render_to_string(lambda s: lio.write_json(nest(json_matrix(values)), s))
         assert got == render_to_string(lambda s: lio.write_json(nest(rows), s))
         assert got == json.dumps(nest(plain), indent=2) + "\n"
 
-    def test_token_rows_need_whole_rows(self):
-        for tokens, width in ((["1"], 0), (["1", "2", "3"], 2), ([], -1)):
-            with pytest.raises(ValueError):
-                TokenRows(tokens, width)
+    def test_matrix_text_holds_the_column_tokens(self):
+        values = np.array([self.RARE[:4], self.RARE[3:], [0.5, 1e-7, -2.5e-5, 3.0]])
+        text = json_matrix(values, 12)
+        assert text.split(";") == ["\n".join(row) for row in
+                                   (json_floats(v, 12) for v in values)]
+        assert text.split(";")[0] == "8673695546.32591\n1e+16\n-1e+16\nnull"
+
+    def test_matrix_needs_two_axes_and_a_value_a_row(self):
+        for values in (1.0, np.ones(3), np.ones((2, 0)), np.ones((1, 2, 2))):
+            with pytest.raises(ValueError, match="matrix"):
+                json_matrix(values)
+        with pytest.raises(ValueError, match="decimals"):
+            json_matrix(np.ones((1, 1)), 0)
+        assert json_matrix(np.ones((0, 3))) == "" == json_matrix(np.empty((0, 0)))
 
     def test_record_table_needs_equal_columns(self):
         with pytest.raises(ValueError):
